@@ -40,7 +40,7 @@ FIELD_COLUMNS = ["x", "y", "value_re", "value_im"]
 NAN = float("nan")
 
 
-def _sweep_row(kd: float, s: complex, cfg: WireConfig):
+def _sweep_row(kd: float, s: complex, cfg: WireConfig, tol: float):
     """One sweep-k row from kd and the impurity strength s(kd) (0 for a = 0)."""
     guard = cfg.mode_guard
     n_near = int(round(kd / np.pi))
@@ -57,7 +57,7 @@ def _sweep_row(kd: float, s: complex, cfg: WireConfig):
         return [kd, n_near, NAN, NAN, n_near, NAN, NAN, NAN, NAN, NAN, NAN, 1,
                 sig_below, sig_above, gr_below, gr_above]
     n_open = int(np.floor(kd / np.pi))
-    st = renorm.attach_strength(renorm.renorm_sum(kd, cfg.y0), s)
+    st = renorm.attach_strength(renorm.renorm_sum(kd, cfg.y0, tol), s)
     sigma_f = renorm.TMatrix(kd, cfg.a, s).cross_section / cfg.d if cfg.a != 0.0 else 0.0
     if n_open >= 1:
         sigma = st.cross_section
@@ -70,22 +70,12 @@ def _sweep_row(kd: float, s: complex, cfg: WireConfig):
             NAN, NAN, NAN, NAN]
 
 
-def _map_ordered(fn, items, workers: int):
-    """Map preserving input order; rows are pure, so threading cannot change values."""
-    if workers <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_sweep_k(args) -> int:
     cfg = WireConfig(y0=args.y0, a=args.a, x0=args.x0)
     kds = np.linspace(args.kd_min, args.kd_max, args.points)
     # s depends on kd alone: one array evaluation covers the grid
     strengths = renorm._strength(kds, cfg.a) if cfg.a != 0.0 else np.zeros(len(kds), complex)
-    rows = _map_ordered(lambda pair: _sweep_row(float(pair[0]), complex(pair[1]), cfg),
-                        list(zip(kds, strengths)), args.workers)
+    rows = [_sweep_row(float(kd), complex(s), cfg, args.tol) for kd, s in zip(kds, strengths)]
     meta = {
         "generator": f"wirescat {__version__}",
         "command": "sweep-k",
@@ -108,22 +98,21 @@ def run_sweep_geom(args) -> int:
     kd = args.kd
     a_grid = np.linspace(args.a_min, args.a_max, args.a_points)
     y0_grid = np.linspace(args.y0_min, args.y0_max, args.y0_points)
-    pairs = [(float(a), float(y0)) for a in a_grid for y0 in y0_grid]
 
-    def geom_row(pair):
-        a, y0 = pair
+    def geom_row(a, y0):
         cfg = WireConfig(y0=y0, a=a)
-        sigma = scattering.cross_section(kd, cfg)
+        sigma = scattering.cross_section(kd, cfg, args.tol)
         sigma_f = scattering.free_cross_section(kd, a) / cfg.d if a != 0.0 else 0.0
         return [a, y0, sigma, sigma_f, 0]
 
-    rows = _map_ordered(geom_row, pairs, args.workers)
+    rows = [geom_row(float(a), float(y0)) for a in a_grid for y0 in y0_grid]
     sigma_map = np.array([row[2] for row in rows]).reshape(len(a_grid), len(y0_grid))
     meta = {
         "generator": f"wirescat {__version__}",
         "command": "sweep-geom", "kd": fmt(kd),
         "a_min": fmt(args.a_min), "a_max": fmt(args.a_max), "a_points": args.a_points,
         "y0_min": fmt(args.y0_min), "y0_max": fmt(args.y0_max), "y0_points": args.y0_points,
+        "tolerance": fmt(args.tol),
     }
     _write(args, GEOM_COLUMNS, rows, meta)
     if args.svg:
@@ -240,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--svg", help="optional SVG rendering path")
         p.add_argument("--tol", type=float, default=1e-12, help="series tolerance")
-        p.add_argument("--workers", type=int, default=1,
-                       help="thread budget for sweep points (output order fixed)")
         if with_impurity:
             p.add_argument("--y0", type=float, help="impurity height, 0<y0<1 (required)")
             p.add_argument("--a", type=float, default=0.1, help="scattering length, |a|<1/2")

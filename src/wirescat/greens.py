@@ -20,7 +20,11 @@ kummer        spectral sum with the static series subtracted term by term and
               x = x0 and geometrically off-axis.  An analytic tail completion
               (Hurwitz-zeta + iterated Abel summation of the oscillatory
               part) brings the truncation error far below the requested
-              tolerance; see _cos_tail.
+              tolerance; see _cos_tail.  One kernel (_mode_sum) sums the
+              subtracted series and one plan (_kummer_plan) picks its
+              truncation and completion for the point evaluator, the grid
+              evaluator and, at r = r0 with the closed form replaced by the
+              coincidence constant, the renormalization sum G_r.
 diffraction   difference of two period-2d grating Green's functions, the
               Poisson-resummed form of the image array.
 semiclassical image sum with each Hankel function replaced by its large-
@@ -33,12 +37,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from math import comb
+from operator import mul
 
 import numpy as np
 
 from .errors import CoincidentPoints, DomainError
 from .specfun import hankel1
-from .waveguide import channels, guard_mode_openings, transverse_mode
+from .waveguide import ChannelSet, channels, guard_mode_openings, transverse_mode
 
 __all__ = [
     "GreensValue",
@@ -59,6 +65,7 @@ __all__ = [
     "image_sum_positive",
 ]
 
+EULER_GAMMA = 0.5772156649015328606
 _D = 1.0
 _COSH_OVERFLOW = 700.0  # pi |x-x0| / d beyond which the static form is 0 to 1e-300
 REPRESENTATIONS = ("free", "spectral", "image", "static", "kummer", "diffraction", "semiclassical")
@@ -137,16 +144,30 @@ def greens_static(r, r0) -> float:
     where the naive form loses five digits to cancellation.
     """
     _check_strip(r, r0)
-    dx, dy, rho = _deltas(r, r0)
+    dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("static Green's function diverges at r = r0")
-    u = np.pi * abs(dx) / (2.0 * _D)
+    return float(_static_form(abs(dx), float(r[1]), float(r0[1])))
+
+
+def _static_form(ax: float, y, y0: float):
+    """greens_static at |x - x0| = ax for scalar or array y."""
+    y = np.asarray(y, dtype=float)
+    u = np.pi * ax / (2.0 * _D)
     if u > _COSH_OVERFLOW / 2.0:
-        return 0.0
+        return np.zeros(y.shape)
     sh2 = np.sinh(u) ** 2
-    num = np.sin(np.pi * dy / (2.0 * _D)) ** 2 + sh2
-    den = np.sin(np.pi * (r[1] + r0[1]) / (2.0 * _D)) ** 2 + sh2
-    return float(np.log(num / den) / (2.0 * np.pi))
+    num = np.sin(np.pi * (y - y0) / (2.0 * _D)) ** 2 + sh2
+    den = np.sin(np.pi * (y + y0) / (2.0 * _D)) ** 2 + sh2
+    return np.log(num / den) / (2.0 * np.pi)
+
+
+def _coincidence_constant(kd, y0):
+    """lim_{r -> r0} [greens_static - greens_free] for scalar or array kd and y0.
+
+    The closed-form part of G_r, which replaces the static form at r = r0.
+    """
+    return -np.log((kd / np.pi) * np.sin(np.pi * y0 / _D)) / np.pi + 0.5j - EULER_GAMMA / np.pi
 
 
 def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
@@ -248,8 +269,15 @@ def zeta_tail(s: float, m_trunc: int, shift: float = 0.0) -> float:
             + s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * a ** (-s - 5.0) / 30240.0)
 
 
-def geometric_tail(z: complex, s: float, m_trunc: int, shift: float = 0.0,
-                   depth: int = 5) -> tuple[complex, float]:
+_ABEL_DEPTH = 5
+# signed binomial rows: level j of the Abel transform needs the forward
+# difference sum_i (-1)^i C(j, i) f(m + i)
+_FORWARD_DIFFERENCE = tuple(tuple((-1) ** i * comb(j, i) for i in range(j + 1))
+                            for j in range(_ABEL_DEPTH))
+
+
+def geometric_tail(z: complex, s: float, m_trunc: int,
+                   shift: float = 0.0) -> tuple[complex, float]:
     """sum_{m > m_trunc} z^m (m + shift)^(-s) for |z| <= 1, z != 1.
 
     Iterated Abel (summation-by-parts) transform; each level trades one
@@ -260,19 +288,16 @@ def geometric_tail(z: complex, s: float, m_trunc: int, shift: float = 0.0,
     if abs(one_minus) < 1e-12:
         raise DomainError("geometric_tail requires z != 1")
     lead = z ** (m_trunc + 1) / one_minus
-    fs = [lambda m: (m + shift) ** (-s)]
-    for _ in range(depth):
-        prev = fs[-1]
-        fs.append(lambda m, prev=prev: prev(m) - prev(m + 1.0))
+    f = [(m_trunc + 1.0 + i + shift) ** (-s) for i in range(_ABEL_DEPTH)]
     total = 0.0 + 0.0j
     coef = 1.0 + 0.0j
-    for level in range(depth):
-        total += coef * lead * fs[level](float(m_trunc + 1))
+    for row in _FORWARD_DIFFERENCE:
+        total += coef * lead * sum(map(mul, row, f))
         coef *= -z / one_minus
     rising = 1.0
-    for j in range(depth):
+    for j in range(_ABEL_DEPTH):
         rising *= s + j
-    bound = abs(coef) * rising * zeta_tail(s + depth, m_trunc, shift)
+    bound = abs(coef) * rising * zeta_tail(s + _ABEL_DEPTH, m_trunc, shift)
     return total, float(bound)
 
 
@@ -343,27 +368,41 @@ def kummer_truncation(kd: float, tol: float, angles: tuple[float, ...]) -> int:
 _GEOMETRIC_MODE_CAP = 200000
 
 
-def _kummer_plan(kd: float, ax: float, tol: float,
-                 angles_plus: tuple[float, ...],
-                 angles_minus: tuple[float, ...]) -> tuple[int, complex, float]:
-    """Truncation, analytic tail completion and error bound for a Kummer sum.
+def _mode_angles(y: float, y0: float) -> tuple[tuple[float], tuple[float]]:
+    """Angles of chi_m(y) chi_m(y0) = (1/d)[cos(m alpha) - cos(m beta)], as (+alpha, -beta)."""
+    return (np.pi * (y - y0) / _D,), (np.pi * (y + y0) / _D,)
 
-    Off-axis (ax > 0) the subtracted modes decay geometrically, so plain
-    truncation reaches any tolerance with M ~ ln(1/tol) d/(pi ax); that wins
-    whenever it fits under the mode cap.  Only essentially-on-axis points
-    (ax < ~4e-5 d) fall back to the algebraic m^-3 completion, whose
+
+def _geometric_truncation(kd: float, ax: float, tol: float) -> tuple[int, float] | None:
+    """(M, bound) of plain truncation within tol at ax = |x-x0|; None on and near the axis.
+
+    Off-axis the subtracted modes decay geometrically, so M ~ ln(1/tol) d/(pi ax)
+    reaches any tolerance whenever it fits under the mode cap.
+    """
+    if ax <= 0.0:
+        return None
+    m_trunc = 64
+    while _geometric_mode_tail_bound(m_trunc, kd / _D, ax) > tol and m_trunc < _GEOMETRIC_MODE_CAP:
+        m_trunc *= 2
+    bound = _geometric_mode_tail_bound(m_trunc, kd / _D, ax)
+    return (m_trunc, bound) if bound <= tol else None
+
+
+def _kummer_plan(kd: float, ax: float, tol: float, y: float, y0: float) -> tuple[int, complex, float]:
+    """Truncation, analytic tail completion and error bound for the Kummer sum at one point.
+
+    The one truncation plan, shared by greens_kummer, greens_kummer_grid and
+    renorm_sum.  Plain geometric truncation wins whenever it fits; only
+    essentially-on-axis points (ax < ~4e-5 d, x = x0 and the coincident point
+    of G_r included) fall back to the algebraic m^-3 completion, whose
     neglect of the residual x-dependence is charged to the bound.
     """
-    if ax > 0.0:
-        m_geom = 64
-        while _geometric_mode_tail_bound(m_geom, kd / _D, ax) > tol and m_geom < _GEOMETRIC_MODE_CAP:
-            m_geom *= 2
-        geo_bound = _geometric_mode_tail_bound(m_geom, kd / _D, ax)
-        if geo_bound <= tol:
-            return m_geom, 0.0 + 0.0j, geo_bound
-    angles = tuple(angles_plus) + tuple(angles_minus)
-    m_trunc = kummer_truncation(kd, tol, angles)
-    completion, bound = mode_product_tail(kd, m_trunc, angles_plus, angles_minus)
+    geometric = _geometric_truncation(kd, ax, tol)
+    if geometric is not None:
+        return geometric[0], 0.0 + 0.0j, geometric[1]
+    plus, minus = _mode_angles(y, y0)
+    m_trunc = kummer_truncation(kd, tol, plus + minus)
+    completion, bound = mode_product_tail(kd, m_trunc, plus, minus)
     if ax > 0.0:
         # completed tail assumed no x decay; true tail is smaller by at most itself
         bound += abs(completion)
@@ -383,6 +422,32 @@ def _geometric_mode_tail_bound(m_trunc: int, k: float, ax: float) -> float:
     return float(amp * np.exp(-rate * m1) / max(1.0 - np.exp(-rate), 1e-300))
 
 
+def _mode_sum(ch: ChannelSet, ax: float, y, y0: float):
+    """The Kummer-subtracted mode sum over the M modes of ch = channels(kd, M),
+
+        sum_{m <= M} chi_m(y) chi_m(y0) [exp(i k_x ax)/(i k_x) + (d/m pi) exp(-m pi ax/d)],
+
+    for a scalar y, or for an array of y through one (M) x (M, n_y) product.
+    """
+    m = np.arange(1, len(ch.kx) + 1)
+    chi_y0 = transverse_mode(m, y0)
+    # on the axis (G_r and x = x0 points) both exponentials are exactly 1
+    phase, decay = ((1.0, 1.0) if ax == 0.0
+                    else (np.exp(1j * ch.kx * ax), np.exp(-m * np.pi * ax / _D)))
+    coef = chi_y0 * (phase / (1j * ch.kx) + (_D / (m * np.pi)) * decay)
+    # at y = y0 (G_r) the mode product is chi_m(y0)^2
+    return coef @ (chi_y0 if np.ndim(y) == 0 and y == y0 else transverse_mode(m, y))
+
+
+def _kummer_value(ch: ChannelSet, ax: float, y: float, y0: float, completion: complex) -> complex:
+    """Mode sum + tail completion + closed form: G_w, or G_r = G_w - G_0 at r = r0."""
+    if ax == 0.0 and y == y0:
+        closed = _coincidence_constant(ch.k, y0)
+    else:
+        closed = _static_form(ax, y, y0)
+    return complex(_mode_sum(ch, ax, y, y0) + completion + closed)
+
+
 def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     """Convergence-accelerated wire Green's function.
 
@@ -397,29 +462,23 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     _check_strip(r, r0)
     kd = k * _D
     guard_mode_openings(kd)
-    dx, dy, rho = _deltas(r, r0)
+    dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("coincident points are routed to renorm_sum")
-    ax = abs(dx)
-    alpha = np.pi * dy / _D
-    beta = np.pi * (r[1] + r0[1]) / _D
-    m_trunc, completion, bound = _kummer_plan(kd, ax, tol, (alpha,), (beta,))
-    ch = channels(kd, m_trunc)
-    m = np.arange(1, m_trunc + 1)
-    chi_y = transverse_mode(m, r[1])
-    chi_y0 = transverse_mode(m, r0[1])
-    series = chi_y * chi_y0 * (np.exp(1j * ch.kx * ax) / (1j * ch.kx)
-                               + (_D / (m * np.pi)) * np.exp(-m * np.pi * ax / _D))
-    value = complex(series.sum()) + completion + greens_static(r, r0)
+    ax, y, y0 = abs(dx), float(r[1]), float(r0[1])
+    m_trunc, completion, bound = _kummer_plan(kd, ax, tol, y, y0)
+    value = _kummer_value(channels(kd, m_trunc), ax, y, y0, completion)
     return GreensValue(value, "kummer", m_trunc, float(bound))
 
 
 def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
     """Vectorized greens_kummer over a rectangular grid (complex, shape (nx, ny)).
 
-    Shares the per-column mode factors, so a 400 x 100 map costs a few
-    matrix-vector products instead of 40k independent evaluations.  Exact
-    coincidence with r0 yields NaN.
+    Every column follows greens_kummer's truncation plan.  A column the plan
+    truncates geometrically shares its mode factors across y, so it costs
+    one _mode_sum product instead of ny independent evaluations.  Near-axis
+    columns (x = x0 included) need each y's own completion and go through
+    greens_kummer point by point.  Exact coincidence with r0 yields NaN.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -429,42 +488,14 @@ def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
     guard_mode_openings(kd)
     x0, y0 = float(r0[0]), float(r0[1])
     out = np.empty((len(xs), len(ys)), dtype=complex)
-    sin_half_sum = np.sin(np.pi * (ys + y0) / (2.0 * _D)) ** 2
-    sin_half_diff = np.sin(np.pi * (ys - y0) / (2.0 * _D)) ** 2
     for i, x in enumerate(xs):
         ax = abs(x - x0)
-        if ax > 0.0:
-            m_trunc = 64
-            while _geometric_mode_tail_bound(m_trunc, k, ax) > tol and m_trunc < _GEOMETRIC_MODE_CAP:
-                m_trunc *= 2
-            need_completion = _geometric_mode_tail_bound(m_trunc, k, ax) > tol
+        geometric = _geometric_truncation(kd, ax, tol)
+        if geometric is not None:
+            out[i] = _mode_sum(channels(kd, geometric[0]), ax, ys, y0) + _static_form(ax, ys, y0)
         else:
-            m_trunc = kummer_truncation(kd, tol, (0.0,))
-            need_completion = True
-        ch = channels(kd, m_trunc)
-        m = np.arange(1, m_trunc + 1)
-        chi_y0 = transverse_mode(m, y0)
-        coef = chi_y0 * (np.exp(1j * ch.kx * ax) / (1j * ch.kx)
-                         + (_D / (m * np.pi)) * np.exp(-m * np.pi * ax / _D))
-        basis = transverse_mode(m, ys)           # (m_trunc, ny)
-        col = coef @ basis
-        u = np.pi * ax / (2.0 * _D)
-        if u > _COSH_OVERFLOW / 2.0:
-            static = np.zeros_like(ys)
-        else:
-            sh2 = np.sinh(u) ** 2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                static = np.log((sin_half_diff + sh2) / (sin_half_sum + sh2)) / (2.0 * np.pi)
-        col = col + static
-        if need_completion:
-            for j, y in enumerate(ys):
-                if ax == 0.0 and y == y0:
-                    col[j] = np.nan + 0.0j
-                    continue
-                alpha = np.pi * (y - y0) / _D
-                beta = np.pi * (y + y0) / _D
-                col[j] += mode_product_tail(kd, m_trunc, (alpha,), (beta,))[0]
-        out[i] = col
+            out[i] = [np.nan if ax == 0.0 and y == y0 else greens_kummer((x, y), r0, k, tol).value
+                      for y in ys]
     return out
 
 
@@ -591,35 +622,14 @@ def semiclassical_renorm_sum(k: float, y0: float, n_explicit: int = 400) -> comp
 # convergence benchmark
 # ---------------------------------------------------------------------------
 
-def _kummer_truncated_raw(r, r0, k: float, m_trunc: int, completion: bool) -> complex:
-    """Kummer form summed to exactly m_trunc modes, with or without tail completion."""
-    dx, dy, _ = _deltas(r, r0)
-    ax = abs(dx)
-    ch = channels(k * _D, m_trunc)
-    m = np.arange(1, m_trunc + 1)
-    series = transverse_mode(m, r[1]) * transverse_mode(m, r0[1]) * (
-        np.exp(1j * ch.kx * ax) / (1j * ch.kx) + (_D / (m * np.pi)) * np.exp(-m * np.pi * ax / _D))
-    out = complex(series.sum()) + greens_static(r, r0)
-    if completion:
-        alpha = np.pi * dy / _D
-        beta = np.pi * (r[1] + r0[1]) / _D
-        out += mode_product_tail(k * _D, m_trunc, (alpha,), (beta,))[0]
-    return out
+def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc: int,
+                      completion: bool) -> complex:
+    """Kummer form summed to exactly m_trunc modes, with or without tail completion.
 
-
-def _regularized_self_series(k: float, y0: float, m_trunc: int, completion: bool) -> complex:
-    """Kummer-form series for G_w - G_0 at coincidence (the renormalization sum)."""
-    from .renorm import EULER_GAMMA  # local import avoids a module cycle
-    kd = k * _D
-    ch = channels(kd, m_trunc)
-    m = np.arange(1, m_trunc + 1)
-    chi2 = transverse_mode(m, y0) ** 2
-    total = complex(np.sum((1.0 / (1j * ch.kx) + _D / (m * np.pi)) * chi2))
-    if completion:
-        total += mode_product_tail(kd, m_trunc, (0.0,), (2.0 * np.pi * y0 / _D,))[0]
-    total += (-np.log((kd / np.pi) * np.sin(np.pi * y0 / _D)) / np.pi
-              + 0.5j - EULER_GAMMA / np.pi)
-    return total
+    At r = r0 this is the renormalization sum G_w - G_0.
+    """
+    tail = mode_product_tail(kd, m_trunc, *_mode_angles(y, y0))[0] if completion else 0.0
+    return _kummer_value(channels(kd, m_trunc), ax, y, y0, tail)
 
 
 def convergence_benchmark(r, r0, k: float, representations=("spectral", "image", "kummer"),
@@ -632,29 +642,24 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
     benchmark measures the regularized self-field G_w - G_0 instead (only
     the kummer representations are defined there).
     """
-    _, _, rho = _deltas(r, r0)
-    rows: list[BenchmarkRow] = []
+    dx, _, rho = _deltas(r, r0)
+    kd, ax, y, y0 = k * _D, abs(dx), float(r[1]), float(r0[1])
     if rho == 0.0:
         bad = set(representations) - {"kummer", "kummer_raw"}
         if bad:
             raise CoincidentPoints(f"only the kummer forms exist at coincidence, not {sorted(bad)}")
-        ref = _regularized_self_series(k, r0[1], 65536, completion=True)
-        for rep in representations:
-            for terms in term_grid:
-                val = _regularized_self_series(k, r0[1], terms, completion=(rep == "kummer"))
-                rows.append(BenchmarkRow(rep, terms, float(abs(val - ref))))
-        return rows
-    ref = greens_kummer(r, r0, k, tol=1e-12).value
+        ref = _kummer_truncated(kd, ax, y, y0, 65536, completion=True)
+    else:
+        ref = greens_kummer(r, r0, k, tol=1e-12).value
+    rows: list[BenchmarkRow] = []
     for rep in representations:
         for terms in term_grid:
-            if rep == "spectral":
+            if rep in ("kummer", "kummer_raw"):
+                val = _kummer_truncated(kd, ax, y, y0, terms, completion=(rep == "kummer"))
+            elif rep == "spectral":
                 val = greens_spectral(r, r0, k, terms).value
             elif rep == "image":
                 val = greens_image(r, r0, k, terms).value
-            elif rep == "kummer":
-                val = _kummer_truncated_raw(r, r0, k, terms, completion=True)
-            elif rep == "kummer_raw":
-                val = _kummer_truncated_raw(r, r0, k, terms, completion=False)
             elif rep == "diffraction":
                 val = greens_diffraction(r, r0, k, tol=1e-14).value
             else:

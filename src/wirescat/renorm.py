@@ -23,8 +23,10 @@ downstream and are enforced by the test suite:
     |Rs|^2 Sigma = -Im Rs,      Rs = s/(1 - s G_r)
 
 the second being the waveguide optical theorem (it forces S-matrix
-unitarity).  The truncated G_r series is tail-completed exactly like the
-Kummer Green's function, so ~300 modes already give ~1e-14.
+unitarity).  G_r is the Kummer Green's function's mode sum at r = r0 with
+the static form replaced by the constant above, summed and tail-completed
+by the same greens kernel and truncation plan, so ~300 modes already give
+~1e-14.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ import numpy as np
 
 from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
                      SingularSystem)
-from .greens import kummer_truncation, mode_product_tail
+from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
+from .greens import _kummer_plan, _kummer_value
 from .specfun import cylinder_bessel_j, cylinder_bessel_y, hankel1
 from .waveguide import WireConfig, channels, guard_mode_openings, transverse_mode
 
@@ -54,7 +57,6 @@ __all__ = [
     "foldy_solve",
 ]
 
-EULER_GAMMA = 0.5772156649015328606
 _D = 1.0
 POLE_THRESHOLD = 1e-14
 
@@ -175,27 +177,11 @@ def hard_disk_boundary_check(k: float, a: float, n_angles: int = 64) -> float:
     return float(np.max(np.abs(np.full(n_angles, psi))))
 
 
-def _gr_series(kd: float, y0: float, tol: float) -> tuple[complex, float, int, float]:
-    """Tail-completed G_r series; returns (G_r, Sigma, terms, bound)."""
-    beta = 2.0 * np.pi * y0 / _D
-    m_trunc = kummer_truncation(kd, tol, (0.0, beta))
-    ch = channels(kd, m_trunc)
-    m = np.arange(1, m_trunc + 1)
-    chi2 = transverse_mode(m, y0) ** 2
-    series = ((1.0 / (1j * ch.kx)) + _D / (m * np.pi)) * chi2
-    # chi_m^2(y0) = (1/d)(1 - cos(2 m pi y0 / d)): constant part -> Hurwitz zeta,
-    # oscillating part -> Abel-resummed geometric tail
-    tail, bound = mode_product_tail(kd, m_trunc, (0.0,), (beta,))
-    const = (-np.log((kd / np.pi) * np.sin(np.pi * y0 / _D)) / np.pi
-             + 0.5j - EULER_GAMMA / np.pi)
-    g_r = complex(series.sum() + tail + const)
-    sigma = float(np.sum(chi2[: ch.n_open] / ch.kx[: ch.n_open].real))
-    return g_r, sigma, m_trunc, bound
-
-
 def renorm_sum(k: float, y0: float, tol: float = 1e-12) -> RenormState:
     """Renormalization sum G_r(k, y0) with the open-channel sum Sigma.
 
+    G_r comes from the greens Kummer kernel at x = x0, y = y0 under the same
+    truncation plan (_kummer_plan) as greens_kummer and greens_kummer_grid.
     Depends on k and y0 only; attach an impurity with renorm_state or
     effective_strength.
     """
@@ -203,7 +189,11 @@ def renorm_sum(k: float, y0: float, tol: float = 1e-12) -> RenormState:
         raise DomainError("y0 must lie strictly inside the wire")
     kd = k * _D
     guard_mode_openings(kd)
-    g_r, sigma, terms, bound = _gr_series(kd, y0, tol)
+    terms, completion, bound = _kummer_plan(kd, 0.0, tol, y0, y0)
+    ch = channels(kd, terms)
+    g_r = _kummer_value(ch, 0.0, y0, y0, completion)
+    chi2 = transverse_mode(np.arange(1, ch.n_open + 1), y0) ** 2
+    sigma = float(np.sum(chi2 / ch.kx_open))
     return RenormState(k=k, y0=y0, g_r=g_r, sigma_open=sigma,
                        tail_bound=bound, terms_used=terms)
 

@@ -101,16 +101,12 @@ class PhaseShift:
         return float(abs(abs(self.e2id) - 1.0))
 
 
-def _state(k: float, cfg: WireConfig, tol: float = 1e-12) -> RenormState:
-    return renorm_state(k, cfg, tol)
-
-
 def s_matrix(k: float, cfg: WireConfig, tol: float = 1e-12) -> SMatrixResult:
     """Assemble R, T and the derived observables for the open channels."""
     n = open_channel_count(k * _D, cfg.mode_guard)
     if n < 1:
         raise DomainError("no open channels below kd = pi; sweeps report sigma = 0 there")
-    st = _state(k, cfg, tol)
+    st = renorm_state(k, cfg, tol)
     kx = channels(k * _D, n, cfg.mode_guard).kx_open
     v = transverse_mode(np.arange(1, n + 1), cfg.y0) / np.sqrt(kx)
     refl = 1j * st.rs * np.outer(v, v)
@@ -129,7 +125,7 @@ def cross_section_mode(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) ->
     n_open = open_channel_count(k * _D, cfg.mode_guard)
     if not 1 <= n <= n_open:
         raise DomainError(f"mode {n} is not open at kd = {k * _D!r}")
-    st = _state(k, cfg, tol)
+    st = renorm_state(k, cfg, tol)
     ch = channels(k * _D, n_open, cfg.mode_guard)
     chi2 = transverse_mode(n, cfg.y0) ** 2
     return float(abs(st.rs) ** 2 * _D * (chi2 / ch.kx[n - 1].real) * st.sigma_open)
@@ -139,7 +135,7 @@ def cross_section(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """Total cross section as a fraction of the wire width; 0 below kd = pi."""
     if k * _D < np.pi:
         return 0.0
-    return _state(k, cfg, tol).cross_section
+    return renorm_state(k, cfg, tol).cross_section
 
 
 def conductance(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
@@ -147,7 +143,7 @@ def conductance(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     if k * _D < np.pi:
         return 0.0
     n = int(np.floor(k * _D / np.pi))
-    return float(n - _state(k, cfg, tol).cross_section)
+    return float(n - renorm_state(k, cfg, tol).cross_section)
 
 
 def free_cross_section(k: float, a: float) -> float:
@@ -161,7 +157,7 @@ def free_cross_section(k: float, a: float) -> float:
 
 def optical_residual(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """Residual of the waveguide optical theorem |Rs|^2 Sigma + Im Rs."""
-    st = _state(k, cfg, tol)
+    st = renorm_state(k, cfg, tol)
     return float(abs(abs(st.rs) ** 2 * st.sigma_open + st.rs.imag))
 
 
@@ -173,7 +169,7 @@ def forward_amplitude(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> 
     n_open = open_channel_count(k * _D, cfg.mode_guard)
     if not 1 <= n <= n_open:
         raise DomainError(f"mode {n} is not open at kd = {k * _D!r}")
-    st = _state(k, cfg, tol)
+    st = renorm_state(k, cfg, tol)
     kx = channels(k * _D, n_open, cfg.mode_guard).kx_open
     return complex(-1j * st.rs * transverse_mode(n, cfg.y0) / kx[n - 1])
 
@@ -185,7 +181,7 @@ def phase_shift(k: float, cfg: WireConfig, tol: float = 1e-12) -> PhaseShift:
     optical constraint pins it to the unit circle, and
     sigma = (1/4)|1 - e^{2 i delta_0}|^2 = sin^2(delta_0).
     """
-    st = _state(k, cfg, tol)
+    st = renorm_state(k, cfg, tol)
     if int(np.floor(k * _D / np.pi)) < 1:
         raise DomainError("phase shift needs at least one open channel")
     return PhaseShift.from_state(st)
@@ -228,7 +224,7 @@ def sigma_from_greens(k: float, cfg: WireConfig,
     if k * _D < np.pi:
         return 0.0
     if variant == "kummer":
-        st = _state(k, cfg, tol)
+        st = renorm_state(k, cfg, tol)
     elif variant == "semiclassical":
         g_r = semiclassical_renorm_sum(k, cfg.y0)
         base = RenormState(k=k, y0=cfg.y0, g_r=g_r, sigma_open=0.5 - g_r.imag,

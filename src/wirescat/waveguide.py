@@ -30,7 +30,6 @@ __all__ = [
     "longitudinal_wavenumber",
     "channels",
     "transverse_mode",
-    "transverse_mode_sq",
     "image_positions",
     "guard_mode_openings",
 ]
@@ -159,16 +158,10 @@ def channels(kd: float, m_max: int, guard: float = DEFAULT_MODE_GUARD) -> Channe
 def transverse_mode(m, y, d: float = 1.0):
     """chi_m(y) = sqrt(2/d) sin(m pi y / d) on 0 <= y <= d."""
     y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 0.0) or np.any(y_arr > d):
+    if (y_arr < 0.0).any() or (y_arr > d).any():
         raise DomainError("y outside the wire [0, d]")
     out = np.sqrt(2.0 / d) * np.sin(np.multiply.outer(np.asarray(m, dtype=float), y_arr) * np.pi / d)
     return out if out.ndim else float(out)
-
-
-def transverse_mode_sq(m, y0: float, d: float = 1.0):
-    """chi_m(y0)^2, the weight every renormalization sum carries."""
-    c = transverse_mode(m, y0, d)
-    return c * c
 
 
 def image_positions(cfg: WireConfig, n_min: int, n_max: int) -> ImageArray:

@@ -187,14 +187,26 @@ def test_sweep_k_resonance_figure_structure(tmp_path):
     assert np.array_equal(np.unique(n_col[~np.isnan(n_col)]), [0.0, 1.0, 2.0, 3.0])
 
 
-def test_sweep_k_workers_deterministic(tmp_path):
-    base = ["sweep-k", "--y0", "0.3", "--a", "0.1", "--kd-min", "4.0",
-            "--kd-max", "9.0", "--points", "60"]
-    a = tmp_path / "w1.csv"
-    b = tmp_path / "w4.csv"
-    assert main(base + ["--out", str(a)]) == 0
-    assert main(base + ["--workers", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("argv", [
+    ["sweep-k", "--y0", "0.3", "--kd-min", "4.0", "--kd-max", "9.0", "--points", "5"],
+    ["sweep-geom", "--kd", "7.3", "--a-points", "2", "--y0-points", "3"],
+])
+def test_sweeps_pass_tol_to_renorm_sum(tmp_path, monkeypatch, argv):
+    # values cannot show it: the 256-mode floor makes 1e-6 and 1e-12 agree
+    from wirescat import renorm
+    tols = []
+    orig = renorm.renorm_sum
+
+    def spy(k, y0, tol=1e-12):
+        tols.append(tol)
+        return orig(k, y0, tol)
+
+    monkeypatch.setattr(renorm, "renorm_sum", spy)
+    out = tmp_path / "tol.csv"
+    assert main(argv + ["--tol", "1e-6", "--out", str(out)]) == 0
+    assert tols and set(tols) == {1e-6}
+    header, _, _ = read_data_lines(out)
+    assert any(h.startswith("# tolerance = ") for h in header)
 
 
 def test_usage_errors_exit_2(tmp_path):

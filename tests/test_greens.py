@@ -147,7 +147,7 @@ def test_kummer_coincidence_routed_away():
 
 def test_grid_evaluator_matches_scalar():
     xs = np.array([-0.4, 0.0, 0.015, 0.37])
-    ys = np.array([0.2, 0.3, 0.61])
+    ys = np.array([0.2, 0.29, 0.299, 0.3, 0.31, 0.61])
     grid = greens_kummer_grid(xs, ys, R0, KD, tol=1e-12)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):

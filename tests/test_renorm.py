@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wirescat.errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered)
-from wirescat.greens import greens_free, image_sum_alternating
+from wirescat.greens import _kummer_truncated, greens_free, image_sum_alternating
 from wirescat.renorm import (FoldyProblem, _strength, attach_strength, effective_strength,
                              foldy_solve, gr_edge_asymptote, hard_disk_boundary_check,
                              renorm_state, renorm_sum, t_matrix)
@@ -118,6 +118,14 @@ def test_gr_vs_image_sum_oracle():
     st = renorm_sum(KD, Y0)
     oracle = image_sum_alternating((0.0, Y0), (0.0, Y0), KD, 10**5, include_source=False)
     assert abs(oracle - st.g_r) <= 1e-2
+
+
+@pytest.mark.parametrize("kd, y0", [(KD, Y0), (7.3, 0.05), (40.0, 0.61)])
+def test_gr_is_the_coincident_kummer_bench_value(kd, y0):
+    # greens-bench's coincident kummer row summed to renorm_sum's own truncation
+    st = renorm_sum(kd, y0)
+    bench = _kummer_truncated(kd, 0.0, y0, y0, st.terms_used, completion=True)
+    assert abs(st.g_r - bench) <= 1e-14 * abs(bench)
 
 
 def test_gr_independent_of_a_and_x0():
