@@ -12,7 +12,8 @@ conductance in quanta.
 __version__ = "0.1.0"
 
 from .errors import (BornDiverged, CoincidentPoints, DegenerateMode, DomainError,
-                     ModeOpeningSingularity, PoleEncountered, SingularSystem, WireError)
+                     ModeOpeningSingularity, PoleEncountered, SingularSystem,
+                     TruncationLimit, WireError)
 from .greens import (BraggSpectrum, GreensValue, bragg_spectrum, convergence_benchmark,
                      greens_diffraction, greens_free, greens_image, greens_kummer,
                      greens_kummer_grid, greens_semiclassical, greens_spectral,
@@ -35,7 +36,7 @@ __all__ = [
     "__version__",
     # errors
     "WireError", "DomainError", "ModeOpeningSingularity", "CoincidentPoints",
-    "PoleEncountered", "DegenerateMode", "SingularSystem", "BornDiverged",
+    "PoleEncountered", "DegenerateMode", "SingularSystem", "BornDiverged", "TruncationLimit",
     # specfun
     "cylinder_bessel_j", "cylinder_bessel_y", "hankel1",
     # waveguide

@@ -97,16 +97,30 @@ def run_sweep_k(args) -> int:
 def run_sweep_geom(args) -> int:
     kd = args.kd
     a_grid = np.linspace(args.a_min, args.a_max, args.a_points)
-    y0_grid = np.linspace(args.y0_min, args.y0_max, args.y0_points)
-
-    def geom_row(a, y0):
-        cfg = WireConfig(y0=y0, a=a)
-        sigma = scattering.cross_section(kd, cfg, args.tol)
-        sigma_f = scattering.free_cross_section(kd, a) / cfg.d if a != 0.0 else 0.0
-        return [a, y0, sigma, sigma_f, 0]
-
-    rows = [geom_row(float(a), float(y0)) for a in a_grid for y0 in y0_grid]
-    sigma_map = np.array([row[2] for row in rows]).reshape(len(a_grid), len(y0_grid))
+    a_list = a_grid.tolist()
+    y0_list = np.linspace(args.y0_min, args.y0_max, args.y0_points).tolist()
+    # range checks on the first a with every y0, then on every a with the
+    # first y0: together they raise the error of the first bad (a, y0) row
+    for y0 in y0_list:
+        WireConfig(y0=y0, a=a_list[0])
+    for a in a_list:
+        WireConfig(y0=y0_list[0], a=a)
+    # sigma = |Rs|^2 Sigma^2 with Rs = s/(1 - s G_r): G_r depends on y0 alone
+    # and s on a alone, so one G_r per y0 and one array s over the nonzero a
+    # cover the grid.  Nothing is open below kd = pi and sigma = 0 there; a
+    # NaN kd still reaches renorm_sum's guard.
+    bases = [renorm.renorm_sum(kd, y0, args.tol) for y0 in y0_list] if not kd < np.pi else None
+    nonzero = a_grid != 0.0
+    strengths = np.zeros(len(a_grid), complex)
+    if nonzero.any():
+        strengths[nonzero] = renorm._strength(kd, a_grid[nonzero])
+    rows = []
+    for a, s in zip(a_list, strengths.tolist()):
+        sigma_f = renorm.TMatrix(kd, a, s).cross_section if a != 0.0 else 0.0
+        sigmas = ([renorm.attach_strength(base, s).cross_section for base in bases]
+                  if bases else [0.0] * len(y0_list))
+        rows.extend([a, y0, sigma, sigma_f, 0] for y0, sigma in zip(y0_list, sigmas))
+    sigma_map = np.array([row[2] for row in rows]).reshape(len(a_list), len(y0_list))
     meta = {
         "generator": f"wirescat {__version__}",
         "command": "sweep-geom", "kd": fmt(kd),
@@ -116,7 +130,7 @@ def run_sweep_geom(args) -> int:
     }
     _write(args, GEOM_COLUMNS, rows, meta)
     if args.svg:
-        svg_heatmap(args.svg, list(a_grid), list(y0_grid), sigma_map.tolist(),
+        svg_heatmap(args.svg, a_list, y0_list, sigma_map.tolist(),
                     f"sigma(a, y0) at kd={fmt(kd)}")
     return 0
 

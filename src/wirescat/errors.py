@@ -34,6 +34,15 @@ class CoincidentPoints(WireError):
     """Field point coincides with a source (or image) point."""
 
 
+class TruncationLimit(WireError):
+    """A series truncation plan cannot bring its error bound below the tolerance.
+
+    Raised instead of returning a value whose own tail bound misses tol, as
+    the Kummer plan does very close to the source on or next to the axis
+    x = x0, where it would need more modes than its cap.
+    """
+
+
 class PoleEncountered(WireError):
     """1 - s*G_r vanishes: bound-state/resonance pole of the effective strength."""
 

@@ -42,7 +42,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import CoincidentPoints, DomainError
+from .errors import CoincidentPoints, DomainError, TruncationLimit
 from .specfun import hankel1
 from .waveguide import ChannelSet, channels, guard_mode_openings, transverse_mode
 
@@ -343,13 +343,16 @@ def mode_product_tail(kd: float, m_trunc: int, angles_plus: tuple[float, ...],
     return total, bound
 
 
+_KUMMER_MODE_CAP = 65536
+
+
 def kummer_truncation(kd: float, tol: float, angles: tuple[float, ...]) -> int:
     """Smallest power-of-two truncation whose completion bound is below tol."""
     n_open = int(np.floor(kd / np.pi))
     base = max(256, 4 * n_open)
     c3, c5, c7 = kummer_tail_coefficients(kd)
     m = base
-    while m < 65536:
+    while m < _KUMMER_MODE_CAP:
         bound = 2.0 * len(angles) * c7 * zeta_tail(7.0, m)
         for th in angles:
             t = float(th) % (2.0 * np.pi)
@@ -403,8 +406,13 @@ def _kummer_plan(kd: float, ax: float, tol: float, y: float, y0: float) -> tuple
     plus, minus = _mode_angles(y, y0)
     m_trunc = kummer_truncation(kd, tol, plus + minus)
     completion, bound = mode_product_tail(kd, m_trunc, plus, minus)
+    # off the axis the completed tail assumed no x decay; the true tail is
+    # smaller by at most itself, so it is charged to the bound, and more
+    # modes shrink it
+    while ax > 0.0 and bound + abs(completion) >= tol and m_trunc < _KUMMER_MODE_CAP:
+        m_trunc *= 2
+        completion, bound = mode_product_tail(kd, m_trunc, plus, minus)
     if ax > 0.0:
-        # completed tail assumed no x decay; true tail is smaller by at most itself
         bound += abs(completion)
     return m_trunc, completion, bound
 
@@ -457,7 +465,8 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     Off-axis the subtracted series is truncated geometrically; at and near
     x = x0 it is truncated at m^-3 decay and completed with the analytic
     tail of mode_product_tail.  The returned tail_bound is an honest bound
-    on everything dropped.
+    on everything dropped; where the plan's bound is not below tol (very
+    close to the source, see TruncationLimit) it raises instead.
     """
     _check_strip(r, r0)
     kd = k * _D
@@ -467,6 +476,10 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
         raise CoincidentPoints("coincident points are routed to renorm_sum")
     ax, y, y0 = abs(dx), float(r[1]), float(r0[1])
     m_trunc, completion, bound = _kummer_plan(kd, ax, tol, y, y0)
+    if not bound < tol:
+        raise TruncationLimit(f"Kummer series at |x - x0|={ax!r}, y={y!r}, y0={y0!r}, "
+                              f"kd={kd!r}: bound {bound:.3g} with {m_trunc} modes "
+                              f"misses tol={tol:g}")
     value = _kummer_value(channels(kd, m_trunc), ax, y, y0, completion)
     return GreensValue(value, "kummer", m_trunc, float(bound))
 

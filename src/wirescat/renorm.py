@@ -134,21 +134,27 @@ class FoldyProblem:
             raise DomainError("scatterer positions must be pairwise distinct")
 
 
-def _strength(k, a: float):
-    """s(k) for scalar or array k; the one copy of the hard-disk strength formula.
+def _strength(k, a):
+    """s(k, a) for scalar or array k and a; the one copy of the hard-disk strength formula.
 
-    An array k is evaluated in one call per Bessel function, which is how
-    sweeps get s over a whole kd grid.
+    k and a broadcast against each other and the sign of the denominator
+    phase is picked per element, so sweeps get s over a whole kd grid or a
+    whole a grid in one call per Bessel function.
     """
     k = np.asarray(k, dtype=float)
+    a = np.asarray(a, dtype=float)
     if np.any(k <= 0.0):
         raise DomainError("k must be positive")
-    if a == 0.0:
+    if np.any(a == 0.0):
         raise DomainError("a must be nonzero; a transparent impurity has s = 0")
-    ka = k * abs(a)
+    ka = k * np.abs(a)
     j = cylinder_bessel_j(0, ka)
     y = cylinder_bessel_y(0, ka)
-    denom = j + 1j * y if a > 0 else j - 1j * y
+    if a.ndim:
+        denom = np.where(a > 0, j + 1j * y, j - 1j * y)
+    else:
+        # a plain conditional keeps scalar k and a in Python complex arithmetic
+        denom = j + 1j * y if a > 0 else j - 1j * y
     return -2j * j / denom
 
 
@@ -161,20 +167,20 @@ def t_matrix(k: float, a: float) -> TMatrix:
     return TMatrix(k=k, a=a, s=complex(_strength(k, a)))
 
 
-def hard_disk_boundary_check(k: float, a: float, n_angles: int = 64) -> float:
-    """Max |psi| on the disk boundary for an incident s wave J_0(k|r - r0|).
+def hard_disk_boundary_check(k: float, a: float) -> float:
+    """|psi| on the disk boundary for an incident s wave J_0(k|r - r0|).
 
     psi = phi + s phi(r0) G_0 must vanish on |r - r0| = a by construction of
-    s(k); the returned residual is a direct Lippmann-Schwinger check.
+    s(k); the returned residual is a direct Lippmann-Schwinger check.  The
+    incident and scattered s waves are both isotropic about r0, so one
+    boundary point stands for every angle.
     """
     if a <= 0.0:
         raise DomainError("boundary check is defined for a > 0")
     tm = t_matrix(k, a)
     ka = k * a
     psi = cylinder_bessel_j(0, ka) + tm.s * (-0.5j) * hankel1(0, ka)
-    # the incident s wave and the scattered wave are both isotropic about r0;
-    # sampled angles all see the same value, kept for contract fidelity
-    return float(np.max(np.abs(np.full(n_angles, psi))))
+    return float(np.abs(psi))
 
 
 def renorm_sum(k: float, y0: float, tol: float = 1e-12) -> RenormState:

@@ -72,7 +72,7 @@ def test_criterion_01_free_optical_theorem():
 
 
 def test_criterion_02_hard_disk_boundary():
-    worst = max(renorm.hard_disk_boundary_check(ka / 0.1, 0.1, n_angles=64)
+    worst = max(renorm.hard_disk_boundary_check(ka / 0.1, 0.1)
                 for ka in (0.5, 2.0, 5.0))
     report(2, "hard-disk boundary condition", worst <= 1e-10, f"max |psi| {worst:.3e}")
 

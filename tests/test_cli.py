@@ -274,3 +274,88 @@ def test_sweep_k_rows_match_scalar_api(tmp_path, a):
         close(float(val["sigma_free"]), free_cross_section(kd, a) / cfg.d)
         close(float(val["rs_re"]), st.rs.real)
         close(float(val["rs_im"]), st.rs.imag)
+
+
+def test_sweep_geom_evaluates_each_factor_once(tmp_path, monkeypatch):
+    # G_r depends on y0 alone and s on a alone: one renorm_sum per y0 and one
+    # array J0/Y0 pair over the nonzero a, not one of each per (a, y0) row
+    from wirescat import renorm
+    calls = {"renorm_sum": 0, "j": [], "y": []}
+    orig_sum, orig_j, orig_y = renorm.renorm_sum, renorm.cylinder_bessel_j, renorm.cylinder_bessel_y
+
+    def count_sum(*args, **kwargs):
+        calls["renorm_sum"] += 1
+        return orig_sum(*args, **kwargs)
+
+    def count_j(n, x):
+        calls["j"].append(np.ndim(x))
+        return orig_j(n, x)
+
+    def count_y(n, x):
+        calls["y"].append(np.ndim(x))
+        return orig_y(n, x)
+
+    monkeypatch.setattr(renorm, "renorm_sum", count_sum)
+    monkeypatch.setattr(renorm, "cylinder_bessel_j", count_j)
+    monkeypatch.setattr(renorm, "cylinder_bessel_y", count_y)
+    out = tmp_path / "count.csv"
+    for kd, n_sum in ((12.5 * np.pi, 7), (2.0, 0)):  # no G_r below kd = pi
+        calls.update(renorm_sum=0, j=[], y=[])
+        assert main(["sweep-geom", "--kd", str(kd), "--a-points", "11", "--y0-points", "7",
+                     "--out", str(out)]) == 0
+        assert calls["renorm_sum"] == n_sum
+        assert calls["j"] == [1] and calls["y"] == [1]
+
+
+@pytest.mark.parametrize("kd", [7.3, 2.0])
+def test_sweep_geom_rows_match_scalar_api(tmp_path, kd):
+    from wirescat.scattering import cross_section, free_cross_section
+    from wirescat.waveguide import WireConfig
+    out = tmp_path / "rows.csv"
+    assert main(["sweep-geom", "--kd", str(kd), "--a-points", "5", "--y0-min", "0.1",
+                 "--y0-max", "0.9", "--y0-points", "5", "--out", str(out)]) == 0
+    _, cols, rows = read_data_lines(out)
+    assert len(rows) == 25
+    n_zero = 0
+    for row in rows:
+        val = dict(zip(cols, row))
+        a, y0 = float(val["a"]), float(val["y0"])
+        sigma, sigma_f = float(val["sigma"]), float(val["sigma_free"])
+        assert val["gap"] == "0"
+        if a == 0.0:
+            n_zero += 1
+            assert sigma == 0.0 and sigma_f == 0.0
+            continue
+        want = cross_section(kd, WireConfig(y0=y0, a=a))
+        want_f = free_cross_section(kd, a)
+        assert abs(sigma - want) <= 1e-14 * abs(want), (a, y0, sigma, want)
+        assert abs(sigma_f - want_f) <= 1e-14 * abs(want_f), (a, sigma_f, want_f)
+    assert n_zero == 5
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--kd", repr(3 * np.pi + 1e-10)],
+     f"error: kd={3 * np.pi + 1e-10!r} lies within 1e-09 of the mode-3 opening at n*pi"),
+    (["--kd", repr(3 * np.pi - 1e-10)],
+     f"error: kd={3 * np.pi - 1e-10!r} lies within 1e-09 of the mode-3 opening at n*pi"),
+    (["--kd", "0"], "error: k must be positive"),
+    (["--kd", "-2.5"], "error: k must be positive"),
+    (["--a-max", "0.6"], "error: |a| must be < d/2, got a=0.502"),
+    (["--y0-max", "1.0"], "error: impurity must sit strictly inside the wire, got y0=1.0"),
+])
+def test_sweep_geom_domain_errors_exit_2(tmp_path, capsys, extra, message):
+    out = tmp_path / "err.csv"
+    assert main(["sweep-geom", *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
+
+
+def test_field_map_greens_refuses_a_missed_tolerance(tmp_path, capsys):
+    # the x = x0 column passes within 1e-7 of the source, where the Kummer
+    # plan cannot meet --tol: exit 2 rather than write values that miss it
+    out = tmp_path / "near.csv"
+    assert main(["field-map", "--kind", "greens", "--kd", str(2.5 * np.pi), "--y0", "0.3",
+                 "--nx", "3", "--ny", "2", "--y-min", "0.2999999", "--y-max", "0.3000001",
+                 "--out", str(out)]) == 2
+    assert "misses tol=1e-12" in capsys.readouterr().err
+    assert not out.exists()

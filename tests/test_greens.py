@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wirescat import greens
-from wirescat.errors import CoincidentPoints, DomainError
+from wirescat.errors import CoincidentPoints, DomainError, TruncationLimit
 from wirescat.greens import (bragg_spectrum, convergence_benchmark, geometric_tail,
                              greens_diffraction, greens_free, greens_image,
                              greens_kummer, greens_kummer_grid, greens_semiclassical,
@@ -306,3 +306,24 @@ def test_benchmark_monotone_and_thresholds():
 def test_benchmark_rejects_image_at_coincidence():
     with pytest.raises(CoincidentPoints):
         convergence_benchmark(R0, R0, KD, representations=("image",), term_grid=(10,))
+
+
+def test_kummer_refuses_a_missed_tolerance():
+    # on the axis the plan's mode cap cannot resolve points within ~1e-5 of
+    # the source at tol = 1e-12; the miss is an error, not a silent value
+    kd, r0 = 2.5 * np.pi, (0.0, 0.3)
+    ok = greens_kummer((0.0, 0.3 + 1e-4), r0, kd, tol=1e-12)
+    assert ok.tail_bound < 1e-12
+    with pytest.raises(TruncationLimit):
+        greens_kummer((0.0, 0.3 + 1e-7), r0, kd, tol=1e-12)
+
+
+def test_kummer_meets_tol_just_off_the_axis():
+    # below |x - x0| ~ 4e-5 the completion ignores the x decay and its size
+    # is charged to the bound; the plan adds modes until that meets tol
+    kd, r0, ax, y = 2.5 * np.pi, (0.0, 0.3), 3e-5, 0.5
+    g = greens_kummer((ax, y), r0, kd, tol=1e-12)
+    assert g.tail_bound < 1e-12
+    # plain truncation converges here once m pi ax ~ 25: 2^18 modes
+    ref = greens._kummer_truncated(kd, ax, y, r0[1], 2**18, completion=False)
+    assert abs(g.value - ref) <= g.tail_bound

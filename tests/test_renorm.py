@@ -57,6 +57,8 @@ def test_t_matrix_domain():
             _strength(bad, 0.1)
     with pytest.raises(DomainError):
         _strength(np.array([1.0, 2.0]), 0.0)
+    with pytest.raises(DomainError):
+        _strength(2.0, np.array([0.1, 0.0, -0.1]))
 
 
 def test_array_strength_matches_scalar_t_matrix():
@@ -70,6 +72,11 @@ def test_array_strength_matches_scalar_t_matrix():
         assert s_arr.shape == k.shape
         s_ref = np.array([t_matrix(float(x), a).s for x in k])
         assert np.max(np.abs(s_arr - s_ref) / np.abs(s_ref)) <= 1e-15
+    # sweep-geom's call: an array a at one k, the sign picked per element
+    a = np.array([-0.3, -0.1, -0.02, 0.02, 0.1, 0.3])
+    s_arr = _strength(37.0, a)
+    s_ref = np.array([t_matrix(37.0, float(x)).s for x in a])
+    assert np.max(np.abs(s_arr - s_ref) / np.abs(s_ref)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
