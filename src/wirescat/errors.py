@@ -38,8 +38,9 @@ class TruncationLimit(WireError):
     """A series truncation plan cannot bring its error bound below the tolerance.
 
     Raised instead of returning a value whose own tail bound misses tol, as
-    the Kummer plan does very close to the source on or next to the axis
-    x = x0, where it would need more modes than its cap.
+    the Kummer plan does for G_w very close to the source on or next to the
+    axis x = x0, and for G_r with y0 very close to a wall, where it would
+    need more modes than its cap.
     """
 
 

@@ -398,7 +398,8 @@ def _kummer_plan(kd: float, ax: float, tol: float, y: float, y0: float) -> tuple
     renorm_sum.  Plain geometric truncation wins whenever it fits; only
     essentially-on-axis points (ax < ~4e-5 d, x = x0 and the coincident point
     of G_r included) fall back to the algebraic m^-3 completion, whose
-    neglect of the residual x-dependence is charged to the bound.
+    neglect of the residual x-dependence is charged to the bound.  Raises
+    TruncationLimit when the bound is not below tol under the mode cap.
     """
     geometric = _geometric_truncation(kd, ax, tol)
     if geometric is not None:
@@ -414,6 +415,10 @@ def _kummer_plan(kd: float, ax: float, tol: float, y: float, y0: float) -> tuple
         completion, bound = mode_product_tail(kd, m_trunc, plus, minus)
     if ax > 0.0:
         bound += abs(completion)
+    if not bound < tol:
+        raise TruncationLimit(f"Kummer series at |x - x0|={ax!r}, y={y!r}, y0={y0!r}, "
+                              f"kd={kd!r}: bound {bound:.3g} with {m_trunc} modes "
+                              f"misses tol={tol:g}")
     return m_trunc, completion, bound
 
 
@@ -465,8 +470,8 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     Off-axis the subtracted series is truncated geometrically; at and near
     x = x0 it is truncated at m^-3 decay and completed with the analytic
     tail of mode_product_tail.  The returned tail_bound is an honest bound
-    on everything dropped; where the plan's bound is not below tol (very
-    close to the source, see TruncationLimit) it raises instead.
+    on everything dropped and below tol; very close to the source, where
+    the plan cannot meet tol, it raises TruncationLimit instead.
     """
     _check_strip(r, r0)
     kd = k * _D
@@ -476,10 +481,6 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
         raise CoincidentPoints("coincident points are routed to renorm_sum")
     ax, y, y0 = abs(dx), float(r[1]), float(r0[1])
     m_trunc, completion, bound = _kummer_plan(kd, ax, tol, y, y0)
-    if not bound < tol:
-        raise TruncationLimit(f"Kummer series at |x - x0|={ax!r}, y={y!r}, y0={y0!r}, "
-                              f"kd={kd!r}: bound {bound:.3g} with {m_trunc} modes "
-                              f"misses tol={tol:g}")
     value = _kummer_value(channels(kd, m_trunc), ax, y, y0, completion)
     return GreensValue(value, "kummer", m_trunc, float(bound))
 

@@ -150,11 +150,7 @@ def _strength(k, a):
     ka = k * np.abs(a)
     j = cylinder_bessel_j(0, ka)
     y = cylinder_bessel_y(0, ka)
-    if a.ndim:
-        denom = np.where(a > 0, j + 1j * y, j - 1j * y)
-    else:
-        # a plain conditional keeps scalar k and a in Python complex arithmetic
-        denom = j + 1j * y if a > 0 else j - 1j * y
+    denom = np.where(a > 0, j + 1j * y, j - 1j * y)
     return -2j * j / denom
 
 
@@ -187,9 +183,10 @@ def renorm_sum(k: float, y0: float, tol: float = 1e-12) -> RenormState:
     """Renormalization sum G_r(k, y0) with the open-channel sum Sigma.
 
     G_r comes from the greens Kummer kernel at x = x0, y = y0 under the same
-    truncation plan (_kummer_plan) as greens_kummer and greens_kummer_grid.
-    Depends on k and y0 only; attach an impurity with renorm_state or
-    effective_strength.
+    truncation plan (_kummer_plan) as greens_kummer and greens_kummer_grid,
+    so it raises TruncationLimit where that plan cannot meet tol (y0 very
+    close to a wall).  Depends on k and y0 only; attach an impurity with
+    renorm_state or effective_strength.
     """
     if not 0.0 < y0 < _D:
         raise DomainError("y0 must lie strictly inside the wire")

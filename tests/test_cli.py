@@ -359,3 +359,17 @@ def test_field_map_greens_refuses_a_missed_tolerance(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "misses tol=1e-12" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-k", "--y0", "1e-05", "--kd-min", "7.0", "--kd-max", "7.3", "--points", "2"],
+    ["sweep-geom", "--kd", "7.3", "--y0-min", "1e-05", "--y0-max", "0.5", "--y0-points", "2",
+     "--a-points", "3"],
+])
+def test_sweeps_refuse_a_missed_tolerance(tmp_path, capsys, argv):
+    # G_r with y0 within ~1e-5 of a wall cannot meet --tol under the Kummer
+    # plan's mode cap: exit 2 rather than write values that miss it
+    out = tmp_path / "near.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "misses tol=1e-12" in capsys.readouterr().err
+    assert not out.exists()

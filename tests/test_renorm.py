@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from wirescat.errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered)
+from wirescat.errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
+                             TruncationLimit)
 from wirescat.greens import _kummer_truncated, greens_free, image_sum_alternating
 from wirescat.renorm import (FoldyProblem, _strength, attach_strength, effective_strength,
                              foldy_solve, gr_edge_asymptote, hard_disk_boundary_check,
@@ -133,6 +134,16 @@ def test_gr_is_the_coincident_kummer_bench_value(kd, y0):
     st = renorm_sum(kd, y0)
     bench = _kummer_truncated(kd, 0.0, y0, y0, st.terms_used, completion=True)
     assert abs(st.g_r - bench) <= 1e-14 * abs(bench)
+
+
+def test_gr_refuses_a_missed_tolerance():
+    # G_r shares greens_kummer's plan: with y0 within ~1e-5 of a wall its
+    # mode cap cannot meet tol = 1e-12, and the miss is an error
+    assert renorm_sum(7.3, 1e-4).tail_bound < 1e-12
+    for y0 in (1e-5, 1.0 - 1e-5):
+        with pytest.raises(TruncationLimit):
+            renorm_sum(7.3, y0)
+    assert renorm_sum(7.3, 1e-5, tol=1e-9).tail_bound < 1e-9
 
 
 def test_gr_independent_of_a_and_x0():
