@@ -140,13 +140,10 @@ def run_field_map(args) -> int:
     spec = mirror.GridSpec(args.x_min, args.x_max, args.y_min, args.y_max,
                            args.nx, args.ny)
     grid = mirror.field_map(args.kind, args.kd, cfg, spec, tol=args.tol)
-    complex_field = np.iscomplexobj(grid.values)
-    rows = []
-    for i, x in enumerate(grid.xs):
-        for j, y in enumerate(grid.ys):
-            v = grid.values[i, j]
-            rows.append([float(x), float(y), float(np.real(v)),
-                         float(np.imag(v)) if complex_field else 0.0])
+    nx, ny = grid.values.shape
+    values = grid.values.ravel()
+    rows = np.column_stack([np.repeat(grid.xs, ny), np.tile(grid.ys, nx),
+                            values.real, values.imag]).tolist()
     meta = {
         "generator": f"wirescat {__version__}",
         "command": "field-map", "kind": grid.kind, "kd": fmt(args.kd),

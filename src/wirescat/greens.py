@@ -201,15 +201,23 @@ def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
     return GreensValue(value, "spectral", terms, float(tail))
 
 
+def _image_distances(r, r0, n_images: int):
+    """Image indices n = -n_images..n_images and rho_n = |r - r_n|.
+
+    The images of r0 sit at r_n = (x0, 2 ceil(n/2) d + (-1)^n y0).
+    """
+    n = np.arange(-n_images, n_images + 1)
+    ys = 2.0 * np.ceil(n / 2) * _D + (-1.0) ** n * float(r0[1])
+    return n, np.hypot(float(r[0]) - float(r0[0]), float(r[1]) - ys)
+
+
 def image_sum_alternating(r, r0, k: float, n_images: int, include_source: bool = True) -> complex:
     """sum over images of (-1)^n G_0(r, r_n), pairwise-grouped.
 
     Adjacent opposite-sign terms are summed first; that stabilises the
     conditionally convergent series without changing its value.
     """
-    n = np.arange(-n_images, n_images + 1)
-    ys = 2.0 * np.ceil(n / 2) * _D + (-1.0) ** n * float(r0[1])
-    rho = np.hypot(float(r[0]) - float(r0[0]), float(r[1]) - ys)
+    n, rho = _image_distances(r, r0, n_images)
     i0 = n_images
     checked = rho if include_source else np.delete(rho, i0)
     if np.any(checked == 0.0):
@@ -224,9 +232,7 @@ def image_sum_alternating(r, r0, k: float, n_images: int, include_source: bool =
 
 def image_sum_positive(r, r0, k: float, n_images: int) -> float:
     """sum over images of J_0(k |r - r_n|) with all-positive signs, pairwise-grouped."""
-    n = np.arange(-n_images, n_images + 1)
-    ys = 2.0 * np.ceil(n / 2) * _D + (-1.0) ** n * float(r0[1])
-    rho = np.hypot(float(r[0]) - float(r0[0]), float(r[1]) - ys)
+    _, rho = _image_distances(r, r0, n_images)
     if np.any(rho == 0.0):
         raise CoincidentPoints("field point coincides with an image point")
     t = hankel1(0, k * rho).real
@@ -595,9 +601,7 @@ def greens_semiclassical(r, r0, k: float, n_images: int) -> complex:
     k rho_n >~ 1 for every retained image, warned about otherwise.
     """
     _check_strip(r, r0)
-    n = np.arange(-n_images, n_images + 1)
-    ys = 2.0 * np.ceil(n / 2) * _D + (-1.0) ** n * float(r0[1])
-    rho = np.hypot(float(r[0]) - float(r0[0]), float(r[1]) - ys)
+    n, rho = _image_distances(r, r0, n_images)
     if np.any(rho == 0.0):
         raise CoincidentPoints("field point coincides with an image point")
     x = k * rho

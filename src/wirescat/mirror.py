@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError
 from .greens import greens_kummer_grid
 from .renorm import renorm_state
-from .waveguide import WireConfig, channels, open_channel_count
+from .waveguide import WireConfig, channels, open_channel_count, transverse_mode
 
 __all__ = [
     "MirrorKind",
@@ -98,68 +98,61 @@ class FieldGrid:
     values: np.ndarray = field(repr=False)
 
 
-def _open_mode_data(k: float, cfg: WireConfig):
+def _mirror_grid(kind: MirrorKind, k: float, cfg: WireConfig, xs, ys) -> np.ndarray:
+    """values[i, j] of one mirror wave at (xs[i], ys[j]).
+
+    Every kind is a separable open-mode sum sum_m c_m T_m(y) L_m(x - x0)
+    with L_m = cos or sin(k_x^(m) (x - x0)) and T_m = chi_m(y), except
+    s_plus, whose T_m = cos(m pi y/d) includes the n = 0 order (k_x = k,
+    half weight); the grid is one (nx x M)(M x ny) product.
+    """
+    ys = np.asarray(ys, dtype=float)
+    if (ys < 0.0).any() or (ys > _D).any():
+        raise DomainError("y outside the wire [0, d]")
     n = open_channel_count(k * _D, cfg.mode_guard)
-    if n < 1:
-        return np.array([], dtype=int), np.array([])
-    kx = channels(k * _D, n, cfg.mode_guard).kx_open
-    return np.arange(1, n + 1), kx
+    # channels needs m_max >= 1; below kd = pi kx_open is empty and so is m
+    kx = channels(k * _D, max(n, 1), cfg.mode_guard).kx_open
+    m = np.arange(1, n + 1)
+    q = m * np.pi / _D
+    if kind == MirrorKind.S_PLUS:
+        kx = np.concatenate(([k], kx))
+        q = np.concatenate(([0.0], q))
+        c = (2.0 / _D) * np.cos(q * cfg.y0) / kx
+        c[0] *= 0.5
+        trans = np.cos(np.multiply.outer(q, ys))
+    else:
+        trans = transverse_mode(m, ys)
+        chi0 = transverse_mode(m, cfg.y0)
+        if kind == MirrorKind.S:
+            c = chi0 / kx
+        elif kind == MirrorKind.PX:
+            c = -chi0 / k
+        elif kind == MirrorKind.DXY:
+            c = (2.0 / k**2) * np.sqrt(2.0 / _D) * q * np.cos(q * cfg.y0)
+        else:
+            c = (kx**2 - 3.0 * q**2) * chi0 / k**3
+    trig = np.cos if kind in (MirrorKind.S, MirrorKind.S_PLUS) else np.sin
+    xi = np.asarray(xs, dtype=float) - cfg.x0
+    return trig(np.multiply.outer(xi, kx)) @ (c[:, None] * trans)
 
 
 def mirror_s(r, k: float, cfg: WireConfig) -> float:
     """Scattering mirror s wave; identically -Im G_w and 0 below kd = pi."""
-    modes, kx = _open_mode_data(k, cfg)
-    if len(modes) == 0:
-        return 0.0
-    xi = float(r[0]) - cfg.x0
-    chi_y = np.sqrt(2.0 / _D) * np.sin(modes * np.pi * float(r[1]) / _D)
-    chi_y0 = np.sqrt(2.0 / _D) * np.sin(modes * np.pi * cfg.y0 / _D)
-    return float(np.sum(chi_y * chi_y0 * np.cos(kx * xi) / kx))
+    return float(_mirror_grid(MirrorKind.S, k, cfg, [r[0]], [r[1]])[0, 0])
 
 
 def mirror_s_plus(r, k: float, cfg: WireConfig) -> float:
     """Cosine-extension companion of the mirror s wave (includes the n = 0 order)."""
-    modes, kx = _open_mode_data(k, cfg)
-    xi = float(r[0]) - cfg.x0
-    total = np.cos(k * xi) / (k * _D)
-    if len(modes):
-        total += (2.0 / _D) * np.sum(
-            np.cos(modes * np.pi * float(r[1]) / _D) * np.cos(modes * np.pi * cfg.y0 / _D)
-            * np.cos(kx * xi) / kx)
-    return float(total)
+    return float(_mirror_grid(MirrorKind.S_PLUS, k, cfg, [r[0]], [r[1]])[0, 0])
 
 
 def mirror_partial(kind: MirrorKind, r, k: float, cfg: WireConfig) -> float:
-    """Higher mirrored partial wave (analytic derivatives, never numeric).
+    """Any mirror wave at one point (analytic derivatives, never numeric).
 
-    All of these vanish on the line x = x0, in particular at the impurity:
+    px, dxy and f vanish on the line x = x0, in particular at the impurity:
     they are the non-scattering channels.
     """
-    kind = MirrorKind(kind)
-    if kind == MirrorKind.S:
-        return mirror_s(r, k, cfg)
-    if kind == MirrorKind.S_PLUS:
-        return mirror_s_plus(r, k, cfg)
-    modes, kx = _open_mode_data(k, cfg)
-    if len(modes) == 0:
-        return 0.0
-    xi = float(r[0]) - cfg.x0
-    y = float(r[1])
-    if kind == MirrorKind.PX:
-        chi_y = np.sqrt(2.0 / _D) * np.sin(modes * np.pi * y / _D)
-        chi_y0 = np.sqrt(2.0 / _D) * np.sin(modes * np.pi * cfg.y0 / _D)
-        return float(-np.sum(chi_y * chi_y0 * np.sin(kx * xi)) / k)
-    if kind == MirrorKind.DXY:
-        return float((2.0 / k**2) * np.sum(
-            (2.0 / _D) * (modes * np.pi / _D)
-            * np.sin(modes * np.pi * y / _D) * np.cos(modes * np.pi * cfg.y0 / _D)
-            * np.sin(kx * xi)))
-    if kind == MirrorKind.F:
-        chi_y = np.sqrt(2.0 / _D) * np.sin(modes * np.pi * y / _D)
-        chi_y0 = np.sqrt(2.0 / _D) * np.sin(modes * np.pi * cfg.y0 / _D)
-        coef = kx**2 - 3.0 * (modes * np.pi / _D) ** 2
-        return float(np.sum(coef * chi_y * chi_y0 * np.sin(kx * xi)) / k**3)
-    raise DomainError(f"unknown mirror kind {kind!r}")
+    return float(_mirror_grid(MirrorKind(kind), k, cfg, [r[0]], [r[1]])[0, 0])
 
 
 def renormalized_mirror_at_impurity(k: float, cfg: WireConfig, tol: float = 1e-12) -> complex:
@@ -174,17 +167,6 @@ def renormalized_mirror_at_impurity(k: float, cfg: WireConfig, tol: float = 1e-1
     return complex(st.sigma_open * st.renorm_factor)
 
 
-def _field_rows(kind: str, k: float, cfg: WireConfig, spec: GridSpec, tol: float):
-    if kind == "greens":
-        return greens_kummer_grid(spec.xs, spec.ys, cfg.r0, k, tol)
-    mk = MirrorKind(kind)
-    out = np.empty((spec.nx, spec.ny), dtype=float)
-    for i, x in enumerate(spec.xs):
-        for j, y in enumerate(spec.ys):
-            out[i, j] = mirror_partial(mk, (x, y), k, cfg)
-    return out
-
-
 def field_map(kind, k: float, cfg: WireConfig, spec: GridSpec, tol: float = 1e-10) -> FieldGrid:
     """Deterministic field sample of a mirror wave or the wire Green's function.
 
@@ -193,7 +175,8 @@ def field_map(kind, k: float, cfg: WireConfig, spec: GridSpec, tol: float = 1e-1
     repeated runs are bit-identical.
     """
     kind_str = kind.value if isinstance(kind, MirrorKind) else str(kind)
-    if kind_str != "greens":
-        MirrorKind(kind_str)  # validate
-    values = _field_rows(kind_str, k, cfg, spec, tol)
+    if kind_str == "greens":
+        values = greens_kummer_grid(spec.xs, spec.ys, cfg.r0, k, tol)
+    else:
+        values = _mirror_grid(MirrorKind(kind_str), k, cfg, spec.xs, spec.ys)
     return FieldGrid(kind=kind_str, k=k, xs=spec.xs, ys=spec.ys, values=values)

@@ -19,14 +19,15 @@ __all__ = ["fmt", "write_table_csv", "write_table_json", "svg_line_plot", "svg_h
 
 def fmt(value) -> str:
     """Canonical 17-significant-digit rendering; round-trips every double."""
+    if isinstance(value, float):
+        return format(value, ".17g")
     if value is None:
         return "nan"
     if isinstance(value, str):
         return value
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return str(int(value))
-    v = float(value)
-    return format(v, ".17g")
+    return format(float(value), ".17g")
 
 
 def write_table_csv(path: str, columns: Sequence[str], rows: Iterable[Sequence],
@@ -43,6 +44,8 @@ def write_table_csv(path: str, columns: Sequence[str], rows: Iterable[Sequence],
 
 
 def _jsonable(v):
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
     if v is None:
         return None
     if isinstance(v, str):
@@ -50,7 +53,7 @@ def _jsonable(v):
     if isinstance(v, numbers.Integral) and not isinstance(v, bool):
         return int(v)
     f = float(v)
-    return None if not math.isfinite(f) else float(fmt(f))
+    return f if math.isfinite(f) else None
 
 
 def write_table_json(path: str, columns: Sequence[str], rows: Iterable[Sequence],

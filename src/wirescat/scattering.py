@@ -157,14 +157,13 @@ def free_cross_section(k: float, a: float) -> float:
 
 def optical_residual(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """Residual of the waveguide optical theorem |Rs|^2 Sigma + Im Rs."""
-    st = renorm_state(k, cfg, tol)
-    return float(abs(abs(st.rs) ** 2 * st.sigma_open + st.rs.imag))
+    return renorm_state(k, cfg, tol).optical_residual
 
 
 def forward_amplitude(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> complex:
-    """Diagnostic forward amplitude f_n = -i Rs chi_n(y0) / k_x^(n).
+    """Forward amplitude f_n = -i Rs chi_n(y0) / k_x^(n) of open mode n.
 
-    Exposed for inspection only; no identity is asserted on it.
+    It obeys the per-channel optical theorem sigma_n = -Re[chi_n(y0) f_n].
     """
     n_open = open_channel_count(k * _D, cfg.mode_guard)
     if not 1 <= n <= n_open:

@@ -382,9 +382,8 @@ def check_mirror(fast: bool = False):
         cfg = WireConfig(y0=y0, a=0.1)
         spec = mirror.GridSpec(-1.0, 1.0, 0.0, _D, nx, ny)
         gw = greens.greens_kummer_grid(spec.xs, spec.ys, cfg.r0, kd, tol=1e-8)
-        for i, x in enumerate(spec.xs):
-            for j, y in enumerate(spec.ys):
-                res_id = max(res_id, abs(mirror.mirror_s((x, y), kd, cfg) + gw[i, j].imag))
+        phi = mirror.field_map(mirror.MirrorKind.S, kd, cfg, spec).values
+        res_id = max(res_id, float(np.max(np.abs(phi + gw.imag))))
     res_part = 0.0
     for kd, y0 in ((2.5 * np.pi, 0.3), (12.3 * np.pi, 0.37)):
         cfg = WireConfig(y0=y0, a=0.1)

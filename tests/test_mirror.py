@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from wirescat import mirror
 from wirescat.errors import DomainError
 from wirescat.greens import greens_kummer, greens_kummer_grid, image_sum_positive
 from wirescat.mirror import (FieldGrid, GridSpec, MirrorKind, field_map,
@@ -167,3 +170,63 @@ def test_grid_identity_with_im_greens():
         for j, y in enumerate(spec.ys):
             worst = max(worst, abs(mirror_s((x, y), 40.0, cfg) + gw[i, j].imag))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("kind", list(MirrorKind))
+def test_mirror_waves_reject_points_outside_the_wire(kind):
+    cfg = WireConfig(y0=0.3)
+    for y in (1.5, 2.0, -1e-9):
+        with pytest.raises(DomainError):
+            mirror_partial(kind, (0.2, y), 7.85, cfg)
+    # below kd = pi too, where only s_plus has a mode to evaluate
+    with pytest.raises(DomainError):
+        mirror_partial(kind, (0.2, 1.5), 0.5 * np.pi, cfg)
+
+
+def test_field_map_evaluates_modes_once(monkeypatch):
+    calls = []
+    real = mirror.channels
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mirror, "channels", spy)
+    spec = GridSpec(-0.5, 0.5, 0.0, 1.0, 21, 11)
+    for kind in MirrorKind:
+        calls.clear()
+        field_map(kind, 40.0, WireConfig(y0=0.6, a=0.1), spec)
+        assert len(calls) == 1
+
+
+def test_mirror_waves_below_threshold():
+    # only the n = 0 order of s_plus propagates below kd = pi
+    k = 0.7 * np.pi
+    cfg = WireConfig(y0=0.3, x0=0.13)
+    spec = GridSpec(-1.0, 1.0, 0.0, 1.0, 40, 9)
+    want = np.cos(k * (spec.xs - cfg.x0))[:, None] / k
+    s_plus = field_map(MirrorKind.S_PLUS, k, cfg, spec).values
+    assert np.max(np.abs(s_plus - want)) <= 1e-15
+    for kind in (MirrorKind.S, MirrorKind.PX, MirrorKind.DXY, MirrorKind.F):
+        assert np.all(field_map(kind, k, cfg, spec).values == 0.0)
+
+
+def _kd_values():
+    # generic kd and kd within 1e-6 of a mode opening (outside the 1e-9 guard)
+    near = st.builds(lambda n, eps: n * np.pi + eps, st.integers(1, 12),
+                     st.sampled_from([-1e-6, -1e-7, -1e-8, 1e-8, 1e-7, 1e-6]))
+    return st.one_of(st.floats(0.3, 40.0), near)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kd=_kd_values(), y0=st.floats(0.01, 0.99), x=st.floats(-1.0, 1.0),
+       y=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+def test_mirror_property_identities(kd, y0, x, y):
+    assume(min(abs(kd - n * np.pi) for n in range(1, 14)) > 1e-9)
+    cfg = WireConfig(y0=y0, a=0.1)
+    # the Kummer oracle's plan needs a finite distance from the source
+    assume(np.hypot(x - cfg.x0, y - y0) > 1e-3)
+    gw = greens_kummer((x, y), cfg.r0, kd, 1e-10).value
+    assert abs(mirror_s((x, y), kd, cfg) + gw.imag) <= 1e-10
+    for kind in (MirrorKind.PX, MirrorKind.DXY, MirrorKind.F):
+        assert mirror_partial(kind, cfg.r0, kd, cfg) == 0.0

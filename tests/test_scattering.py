@@ -93,6 +93,13 @@ def test_forward_amplitude_diagnostic():
     fn = forward_amplitude(1, KD, CFG)
     assert fn == pytest.approx(-1j * st.rs * np.sqrt(2.0) * np.sin(np.pi * 0.3)
                                / np.sqrt(KD**2 - np.pi**2), rel=1e-12)
+    # per-channel optical theorem sigma_n = -Re[chi_n(y0) f_n] over every open n
+    for kd, y0, a in ((KD, 0.3, 0.1), (7.3 * np.pi, 0.17, -0.05), (12.2 * np.pi, 0.5, 0.02)):
+        cfg = WireConfig(y0=y0, a=a)
+        for n in range(1, int(kd // np.pi) + 1):
+            chi = np.sqrt(2.0) * np.sin(n * np.pi * y0)
+            assert abs(cross_section_mode(n, kd, cfg)
+                       + (chi * forward_amplitude(n, kd, cfg)).real) <= 1e-15
 
 
 def test_phase_shift_properties():
