@@ -26,7 +26,7 @@ from . import __version__, greens, mirror, renorm, scattering
 from .errors import DegenerateMode, WireError
 from .output import fmt, svg_heatmap, svg_line_plot, write_table_csv, write_table_json
 from .validate import CHECK_GROUPS, run_checks
-from .waveguide import DEFAULT_MODE_GUARD, WireConfig
+from .waveguide import DEFAULT_MODE_GUARD, WireConfig, mode_opening_gaps
 
 SWEEP_COLUMNS = [
     "kd", "n_open", "sigma", "conductance", "conductance_empty", "sigma_free",
@@ -40,34 +40,16 @@ FIELD_COLUMNS = ["x", "y", "value_re", "value_im"]
 NAN = float("nan")
 
 
-def _sweep_row(kd: float, s: complex, cfg: WireConfig, tol: float):
-    """One sweep-k row from kd and the impurity strength s(kd) (0 for a = 0)."""
-    guard = cfg.mode_guard
-    n_near = int(round(kd / np.pi))
-    if n_near >= 1 and abs(kd - n_near * np.pi) <= guard:
-        eps = max(abs(kd - n_near * np.pi), guard)
-        try:
-            sig_below = scattering.sigma_edge_asymptote(n_near, eps, cfg.y0) if n_near >= 2 else NAN
-            gr_below = renorm.gr_edge_asymptote(n_near, eps, cfg.y0, "below").real
-            gr_above = renorm.gr_edge_asymptote(n_near, eps, cfg.y0, "above").imag
-            sig_above = 1.0
-        except DegenerateMode:
-            sig_below = gr_below = gr_above = NAN
-            sig_above = NAN
-        return [kd, n_near, NAN, NAN, n_near, NAN, NAN, NAN, NAN, NAN, NAN, 1,
-                sig_below, sig_above, gr_below, gr_above]
-    n_open = int(np.floor(kd / np.pi))
-    st = renorm.attach_strength(renorm.renorm_sum(kd, cfg.y0, tol), s)
-    sigma_f = renorm.TMatrix(kd, cfg.a, s).cross_section / cfg.d if cfg.a != 0.0 else 0.0
-    if n_open >= 1:
-        sigma = st.cross_section
-        cond = n_open - sigma
-        delta0 = scattering.PhaseShift.from_state(st).delta0 if cfg.a != 0.0 else 0.0
-    else:
-        sigma, cond, delta0 = 0.0, 0.0, NAN
-    return [kd, n_open, sigma, cond, n_open, sigma_f,
-            st.g_r.real, st.g_r.imag, st.rs.real, st.rs.imag, delta0, 0,
-            NAN, NAN, NAN, NAN]
+def _edge_limits(kd: float, n: int, y0: float) -> list[float]:
+    """sigma_asym_below, sigma_limit_above, gr_asym_below_re and gr_asym_above_im
+    of a gap row at kd, next to the opening n pi."""
+    eps = max(abs(kd - n * np.pi), DEFAULT_MODE_GUARD)
+    try:
+        return [scattering.sigma_edge_asymptote(n, eps, y0) if n >= 2 else NAN, 1.0,
+                renorm.gr_edge_asymptote(n, eps, y0, "below").real,
+                renorm.gr_edge_asymptote(n, eps, y0, "above").imag]
+    except DegenerateMode:
+        return [NAN] * 4
 
 
 def run_sweep_k(args) -> int:
@@ -75,7 +57,25 @@ def run_sweep_k(args) -> int:
     kds = np.linspace(args.kd_min, args.kd_max, args.points)
     # s depends on kd alone: one array evaluation covers the grid
     strengths = renorm._strength(kds, cfg.a) if cfg.a != 0.0 else np.zeros(len(kds), complex)
-    rows = [_sweep_row(float(kd), complex(s), cfg, args.tol) for kd, s in zip(kds, strengths)]
+    # gap rows carry the one-sided limits; every other row comes from one state grid
+    n_near, gap = mode_opening_gaps(kds)
+    kd, ok = kds[~gap], ~gap
+    st = renorm.attach_strength(renorm.renorm_grid(kd, cfg.y0, args.tol), strengths[ok])
+    n_open = np.floor(kd / np.pi).astype(int)
+    sigma = np.where(n_open >= 1, st.cross_section, 0.0)
+    col = {name: np.full(len(kds), NAN) for name in SWEEP_COLUMNS}
+    col["kd"], col["gap"] = kds, gap.astype(int)
+    col["n_open"] = col["conductance_empty"] = np.where(gap, n_near, np.floor(kds / np.pi)).astype(int)
+    for name, value in (("sigma", sigma), ("conductance", n_open - sigma),
+                        ("sigma_free", renorm.TMatrix(kd, cfg.a, strengths[ok]).cross_section / cfg.d),
+                        ("g_r_re", st.g_r.real), ("g_r_im", st.g_r.imag),
+                        ("rs_re", st.rs.real), ("rs_im", st.rs.imag),
+                        ("delta0", np.where(n_open >= 1, scattering.PhaseShift.from_state(st).delta0, NAN))):
+        col[name][ok] = value
+    for i in np.flatnonzero(gap):
+        for name, value in zip(SWEEP_COLUMNS[-4:], _edge_limits(kds[i], int(n_near[i]), cfg.y0)):
+            col[name][i] = value
+    rows = [list(row) for row in zip(*(col[name].tolist() for name in SWEEP_COLUMNS))]
     meta = {
         "generator": f"wirescat {__version__}",
         "command": "sweep-k",
@@ -97,8 +97,8 @@ def run_sweep_k(args) -> int:
 def run_sweep_geom(args) -> int:
     kd = args.kd
     a_grid = np.linspace(args.a_min, args.a_max, args.a_points)
-    a_list = a_grid.tolist()
-    y0_list = np.linspace(args.y0_min, args.y0_max, args.y0_points).tolist()
+    y0_grid = np.linspace(args.y0_min, args.y0_max, args.y0_points)
+    a_list, y0_list = a_grid.tolist(), y0_grid.tolist()
     # range checks on the first a with every y0, then on every a with the
     # first y0: together they raise the error of the first bad (a, y0) row
     for y0 in y0_list:
@@ -106,21 +106,20 @@ def run_sweep_geom(args) -> int:
     for a in a_list:
         WireConfig(y0=y0_list[0], a=a)
     # sigma = |Rs|^2 Sigma^2 with Rs = s/(1 - s G_r): G_r depends on y0 alone
-    # and s on a alone, so one G_r per y0 and one array s over the nonzero a
-    # cover the grid.  Nothing is open below kd = pi and sigma = 0 there; a
-    # NaN kd still reaches renorm_sum's guard.
-    bases = [renorm.renorm_sum(kd, y0, args.tol) for y0 in y0_list] if not kd < np.pi else None
+    # and s on a alone, so one G_r grid over y0 and one array s over the
+    # nonzero a broadcast to the (a, y0) grid.  Nothing is open below kd = pi
+    # and sigma = 0 there; a NaN kd still reaches renorm_grid's guard.
+    base = renorm.renorm_grid(kd, y0_grid, args.tol) if not kd < np.pi else None
     nonzero = a_grid != 0.0
     strengths = np.zeros(len(a_grid), complex)
     if nonzero.any():
         strengths[nonzero] = renorm._strength(kd, a_grid[nonzero])
-    rows = []
-    for a, s in zip(a_list, strengths.tolist()):
-        sigma_f = renorm.TMatrix(kd, a, s).cross_section if a != 0.0 else 0.0
-        sigmas = ([renorm.attach_strength(base, s).cross_section for base in bases]
-                  if bases else [0.0] * len(y0_list))
-        rows.extend([a, y0, sigma, sigma_f, 0] for y0, sigma in zip(y0_list, sigmas))
-    sigma_map = np.array([row[2] for row in rows]).reshape(len(a_list), len(y0_list))
+    sigma = (renorm.attach_strength(base, strengths[:, None]).cross_section if base is not None
+             else np.zeros((len(a_list), len(y0_list))))
+    sigma_free = renorm.TMatrix(kd, a_grid, strengths).cross_section
+    rows = [[a, y0, sig, sig_f, 0]
+            for a, sig_f, sig_row in zip(a_list, sigma_free.tolist(), sigma.tolist())
+            for y0, sig in zip(y0_list, sig_row)]
     meta = {
         "generator": f"wirescat {__version__}",
         "command": "sweep-geom", "kd": fmt(kd),
@@ -130,7 +129,7 @@ def run_sweep_geom(args) -> int:
     }
     _write(args, GEOM_COLUMNS, rows, meta)
     if args.svg:
-        svg_heatmap(args.svg, a_list, y0_list, sigma_map.tolist(),
+        svg_heatmap(args.svg, a_list, y0_list, sigma.tolist(),
                     f"sigma(a, y0) at kd={fmt(kd)}")
     return 0
 
@@ -195,11 +194,7 @@ def run_validate(args) -> int:
         rows = [[r.name, r.residual, r.threshold, int(r.passed)] for r in results]
         meta = {"generator": f"wirescat {__version__}", "command": "validate",
                 "fast": int(args.fast)}
-        cols = ["check", "residual", "threshold", "passed"]
-        if args.format == "json":
-            write_table_json(args.out, cols, rows, meta)
-        else:
-            write_table_csv(args.out, cols, rows, meta)
+        _write(args, ["check", "residual", "threshold", "passed"], rows, meta)
     return 1 if n_fail else 0
 
 

@@ -44,7 +44,8 @@ import numpy as np
 
 from .errors import CoincidentPoints, DomainError, TruncationLimit
 from .specfun import hankel1
-from .waveguide import ChannelSet, channels, guard_mode_openings, transverse_mode
+from .waveguide import (ChannelSet, _branch_kx, _image_heights, channels,
+                        guard_mode_openings, transverse_mode)
 
 __all__ = [
     "GreensValue",
@@ -192,22 +193,16 @@ def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
         tail = _geometric_mode_tail_bound(terms, k, ax)
     else:
         # conditional convergence: Dirichlet bound on sum cos(m theta)/m
-        alpha = np.pi * (r[1] - r0[1]) / _D
-        beta = np.pi * (r[1] + r0[1]) / _D
         tail = (1.0 / np.pi) * sum(
             2.0 / (abs(1.0 - np.exp(1j * t)) * (terms + 1)) if abs(np.exp(1j * t) - 1.0) > 1e-12 else np.inf
-            for t in (alpha, beta)
-        )
+            for t in sum(_mode_angles(r[1], r0[1]), ()))
     return GreensValue(value, "spectral", terms, float(tail))
 
 
 def _image_distances(r, r0, n_images: int):
-    """Image indices n = -n_images..n_images and rho_n = |r - r_n|.
-
-    The images of r0 sit at r_n = (x0, 2 ceil(n/2) d + (-1)^n y0).
-    """
+    """Image indices n = -n_images..n_images and rho_n = |r - r_n|, r_n = (x0, y_n)."""
     n = np.arange(-n_images, n_images + 1)
-    ys = 2.0 * np.ceil(n / 2) * _D + (-1.0) ** n * float(r0[1])
+    ys = _image_heights(n, float(r0[1]), _D)
     return n, np.hypot(float(r[0]) - float(r0[0]), float(r[1]) - ys)
 
 
@@ -219,13 +214,10 @@ def image_sum_alternating(r, r0, k: float, n_images: int, include_source: bool =
     """
     n, rho = _image_distances(r, r0, n_images)
     i0 = n_images
-    checked = rho if include_source else np.delete(rho, i0)
-    if np.any(checked == 0.0):
+    live = (n != 0) | include_source
+    if np.any(rho[live] == 0.0):
         raise CoincidentPoints("field point coincides with an image point")
     t = np.zeros(len(n), dtype=complex)
-    live = np.ones(len(n), dtype=bool)
-    if not include_source:
-        live[i0] = False
     t[live] = ((-1.0) ** n[live]) * (-0.5j) * hankel1(0, k * rho[live])
     return t[i0] + _paired(t[i0 + 1:]) + _paired(t[:i0][::-1])
 
@@ -441,30 +433,43 @@ def _geometric_mode_tail_bound(m_trunc: int, k: float, ax: float) -> float:
     return float(amp * np.exp(-rate * m1) / max(1.0 - np.exp(-rate), 1e-300))
 
 
-def _mode_sum(ch: ChannelSet, ax: float, y, y0: float):
+def _same_point(y, y0) -> bool:
+    """y = y0 for a scalar y, or the y0 array itself (the rows of a G_r grid)."""
+    return y is y0 or (np.ndim(y) == 0 and y == y0)
+
+
+def _mode_sum(ch: ChannelSet, ax: float, y, y0):
     """The Kummer-subtracted mode sum over the M modes of ch = channels(kd, M),
 
         sum_{m <= M} chi_m(y) chi_m(y0) [exp(i k_x ax)/(i k_x) + (d/m pi) exp(-m pi ax/d)],
 
-    for a scalar y, or for an array of y through one (M) x (M, n_y) product.
+    for one kd and a scalar y, or an array of y through one (M) x (M, n_y)
+    product; or, at the coincident point y = y0 of G_r, for a leading axis of
+    kd (ch from an array of kd) and one y0 per kd, one dot product per row.
     """
-    m = np.arange(1, len(ch.kx) + 1)
-    chi_y0 = transverse_mode(m, y0)
+    m = np.arange(1, ch.kx.shape[-1] + 1)
+    # rows of modes, contiguous so that each row's dot product sums like a lone one
+    chi_y0 = np.ascontiguousarray(transverse_mode(m, y0).T)
     # on the axis (G_r and x = x0 points) both exponentials are exactly 1
     phase, decay = ((1.0, 1.0) if ax == 0.0
                     else (np.exp(1j * ch.kx * ax), np.exp(-m * np.pi * ax / _D)))
     coef = chi_y0 * (phase / (1j * ch.kx) + (_D / (m * np.pi)) * decay)
-    # at y = y0 (G_r) the mode product is chi_m(y0)^2
-    return coef @ (chi_y0 if np.ndim(y) == 0 and y == y0 else transverse_mode(m, y))
+    if _same_point(y, y0):
+        # the mode product is chi_m(y0)^2
+        return (coef[..., None, :] @ chi_y0[..., :, None])[..., 0, 0]
+    return coef @ transverse_mode(m, y)
 
 
-def _kummer_value(ch: ChannelSet, ax: float, y: float, y0: float, completion: complex) -> complex:
-    """Mode sum + tail completion + closed form: G_w, or G_r = G_w - G_0 at r = r0."""
-    if ax == 0.0 and y == y0:
+def _kummer_value(ch: ChannelSet, ax: float, y, y0, completion):
+    """Mode sum + tail completion + closed form: G_w, or G_r = G_w - G_0 at r = r0.
+
+    At r = r0 ch, y0 and completion may carry a leading kd axis.
+    """
+    if ax == 0.0 and _same_point(y, y0):
         closed = _coincidence_constant(ch.k, y0)
     else:
         closed = _static_form(ax, y, y0)
-    return complex(_mode_sum(ch, ax, y, y0) + completion + closed)
+    return _mode_sum(ch, ax, y, y0) + completion + closed
 
 
 def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
@@ -487,7 +492,7 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
         raise CoincidentPoints("coincident points are routed to renorm_sum")
     ax, y, y0 = abs(dx), float(r[1]), float(r0[1])
     m_trunc, completion, bound = _kummer_plan(kd, ax, tol, y, y0)
-    value = _kummer_value(channels(kd, m_trunc), ax, y, y0, completion)
+    value = complex(_kummer_value(channels(kd, m_trunc), ax, y, y0, completion))
     return GreensValue(value, "kummer", m_trunc, float(bound))
 
 
@@ -537,10 +542,9 @@ def _grating_sum(ax: float, eta: float, k: float, period: float, tol: float) -> 
         n_max *= 2
     n = np.arange(-n_max, n_max + 1)
     ky = 2.0 * np.pi * n / period
-    val = k ** 2 - ky ** 2
-    if np.any(np.abs(val) < (1e-9 * k) ** 2):
+    kx = _branch_kx(k, ky)
+    if np.any(np.abs(kx) < 1e-9 * k):
         raise DomainError("grazing diffraction order: k coincides with a reciprocal vector")
-    kx = np.where(val >= 0, np.sqrt(np.abs(val)) + 0j, 1j * np.sqrt(np.abs(val)))
     total = (-1j / period) * np.sum(np.exp(1j * kx * ax) * np.cos(ky * eta) / kx)
     return complex(total), 2 * n_max + 1, float(tail)
 
@@ -580,8 +584,7 @@ def bragg_spectrum(k: float, period: float, n_max: int | None = None) -> BraggSp
     if np.any(np.abs(np.abs(z) - 1.0) < 1e-12):
         raise DomainError("grazing order: 2 n pi equals k * period")
     ky = k * z
-    val = k ** 2 - ky ** 2
-    kx = np.where(val >= 0, np.sqrt(np.abs(val)) + 0j, 1j * np.sqrt(np.abs(val)))
+    kx = _branch_kx(k, ky)
     angles = np.empty(n.shape, dtype=complex)
     prop = np.abs(z) < 1.0
     angles[prop] = np.arcsin(z[prop])
@@ -647,7 +650,7 @@ def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc: int,
     At r = r0 this is the renormalization sum G_w - G_0.
     """
     tail = mode_product_tail(kd, m_trunc, *_mode_angles(y, y0))[0] if completion else 0.0
-    return _kummer_value(channels(kd, m_trunc), ax, y, y0, tail)
+    return complex(_kummer_value(channels(kd, m_trunc), ax, y, y0, tail))
 
 
 def convergence_benchmark(r, r0, k: float, representations=("spectral", "image", "kummer"),

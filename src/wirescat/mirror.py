@@ -109,9 +109,9 @@ def _mirror_grid(kind: MirrorKind, k: float, cfg: WireConfig, xs, ys) -> np.ndar
     ys = np.asarray(ys, dtype=float)
     if (ys < 0.0).any() or (ys > _D).any():
         raise DomainError("y outside the wire [0, d]")
-    n = open_channel_count(k * _D, cfg.mode_guard)
+    n = open_channel_count(k * _D)
     # channels needs m_max >= 1; below kd = pi kx_open is empty and so is m
-    kx = channels(k * _D, max(n, 1), cfg.mode_guard).kx_open
+    kx = channels(k * _D, max(n, 1)).kx_open
     m = np.arange(1, n + 1)
     q = m * np.pi / _D
     if kind == MirrorKind.S_PLUS:
@@ -161,7 +161,7 @@ def renormalized_mirror_at_impurity(k: float, cfg: WireConfig, tol: float = 1e-1
     phi_s(r0) diverges as eps^(-1/2) just above a mode opening while this
     renormalized value stays bounded: the divergence cancels against G_r.
     """
-    if open_channel_count(k * _D, cfg.mode_guard) < 1:
+    if open_channel_count(k * _D) < 1:
         raise DomainError("renormalized mirror wave needs an open channel")
     st = renorm_state(k, cfg, tol)
     return complex(st.sigma_open * st.renorm_factor)

@@ -41,7 +41,7 @@ from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
 from .greens import _kummer_plan, _kummer_value
 from .specfun import cylinder_bessel_j, cylinder_bessel_y, hankel1
-from .waveguide import WireConfig, channels, guard_mode_openings, transverse_mode
+from .waveguide import WireConfig, channels, open_channel_count, transverse_mode
 
 __all__ = [
     "TMatrix",
@@ -50,6 +50,7 @@ __all__ = [
     "t_matrix",
     "hard_disk_boundary_check",
     "renorm_sum",
+    "renorm_grid",
     "attach_strength",
     "renorm_state",
     "effective_strength",
@@ -59,11 +60,13 @@ __all__ = [
 
 _D = 1.0
 POLE_THRESHOLD = 1e-14
+# elements of the largest (rows x modes) temporary that renorm_grid builds
+_BLOCK = 2 ** 12
 
 
 @dataclass(frozen=True)
 class TMatrix:
-    """Free-space s-wave scattering strength at one wavenumber."""
+    """Free-space s-wave scattering strength at one wavenumber (or arrays of them)."""
 
     k: float
     a: float
@@ -72,17 +75,20 @@ class TMatrix:
     @property
     def optical_residual(self) -> float:
         """|-2 Im s - |s|^2|; zero up to rounding for any admissible strength."""
-        return float(abs(-2.0 * self.s.imag - abs(self.s) ** 2))
+        return abs(-2.0 * self.s.imag - abs(self.s) ** 2)
 
     @property
     def cross_section(self) -> float:
         """Free-space cross section sigma_f = |s|^2 / k (a length)."""
-        return float(abs(self.s) ** 2 / self.k)
+        return abs(self.s) ** 2 / self.k
 
 
 @dataclass(frozen=True)
 class RenormState:
-    """G_r, the open-channel sum Sigma and (optionally) the effective strength."""
+    """G_r, the open-channel sum Sigma and (optionally) the effective strength.
+
+    From renorm_grid every field is an array and the properties are elementwise.
+    """
 
     k: float
     y0: float
@@ -97,21 +103,26 @@ class RenormState:
     @property
     def im_identity_residual(self) -> float:
         """|Im G_r - (1/2 - Sigma)|; analytic identity, rounding-level."""
-        return float(abs(self.g_r.imag - (0.5 - self.sigma_open)))
+        return abs(self.g_r.imag - (0.5 - self.sigma_open))
 
     @property
     def cross_section(self) -> float:
         """sigma = |Rs|^2 Sigma^2 as a fraction of the wire width (strength attached)."""
         if self.rs is None:
             raise DomainError("cross_section needs the effective strength attached")
-        return float(abs(self.rs) ** 2 * self.sigma_open ** 2)
+        return abs(self.rs) ** 2 * self.sigma_open ** 2
 
     @property
     def optical_residual(self) -> float:
         """Waveguide optical constraint residual | |Rs|^2 Sigma + Im Rs |."""
         if self.rs is None:
             raise DomainError("optical_residual needs the effective strength attached")
-        return float(abs(abs(self.rs) ** 2 * self.sigma_open + self.rs.imag))
+        return abs(abs(self.rs) ** 2 * self.sigma_open + self.rs.imag)
+
+    def __getitem__(self, index) -> "RenormState":
+        """The states at index of a grid state."""
+        return RenormState(**{name: None if value is None else value[index]
+                              for name, value in vars(self).items()})
 
 
 @dataclass(frozen=True)
@@ -180,48 +191,70 @@ def hard_disk_boundary_check(k: float, a: float) -> float:
 
 
 def renorm_sum(k: float, y0: float, tol: float = 1e-12) -> RenormState:
-    """Renormalization sum G_r(k, y0) with the open-channel sum Sigma.
+    """G_r(k, y0) and Sigma: renorm_grid for one (k, y0); attach an impurity with renorm_state."""
+    st = renorm_grid(k, y0, tol)
+    return RenormState(k=k, y0=y0, g_r=complex(st.g_r), sigma_open=float(st.sigma_open),
+                       tail_bound=float(st.tail_bound), terms_used=int(st.terms_used))
 
-    G_r comes from the greens Kummer kernel at x = x0, y = y0 under the same
-    truncation plan (_kummer_plan) as greens_kummer and greens_kummer_grid,
-    so it raises TruncationLimit where that plan cannot meet tol (y0 very
-    close to a wall).  Depends on k and y0 only; attach an impurity with
-    renorm_state or effective_strength.
+
+def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
+    """G_r and Sigma over arrays of k and y0 that broadcast together; a RenormState of arrays.
+
+    G_r is the greens Kummer kernel at x = x0, y = y0 under the truncation
+    plan (_kummer_plan) of greens_kummer, one plan per element, so it raises
+    TruncationLimit where the plan cannot meet tol (y0 very close to a wall);
+    the first bad element, in order, raises.  Elements sharing the plan's
+    mode count and the open-channel count are summed in row blocks of at
+    most _BLOCK (row x mode) elements.
     """
-    if not 0.0 < y0 < _D:
+    k, y0 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(y0, dtype=float))
+    if not np.all((0.0 < y0) & (y0 < _D)):
         raise DomainError("y0 must lie strictly inside the wire")
-    kd = k * _D
-    guard_mode_openings(kd)
-    terms, completion, bound = _kummer_plan(kd, 0.0, tol, y0, y0)
-    ch = channels(kd, terms)
-    g_r = _kummer_value(ch, 0.0, y0, y0, completion)
-    chi2 = transverse_mode(np.arange(1, ch.n_open + 1), y0) ** 2
-    sigma = float(np.sum(chi2 / ch.kx_open))
-    return RenormState(k=k, y0=y0, g_r=g_r, sigma_open=sigma,
-                       tail_bound=bound, terms_used=terms)
+    kd, yy = (k * _D).ravel(), y0.ravel()
+    n_open = open_channel_count(kd)
+    terms = np.empty(kd.size, dtype=int)
+    completion, bound = np.empty(kd.size), np.empty(kd.size)
+    groups: dict[tuple[int, int], list[int]] = {}  # (mode count, open count) -> rows
+    for i, (kd_i, y_i, n_i) in enumerate(zip(kd.tolist(), yy.tolist(), n_open.tolist())):
+        terms[i], completion[i], bound[i] = _kummer_plan(kd_i, 0.0, tol, y_i, y_i)
+        groups.setdefault((int(terms[i]), n_i), []).append(i)
+    g_r, sigma = np.empty(kd.size, dtype=complex), np.empty(kd.size)
+    for (m_trunc, n), rows in groups.items():
+        step = max(1, _BLOCK // m_trunc)
+        for b in (rows[i:i + step] for i in range(0, len(rows), step)):
+            ch, y_b = channels(kd[b], m_trunc), yy[b]
+            g_r[b] = _kummer_value(ch, 0.0, y_b, y_b, completion[b])
+            # contiguous rows, so each row sums like one kd's open modes alone
+            chi2 = np.ascontiguousarray(transverse_mode(np.arange(1, n + 1), y_b).T) ** 2
+            sigma[b] = np.sum(chi2 / ch.kx[:, :n].real, axis=-1)
+    return RenormState(k=k, y0=y0, g_r=g_r.reshape(k.shape), sigma_open=sigma.reshape(k.shape),
+                       tail_bound=bound.reshape(k.shape), terms_used=terms.reshape(k.shape))
 
 
-def attach_strength(base: RenormState, s: complex) -> RenormState:
-    """base with the impurity strength s attached: Rs = s/(1 - s G_r).
+def attach_strength(base: RenormState, s) -> RenormState:
+    """base with the impurity strength s attached: Rs = s/(1 - s G_r), elementwise.
 
     The one place the effective strength and the pole check live; raises
-    PoleEncountered when |1 - s G_r| < POLE_THRESHOLD.
+    PoleEncountered at the first element (row-major) with |1 - s G_r| < POLE_THRESHOLD.
     """
-    if s == 0.0:
-        return replace(base, s=0.0 + 0.0j, rs=0.0 + 0.0j, renorm_factor=1.0 + 0.0j)
-    denom = 1.0 - s * base.g_r
-    if abs(denom) < POLE_THRESHOLD:
-        raise PoleEncountered(f"1 - s G_r = {denom!r} at k={base.k!r}: resonance pole")
-    return replace(base, s=s, rs=s / denom, renorm_factor=1.0 / denom)
+    # object dtype: Python complex arithmetic per element, so that each grid
+    # element is bit-identical to the scalar state at its (k, y0); numpy's own
+    # complex multiply may fuse multiply-adds
+    denom = 1.0 - np.multiply(s, base.g_r, dtype=object)
+    poles = np.flatnonzero(np.abs(denom) < POLE_THRESHOLD)
+    if poles.size:
+        at = np.unravel_index(poles[0], np.shape(denom))
+        k_at = float(np.broadcast_to(base.k, np.shape(denom))[at])
+        raise PoleEncountered(f"1 - s G_r = {np.asarray(denom, dtype=object)[at]!r} "
+                              f"at k={k_at!r}: resonance pole")
+    rs, factor = s / denom, 1.0 / denom
+    if isinstance(denom, np.ndarray):
+        rs, factor = rs.astype(complex), factor.astype(complex)
+    return replace(base, s=s, rs=rs, renorm_factor=factor)
 
 
 def renorm_state(k: float, cfg: WireConfig, tol: float = 1e-12) -> RenormState:
-    """renorm_sum plus the effective strength Rs = s/(1 - s G_r) for cfg's impurity.
-
-    Composes renorm_sum (G_r, depends on k and y0) with attach_strength
-    (s from t_matrix, zero for a = 0); a sweep that already holds s(k)
-    calls the two steps itself.
-    """
+    """renorm_sum with cfg's impurity attached (attach_strength; s = 0 for a = 0)."""
     base = renorm_sum(k, cfg.y0, tol)
     s = t_matrix(k, cfg.a).s if cfg.a != 0.0 else 0.0 + 0.0j
     return attach_strength(base, s)
@@ -231,8 +264,7 @@ def effective_strength(k: float, y0: float, a: float, tol: float = 1e-12) -> com
     """Confined scattering strength Rs = s/(1 - s G_r)."""
     if a == 0.0:
         return 0.0 + 0.0j
-    cfg = WireConfig(y0=y0, a=a)
-    return renorm_state(k, cfg, tol).rs
+    return renorm_state(k, WireConfig(y0=y0, a=a), tol).rs
 
 
 def gr_edge_asymptote(n_mode: int, eps: float, y0: float,

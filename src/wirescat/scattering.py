@@ -57,7 +57,10 @@ _D = 1.0
 
 @dataclass(frozen=True)
 class SMatrixResult:
-    """Open-channel scattering data at one wavenumber."""
+    """Open-channel scattering data at one wavenumber, or a stack of them sharing n_open.
+
+    For a stack every field gains a leading axis and the properties are per matrix.
+    """
 
     k: float
     n_open: int
@@ -66,7 +69,6 @@ class SMatrixResult:
     sigma_n: np.ndarray = field(repr=False)
     sigma: float
     conductance: float
-    unitarity_residual: float
 
     @property
     def full_matrix(self) -> np.ndarray:
@@ -74,12 +76,20 @@ class SMatrixResult:
         return np.block([[self.refl, self.trans], [self.trans, self.refl]])
 
     @property
+    def unitarity_residual(self) -> float:
+        """max |S^dag S - I| over the entries."""
+        s = self.full_matrix
+        dev = np.swapaxes(s.conj(), -1, -2) @ s - np.eye(2 * self.n_open)
+        return np.max(np.abs(dev), axis=(-2, -1))[()]
+
+    @property
     def rank_one_residual(self) -> float:
         """Second singular value of R over the first (0 for an exact rank-one R)."""
         sv = np.linalg.svd(self.refl, compute_uv=False)
-        if len(sv) < 2 or sv[0] == 0.0:
-            return 0.0
-        return float(sv[1] / sv[0])
+        if self.n_open < 2:
+            return np.zeros(sv.shape[:-1])[()]
+        first = np.where(sv[..., 0] == 0.0, 1.0, sv[..., 0])
+        return (sv[..., 1] / first)[()]
 
 
 @dataclass(frozen=True)
@@ -91,44 +101,47 @@ class PhaseShift:
 
     @classmethod
     def from_state(cls, st: RenormState) -> "PhaseShift":
-        """e^{2 i delta_0} = 1 - 2 i Rs Sigma from a state with the strength attached."""
+        """e^{2 i delta_0} = 1 - 2 i Rs Sigma from a state with the strength attached.
+
+        Elementwise for a grid state.
+        """
         e2id = 1.0 - 2j * st.rs * st.sigma_open
-        delta = float(np.angle(e2id) / 2.0) % np.pi
-        return cls(delta0=delta, e2id=complex(e2id))
+        return cls(delta0=np.angle(e2id) / 2.0 % np.pi, e2id=e2id)
 
     @property
     def unit_modulus_residual(self) -> float:
-        return float(abs(abs(self.e2id) - 1.0))
+        return abs(abs(self.e2id) - 1.0)
 
 
 def s_matrix(k: float, cfg: WireConfig, tol: float = 1e-12) -> SMatrixResult:
     """Assemble R, T and the derived observables for the open channels."""
-    n = open_channel_count(k * _D, cfg.mode_guard)
+    n = open_channel_count(k * _D)
     if n < 1:
         raise DomainError("no open channels below kd = pi; sweeps report sigma = 0 there")
-    st = renorm_state(k, cfg, tol)
-    kx = channels(k * _D, n, cfg.mode_guard).kx_open
-    v = transverse_mode(np.arange(1, n + 1), cfg.y0) / np.sqrt(kx)
-    refl = 1j * st.rs * np.outer(v, v)
-    trans = np.eye(n) - refl
-    sigma_modes = abs(st.rs) ** 2 * _D * (v * v) * st.sigma_open
-    sigma = st.cross_section
-    s_full = np.block([[refl, trans], [trans, refl]])
-    unit = float(np.max(np.abs(s_full.conj().T @ s_full - np.eye(2 * n))))
-    return SMatrixResult(k=k, n_open=n, refl=refl, trans=trans,
-                         sigma_n=sigma_modes, sigma=sigma,
-                         conductance=float(n - sigma), unitarity_residual=unit)
+    return _state_s_matrix(renorm_state(k, cfg, tol), n)
+
+
+def _state_s_matrix(st: RenormState, n: int) -> SMatrixResult:
+    """SMatrixResult of a state with the strength attached and n open channels.
+
+    A grid state whose elements all have n open channels gives the stack of
+    their S matrices.
+    """
+    kx = channels(st.k * _D, n).kx.real
+    v = transverse_mode(np.arange(1, n + 1), st.y0).T / np.sqrt(kx)
+    rs = np.asarray(st.rs)[..., None]
+    refl = 1j * rs[..., None] * (v[..., :, None] * v[..., None, :])
+    sigma_modes = abs(rs) ** 2 * _D * (v * v) * np.asarray(st.sigma_open)[..., None]
+    return SMatrixResult(k=st.k, n_open=n, refl=refl, trans=np.eye(n) - refl,
+                         sigma_n=sigma_modes, sigma=st.cross_section,
+                         conductance=n - st.cross_section)
 
 
 def cross_section_mode(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """sigma_n = |Rs|^2 d (chi_n^2(y0)/k_x^(n)) Sigma for open mode n."""
-    n_open = open_channel_count(k * _D, cfg.mode_guard)
-    if not 1 <= n <= n_open:
+    if not 1 <= n <= open_channel_count(k * _D):
         raise DomainError(f"mode {n} is not open at kd = {k * _D!r}")
-    st = renorm_state(k, cfg, tol)
-    ch = channels(k * _D, n_open, cfg.mode_guard)
-    chi2 = transverse_mode(n, cfg.y0) ** 2
-    return float(abs(st.rs) ** 2 * _D * (chi2 / ch.kx[n - 1].real) * st.sigma_open)
+    return float(s_matrix(k, cfg, tol).sigma_n[n - 1])
 
 
 def cross_section(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
@@ -142,8 +155,7 @@ def conductance(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """Two-terminal conductance N - sigma in quanta; 0 below first threshold."""
     if k * _D < np.pi:
         return 0.0
-    n = int(np.floor(k * _D / np.pi))
-    return float(n - renorm_state(k, cfg, tol).cross_section)
+    return float(open_channel_count(k * _D) - renorm_state(k, cfg, tol).cross_section)
 
 
 def free_cross_section(k: float, a: float) -> float:
@@ -165,11 +177,11 @@ def forward_amplitude(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> 
 
     It obeys the per-channel optical theorem sigma_n = -Re[chi_n(y0) f_n].
     """
-    n_open = open_channel_count(k * _D, cfg.mode_guard)
+    n_open = open_channel_count(k * _D)
     if not 1 <= n <= n_open:
         raise DomainError(f"mode {n} is not open at kd = {k * _D!r}")
     st = renorm_state(k, cfg, tol)
-    kx = channels(k * _D, n_open, cfg.mode_guard).kx_open
+    kx = channels(k * _D, n_open).kx_open
     return complex(-1j * st.rs * transverse_mode(n, cfg.y0) / kx[n - 1])
 
 

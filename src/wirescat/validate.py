@@ -17,7 +17,8 @@ from . import greens, mirror, renorm, scattering
 from .specfun import SWITCHOVER, cylinder_bessel_j, cylinder_bessel_y
 from .waveguide import WireConfig, image_positions, transverse_mode
 
-__all__ = ["CheckResult", "run_checks", "CHECK_GROUPS", "standard_kd_grid"]
+__all__ = ["CheckResult", "run_checks", "CHECK_GROUPS", "standard_kd_grid",
+           "STANDARD_Y0", "STANDARD_A"]
 
 _D = 1.0
 STANDARD_Y0 = (0.05, 0.25, 0.32, 0.5)
@@ -60,12 +61,10 @@ def check_specfun(fast: bool = False):
     res_r = np.max(np.abs(rec))
     span = np.linspace(SWITCHOVER - 0.25, SWITCHOVER + 0.25, 11)
     from .specfun import _asym_j, _asym_y, _series_j, _series_y0, _series_y1
-    res_c = 0.0
-    for x in span:
-        arr = np.array([x])
-        res_c = max(res_c, abs(float(_series_j(0, arr)[0]) - float(_asym_j(0, arr)[0])))
-        res_c = max(res_c, abs(float(_series_y0(arr)[0]) - float(_asym_y(0, arr)[0])))
-        res_c = max(res_c, abs(float(_series_y1(arr)[0]) - float(_asym_y(1, arr)[0])))
+    res_c = max(float(np.max(np.abs(series.astype(float) - asym.astype(float))))
+                for series, asym in ((_series_j(0, span), _asym_j(0, span)),
+                                     (_series_y0(span), _asym_y(0, span)),
+                                     (_series_y1(span), _asym_y(1, span))))
     return [
         CheckResult.from_residual("specfun.wronskian", res_w, 1e-10),
         CheckResult.from_residual("specfun.recurrence", res_r, 1e-10),
@@ -81,11 +80,8 @@ def check_waveguide(fast: bool = False):
     nodes, weights = np.polynomial.legendre.leggauss(60 if fast else 200)
     y = 0.5 * (nodes + 1.0) * _D
     w = 0.5 * _D * weights
-    res_o = 0.0
-    for m in range(1, 11):
-        for p in range(m, 11):
-            val = np.sum(w * transverse_mode(m, y) * transverse_mode(p, y))
-            res_o = max(res_o, abs(val - (1.0 if m == p else 0.0)))
+    modes = transverse_mode(np.arange(1, 11), y)
+    res_o = float(np.max(np.abs((w * modes) @ modes.T - np.eye(10))))
     res_g = 0.0
     for y0 in (0.055, 0.3, 0.47):
         imgs = image_positions(WireConfig(y0=y0, a=0.1), -20, 20)
@@ -150,25 +146,19 @@ def check_greens_properties(fast: bool = False):
     r0 = (0.0, 0.3)
     pairs = [((0.3, 0.62), (-0.2, 0.17)), ((0.55, 0.81), (0.1, 0.44))]
     res_rec = 0.0
+    reps = (lambda p, q: greens.greens_kummer(p, q, kd, 1e-12).value,
+            lambda p, q: greens.greens_spectral(p, q, kd, 4000).value,
+            lambda p, q: greens.greens_diffraction(p, q, kd, 1e-12).value)
     for ra, rb in pairs:
-        for rep in ("kummer", "spectral", "diffraction"):
-            if rep == "kummer":
-                f = lambda p, q: greens.greens_kummer(p, q, kd, 1e-12).value
-            elif rep == "spectral":
-                f = lambda p, q: greens.greens_spectral(p, q, kd, 4000).value
-            else:
-                f = lambda p, q: greens.greens_diffraction(p, q, kd, 1e-12).value
+        for f in reps:
             res_rec = max(res_rec, abs(f(ra, rb) - f(rb, ra)))
     low = greens.greens_kummer((0.4, 0.7), (0.0, 0.3), 0.5 * np.pi, 1e-12).value
     res_real = abs(low.imag)
     # Helmholtz residual via 5-point stencil must shrink at second order
     x0, y0 = 0.45, 0.62
     def stencil(h):
-        c = greens.greens_kummer((x0, y0), r0, kd, 1e-13).value
-        xp = greens.greens_kummer((x0 + h, y0), r0, kd, 1e-13).value
-        xm = greens.greens_kummer((x0 - h, y0), r0, kd, 1e-13).value
-        yp = greens.greens_kummer((x0, y0 + h), r0, kd, 1e-13).value
-        ym = greens.greens_kummer((x0, y0 - h), r0, kd, 1e-13).value
+        c, xp, xm, yp, ym = (greens.greens_kummer(p, r0, kd, 1e-13).value for p in (
+            (x0, y0), (x0 + h, y0), (x0 - h, y0), (x0, y0 + h), (x0, y0 - h)))
         return abs((xp + xm + yp + ym - 4.0 * c) / h**2 + kd**2 * c)
     r1, r2 = stencil(2e-3), stencil(1e-3)
     ratio = r1 / r2 if r2 > 0 else np.inf
@@ -231,11 +221,9 @@ def check_greens_benchmark(fast: bool = False):
 def check_free_optical(fast: bool = False, perturb_s: float = 0.0):
     ka = np.logspace(-3, np.log10(20.0), 40 if fast else 200)
     res = 0.0
-    for sign in (1.0, -1.0):
-        a = 0.1 * sign
-        for x in ka:
-            s = renorm.t_matrix(x / abs(a), a).s + perturb_s
-            res = max(res, abs(-2.0 * s.imag - abs(s) ** 2))
+    for a in (0.1, -0.1):
+        s = renorm._strength(ka / abs(a), a) + perturb_s
+        res = max(res, float(np.max(np.abs(-2.0 * s.imag - np.abs(s) ** 2))))
     return [CheckResult.from_residual("renorm.free_optical_theorem", res, 1e-12,
                                       "perturbed detector run" if perturb_s else "")]
 
@@ -254,16 +242,13 @@ def check_edge_asymptotes(fast: bool = False):
     eps_ref = 1e-4
     res_g = 0.0
     for eps in ((1e-6,) if fast else (1e-6, 1e-8)):
-        full = (renorm.renorm_sum((n_mode * np.pi - eps) / _D, y0).g_r
-                - renorm.renorm_sum((n_mode * np.pi - eps_ref) / _D, y0).g_r)
-        asym = (renorm.gr_edge_asymptote(n_mode, eps, y0, "below")
-                - renorm.gr_edge_asymptote(n_mode, eps_ref, y0, "below"))
-        res_g = max(res_g, abs(full.real / asym.real - 1.0))
-        full_up = (renorm.renorm_sum((n_mode * np.pi + eps) / _D, y0).g_r
-                   - renorm.renorm_sum((n_mode * np.pi + eps_ref) / _D, y0).g_r)
-        asym_up = (renorm.gr_edge_asymptote(n_mode, eps, y0, "above")
-                   - renorm.gr_edge_asymptote(n_mode, eps_ref, y0, "above"))
-        res_g = max(res_g, abs(full_up.imag / asym_up.imag - 1.0))
+        # below the opening G_r diverges in its real part, above in its imaginary part
+        for side, sign, part in (("below", -1.0, "real"), ("above", 1.0, "imag")):
+            full = (renorm.renorm_sum((n_mode * np.pi + sign * eps) / _D, y0).g_r
+                    - renorm.renorm_sum((n_mode * np.pi + sign * eps_ref) / _D, y0).g_r)
+            asym = (renorm.gr_edge_asymptote(n_mode, eps, y0, side)
+                    - renorm.gr_edge_asymptote(n_mode, eps_ref, y0, side))
+            res_g = max(res_g, abs(getattr(full, part) / getattr(asym, part) - 1.0))
     results.append(CheckResult.from_residual("renorm.gr_edge_asymptote", res_g, 0.1,
                                              "divergent-part comparison"))
     cfg = WireConfig(y0=y0, a=0.1)
@@ -301,36 +286,39 @@ def check_foldy(fast: bool = False):
 # ---------------------------------------------------------------------------
 
 def check_smatrix_grid(fast: bool = False):
-    kd_grid = standard_kd_grid(60 if fast else 500)
+    """S-matrix and sigma identities on standard_kd_grid x STANDARD_Y0 x STANDARD_A: one
+    state grid per y0, one array s(k) per a, S matrices stacked by open-channel count."""
+    kd = standard_kd_grid(60 if fast else 500)
+    n_open = np.floor(kd / np.pi).astype(int)
     res_unit = res_rank = res_four = res_cond = res_flux = res_im = res_opt = 0.0
     sigma_lo, sigma_hi = np.inf, -np.inf
     for y0 in STANDARD_Y0:
+        base = renorm.renorm_grid(kd / _D, y0)
+        res_im = max(res_im, np.max(base.im_identity_residual))
         for a in STANDARD_A:
-            cfg = WireConfig(y0=y0, a=a)
-            for kd in kd_grid:
-                sm = scattering.s_matrix(kd / _D, cfg)
-                st = renorm.renorm_state(kd / _D, cfg)
-                res_unit = max(res_unit, sm.unitarity_residual)
-                res_rank = max(res_rank, sm.rank_one_residual)
-                sigma_lo = min(sigma_lo, sm.sigma)
-                sigma_hi = max(sigma_hi, sm.sigma)
-                phi_t = st.sigma_open * st.renorm_factor
-                forms = (
-                    abs(st.rs) ** 2 * st.sigma_open ** 2,
-                    st.rs.imag ** 2 / abs(st.rs) ** 2,
-                    abs(st.s * phi_t) ** 2,
-                    0.25 * abs(1.0 - scattering.PhaseShift.from_state(st).e2id) ** 2,
-                )
-                res_four = max(res_four, max(forms) - min(forms))
-                tr = float(np.trace(sm.trans.conj().T @ sm.trans).real)
-                res_cond = max(res_cond, abs(tr - sm.conductance),
-                               abs(sm.conductance - (sm.n_open - sm.sigma)))
-                if not sm.n_open - 1 - 1e-10 <= tr <= sm.n_open + 1e-10:
+            st = renorm.attach_strength(base, renorm._strength(kd / _D, a))
+            sigma_lo = min(sigma_lo, np.min(st.cross_section))
+            sigma_hi = max(sigma_hi, np.max(st.cross_section))
+            phi_t = st.sigma_open * st.renorm_factor
+            forms = np.array([
+                abs(st.rs) ** 2 * st.sigma_open ** 2,
+                st.rs.imag ** 2 / abs(st.rs) ** 2,
+                abs(st.s * phi_t) ** 2,
+                0.25 * abs(1.0 - scattering.PhaseShift.from_state(st).e2id) ** 2,
+            ])
+            res_four = max(res_four, np.max(np.ptp(forms, axis=0)))
+            res_opt = max(res_opt, np.max(st.optical_residual))
+            for n in np.unique(n_open).tolist():
+                sm = scattering._state_s_matrix(st[n_open == n], n)
+                res_unit = max(res_unit, np.max(sm.unitarity_residual))
+                res_rank = max(res_rank, np.max(sm.rank_one_residual))
+                tr = np.trace(np.swapaxes(sm.trans.conj(), -1, -2) @ sm.trans,
+                              axis1=-2, axis2=-1).real
+                res_cond = max(res_cond, np.max(np.abs(tr - sm.conductance)),
+                               np.max(np.abs(sm.conductance - (n - sm.sigma))))
+                if not np.all((n - 1 - 1e-10 <= tr) & (tr <= n + 1e-10)):
                     res_cond = max(res_cond, 1.0)
-                res_flux = max(res_flux, float(np.sum(sm.sigma_n)) - _D)
-                if a == STANDARD_A[0]:
-                    res_im = max(res_im, st.im_identity_residual)
-                res_opt = max(res_opt, st.optical_residual)
+                res_flux = max(res_flux, np.max(np.sum(sm.sigma_n, axis=-1)) - _D)
     return [
         CheckResult.from_residual("scattering.unitarity", res_unit, 1e-10),
         CheckResult.from_residual("scattering.rank_one", res_rank, 1e-10),
@@ -399,15 +387,12 @@ def check_mirror(fast: bool = False):
     nodes, weights = np.polynomial.legendre.leggauss(120)
     y = 0.5 * (nodes + 1.0) * _D
     w = 0.5 * _D * weights
+    xs = (0.8, -0.8)
+    phi_s = mirror._mirror_grid(mirror.MirrorKind.S, kd, cfg, xs, y)
     res_orth = 0.0
-    big_l = 0.8
     for kind in (mirror.MirrorKind.PX, mirror.MirrorKind.DXY, mirror.MirrorKind.F):
-        total = 0.0
-        for xl in (big_l, -big_l):
-            vals = np.array([mirror.mirror_partial(kind, (xl, yy), kd, cfg)
-                             * mirror.mirror_s((xl, yy), kd, cfg) for yy in y])
-            total += float(np.sum(w * vals))
-        res_orth = max(res_orth, abs(total))
+        vals = mirror._mirror_grid(kind, kd, cfg, xs, y) * phi_s
+        res_orth = max(res_orth, abs(sum(float(np.sum(w * row)) for row in vals)))
     return [
         CheckResult.from_residual("mirror.identity_vs_im_greens", res_id, 1e-10,
                                   f"{nx}x{ny} grid"),

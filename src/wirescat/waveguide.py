@@ -32,6 +32,7 @@ __all__ = [
     "transverse_mode",
     "image_positions",
     "guard_mode_openings",
+    "mode_opening_gaps",
 ]
 
 DEFAULT_MODE_GUARD = 1e-9
@@ -52,16 +53,12 @@ class WireConfig:
         Longitudinal impurity position; observables don't depend on it.
     d : float
         Wire width; fixed to 1 (kept explicit so formulas read dimensionally).
-    mode_guard : float
-        Half-width (in kd units) of the refusal band around each mode
-        opening kd = n pi.
     """
 
     y0: float
     a: float = 0.1
     x0: float = 0.0
     d: float = 1.0
-    mode_guard: float = DEFAULT_MODE_GUARD
 
     def __post_init__(self):
         if self.d != 1.0:
@@ -70,8 +67,6 @@ class WireConfig:
             raise DomainError(f"impurity must sit strictly inside the wire, got y0={self.y0!r}")
         if not abs(self.a) < self.d / 2:
             raise DomainError(f"|a| must be < d/2, got a={self.a!r}")
-        if not self.mode_guard > 0.0:
-            raise DomainError("mode_guard must be positive")
 
     @property
     def r0(self) -> tuple[float, float]:
@@ -80,15 +75,15 @@ class WireConfig:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Wavenumber, open-channel count and longitudinal wavenumbers m = 1..m_max."""
+    """Wavenumber, open-channel count and longitudinal wavenumbers m = 1..m_max (per kd)."""
 
-    k: float
-    n_open: int
-    kx: np.ndarray = field(repr=False)  # complex, kx[m-1] = k_x^(m)
+    k: float | np.ndarray
+    n_open: int | np.ndarray
+    kx: np.ndarray = field(repr=False)  # complex, kx[..., m-1] = k_x^(m)
 
     @property
     def kx_open(self) -> np.ndarray:
-        """Real longitudinal wavenumbers of the open channels."""
+        """Real longitudinal wavenumbers of the open channels (one kd)."""
         return self.kx[: self.n_open].real
 
 
@@ -113,22 +108,43 @@ class ImageArray:
         return len(self.indices)
 
 
-def guard_mode_openings(kd: float, guard: float = DEFAULT_MODE_GUARD) -> None:
-    """Raise ModeOpeningSingularity if kd is within guard of any n*pi (n >= 1)."""
-    if kd <= 0.0 or not np.isfinite(kd):
-        raise DomainError(f"kd must be positive and finite, got {kd!r}")
-    n = int(round(kd / np.pi))
-    if n >= 1 and abs(kd - n * np.pi) <= guard:
-        raise ModeOpeningSingularity(kd, n, guard)
+def mode_opening_gaps(kd):
+    """Nearest opening n = round(kd/pi) and whether kd lies in its guard band (scalar or array).
+
+    guard_mode_openings refuses exactly the kd flagged here; sweeps emit gap rows there.
+    """
+    n = np.rint(np.divide(kd, np.pi))
+    with np.errstate(invalid="ignore"):  # kd = inf lies in no band
+        return n, (n >= 1) & (np.abs(kd - n * np.pi) <= DEFAULT_MODE_GUARD)
 
 
-def open_channel_count(kd: float, guard: float = DEFAULT_MODE_GUARD) -> int:
-    """Number of propagating transverse modes, N = floor(kd/pi)."""
-    guard_mode_openings(kd, guard)
-    return int(np.floor(kd / np.pi))
+def guard_mode_openings(kd) -> None:
+    """Raise for the first kd (scalar or array, in order) that is not positive
+    and finite, or that lies within DEFAULT_MODE_GUARD of an opening n*pi (n >= 1)."""
+    n, gap = mode_opening_gaps(kd)
+    bad = gap | ~(np.greater(kd, 0.0) & np.isfinite(kd))
+    if bad.any():
+        i = np.argmax(bad)
+        kd_i, n_i = float(np.ravel(kd)[i]), np.ravel(n)[i]
+        if np.ravel(gap)[i]:
+            raise ModeOpeningSingularity(kd_i, int(n_i), DEFAULT_MODE_GUARD)
+        raise DomainError(f"kd must be positive and finite, got {kd_i!r}")
 
 
-def longitudinal_wavenumber(m: int, kd: float, guard: float = DEFAULT_MODE_GUARD) -> complex:
+def open_channel_count(kd):
+    """Number of propagating transverse modes, N = floor(kd/pi), for scalar or array kd."""
+    guard_mode_openings(kd)
+    n = np.floor(np.divide(kd, np.pi)).astype(int)
+    return n if n.ndim else int(n)
+
+
+def _branch_kx(k, q):
+    """sqrt(k^2 - q^2) for transverse wavenumber q, on the decaying +i branch when q > k."""
+    val = k * k - q ** 2
+    return np.where(val >= 0, np.sqrt(np.abs(val)) + 0j, 1j * np.sqrt(np.abs(val)))
+
+
+def longitudinal_wavenumber(m: int, kd: float) -> complex:
     """k_x^(m) in units 1/d, on the decaying branch for closed channels.
 
     Guards only this mode's own threshold kd = m pi; other modes opening
@@ -138,20 +154,18 @@ def longitudinal_wavenumber(m: int, kd: float, guard: float = DEFAULT_MODE_GUARD
         raise DomainError(f"mode index must be >= 1, got {m}")
     if kd <= 0.0 or not np.isfinite(kd):
         raise DomainError(f"kd must be positive and finite, got {kd!r}")
-    if abs(kd - m * np.pi) <= guard:
-        raise ModeOpeningSingularity(kd, m, guard)
-    val = kd * kd - (m * np.pi) ** 2
-    return complex(np.sqrt(val)) if val >= 0 else 1j * float(np.sqrt(-val))
+    if abs(kd - m * np.pi) <= DEFAULT_MODE_GUARD:
+        raise ModeOpeningSingularity(kd, m, DEFAULT_MODE_GUARD)
+    return complex(_branch_kx(kd, m * np.pi))
 
 
-def channels(kd: float, m_max: int, guard: float = DEFAULT_MODE_GUARD) -> ChannelSet:
-    """ChannelSet with kx for modes 1..m_max (vectorized branch selection)."""
-    n_open = open_channel_count(kd, guard)
-    if m_max < max(n_open, 1):
-        raise DomainError(f"m_max={m_max} must cover the {n_open} open channels")
+def channels(kd, m_max: int) -> ChannelSet:
+    """ChannelSet with kx for modes 1..m_max; an array of kd adds a leading axis."""
+    n_open = open_channel_count(kd)
+    if m_max < max(np.max(n_open), 1):
+        raise DomainError(f"m_max={m_max} must cover the {np.max(n_open)} open channels")
     m = np.arange(1, m_max + 1, dtype=float)
-    val = kd * kd - (m * np.pi) ** 2
-    kx = np.where(val >= 0, np.sqrt(np.abs(val)) + 0j, 1j * np.sqrt(np.abs(val)))
+    kx = _branch_kx(np.asarray(kd, dtype=float)[..., None], m * np.pi)
     return ChannelSet(k=kd, n_open=n_open, kx=kx)
 
 
@@ -169,6 +183,10 @@ def image_positions(cfg: WireConfig, n_min: int, n_max: int) -> ImageArray:
     if n_min > 0 or n_max < 0:
         raise DomainError("image index range must include the n = 0 source")
     n = np.arange(n_min, n_max + 1)
-    y = 2.0 * np.ceil(n / 2) * cfg.d + (-1.0) ** n * cfg.y0
-    pos = np.column_stack([np.full(n.shape, cfg.x0), y])
+    pos = np.column_stack([np.full(n.shape, cfg.x0), _image_heights(n, cfg.y0, cfg.d)])
     return ImageArray(indices=n, positions=pos, signs=(-1.0) ** n)
+
+
+def _image_heights(n, y0: float, d: float = 1.0) -> np.ndarray:
+    """y_n = 2 ceil(n/2) d + (-1)^n y0: the heights of the images of a source at y0."""
+    return 2.0 * np.ceil(n / 2) * d + (-1.0) ** n * y0

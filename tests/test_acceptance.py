@@ -2,7 +2,8 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines as they execute.  Thresholds are frozen here and never relaxed at
-runtime; the heavy shared grid (criteria 5-7) is computed once per session.
+runtime; criteria 5-7 read the named checks of validate's S-matrix grid,
+computed once for the module.
 """
 
 import time
@@ -13,11 +14,10 @@ import pytest
 from wirescat import greens, mirror, renorm, scattering
 from wirescat.cli import main as cli_main
 from wirescat.renorm import EULER_GAMMA
-from wirescat.validate import standard_kd_grid
+from wirescat.validate import STANDARD_A, STANDARD_Y0, check_smatrix_grid
 from wirescat.waveguide import WireConfig, image_positions
 
-STANDARD_Y0 = (0.05, 0.25, 0.32, 0.5)
-STANDARD_A = (0.02, -0.02, 0.1, -0.1)
+GRID = f"standard kd grid x {len(STANDARD_Y0)} y0 x {len(STANDARD_A)} a"
 
 
 def report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -27,39 +27,8 @@ def report(num: int, label: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def smatrix_grid_metrics():
-    """One pass over kd x y0 x a computing everything criteria 5-7 need."""
-    kd_grid = standard_kd_grid(500)
-    res = {
-        "im_identity": 0.0, "unitarity": 0.0, "rank": 0.0, "four_way": 0.0,
-        "sigma_min": np.inf, "sigma_max": -np.inf, "conductance": 0.0,
-    }
-    for y0 in STANDARD_Y0:
-        st_only = [renorm.renorm_sum(kd, y0) for kd in kd_grid]
-        res["im_identity"] = max(res["im_identity"],
-                                 max(s.im_identity_residual for s in st_only))
-        for a in STANDARD_A:
-            cfg = WireConfig(y0=y0, a=a)
-            for kd in kd_grid:
-                sm = scattering.s_matrix(kd, cfg)
-                st = renorm.renorm_state(kd, cfg)
-                res["unitarity"] = max(res["unitarity"], sm.unitarity_residual)
-                res["rank"] = max(res["rank"], sm.rank_one_residual)
-                res["sigma_min"] = min(res["sigma_min"], sm.sigma)
-                res["sigma_max"] = max(res["sigma_max"], sm.sigma)
-                phi_t = st.sigma_open / (1.0 - st.s * st.g_r)
-                e2id = 1.0 - 2j * st.rs * st.sigma_open
-                forms = (
-                    abs(st.rs) ** 2 * st.sigma_open ** 2,
-                    st.rs.imag ** 2 / abs(st.rs) ** 2,
-                    abs(st.s * phi_t) ** 2,
-                    0.25 * abs(1.0 - e2id) ** 2,
-                )
-                res["four_way"] = max(res["four_way"], max(forms) - min(forms))
-                tr = float(np.trace(sm.trans.conj().T @ sm.trans).real)
-                res["conductance"] = max(res["conductance"],
-                                         abs(tr - sm.conductance),
-                                         abs(sm.conductance - (sm.n_open - sm.sigma)))
-    return res
+    """The named checks of validate's S-matrix grid, which criteria 5-7 read."""
+    return {r.name: r for r in check_smatrix_grid()}
 
 
 def test_criterion_01_free_optical_theorem():
@@ -104,26 +73,26 @@ def test_criterion_04_coincidence_constant():
 
 
 def test_criterion_05_im_gr_identity(smatrix_grid_metrics):
-    worst = smatrix_grid_metrics["im_identity"]
+    worst = smatrix_grid_metrics["renorm.im_gr_identity"].residual
     report(5, "Im G_r = 1/2 - Sigma on standard grid", worst <= 1e-10,
-           f"max residual {worst:.3e}")
+           f"max residual {worst:.3e} ({GRID})")
 
 
 def test_criterion_06_unitarity_and_rank(smatrix_grid_metrics):
-    u = smatrix_grid_metrics["unitarity"]
-    r = smatrix_grid_metrics["rank"]
+    u = smatrix_grid_metrics["scattering.unitarity"].residual
+    r = smatrix_grid_metrics["scattering.rank_one"].residual
     report(6, "S-matrix unitarity and rank-one R", u <= 1e-10 and r <= 1e-10,
-           f"unitarity {u:.3e}, sv2/sv1 {r:.3e}")
+           f"unitarity {u:.3e}, sv2/sv1 {r:.3e} ({GRID})")
 
 
 def test_criterion_07_four_way_sigma(smatrix_grid_metrics):
-    f = smatrix_grid_metrics["four_way"]
-    c = smatrix_grid_metrics["conductance"]
-    in_range = smatrix_grid_metrics["sigma_min"] >= 0.0 and smatrix_grid_metrics["sigma_max"] <= 1.0
-    ok = f <= 1e-10 and c <= 1e-10 and in_range
+    f = smatrix_grid_metrics["scattering.four_way_sigma"].residual
+    c = smatrix_grid_metrics["scattering.conductance_identities"].residual
+    in_range = smatrix_grid_metrics["scattering.sigma_in_unit_interval"]
+    ok = f <= 1e-10 and c <= 1e-10 and in_range.passed
     report(7, "four-way sigma agreement + conductance identities", ok,
-           f"four-way {f:.3e}, conductance {c:.3e}, sigma in [{smatrix_grid_metrics['sigma_min']:.3e}, "
-           f"{smatrix_grid_metrics['sigma_max']:.6f}]")
+           f"four-way {f:.3e}, conductance {c:.3e}, sigma outside [0, 1] by "
+           f"{in_range.residual:.3e} ({GRID})")
 
 
 def test_criterion_08_resonance_structure():

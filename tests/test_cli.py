@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, determinism, formats, gap handling."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,79 @@ def test_sweep_k_gap_rows(tmp_path):
     assert float(mid[cols.index("gr_asym_above_im")]) < 0.0
     assert float(mid[cols.index("sigma_limit_above")]) == 1.0
     assert float(mid[cols.index("sigma_asym_below")]) >= 0.0
+
+
+def test_sweep_k_gap_rows_are_the_refused_kd(tmp_path):
+    # one guard-band predicate: a row is a gap row exactly when the scalar
+    # API refuses its kd with ModeOpeningSingularity
+    from wirescat.errors import ModeOpeningSingularity
+    from wirescat.waveguide import guard_mode_openings
+    out = tmp_path / "edge.csv"
+    for n in (1, 2, 5):
+        assert main(["sweep-k", "--y0", "0.3", "--kd-min", repr(n * np.pi - 3e-9),
+                     "--kd-max", repr(n * np.pi + 3e-9), "--points", "25", "--out", str(out)]) == 0
+        _, cols, rows = read_data_lines(out)
+        for row in rows:
+            try:
+                guard_mode_openings(float(row[cols.index("kd")]))
+                refused = False
+            except ModeOpeningSingularity:
+                refused = True
+            assert (row[cols.index("gap")] == "1") == refused
+        assert 0 < sum(row[cols.index("gap")] == "1" for row in rows) < len(rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-k", "--y0", "0.3", "--a", "-0.1", "--kd-min", "2.0", "--kd-max", "9.0",
+     "--points", "30"],
+    ["sweep-geom", "--kd", "7.3", "--a-min", "0.05", "--a-max", "-0.1", "--a-points", "4",
+     "--y0-min", "0.2", "--y0-max", "0.6", "--y0-points", "5"],
+])
+def test_sweeps_stop_at_the_first_pole_row(tmp_path, capsys, monkeypatch, argv):
+    # a raised threshold makes ordinary rows poles: the sweep exits 2 with the
+    # message the scalar API gives at the first pole row
+    from wirescat import renorm
+    from wirescat.errors import PoleEncountered
+    from wirescat.waveguide import WireConfig
+    monkeypatch.setattr(renorm, "POLE_THRESHOLD", 0.9)
+    opt = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] == "sweep-k":
+        cases = [(kd, float(opt["--y0"]), float(opt["--a"]))
+                 for kd in np.linspace(2.0, 9.0, 30).tolist()]
+    else:
+        cases = [(7.3, y0, a) for a in np.linspace(0.05, -0.1, 4).tolist()
+                 for y0 in np.linspace(0.2, 0.6, 5).tolist()]
+    expected = None
+    for kd, y0, a in cases:
+        try:
+            renorm.renorm_state(kd, WireConfig(y0=y0, a=a))
+        except PoleEncountered as exc:
+            expected = f"error: {exc}"
+            break
+    assert expected is not None
+    out = tmp_path / "pole.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == expected
+    assert not out.exists()
+
+
+def test_sweep_k_memory_is_bounded(tmp_path):
+    # the state grid sums in row blocks: a default-range sweep traces ~2-3 MB
+    # of allocations, where one (rows x modes) product per mode count traces
+    # ~12 MB and one over all rows ~110 MB
+    out = tmp_path / "mem.csv"
+    assert main(["sweep-k", "--y0", "0.05", "--points", "20", "--out", str(out)]) == 0
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        assert main(["sweep-k", "--y0", "0.05", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 5 * 2 ** 20, peak
 
 
 def test_sweep_k_json_mirror(tmp_path):
@@ -192,19 +266,20 @@ def test_sweep_k_resonance_figure_structure(tmp_path):
     ["sweep-geom", "--kd", "7.3", "--a-points", "2", "--y0-points", "3"],
 ])
 def test_sweeps_pass_tol_to_renorm_sum(tmp_path, monkeypatch, argv):
-    # values cannot show it: the 256-mode floor makes 1e-6 and 1e-12 agree
+    # values cannot show it: the 256-mode floor makes 1e-6 and 1e-12 agree;
+    # both sweeps take G_r from renorm_sum's array form, renorm_grid
     from wirescat import renorm
     tols = []
-    orig = renorm.renorm_sum
+    orig = renorm.renorm_grid
 
     def spy(k, y0, tol=1e-12):
         tols.append(tol)
         return orig(k, y0, tol)
 
-    monkeypatch.setattr(renorm, "renorm_sum", spy)
+    monkeypatch.setattr(renorm, "renorm_grid", spy)
     out = tmp_path / "tol.csv"
     assert main(argv + ["--tol", "1e-6", "--out", str(out)]) == 0
-    assert tols and set(tols) == {1e-6}
+    assert tols == [1e-6]
     header, _, _ = read_data_lines(out)
     assert any(h.startswith("# tolerance = ") for h in header)
 
@@ -216,28 +291,35 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["sweep-k", "--y0", "1.4", "--out", str(tmp_path / "x.csv")]) == 2  # bad y0
 
 
-def test_sweep_k_evaluates_each_row_state_once(tmp_path, monkeypatch):
-    # criterion 15's cost was the row state recomputed three times per kd and
-    # s(k) from one scalar Bessel pair per row; count calls, not seconds
+def _count_grid_and_bessel_calls(monkeypatch):
+    """Spy on renorm_grid (rows per call) and on the J0/Y0 calls of the strength (ndim per call)."""
     from wirescat import renorm
-    calls = {"renorm_sum": 0, "j": [], "y": []}
-    orig_sum, orig_j, orig_y = renorm.renorm_sum, renorm.cylinder_bessel_j, renorm.cylinder_bessel_y
+    calls = {"grid": [], "j": [], "y": []}
+    orig_grid, orig_j, orig_y = renorm.renorm_grid, renorm.cylinder_bessel_j, renorm.cylinder_bessel_y
 
-    def count_sum(*args, **kwargs):
-        calls["renorm_sum"] += 1
-        return orig_sum(*args, **kwargs)
+    def count_grid(k, y0, tol=1e-12):
+        calls["grid"].append(np.broadcast(k, y0).size)
+        return orig_grid(k, y0, tol)
 
     def count_j(n, x):
-        calls["j"].append(np.size(x))
+        calls["j"].append(np.ndim(x))
         return orig_j(n, x)
 
     def count_y(n, x):
-        calls["y"].append(np.size(x))
+        calls["y"].append(np.ndim(x))
         return orig_y(n, x)
 
-    monkeypatch.setattr(renorm, "renorm_sum", count_sum)
+    monkeypatch.setattr(renorm, "renorm_grid", count_grid)
     monkeypatch.setattr(renorm, "cylinder_bessel_j", count_j)
     monkeypatch.setattr(renorm, "cylinder_bessel_y", count_y)
+    return calls
+
+
+def test_sweep_k_evaluates_each_row_state_once(tmp_path, monkeypatch):
+    # criterion 15's cost was per-row state building and s(k) from one scalar
+    # Bessel pair per row; the sweep now takes every non-gap row from one
+    # state grid and s from one array J0 and one array Y0 call
+    calls = _count_grid_and_bessel_calls(monkeypatch)
     out = tmp_path / "count.csv"
     points = 41  # the grid steps by pi/20 and so lands on pi, 2 pi and 3 pi
     assert main(["sweep-k", "--y0", "0.3", "--a", "0.1", "--kd-min", str(np.pi),
@@ -245,8 +327,8 @@ def test_sweep_k_evaluates_each_row_state_once(tmp_path, monkeypatch):
     _, cols, rows = read_data_lines(out)
     n_gap = sum(row[cols.index("gap")] == "1" for row in rows)
     assert n_gap == 3
-    assert calls["renorm_sum"] == points - n_gap
-    assert calls["j"] == [points] and calls["y"] == [points]
+    assert calls["grid"] == [points - n_gap]
+    assert calls["j"] == [1] and calls["y"] == [1]
 
 
 @pytest.mark.parametrize("a", [0.1, -0.1, 0.0])
@@ -277,33 +359,15 @@ def test_sweep_k_rows_match_scalar_api(tmp_path, a):
 
 
 def test_sweep_geom_evaluates_each_factor_once(tmp_path, monkeypatch):
-    # G_r depends on y0 alone and s on a alone: one renorm_sum per y0 and one
-    # array J0/Y0 pair over the nonzero a, not one of each per (a, y0) row
-    from wirescat import renorm
-    calls = {"renorm_sum": 0, "j": [], "y": []}
-    orig_sum, orig_j, orig_y = renorm.renorm_sum, renorm.cylinder_bessel_j, renorm.cylinder_bessel_y
-
-    def count_sum(*args, **kwargs):
-        calls["renorm_sum"] += 1
-        return orig_sum(*args, **kwargs)
-
-    def count_j(n, x):
-        calls["j"].append(np.ndim(x))
-        return orig_j(n, x)
-
-    def count_y(n, x):
-        calls["y"].append(np.ndim(x))
-        return orig_y(n, x)
-
-    monkeypatch.setattr(renorm, "renorm_sum", count_sum)
-    monkeypatch.setattr(renorm, "cylinder_bessel_j", count_j)
-    monkeypatch.setattr(renorm, "cylinder_bessel_y", count_y)
+    # G_r depends on y0 alone and s on a alone: one state grid over the y0
+    # and one array J0/Y0 pair over the nonzero a, not one of each per row
+    calls = _count_grid_and_bessel_calls(monkeypatch)
     out = tmp_path / "count.csv"
-    for kd, n_sum in ((12.5 * np.pi, 7), (2.0, 0)):  # no G_r below kd = pi
-        calls.update(renorm_sum=0, j=[], y=[])
+    for kd, grids in ((12.5 * np.pi, [7]), (2.0, [])):  # no G_r below kd = pi
+        calls.update(grid=[], j=[], y=[])
         assert main(["sweep-geom", "--kd", str(kd), "--a-points", "11", "--y0-points", "7",
                      "--out", str(out)]) == 0
-        assert calls["renorm_sum"] == n_sum
+        assert calls["grid"] == grids
         assert calls["j"] == [1] and calls["y"] == [1]
 
 

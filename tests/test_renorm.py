@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wirescat.errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
                              TruncationLimit)
 from wirescat.greens import _kummer_truncated, greens_free, image_sum_alternating
 from wirescat.renorm import (FoldyProblem, _strength, attach_strength, effective_strength,
                              foldy_solve, gr_edge_asymptote, hard_disk_boundary_check,
-                             renorm_state, renorm_sum, t_matrix)
+                             renorm_grid, renorm_state, renorm_sum, t_matrix)
+from wirescat.scattering import _state_s_matrix
 from wirescat.specfun import SWITCHOVER, cylinder_bessel_j
-from wirescat.waveguide import WireConfig, channels, image_positions, transverse_mode
+from wirescat.waveguide import (WireConfig, channels, image_positions, mode_opening_gaps,
+                                transverse_mode)
 
 J0_ROOT_1 = 2.404825557695773
 KD = 2.5 * np.pi
@@ -180,6 +184,71 @@ def test_pole_detection_hook():
     cfg = WireConfig(y0=Y0, a=0.1)
     attached = attach_strength(st, t_matrix(KD, 0.1).s)
     assert attached.rs == renorm_state(KD, cfg).rs
+
+
+def test_grid_raises_the_scalar_pole_message_at_the_first_pole(monkeypatch):
+    # a raised threshold turns ordinary elements into "poles": the grid must
+    # stop at the first one in row-major order with the scalar state's message
+    from wirescat import renorm as rn
+    kd = np.linspace(4.0, 9.0, 7)
+    a = np.array([0.02, -0.1, 0.1])
+    monkeypatch.setattr(rn, "POLE_THRESHOLD", 0.9)
+    expected = None
+    for a_i in a:
+        for kd_i in kd:
+            try:
+                renorm_state(float(kd_i), WireConfig(y0=Y0, a=float(a_i)))
+            except PoleEncountered as exc:
+                expected = str(exc)
+                break
+        if expected:
+            break
+    assert expected is not None
+    with pytest.raises(PoleEncountered) as caught:
+        attach_strength(renorm_grid(kd, Y0), _strength(kd, a[:, None]))
+    assert str(caught.value) == expected
+
+
+def test_renorm_grid_shapes_and_domain():
+    grid = renorm_grid(np.array([[4.0], [7.3]]), np.array([0.2, 0.3, 0.5]))
+    assert grid.g_r.shape == grid.sigma_open.shape == grid.terms_used.shape == (2, 3)
+    assert grid.g_r[1, 2] == renorm_sum(7.3, 0.5).g_r
+    empty = renorm_grid(np.zeros(0), Y0)
+    assert empty.g_r.shape == (0,)
+    with pytest.raises(DomainError, match="y0 must lie strictly inside the wire"):
+        renorm_grid([4.0, 5.0], [0.3, 1.0])
+    # the first bad element, in order, names itself
+    with pytest.raises(DomainError, match=r"got -1\.0"):
+        renorm_grid([4.0, -1.0, 2.0 * np.pi], Y0)
+
+
+def _kd_values():
+    # generic kd and kd within 1e-6 to 1e-8 of a mode opening (outside the 1e-9 guard)
+    near = st.builds(lambda n, eps: n * np.pi + eps, st.integers(1, 12),
+                     st.sampled_from([-1e-6, -1e-7, -1e-8, 1e-8, 1e-7, 1e-6]))
+    return st.one_of(st.floats(0.3, 40.0), near)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kds=st.lists(_kd_values(), min_size=1, max_size=4), wall_gap=st.floats(1e-3, 0.02),
+       upper=st.booleans(), a=st.one_of(st.floats(-0.2, -0.01), st.floats(0.01, 0.2)))
+def test_state_grid_properties(kds, wall_gap, upper, a):
+    kd = np.array(kds)
+    assume(not mode_opening_gaps(kd)[1].any())
+    y0 = 1.0 - wall_gap if upper else wall_gap
+    grid = attach_strength(renorm_grid(kd, y0), _strength(kd, a))
+    n_open = np.floor(kd / np.pi).astype(int)
+    assert np.all(grid.im_identity_residual <= 1e-10)
+    assert np.all(grid.optical_residual <= 1e-10)
+    sigma = grid.cross_section
+    assert np.all((0.0 <= sigma[n_open >= 1]) & (sigma[n_open >= 1] <= 1.0))
+    for i, kd_i in enumerate(kd.tolist()):
+        one = renorm_state(kd_i, WireConfig(y0=y0, a=a))
+        for got, want in ((grid.g_r[i], one.g_r), (grid.sigma_open[i], one.sigma_open),
+                          (grid.rs[i], one.rs)):
+            assert abs(got - want) <= 1e-14 * abs(want)
+        if n_open[i] >= 1:
+            assert _state_s_matrix(grid[i:i + 1], n_open[i]).unitarity_residual[0] <= 1e-10
 
 
 # ---------------------------------------------------------------------------
