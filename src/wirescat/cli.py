@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, greens, mirror, renorm, scattering
 from .errors import DegenerateMode, WireError
-from .output import fmt, svg_heatmap, svg_line_plot, write_table_csv, write_table_json
+from .output import fmt, svg_heatmap, svg_line_plot, table, write_table_csv, write_table_json
 from .validate import CHECK_GROUPS, run_checks
 from .waveguide import DEFAULT_MODE_GUARD, WireConfig, mode_opening_gaps
 
@@ -33,9 +33,6 @@ SWEEP_COLUMNS = [
     "g_r_re", "g_r_im", "rs_re", "rs_im", "delta0", "gap",
     "sigma_asym_below", "sigma_limit_above", "gr_asym_below_re", "gr_asym_above_im",
 ]
-GEOM_COLUMNS = ["a", "y0", "sigma", "sigma_free", "gap"]
-BENCH_COLUMNS = ["representation", "terms", "error"]
-FIELD_COLUMNS = ["x", "y", "value_re", "value_im"]
 
 NAN = float("nan")
 
@@ -75,21 +72,17 @@ def run_sweep_k(args) -> int:
     for i in np.flatnonzero(gap):
         for name, value in zip(SWEEP_COLUMNS[-4:], _edge_limits(kds[i], int(n_near[i]), cfg.y0)):
             col[name][i] = value
-    rows = [list(row) for row in zip(*(col[name].tolist() for name in SWEEP_COLUMNS))]
-    meta = {
-        "generator": f"wirescat {__version__}",
-        "command": "sweep-k",
+    _write(args, table(col), {
         "y0": fmt(args.y0), "a": fmt(args.a), "x0": fmt(args.x0),
         "kd_min": fmt(args.kd_min), "kd_max": fmt(args.kd_max),
         "points": args.points, "mode_guard": fmt(DEFAULT_MODE_GUARD),
         "tolerance": fmt(args.tol),
-    }
-    _write(args, SWEEP_COLUMNS, rows, meta)
+    })
     if args.svg:
-        svg_line_plot(args.svg, [r[0] for r in rows],
-                      {"sigma": [r[2] for r in rows],
-                       "conductance": [r[3] for r in rows],
-                       "N (empty wire)": [float(r[4]) for r in rows]},
+        svg_line_plot(args.svg, col["kd"].tolist(),
+                      {"sigma": col["sigma"].tolist(),
+                       "conductance": col["conductance"].tolist(),
+                       "N (empty wire)": col["conductance_empty"].astype(float).tolist()},
                       f"impurity at y0={fmt(args.y0)}, a={fmt(args.a)}", "kd")
     return 0
 
@@ -117,17 +110,16 @@ def run_sweep_geom(args) -> int:
     sigma = (renorm.attach_strength(base, strengths[:, None]).cross_section if base is not None
              else np.zeros((len(a_list), len(y0_list))))
     sigma_free = renorm.TMatrix(kd, a_grid, strengths).cross_section
-    rows = [[a, y0, sig, sig_f, 0]
-            for a, sig_f, sig_row in zip(a_list, sigma_free.tolist(), sigma.tolist())
-            for y0, sig in zip(y0_list, sig_row)]
-    meta = {
-        "generator": f"wirescat {__version__}",
-        "command": "sweep-geom", "kd": fmt(kd),
+    n_a, n_y0 = sigma.shape
+    rows = table({"a": np.repeat(a_grid, n_y0), "y0": np.tile(y0_grid, n_a),
+                  "sigma": sigma.ravel(), "sigma_free": np.repeat(sigma_free, n_y0),
+                  "gap": np.zeros(sigma.size, int)})
+    _write(args, rows, {
+        "kd": fmt(kd),
         "a_min": fmt(args.a_min), "a_max": fmt(args.a_max), "a_points": args.a_points,
         "y0_min": fmt(args.y0_min), "y0_max": fmt(args.y0_max), "y0_points": args.y0_points,
         "tolerance": fmt(args.tol),
-    }
-    _write(args, GEOM_COLUMNS, rows, meta)
+    })
     if args.svg:
         svg_heatmap(args.svg, a_list, y0_list, sigma.tolist(),
                     f"sigma(a, y0) at kd={fmt(kd)}")
@@ -141,20 +133,17 @@ def run_field_map(args) -> int:
     grid = mirror.field_map(args.kind, args.kd, cfg, spec, tol=args.tol)
     nx, ny = grid.values.shape
     values = grid.values.ravel()
-    rows = np.column_stack([np.repeat(grid.xs, ny), np.tile(grid.ys, nx),
-                            values.real, values.imag]).tolist()
-    meta = {
-        "generator": f"wirescat {__version__}",
-        "command": "field-map", "kind": grid.kind, "kd": fmt(args.kd),
+    rows = table({"x": np.repeat(grid.xs, ny), "y": np.tile(grid.ys, nx),
+                  "value_re": values.real, "value_im": values.imag})
+    _write(args, rows, {
+        "kind": grid.kind, "kd": fmt(args.kd),
         "y0": fmt(args.y0), "a": fmt(args.a), "x0": fmt(args.x0),
         "nx": args.nx, "ny": args.ny,
         "x_min": fmt(args.x_min), "x_max": fmt(args.x_max),
         "y_min": fmt(args.y_min), "y_max": fmt(args.y_max),
-    }
-    _write(args, FIELD_COLUMNS, rows, meta)
+    })
     if args.svg:
-        re_vals = np.real(grid.values)
-        svg_heatmap(args.svg, list(grid.xs), list(grid.ys), re_vals.tolist(),
+        svg_heatmap(args.svg, list(grid.xs), list(grid.ys), grid.values.real.tolist(),
                     f"{grid.kind} at kd={fmt(args.kd)}, y0={fmt(args.y0)}")
     return 0
 
@@ -164,15 +153,14 @@ def run_greens_bench(args) -> int:
     r0 = (args.x0, args.y0)
     reps = tuple(args.representations.split(","))
     term_grid = tuple(int(t) for t in args.terms.split(","))
-    rows_b = greens.convergence_benchmark(r, r0, args.kd, reps, term_grid)
-    rows = [[b.representation, b.terms, b.error] for b in rows_b]
-    meta = {
-        "generator": f"wirescat {__version__}",
-        "command": "greens-bench", "kd": fmt(args.kd),
+    bench = greens.convergence_benchmark(r, r0, args.kd, reps, term_grid)
+    rows = table({name: [getattr(b, name) for b in bench]
+                  for name in ("representation", "terms", "error")})
+    _write(args, rows, {
+        "kd": fmt(args.kd),
         "x": fmt(args.x), "y": fmt(args.y), "x0": fmt(args.x0), "y0": fmt(args.y0),
         "representations": args.representations,
-    }
-    _write(args, BENCH_COLUMNS, rows, meta)
+    })
     return 0
 
 
@@ -186,23 +174,25 @@ def run_validate(args) -> int:
         note = f"  ({r.note})" if r.note else ""
         lines.append(f"{status}  {r.name:<{width}}  residual={fmt(r.residual)}"
                      f"  threshold={fmt(r.threshold)}{note}")
-    report = "\n".join(lines)
-    print(report)
+    print("\n".join(lines))
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     if args.out:
-        rows = [[r.name, r.residual, r.threshold, int(r.passed)] for r in results]
-        meta = {"generator": f"wirescat {__version__}", "command": "validate",
-                "fast": int(args.fast)}
-        _write(args, ["check", "residual", "threshold", "passed"], rows, meta)
+        rows = table({"check": [r.name for r in results],
+                      "residual": [r.residual for r in results],
+                      "threshold": [r.threshold for r in results],
+                      "passed": [int(r.passed) for r in results]})
+        _write(args, rows, {"fast": int(args.fast)})
     return 1 if n_fail else 0
 
 
-def _write(args, columns, rows, meta) -> None:
+def _write(args, rows, meta) -> None:
+    """Write a table with the generator and command ahead of its metadata."""
+    meta = {"generator": f"wirescat {__version__}", "command": args.command, **meta}
     if args.format == "json":
-        write_table_json(args.out, columns, rows, meta)
+        write_table_json(args.out, rows, meta)
     else:
-        write_table_csv(args.out, columns, rows, meta)
+        write_table_csv(args.out, rows, meta)
 
 
 def _load_config(path: str) -> dict[str, str]:

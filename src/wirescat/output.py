@@ -1,72 +1,92 @@
 """Deterministic CSV/JSON/SVG writers.
 
-Numbers are rendered with 17 significant digits ('%.17g'), rows in input
-order, metadata as '#'-prefixed header lines; identical inputs therefore
-produce byte-identical files.  No timestamps, hostnames or locale-dependent
-formatting anywhere.  The SVG renderer is intentionally minimal (line plots
-and heatmaps) so no plotting dependency enters the contract.
+A table is a structured array (``table``): one named field per float, int or
+str column, rows in input order.  CSV renders floats as '%.17g'; JSON renders
+them as ``float.__repr__`` and non-finite ones as null, in the layout of
+``json.dump(indent=1, sort_keys=True)``.  Rows are written in blocks of at most
+``_BLOCK`` values; in each block every distinct double of a float column (by bit
+pattern, so -0.0, NaN, inf and subnormals stay exact) is formatted once and one
+'%' row template fills the block.  Metadata goes into '#' header lines or
+the "metadata" object.  Identical inputs give byte-identical files: no
+timestamps, hostnames or locale-dependent formatting.  The SVG renderer is
+minimal (line plots and heatmaps), so no plotting dependency enters the contract.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import numbers
-from typing import Iterable, Sequence
+from typing import Sequence
 
-__all__ = ["fmt", "write_table_csv", "write_table_json", "svg_line_plot", "svg_heatmap"]
+import numpy as np
+
+__all__ = ["fmt", "table", "write_table_csv", "write_table_json", "svg_line_plot",
+           "svg_heatmap"]
+
+# values per block of rows
+_BLOCK = 2 ** 12
 
 
-def fmt(value) -> str:
-    """Canonical 17-significant-digit rendering; round-trips every double."""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if value is None:
-        return "nan"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return str(int(value))
+def fmt(value: float) -> str:
+    """Canonical 17-significant-digit rendering of a number; round-trips every double."""
     return format(float(value), ".17g")
 
 
-def write_table_csv(path: str, columns: Sequence[str], rows: Iterable[Sequence],
-                    metadata: dict) -> None:
-    lines = []
-    for key in metadata:
-        lines.append(f"# {key} = {metadata[key]}")
-    lines.append("# columns: " + ",".join(columns))
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+def table(columns: dict) -> np.ndarray:
+    """Structured array of equal-length named columns, in the dict's order."""
+    return np.rec.fromarrays(list(columns.values()), names=list(columns))
+
+
+_CSV_RENDER = {"f": "%.17g".__mod__, "i": str, "U": str}
+_JSON_RENDER = {"f": lambda v: float.__repr__(v) if math.isfinite(v) else "null",
+                "i": str, "U": json.dumps}
+
+
+def _blocks(rows: np.ndarray, render: dict, row_template: str, separator: str):
+    """Yield the rows as text, one block at a time, every row after the first
+    preceded by separator."""
+    names = rows.dtype.names
+    step = max(1, _BLOCK // len(names))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        cells = np.empty((len(block), len(names)), dtype=object)
+        for j, name in enumerate(names):
+            column = block[name]
+            to_text = render[column.dtype.kind]
+            if column.dtype.kind != "f":
+                cells[:, j] = list(map(to_text, column.tolist()))
+                continue
+            bits, inverse = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
+            text = list(map(to_text, bits.view(np.float64).tolist()))
+            cells[:, j] = np.array(text, object)[inverse]
+        template = (separator if start else "") + separator.join([row_template] * len(block))
+        yield template % tuple(cells.ravel().tolist())
+
+
+def write_table_csv(path: str, rows: np.ndarray, metadata: dict) -> None:
+    """A ``table`` as CSV: metadata and column lines, then one line per row."""
+    names = rows.dtype.names
+    head = [f"# {key} = {value}" for key, value in metadata.items()]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(head + ["# columns: " + ",".join(names), ",".join(names)]) + "\n")
+        fh.writelines(_blocks(rows, _CSV_RENDER, ",".join(["%s"] * len(names)) + "\n", ""))
 
 
-def _jsonable(v):
-    if isinstance(v, float):
-        return v if math.isfinite(v) else None
-    if v is None:
-        return None
-    if isinstance(v, str):
-        return v
-    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
-        return int(v)
-    f = float(v)
-    return f if math.isfinite(f) else None
-
-
-def write_table_json(path: str, columns: Sequence[str], rows: Iterable[Sequence],
-                     metadata: dict) -> None:
-    doc = {
-        "metadata": {k: (str(v) if not isinstance(v, (int, float, bool)) else v)
-                     for k, v in metadata.items()},
-        "columns": list(columns),
-        "rows": [[_jsonable(v) for v in row] for row in rows],
-    }
+def write_table_json(path: str, rows: np.ndarray, metadata: dict) -> None:
+    """A ``table`` as {"columns", "metadata", "rows"}, laid out as
+    json.dump(indent=1, sort_keys=True) lays it out."""
+    names = rows.dtype.names
+    doc = {"metadata": {k: (str(v) if not isinstance(v, (int, float, bool)) else v)
+                        for k, v in metadata.items()},
+           "columns": list(names)}
+    # "rows" sorts last: it goes in before the closing brace
+    row_template = "  [\n" + ",\n".join(["   %s"] * len(names)) + "\n  ]"
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=True)[:-2] + ',\n "rows": ['
+                 + ("\n" if len(rows) else ""))
+        fh.writelines(_blocks(rows, _JSON_RENDER, row_template, ",\n"))
+        fh.write("\n ]\n}\n" if len(rows) else "]\n}\n")
 
 
 _SVG_W, _SVG_H, _MARG = 720, 480, 56
@@ -77,10 +97,27 @@ def _scale(vals, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in vals]
 
 
+def _finite(v) -> bool:
+    return v is not None and math.isfinite(v)
+
+
+def _write_svg(path: str, title: str, parts: list[str]) -> None:
+    """Canvas, title, the given elements, closing tag."""
+    head = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
+        f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
+        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<text x="{_SVG_W // 2}" y="24" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="15">{title}</text>',
+    ]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(head + parts + ["</svg>"]) + "\n")
+
+
 def svg_line_plot(path: str, x: Sequence[float], series: dict[str, Sequence[float]],
                   title: str, x_label: str) -> None:
     """Polyline plot of one or more series against x; NaNs break the line."""
-    finite = [v for vals in series.values() for v in vals if v is not None and math.isfinite(v)]
+    finite = [v for vals in series.values() for v in vals if _finite(v)]
     if not finite or not len(x):
         raise ValueError("nothing to plot")
     y_lo, y_hi = min(finite), max(finite)
@@ -90,11 +127,6 @@ def svg_line_plot(path: str, x: Sequence[float], series: dict[str, Sequence[floa
     xs = _scale(x, x_lo, x_hi, _MARG, _SVG_W - _MARG)
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
-        f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_SVG_W // 2}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="15">{title}</text>',
         f'<rect x="{_MARG}" y="{_MARG}" width="{_SVG_W - 2 * _MARG}" '
         f'height="{_SVG_H - 2 * _MARG}" fill="none" stroke="#444"/>',
         f'<text x="{_SVG_W // 2}" y="{_SVG_H - 12}" text-anchor="middle" '
@@ -106,25 +138,16 @@ def svg_line_plot(path: str, x: Sequence[float], series: dict[str, Sequence[floa
     ]
     for idx, (name, vals) in enumerate(series.items()):
         color = colors[idx % len(colors)]
-        segs, cur = [], []
-        for xi, v in zip(xs, vals):
-            if v is None or not math.isfinite(v):
-                if cur:
-                    segs.append(cur)
-                cur = []
-                continue
-            yi = _SVG_H - _MARG - (v - y_lo) / (y_hi - y_lo) * (_SVG_H - 2 * _MARG)
-            cur.append((xi, yi))
-        if cur:
-            segs.append(cur)
-        for seg in segs:
-            pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in seg)
-            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
+        ys = [_SVG_H - _MARG - (v - y_lo) / (y_hi - y_lo) * (_SVG_H - 2 * _MARG)
+              if _finite(v) else None for v in vals]
+        for finite, seg in itertools.groupby(zip(xs, ys), key=lambda p: p[1] is not None):
+            if finite:
+                pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in seg)
+                parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                             'stroke-width="1.2"/>')
         parts.append(f'<text x="{_SVG_W - _MARG + 4}" y="{_MARG + 16 * idx + 12}" '
                      f'font-family="sans-serif" font-size="11" fill="{color}">{name}</text>')
-    parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, title, parts)
 
 
 def _diverging_color(t: float) -> str:
@@ -141,32 +164,18 @@ def svg_heatmap(path: str, xs: Sequence[float], ys: Sequence[float], values,
                 title: str) -> None:
     """Cell heatmap of values[i][j] at (xs[i], ys[j]), symmetric color scale."""
     nx, ny = len(xs), len(ys)
-    vmax = 0.0
-    for i in range(nx):
-        for j in range(ny):
-            v = values[i][j]
-            if v is not None and math.isfinite(v):
-                vmax = max(vmax, abs(v))
-    vmax = vmax or 1.0
+    vmax = max((abs(v) for row in values for v in row if _finite(v)), default=0.0) or 1.0
     cw = (_SVG_W - 2 * _MARG) / nx
     chh = (_SVG_H - 2 * _MARG) / ny
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
-        f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_SVG_W // 2}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="15">{title}</text>',
-    ]
+    parts = []
     for i in range(nx):
         for j in range(ny):
             v = values[i][j]
-            t = 0.0 if v is None or not math.isfinite(v) else v / vmax
+            t = v / vmax if _finite(v) else 0.0
             px = _MARG + i * cw
             py = _SVG_H - _MARG - (j + 1) * chh
             parts.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw + 0.5:.2f}" '
                          f'height="{chh + 0.5:.2f}" fill="{_diverging_color(t)}"/>')
     parts.append(f'<rect x="{_MARG}" y="{_MARG}" width="{_SVG_W - 2 * _MARG}" '
                  f'height="{_SVG_H - 2 * _MARG}" fill="none" stroke="#444"/>')
-    parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, title, parts)

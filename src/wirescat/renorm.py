@@ -75,12 +75,12 @@ class TMatrix:
     @property
     def optical_residual(self) -> float:
         """|-2 Im s - |s|^2|; zero up to rounding for any admissible strength."""
-        return abs(-2.0 * self.s.imag - abs(self.s) ** 2)
+        return abs(-2.0 * self.s.imag - np.square(np.abs(self.s)))
 
     @property
     def cross_section(self) -> float:
         """Free-space cross section sigma_f = |s|^2 / k (a length)."""
-        return abs(self.s) ** 2 / self.k
+        return np.square(np.abs(self.s)) / self.k
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,14 @@ class RenormState:
         """sigma = |Rs|^2 Sigma^2 as a fraction of the wire width (strength attached)."""
         if self.rs is None:
             raise DomainError("cross_section needs the effective strength attached")
-        return abs(self.rs) ** 2 * self.sigma_open ** 2
+        return np.square(np.abs(self.rs)) * np.square(self.sigma_open)
 
     @property
     def optical_residual(self) -> float:
         """Waveguide optical constraint residual | |Rs|^2 Sigma + Im Rs |."""
         if self.rs is None:
             raise DomainError("optical_residual needs the effective strength attached")
-        return abs(abs(self.rs) ** 2 * self.sigma_open + self.rs.imag)
+        return abs(np.square(np.abs(self.rs)) * self.sigma_open + self.rs.imag)
 
     def __getitem__(self, index) -> "RenormState":
         """The states at index of a grid state."""

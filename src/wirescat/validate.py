@@ -314,11 +314,12 @@ def check_smatrix_grid(fast: bool = False):
                 res_rank = max(res_rank, np.max(sm.rank_one_residual))
                 tr = np.trace(np.swapaxes(sm.trans.conj(), -1, -2) @ sm.trans,
                               axis1=-2, axis2=-1).real
+                sigma_sum = np.sum(sm.sigma_n, axis=-1)
                 res_cond = max(res_cond, np.max(np.abs(tr - sm.conductance)),
-                               np.max(np.abs(sm.conductance - (n - sm.sigma))))
+                               np.max(np.abs(sm.conductance - (n - sigma_sum / _D))))
                 if not np.all((n - 1 - 1e-10 <= tr) & (tr <= n + 1e-10)):
                     res_cond = max(res_cond, 1.0)
-                res_flux = max(res_flux, np.max(np.sum(sm.sigma_n, axis=-1)) - _D)
+                res_flux = max(res_flux, np.max(sigma_sum) - _D)
     return [
         CheckResult.from_residual("scattering.unitarity", res_unit, 1e-10),
         CheckResult.from_residual("scattering.rank_one", res_rank, 1e-10),

@@ -149,6 +149,40 @@ def test_sweep_k_json_mirror(tmp_path):
     assert doc["rows"][0][0] == pytest.approx(float(rows[0][0]))
 
 
+def _bits(cells):
+    """Cells as int64 bit patterns, every NaN (a JSON null) as the same one."""
+    values = np.array([np.nan if v is None else float(v) for v in cells])
+    return np.where(np.isnan(values), -1, values.view(np.int64))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-k", "--y0", "0.05", "--a", "-0.1", "--kd-min", str(np.pi),
+     "--kd-max", str(3 * np.pi), "--points", "9"],
+    ["sweep-geom", "--kd", "7.3", "--a-min", "-0.1", "--a-max", "0.1", "--a-points", "5",
+     "--y0-points", "4"],
+    ["field-map", "--kind", "greens", "--kd", "7.3", "--y0", "0.3", "--nx", "7", "--ny", "5"],
+    ["field-map", "--kind", "dxy", "--kd", "9.1", "--y0", "0.3", "--nx", "7", "--ny", "5"],
+    ["greens-bench", "--terms", "10,100", "--representations", "spectral,kummer"],
+])
+def test_csv_and_json_carry_the_same_values(tmp_path, argv):
+    csv_p, json_p = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--out", str(csv_p)]) == 0
+    assert main(argv + ["--out", str(json_p), "--format", "json"]) == 0
+    _, cols, rows = read_data_lines(csv_p)
+    text = json_p.read_text()
+    doc = json.loads(text)
+    # the spliced rows keep json.dump's layout
+    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert doc["columns"] == cols and len(doc["rows"]) == len(rows)
+    for j, name in enumerate(cols):
+        got = [row[j] for row in doc["rows"]]
+        want = [row[j] for row in rows]
+        if name == "representation":
+            assert got == want
+        else:
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
 def test_sweep_geom(tmp_path):
     out = tmp_path / "geom.csv"
     rc = main(["sweep-geom", "--kd", str(12.5 * np.pi), "--a-points", "11",

@@ -1,0 +1,119 @@
+"""Block table writers against the row writers they replaced: byte equality."""
+
+import json
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wirescat import output
+from wirescat.output import table, write_table_csv, write_table_json
+
+META = {"generator": "wirescat test", "kd": "7.8539816339744828", "points": 3, "ratio": 0.5}
+
+
+# The previous writers, one Python value at a time: the reference bytes.
+def _cell(v) -> str:
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return v if isinstance(v, str) else str(int(v))
+
+
+def oracle_csv(path, columns, rows, metadata):
+    lines = [f"# {key} = {metadata[key]}" for key in metadata]
+    lines += ["# columns: " + ",".join(columns), ",".join(columns)]
+    lines += [",".join(_cell(v) for v in row) for row in rows]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def oracle_json(path, columns, rows, metadata):
+    doc = {
+        "metadata": {k: (str(v) if not isinstance(v, (int, float, bool)) else v)
+                     for k, v in metadata.items()},
+        "columns": list(columns),
+        "rows": [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row]
+                 for row in rows],
+    }
+    with open(path, "w", newline="\n") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def assert_same_bytes(tmp_path, columns: dict, metadata=META):
+    rows = table(columns)
+    assert len(rows) == len(next(iter(columns.values())))
+    py_rows = [list(row) for row in zip(*(np.asarray(c).tolist() for c in columns.values()))]
+    for name, writer, oracle in (("csv", write_table_csv, oracle_csv),
+                                 ("json", write_table_json, oracle_json)):
+        got, want = tmp_path / f"got.{name}", tmp_path / f"want.{name}"
+        writer(str(got), rows, metadata)
+        oracle(str(want), list(columns), py_rows, metadata)
+        assert got.read_bytes() == want.read_bytes(), name
+
+
+EDGE = [float("nan"), 0.0, -0.0, float("inf"), -float("inf"), 5e-324, -5e-324, 1e308,
+        -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1.0, -2.5, 1e22, 1e-7]
+
+
+def test_edge_floats(tmp_path):
+    values = np.array(EDGE + EDGE[::-1])
+    assert_same_bytes(tmp_path, {"v": values, "w": -values})
+
+
+def test_nan_payloads_and_signs(tmp_path):
+    bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0x7FF4000000000000, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    assert_same_bytes(tmp_path, {"v": bits.view(np.float64)})
+
+
+def test_int_and_string_columns(tmp_path):
+    names = ["kummer", "spectral", 'quote " and \\ back', "tab\there", "café σ",
+             "kummer", "x"]
+    assert_same_bytes(tmp_path, {
+        "representation": names,
+        "terms": [10, 30, -1, 0, 2 ** 62, 10, 7],
+        "error": [1e-3, float("nan"), 0.0, -0.0, 5e-324, 1e-3, float("inf")],
+    })
+
+
+def test_empty_table(tmp_path):
+    assert_same_bytes(tmp_path, {"x": np.zeros(0), "n": np.zeros(0, int)})
+    assert_same_bytes(tmp_path, {"x": np.zeros(0)}, metadata={})
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("n_columns", [1, 4, 16])
+def test_block_boundaries(tmp_path, offset, n_columns):
+    # rows one short of, exactly at and one past the rows of one block
+    n = output._BLOCK // n_columns + offset
+    rng = np.random.default_rng(n_columns)
+    columns = {f"c{j}": rng.choice(EDGE, n) * rng.choice([1.0, -1.0, 0.5], n)
+               for j in range(n_columns)}
+    columns["gap"] = rng.integers(0, 2, n)
+    assert_same_bytes(tmp_path, columns)
+
+
+def test_rows_arrive_in_blocks_bounded_in_values():
+    rows = table({"a": np.arange(5000.0), "b": np.arange(5000.0), "c": np.arange(5000)})
+    sizes = [text.count("\n") for text in output._blocks(rows, output._CSV_RENDER,
+                                                           "%s,%s,%s\n", "")]
+    assert sum(sizes) == 5000
+    assert max(sizes) * 3 <= output._BLOCK
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bits=st.lists(st.lists(st.integers(0, 2 ** 64 - 1), min_size=2, max_size=2),
+                     min_size=0, max_size=40),
+       block=st.sampled_from([2, 3, 8, 2 ** 12]))
+def test_random_bit_patterns(tmp_path_factory, bits, block):
+    pairs = np.array(bits, dtype=np.uint64).reshape(-1, 2).view(np.float64)
+    # repeat some values so that blocks hold duplicates
+    values = np.concatenate([pairs, pairs[::-1]])
+    tmp_path = tmp_path_factory.mktemp("bits")
+    with mock.patch.object(output, "_BLOCK", block):
+        assert_same_bytes(tmp_path, {"x": values[:, 0], "y": values[:, 1],
+                                     "n": np.arange(len(values))})

@@ -244,9 +244,10 @@ def test_state_grid_properties(kds, wall_gap, upper, a):
     assert np.all((0.0 <= sigma[n_open >= 1]) & (sigma[n_open >= 1] <= 1.0))
     for i, kd_i in enumerate(kd.tolist()):
         one = renorm_state(kd_i, WireConfig(y0=y0, a=a))
+        # a grid element and the batch of one are the same arithmetic
         for got, want in ((grid.g_r[i], one.g_r), (grid.sigma_open[i], one.sigma_open),
-                          (grid.rs[i], one.rs)):
-            assert abs(got - want) <= 1e-14 * abs(want)
+                          (grid.rs[i], one.rs), (sigma[i], one.cross_section)):
+            assert got == want
         if n_open[i] >= 1:
             assert _state_s_matrix(grid[i:i + 1], n_open[i]).unitarity_residual[0] <= 1e-10
 
