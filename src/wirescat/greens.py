@@ -18,13 +18,13 @@ static        k = 0 closed form (the grounded-plates electrostatic potential),
 kummer        spectral sum with the static series subtracted term by term and
               added back in closed form; the remainder decays as m^-3 at
               x = x0 and geometrically off-axis.  An analytic tail completion
-              (Hurwitz-zeta + iterated Abel summation of the oscillatory
-              part) brings the truncation error far below the requested
-              tolerance; see _cos_tail.  One kernel (_mode_sum) sums the
-              subtracted series and one plan (_kummer_plan) picks its
-              truncation and completion for the point evaluator, the grid
-              evaluator and, at r = r0 with the closed form replaced by the
-              coincidence constant, the renormalization sum G_r.
+              (mode_product_tail: Hurwitz-zeta + iterated Abel summation of
+              the oscillatory part) brings the truncation error far below the
+              requested tolerance.  One kernel (_mode_sum) sums the series; one
+              elementwise plan (_kummer_plan) picks M, completion and bound for
+              all points of a call at once: a greens_kummer point, a whole
+              greens_kummer_grid, or a whole G_r grid (r = r0, the closed form
+              replaced by the coincidence constant).
 diffraction   difference of two period-2d grating Green's functions, the
               Poisson-resummed form of the image array.
 semiclassical image sum with each Hankel function replaced by its large-
@@ -69,6 +69,8 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015328606
 _D = 1.0
 _COSH_OVERFLOW = 700.0  # pi |x-x0| / d beyond which the static form is 0 to 1e-300
+_GEOMETRIC_MODE_CAP = 200000
+_KUMMER_MODE_CAP = 65536
 REPRESENTATIONS = ("free", "spectral", "image", "static", "kummer", "diffraction", "semiclassical")
 
 
@@ -195,7 +197,7 @@ def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
         # conditional convergence: Dirichlet bound on sum cos(m theta)/m
         tail = (1.0 / np.pi) * sum(
             2.0 / (abs(1.0 - np.exp(1j * t)) * (terms + 1)) if abs(np.exp(1j * t) - 1.0) > 1e-12 else np.inf
-            for t in sum(_mode_angles(r[1], r0[1]), ()))
+            for t in _mode_angles(r[1], r0[1]))
     return GreensValue(value, "spectral", terms, float(tail))
 
 
@@ -308,129 +310,133 @@ def _cos_tail(theta: float, s: float, m_trunc: int) -> tuple[float, float]:
     return float(val.real), bound
 
 
-def kummer_tail_coefficients(kd: float) -> tuple[float, float, float]:
+def kummer_tail_coefficients(kd):
     """c3, c5 and the neglected-order coefficient of the subtracted-mode tail.
 
     For closed modes 1/(i k_x) + d/(m pi) = -(d/(m pi)) [q^2/2 + 3q^4/8 + 5q^6/16 + ...]
     with q = kd/(m pi), so the tail of the Kummer-subtracted series is
     -(c3/m^3 + c5/m^5 + O(m^-7)) times the transverse-mode product.
+    Elementwise; np.float_power keeps Python's C pow (np.power may not), so batches match lone calls.
     """
-    c3 = kd ** 2 / (2.0 * np.pi ** 3)
-    c5 = 3.0 * kd ** 4 / (8.0 * np.pi ** 5)
-    c7 = 5.0 * kd ** 6 / (16.0 * np.pi ** 7)
+    c3 = np.float_power(kd, 2) / (2.0 * np.pi ** 3)
+    c5 = 3.0 * np.float_power(kd, 4) / (8.0 * np.pi ** 5)
+    c7 = 5.0 * np.float_power(kd, 6) / (16.0 * np.pi ** 7)
     return c3, c5, c7
 
 
-def mode_product_tail(kd: float, m_trunc: int, angles_plus: tuple[float, ...],
-                      angles_minus: tuple[float, ...]) -> tuple[float, float]:
-    """Analytic tail of the Kummer-subtracted series past ``m_trunc``.
+def _per_distinct(fn, *args) -> np.ndarray:
+    """fn(*element) over broadcast args, stacked on a leading axis; fn runs once per distinct element.
 
-    The transverse product is expressed as a combination of cos(m theta)
-    terms: +theta entries add cos-tails, -theta entries subtract them.
+    The Kummer tails depend on (M, alpha, beta) through scalar series, and few elements differ there.
+    """
+    args = np.broadcast_arrays(*args)
+    keys = list(zip(*(a.ravel().tolist() for a in args)))
+    values = {key: fn(*key) for key in set(keys)}
+    return np.array([values[key] for key in keys], dtype=float).T.reshape((-1,) + args[0].shape)
+
+
+def mode_product_tail(kd, m_trunc, alpha, beta):
+    """Analytic tail of the Kummer-subtracted series past ``m_trunc``, elementwise.
+
+    The transverse product is (1/d)[cos(m alpha) - cos(m beta)]
+    (_mode_angles), so the alpha cos-tails add and the beta ones subtract.
     Returns (tail value, error bound including the O(m^-7) neglect).
     """
     c3, c5, c7 = kummer_tail_coefficients(kd)
-    total = 0.0
-    bound = 2.0 * max(len(angles_plus), len(angles_minus)) * c7 * zeta_tail(7.0, m_trunc)
-    for sgn, angs in ((1.0, angles_plus), (-1.0, angles_minus)):
-        for th in angs:
-            t3, b3 = _cos_tail(th, 3.0, m_trunc)
-            t5, b5 = _cos_tail(th, 5.0, m_trunc)
-            total += sgn * (-(c3 * t3) - c5 * t5)
-            bound += c3 * b3 + c5 * b5
+    z7, t3a, b3a, t5a, b5a, t3b, b3b, t5b, b5b = _per_distinct(lambda m, a, b: (
+        zeta_tail(7.0, m), *_cos_tail(a, 3.0, m), *_cos_tail(a, 5.0, m),
+        *_cos_tail(b, 3.0, m), *_cos_tail(b, 5.0, m)), m_trunc, alpha, beta)
+    total = (-(c3 * t3a) - c5 * t5a) - (-(c3 * t3b) - c5 * t5b)
+    bound = 2.0 * c7 * z7 + (c3 * b3a + c5 * b5a) + (c3 * b3b + c5 * b5b)
     return total, bound
 
 
-_KUMMER_MODE_CAP = 65536
+def _abel_gap6(theta: float) -> float:
+    """|1 - e^{i theta}|^6; inf at theta = 0 mod 2 pi, where a cos-tail has no Abel remainder."""
+    t = theta % (2.0 * np.pi)
+    return abs(1.0 - np.exp(1j * t)) ** 6 if min(t, 2.0 * np.pi - t) >= 1e-9 else np.inf
 
 
-def kummer_truncation(kd: float, tol: float, angles: tuple[float, ...]) -> int:
-    """Smallest power-of-two truncation whose completion bound is below tol."""
-    n_open = int(np.floor(kd / np.pi))
-    base = max(256, 4 * n_open)
+def _closed_form_bound(kd, m_trunc, alpha, beta):
+    """Closed-form estimate of mode_product_tail's bound, the plan's deciding criterion.
+
+    A cos-tail's Abel remainder is at most (s)_5 zeta_tail(s + 5, M) / _abel_gap6.
+    """
     c3, c5, c7 = kummer_tail_coefficients(kd)
-    m = base
-    while m < _KUMMER_MODE_CAP:
-        bound = 2.0 * len(angles) * c7 * zeta_tail(7.0, m)
-        for th in angles:
-            t = float(th) % (2.0 * np.pi)
-            if min(t, 2.0 * np.pi - t) >= 1e-9:
-                gap = abs(1.0 - np.exp(1j * t))
-                rise3 = 3 * 4 * 5 * 6 * 7
-                rise5 = 5 * 6 * 7 * 8 * 9
-                bound += c3 * rise3 * zeta_tail(8.0, m) / gap ** 6
-                bound += c5 * rise5 * zeta_tail(10.0, m) / gap ** 6
-        if bound < tol:
-            return m
-        m *= 2
-    return m
+    z7, z8, z10, *gaps6 = _per_distinct(lambda m, a, b: (
+        zeta_tail(7.0, m), zeta_tail(8.0, m), zeta_tail(10.0, m), _abel_gap6(a), _abel_gap6(b)),
+        m_trunc, alpha, beta)
+    bound = 4.0 * c7 * z7
+    for gap6 in gaps6:
+        bound = bound + c3 * (3 * 4 * 5 * 6 * 7) * z8 / gap6
+        bound = bound + c5 * (5 * 6 * 7 * 8 * 9) * z10 / gap6
+    return bound
 
 
-_GEOMETRIC_MODE_CAP = 200000
+def _mode_angles(y, y0):
+    """Angles of chi_m(y) chi_m(y0) = (1/d)[cos(m alpha) - cos(m beta)], as (alpha, beta)."""
+    return np.pi * (y - y0) / _D, np.pi * (y + y0) / _D
 
 
-def _mode_angles(y: float, y0: float) -> tuple[tuple[float], tuple[float]]:
-    """Angles of chi_m(y) chi_m(y0) = (1/d)[cos(m alpha) - cos(m beta)], as (+alpha, -beta)."""
-    return (np.pi * (y - y0) / _D,), (np.pi * (y + y0) / _D,)
-
-
-def _geometric_truncation(kd: float, ax: float, tol: float) -> tuple[int, float] | None:
-    """(M, bound) of plain truncation within tol at ax = |x-x0|; None on and near the axis.
-
-    Off-axis the subtracted modes decay geometrically, so M ~ ln(1/tol) d/(pi ax)
-    reaches any tolerance whenever it fits under the mode cap.
-    """
-    if ax <= 0.0:
-        return None
-    m_trunc = 64
-    while _geometric_mode_tail_bound(m_trunc, kd / _D, ax) > tol and m_trunc < _GEOMETRIC_MODE_CAP:
-        m_trunc *= 2
-    bound = _geometric_mode_tail_bound(m_trunc, kd / _D, ax)
-    return (m_trunc, bound) if bound <= tol else None
-
-
-def _kummer_plan(kd: float, ax: float, tol: float, y: float, y0: float) -> tuple[int, complex, float]:
-    """Truncation, analytic tail completion and error bound for the Kummer sum at one point.
-
-    The one truncation plan, shared by greens_kummer, greens_kummer_grid and
-    renorm_sum.  Plain geometric truncation wins whenever it fits; only
-    essentially-on-axis points (ax < ~4e-5 d, x = x0 and the coincident point
-    of G_r included) fall back to the algebraic m^-3 completion, whose
-    neglect of the residual x-dependence is charged to the bound.  Raises
-    TruncationLimit when the bound is not below tol under the mode cap.
-    """
-    geometric = _geometric_truncation(kd, ax, tol)
-    if geometric is not None:
-        return geometric[0], 0.0 + 0.0j, geometric[1]
-    plus, minus = _mode_angles(y, y0)
-    m_trunc = kummer_truncation(kd, tol, plus + minus)
-    completion, bound = mode_product_tail(kd, m_trunc, plus, minus)
-    # off the axis the completed tail assumed no x decay; the true tail is
-    # smaller by at most itself, so it is charged to the bound, and more
-    # modes shrink it
-    while ax > 0.0 and bound + abs(completion) >= tol and m_trunc < _KUMMER_MODE_CAP:
-        m_trunc *= 2
-        completion, bound = mode_product_tail(kd, m_trunc, plus, minus)
-    if ax > 0.0:
-        bound += abs(completion)
-    if not bound < tol:
-        raise TruncationLimit(f"Kummer series at |x - x0|={ax!r}, y={y!r}, y0={y0!r}, "
-                              f"kd={kd!r}: bound {bound:.3g} with {m_trunc} modes "
-                              f"misses tol={tol:g}")
-    return m_trunc, completion, bound
-
-
-def _geometric_mode_tail_bound(m_trunc: int, k: float, ax: float) -> float:
-    """Bound on the neglected spectral/kummer modes for ax = |x-x0| > 0."""
+def _geometric_mode_tail_bound(m_trunc, k, ax):
+    """Bound on the neglected spectral/kummer modes for ax = |x-x0| > 0, elementwise."""
     kappa_rate = np.pi * ax / _D
     m1 = m_trunc + 1
     # kappa_m >= 0.85 m pi / d once m exceeds ~1.9 kd/pi; be conservative below that
-    safe = m1 > 1.9 * k * _D / np.pi
-    rate = kappa_rate * (0.85 if safe else 0.5)
-    if rate * m1 > 700.0:
-        return 0.0
+    rate = kappa_rate * np.where(m1 > 1.9 * k * _D / np.pi, 0.85, 0.5)
     amp = (2.0 / _D) * (2.0 * _D / (m1 * np.pi))
-    return float(amp * np.exp(-rate * m1) / max(1.0 - np.exp(-rate), 1e-300))
+    tail = amp * np.exp(-rate * m1) / np.maximum(1.0 - np.exp(-rate), 1e-300)
+    return np.where(rate * m1 > 700.0, 0.0, tail)
+
+
+def _doubled(m_trunc, live, cap, done):
+    """Double each live M of m_trunc in place until done(M, i) holds at its index i or M reaches cap."""
+    i = np.flatnonzero(live & (m_trunc < cap))
+    while i.size:
+        i = i[~done(m_trunc[i], i)]
+        m_trunc[i] *= 2
+        i = i[m_trunc[i] < cap]
+    return m_trunc
+
+
+def _kummer_plan(kd, ax, tol: float, y, y0):
+    """Mode count M, analytic tail completion and error bound of the Kummer sum, elementwise.
+
+    The one code that picks a Kummer M, over broadcast kd, ax = |x - x0|, y and
+    y0.  Geometric truncation wins wherever it fits; essentially on-axis elements
+    (ax < ~4e-5 d, and r = r0 for G_r) take the m^-3 completion from the M of
+    _closed_form_bound.  Off the axis the completion ignores the x decay, so the
+    tail is smaller by at most the completion: that is charged to the bound, and
+    M doubles until it fits.  Raises TruncationLimit for the first element, in
+    row-major order, whose bound misses tol under the caps.
+    """
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (kd, ax, y, y0)))
+    kd, ax, y, y0 = (v.ravel() for v in args)
+    m_trunc = _doubled(np.full(kd.shape, 64), ax > 0.0, _GEOMETRIC_MODE_CAP,
+                       lambda m, i: _geometric_mode_tail_bound(m, kd[i] / _D, ax[i]) <= tol)
+    bound = np.where(ax > 0.0, _geometric_mode_tail_bound(m_trunc, kd / _D, ax), np.inf)
+    completion = np.zeros(kd.shape)
+    near = np.flatnonzero(~(bound <= tol))
+    if near.size:
+        kd_n, ax_n = kd[near], ax[near]
+        alpha, beta = _mode_angles(y[near], y0[near])
+
+        def charged_bound(m, i):
+            completion_i, bound_i = mode_product_tail(kd_n[i], m, alpha[i], beta[i])
+            return completion_i, np.where(ax_n[i] > 0.0, bound_i + np.abs(completion_i), bound_i)
+
+        m_n = _doubled(np.maximum(256, 4 * np.floor(kd_n / np.pi).astype(int)), True, _KUMMER_MODE_CAP,
+                       lambda m, i: _closed_form_bound(kd_n[i], m, alpha[i], beta[i]) < tol)
+        m_n = _doubled(m_n, ax_n > 0.0, _KUMMER_MODE_CAP, lambda m, i: charged_bound(m, i)[1] < tol)
+        completion_n, bound[near] = charged_bound(m_n, slice(None))
+        m_trunc[near], completion[near] = m_n, completion_n
+        bad = near[~(bound[near] < tol)]
+        if bad.size:
+            j = bad[0]
+            raise TruncationLimit(f"Kummer series at |x - x0|={ax[j].item()!r}, y={y[j].item()!r}, "
+                                  f"y0={y0[j].item()!r}, kd={kd[j].item()!r}: bound "
+                                  f"{bound[j]:.3g} with {m_trunc[j]} modes misses tol={tol:g}")
+    return tuple(v.reshape(args[0].shape) for v in (m_trunc, completion, bound))
 
 
 def _same_point(y, y0) -> bool:
@@ -476,13 +482,11 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     """Convergence-accelerated wire Green's function.
 
     G_w = sum_m chi_m(y) chi_m(y0) [exp(i k_x|x-x0|)/(i k_x) + (d/m pi) exp(-m pi |x-x0|/d)]
-          + greens_static(r, r0).
+          + greens_static(r, r0),
 
-    Off-axis the subtracted series is truncated geometrically; at and near
-    x = x0 it is truncated at m^-3 decay and completed with the analytic
-    tail of mode_product_tail.  The returned tail_bound is an honest bound
-    on everything dropped and below tol; very close to the source, where
-    the plan cannot meet tol, it raises TruncationLimit instead.
+    truncated and tail-completed by _kummer_plan.  The returned tail_bound
+    is an honest bound on everything dropped and below tol; very close to
+    the source, where the plan cannot meet tol, it raises TruncationLimit.
     """
     _check_strip(r, r0)
     kd = k * _D
@@ -492,18 +496,16 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
         raise CoincidentPoints("coincident points are routed to renorm_sum")
     ax, y, y0 = abs(dx), float(r[1]), float(r0[1])
     m_trunc, completion, bound = _kummer_plan(kd, ax, tol, y, y0)
-    value = complex(_kummer_value(channels(kd, m_trunc), ax, y, y0, completion))
-    return GreensValue(value, "kummer", m_trunc, float(bound))
+    value = complex(_kummer_value(channels(kd, int(m_trunc)), ax, y, y0, completion))
+    return GreensValue(value, "kummer", int(m_trunc), float(bound))
 
 
 def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
     """Vectorized greens_kummer over a rectangular grid (complex, shape (nx, ny)).
 
-    Every column follows greens_kummer's truncation plan.  A column the plan
-    truncates geometrically shares its mode factors across y, so it costs
-    one _mode_sum product instead of ny independent evaluations.  Near-axis
-    columns (x = x0 included) need each y's own completion and go through
-    greens_kummer point by point.  Exact coincidence with r0 yields NaN.
+    One truncation plan covers every grid point; the points of a column that share
+    a mode count (all of them, off the axis) cost one _kummer_value product.  Exact
+    coincidence with r0 yields NaN.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -512,15 +514,16 @@ def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
     kd = k * _D
     guard_mode_openings(kd)
     x0, y0 = float(r0[0]), float(r0[1])
-    out = np.empty((len(xs), len(ys)), dtype=complex)
-    for i, x in enumerate(xs):
-        ax = abs(x - x0)
-        geometric = _geometric_truncation(kd, ax, tol)
-        if geometric is not None:
-            out[i] = _mode_sum(channels(kd, geometric[0]), ax, ys, y0) + _static_form(ax, ys, y0)
-        else:
-            out[i] = [np.nan if ax == 0.0 and y == y0 else greens_kummer((x, y), r0, k, tol).value
-                      for y in ys]
+    ax = np.abs(xs - x0)
+    ax_grid, y_grid = np.broadcast_arrays(ax[:, None], ys)
+    live = (ax_grid != 0.0) | (y_grid != y0)
+    m_trunc, completion = np.zeros(live.shape, dtype=int), np.zeros(live.shape)
+    m_trunc[live], completion[live], _ = _kummer_plan(kd, ax_grid[live], tol, y_grid[live], y0)
+    out = np.full(live.shape, np.nan, dtype=complex)
+    for i, ax_i in enumerate(ax.tolist()):
+        for m in np.unique(m_trunc[i, live[i]]).tolist():
+            at = live[i] & (m_trunc[i] == m)
+            out[i, at] = _kummer_value(channels(kd, m), ax_i, ys[at], y0, completion[i, at])
     return out
 
 
@@ -649,7 +652,7 @@ def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc: int,
 
     At r = r0 this is the renormalization sum G_w - G_0.
     """
-    tail = mode_product_tail(kd, m_trunc, *_mode_angles(y, y0))[0] if completion else 0.0
+    tail = float(mode_product_tail(kd, m_trunc, *_mode_angles(y, y0))[0]) if completion else 0.0
     return complex(_kummer_value(channels(kd, m_trunc), ax, y, y0, tail))
 
 

@@ -200,8 +200,8 @@ def renorm_sum(k: float, y0: float, tol: float = 1e-12) -> RenormState:
 def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
     """G_r and Sigma over arrays of k and y0 that broadcast together; a RenormState of arrays.
 
-    G_r is the greens Kummer kernel at x = x0, y = y0 under the truncation
-    plan (_kummer_plan) of greens_kummer, one plan per element, so it raises
+    G_r is the greens Kummer kernel at x = x0, y = y0 under one call of
+    greens_kummer's truncation plan (_kummer_plan), so it raises
     TruncationLimit where the plan cannot meet tol (y0 very close to a wall);
     the first bad element, in order, raises.  Elements sharing the plan's
     mode count and the open-channel count are summed in row blocks of at
@@ -212,14 +212,10 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
         raise DomainError("y0 must lie strictly inside the wire")
     kd, yy = (k * _D).ravel(), y0.ravel()
     n_open = open_channel_count(kd)
-    terms = np.empty(kd.size, dtype=int)
-    completion, bound = np.empty(kd.size), np.empty(kd.size)
-    groups: dict[tuple[int, int], list[int]] = {}  # (mode count, open count) -> rows
-    for i, (kd_i, y_i, n_i) in enumerate(zip(kd.tolist(), yy.tolist(), n_open.tolist())):
-        terms[i], completion[i], bound[i] = _kummer_plan(kd_i, 0.0, tol, y_i, y_i)
-        groups.setdefault((int(terms[i]), n_i), []).append(i)
+    terms, completion, bound = _kummer_plan(kd, 0.0, tol, yy, yy)
     g_r, sigma = np.empty(kd.size, dtype=complex), np.empty(kd.size)
-    for (m_trunc, n), rows in groups.items():
+    for m_trunc, n in set(zip(terms.tolist(), n_open.tolist())):
+        rows = np.flatnonzero((terms == m_trunc) & (n_open == n))
         step = max(1, _BLOCK // m_trunc)
         for b in (rows[i:i + step] for i in range(0, len(rows), step)):
             ch, y_b = channels(kd[b], m_trunc), yy[b]

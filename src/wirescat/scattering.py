@@ -243,4 +243,4 @@ def sigma_from_greens(k: float, cfg: WireConfig,
         st = attach_strength(base, t_matrix(k, cfg.a).s)
     else:
         raise DomainError(f"unknown variant {variant!r}")
-    return float(abs(st.rs * (0.5 - st.g_r.imag)) ** 2)
+    return float(np.square(np.abs(st.rs * (0.5 - st.g_r.imag))))

@@ -223,7 +223,7 @@ def check_free_optical(fast: bool = False, perturb_s: float = 0.0):
     res = 0.0
     for a in (0.1, -0.1):
         s = renorm._strength(ka / abs(a), a) + perturb_s
-        res = max(res, float(np.max(np.abs(-2.0 * s.imag - np.abs(s) ** 2))))
+        res = max(res, float(np.max(renorm.TMatrix(ka / abs(a), a, s).optical_residual)))
     return [CheckResult.from_residual("renorm.free_optical_theorem", res, 1e-12,
                                       "perturbed detector run" if perturb_s else "")]
 

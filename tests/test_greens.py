@@ -3,6 +3,8 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirescat import greens
 from wirescat.errors import CoincidentPoints, DomainError, TruncationLimit
@@ -11,6 +13,7 @@ from wirescat.greens import (bragg_spectrum, convergence_benchmark, geometric_ta
                              greens_kummer, greens_kummer_grid, greens_semiclassical,
                              greens_spectral, greens_static, semiclassical_renorm_sum,
                              zeta_tail)
+from wirescat.renorm import renorm_sum
 from wirescat.specfun import hankel1
 from wirescat.waveguide import transverse_mode
 
@@ -146,16 +149,73 @@ def test_kummer_coincidence_routed_away():
 
 
 def test_grid_evaluator_matches_scalar():
-    xs = np.array([-0.4, 0.0, 0.015, 0.37])
-    ys = np.array([0.2, 0.29, 0.299, 0.3, 0.31, 0.61])
-    grid = greens_kummer_grid(xs, ys, R0, KD, tol=1e-12)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            if (x, y) == R0:
-                assert np.isnan(grid[i, j].real)
-            else:
-                ref = greens_kummer((x, y), R0, KD, tol=1e-12).value
-                assert abs(grid[i, j] - ref) <= 1e-10
+    for xs, ys in (([-0.4, 0.0, 0.015, 0.37], [0.2, 0.29, 0.299, 0.3, 0.31, 0.61]),
+                   # x = x0 +- 3e-5: the points of one column take 4096 to 32768 modes
+                   ([-3e-5, 3e-5], [0.2, 0.29, 0.31, 0.61])):
+        grid = greens_kummer_grid(xs, ys, R0, KD, tol=1e-12)
+        for i, x in enumerate(xs):
+            terms = set()
+            for j, y in enumerate(ys):
+                if (x, y) == R0:
+                    assert np.isnan(grid[i, j].real)
+                else:
+                    ref = greens_kummer((x, y), R0, KD, tol=1e-12)
+                    terms.add(ref.terms_used)
+                    assert abs(grid[i, j] - ref.value) <= 1e-10
+            if abs(x) == 3e-5:
+                assert len(terms) > 1
+
+
+# mode counts of the scalar plan that the elementwise one replaced: it must keep every one
+@pytest.mark.parametrize("k, y0, terms", [
+    # mode_product_tail's own bound passes at 256 modes here (4.1e-13 <
+    # 1e-12); the closed-form estimate decides, and it asks for 512
+    (np.pi / 2, 0.0345, 512),
+    (40.0, 0.5, 1024),
+    (7.3, 1e-4, 65536),
+])
+def test_renorm_mode_counts_are_frozen(k, y0, terms):
+    assert renorm_sum(k, y0).terms_used == terms
+
+
+@pytest.mark.parametrize("r, k, tol, terms", [
+    ((0.37, 0.61), KD, 1e-12, 64),
+    ((0.0, 0.61), KD, 1e-12, 256),
+    ((3e-5, 0.5), KD, 1e-12, 16384),
+    ((0.0025, 0.5), KD, 1e-12, 4096),
+    ((1e-3, 0.0), 40.0, 1e-10, 8192),
+])
+def test_kummer_mode_counts_are_frozen(r, k, tol, terms):
+    assert greens_kummer(r, R0, k, tol).terms_used == terms
+
+
+_near_opening = st.builds(lambda n, sign, eps: n * np.pi + sign * eps, st.integers(1, 30),
+                          st.sampled_from([-1.0, 1.0]), st.floats(1e-8, 1e-6))
+_plan_points = st.tuples(
+    st.one_of(_near_opening, st.floats(0.5, 100.0)),                                    # kd
+    st.one_of(st.just(0.0), st.floats(1e-5, 4e-5), st.floats(1e-3, 1.0)),               # ax
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),                        # y
+    st.one_of(st.floats(1e-6, 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-6), st.floats(0.01, 0.99)))  # y0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_plan_points, min_size=1, max_size=6), st.sampled_from([1e-12, 1e-10, 1e-8]))
+def test_plan_over_an_array_is_the_plan_of_each_element(points, tol):
+    lone = []
+    for kd, ax, y, y0 in points:
+        try:
+            lone.append(tuple(v.item() for v in greens._kummer_plan(kd, ax, tol, y, y0)))
+        except TruncationLimit as exc:
+            lone.append(str(exc))
+    failed = [p for p in lone if isinstance(p, str)]
+    kd, ax, y, y0 = np.array(points).T
+    if failed:
+        with pytest.raises(TruncationLimit) as info:
+            greens._kummer_plan(kd, ax, tol, y, y0)
+        assert str(info.value) == failed[0]
+    else:
+        m_trunc, completion, bound = greens._kummer_plan(kd, ax, tol, y, y0)
+        assert list(zip(m_trunc.tolist(), completion.tolist(), bound.tolist())) == lone
 
 
 # ---------------------------------------------------------------------------

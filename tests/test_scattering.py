@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wirescat.errors import DegenerateMode, DomainError, ModeOpeningSingularity
-from wirescat.renorm import renorm_state, t_matrix
+from wirescat.renorm import attach_strength, renorm_grid, renorm_state, t_matrix
 from wirescat.scattering import (conductance, cross_section, cross_section_mode,
                                  forward_amplitude, free_cross_section,
                                  optical_residual, phase_shift, s_matrix,
@@ -129,6 +129,15 @@ def test_sigma_from_greens_kummer_route():
         cross_section(KD, CFG), abs=1e-8)
     assert sigma_from_greens(KD, WireConfig(y0=0.3, a=0.0), "kummer") == 0.0
     assert sigma_from_greens(KD, WireConfig(y0=0.3, a=0.0), "semiclassical") == 0.0
+
+
+def test_sigma_from_greens_matches_its_grid_evaluation():
+    # at these kd C pow's x ** 2 of Python's abs differs in the last bit
+    # from np.square(np.abs(x)), which the grid arithmetic uses
+    kd = np.array([4.3494835724512555, 7.64073199010928, 8.207931263900685])
+    st = attach_strength(renorm_grid(kd, CFG.y0), np.array([t_matrix(k, CFG.a).s for k in kd]))
+    grid = np.square(np.abs(st.rs * (0.5 - st.g_r.imag)))
+    assert [sigma_from_greens(k, CFG, "kummer") for k in kd.tolist()] == grid.tolist()
 
 
 def test_sigma_from_greens_semiclassical_resonance_positions():
