@@ -20,11 +20,11 @@ kummer        spectral sum with the static series subtracted term by term and
               x = x0 and geometrically off-axis.  An analytic tail completion
               (mode_product_tail: Hurwitz-zeta + iterated Abel summation of
               the oscillatory part) brings the truncation error far below the
-              requested tolerance.  One kernel (_mode_sum) sums the series; one
-              elementwise plan (_kummer_plan) picks M, completion and bound for
-              all points of a call at once: a greens_kummer point, a whole
-              greens_kummer_grid, or a whole G_r grid (r = r0, the closed form
-              replaced by the coincidence constant).
+              requested tolerance.  One elementwise plan (_kummer_plan) picks
+              M, completion and bound for all points of a call; _kummer_sum
+              sums a grid of field points around one source once per distinct
+              M (greens_kummer is its 1 x 1 case), _kummer_coincident the G_r
+              rows at r = r0, one per (kd, y0).
 diffraction   difference of two period-2d grating Green's functions, the
               Poisson-resummed form of the image array.
 semiclassical image sum with each Hankel function replaced by its large-
@@ -68,9 +68,11 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606
 _D = 1.0
-_COSH_OVERFLOW = 700.0  # pi |x-x0| / d beyond which the static form is 0 to 1e-300
+_COSH_OVERFLOW = 700.0  # pi |x-x0| / d beyond which the static form is exactly 0
 _GEOMETRIC_MODE_CAP = 200000
 _KUMMER_MODE_CAP = 65536
+# elements of the largest (rows x modes) or (modes x points) temporary of a Kummer sum
+_BLOCK = 2 ** 12
 REPRESENTATIONS = ("free", "spectral", "image", "static", "kummer", "diffraction", "semiclassical")
 
 
@@ -153,13 +155,10 @@ def greens_static(r, r0) -> float:
     return float(_static_form(abs(dx), float(r[1]), float(r0[1])))
 
 
-def _static_form(ax: float, y, y0: float):
-    """greens_static at |x - x0| = ax for scalar or array y."""
-    y = np.asarray(y, dtype=float)
-    u = np.pi * ax / (2.0 * _D)
-    if u > _COSH_OVERFLOW / 2.0:
-        return np.zeros(y.shape)
-    sh2 = np.sinh(u) ** 2
+def _static_form(ax, y, y0: float):
+    """greens_static at |x - x0| = ax, elementwise over broadcast ax and y."""
+    # capped where sinh^2 swamps both sines, so that the quotient there is exactly 1
+    sh2 = np.sinh(np.minimum(np.pi * ax / (2.0 * _D), _COSH_OVERFLOW / 2.0)) ** 2
     num = np.sin(np.pi * (y - y0) / (2.0 * _D)) ** 2 + sh2
     den = np.sin(np.pi * (y + y0) / (2.0 * _D)) ** 2 + sh2
     return np.log(num / den) / (2.0 * np.pi)
@@ -439,43 +438,55 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     return tuple(v.reshape(args[0].shape) for v in (m_trunc, completion, bound))
 
 
-def _same_point(y, y0) -> bool:
-    """y = y0 for a scalar y, or the y0 array itself (the rows of a G_r grid)."""
-    return y is y0 or (np.ndim(y) == 0 and y == y0)
+def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
+    """G_w at the grid points (ax_i, y_j), ax = |x - x0|: completion + static form + the mode sum
+
+        sum_{m <= M} chi_m(y) chi_m(y0) [exp(i k_x ax)/(i k_x) + (d/m pi) exp(-m pi ax/d)]
+
+    to M = m_trunc[i, j] (0: left out, NaN).  Each distinct M costs one channels call
+    and one (columns x modes)(modes x ys) product over the columns and ys that hold
+    it, blocked over modes so that no temporary exceeds _BLOCK elements.
+    """
+    out = np.full(m_trunc.shape, np.nan, dtype=complex)
+    for m_max in sorted(set(m_trunc[m_trunc > 0].tolist())):
+        at = m_trunc == m_max
+        rows, cols = np.flatnonzero(at.any(axis=1)), np.flatnonzero(at.any(axis=0))
+        ax_r, kx = ax[rows], channels(kd, m_max).kx
+        total = np.zeros((rows.size, cols.size), dtype=complex)
+        step = max(1, _BLOCK // max(rows.size, cols.size))
+        for lo in range(0, m_max, step):
+            m, kx_b = np.arange(lo + 1, min(lo + step, m_max) + 1), kx[lo:lo + step]
+            wave = np.exp(1j * np.multiply.outer(ax_r, kx_b)) / (1j * kx_b)
+            static = (_D / (m * np.pi)) * np.exp(np.multiply.outer(ax_r, -m * np.pi / _D))
+            total += (transverse_mode(m, y0) * (wave + static)) @ transverse_mode(m, ys[cols])
+        out[at] = total[at[np.ix_(rows, cols)]]
+    with np.errstate(divide="ignore"):  # log 0 at r = r0, where out is NaN already
+        return out + completion + _static_form(ax[:, None], ys, y0)
 
 
-def _mode_sum(ch: ChannelSet, ax: float, y, y0):
-    """The Kummer-subtracted mode sum over the M modes of ch = channels(kd, M),
+def _kummer_coincident(ch: ChannelSet, y0, completion):
+    """G_r = G_w - G_0 at r = r0 for rows of (kd, y0), ch = channels of an array of kd.
 
-        sum_{m <= M} chi_m(y) chi_m(y0) [exp(i k_x ax)/(i k_x) + (d/m pi) exp(-m pi ax/d)],
-
-    for one kd and a scalar y, or an array of y through one (M) x (M, n_y)
-    product; or, at the coincident point y = y0 of G_r, for a leading axis of
-    kd (ch from an array of kd) and one y0 per kd, one dot product per row.
+    The mode sum is sum_{m <= M} chi_m(y0)^2 [1/(i k_x) + d/(m pi)], and the
+    coincidence constant replaces the static form.
     """
     m = np.arange(1, ch.kx.shape[-1] + 1)
     # rows of modes, contiguous so that each row's dot product sums like a lone one
     chi_y0 = np.ascontiguousarray(transverse_mode(m, y0).T)
-    # on the axis (G_r and x = x0 points) both exponentials are exactly 1
-    phase, decay = ((1.0, 1.0) if ax == 0.0
-                    else (np.exp(1j * ch.kx * ax), np.exp(-m * np.pi * ax / _D)))
-    coef = chi_y0 * (phase / (1j * ch.kx) + (_D / (m * np.pi)) * decay)
-    if _same_point(y, y0):
-        # the mode product is chi_m(y0)^2
-        return (coef[..., None, :] @ chi_y0[..., :, None])[..., 0, 0]
-    return coef @ transverse_mode(m, y)
+    coef = chi_y0 * (1.0 / (1j * ch.kx) + _D / (m * np.pi))
+    mode_sum = (coef[..., None, :] @ chi_y0[..., :, None])[..., 0, 0]
+    return mode_sum + completion + _coincidence_constant(ch.k, y0)
 
 
-def _kummer_value(ch: ChannelSet, ax: float, y, y0, completion):
-    """Mode sum + tail completion + closed form: G_w, or G_r = G_w - G_0 at r = r0.
+def _kummer_grid(kd: float, ax, ys, y0: float, tol: float):
+    """(G_w, mode counts, bounds) at the points (ax_i, y_j) from one plan and one _kummer_sum.
 
-    At r = r0 ch, y0 and completion may carry a leading kd axis.
-    """
-    if ax == 0.0 and _same_point(y, y0):
-        closed = _coincidence_constant(ch.k, y0)
-    else:
-        closed = _static_form(ax, y, y0)
-    return _mode_sum(ch, ax, y, y0) + completion + closed
+    r = r0 (ax = 0, y = y0) is left out: NaN, with mode count and bound 0."""
+    ax_grid, y_grid = np.broadcast_arrays(ax[:, None], ys)
+    live = (ax_grid != 0.0) | (y_grid != y0)
+    m_trunc, completion, bound = np.zeros(live.shape, dtype=int), np.zeros(live.shape), np.zeros(live.shape)
+    m_trunc[live], completion[live], bound[live] = _kummer_plan(kd, ax_grid[live], tol, y_grid[live], y0)
+    return _kummer_sum(kd, ax, ys, y0, m_trunc, completion), m_trunc, bound
 
 
 def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
@@ -484,47 +495,32 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     G_w = sum_m chi_m(y) chi_m(y0) [exp(i k_x|x-x0|)/(i k_x) + (d/m pi) exp(-m pi |x-x0|/d)]
           + greens_static(r, r0),
 
-    truncated and tail-completed by _kummer_plan.  The returned tail_bound
-    is an honest bound on everything dropped and below tol; very close to
-    the source, where the plan cannot meet tol, it raises TruncationLimit.
+    the 1 x 1 case of greens_kummer_grid.  The returned tail_bound is an honest
+    bound on everything dropped and below tol; very close to the source, where
+    the plan cannot meet tol, it raises TruncationLimit.
     """
     _check_strip(r, r0)
-    kd = k * _D
-    guard_mode_openings(kd)
+    guard_mode_openings(k * _D)
     dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("coincident points are routed to renorm_sum")
-    ax, y, y0 = abs(dx), float(r[1]), float(r0[1])
-    m_trunc, completion, bound = _kummer_plan(kd, ax, tol, y, y0)
-    value = complex(_kummer_value(channels(kd, int(m_trunc)), ax, y, y0, completion))
-    return GreensValue(value, "kummer", int(m_trunc), float(bound))
+    value, m_trunc, bound = _kummer_grid(k * _D, np.array([abs(dx)]), np.array([float(r[1])]),
+                                         float(r0[1]), tol)
+    return GreensValue(complex(value[0, 0]), "kummer", int(m_trunc[0, 0]), float(bound[0, 0]))
 
 
 def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
     """Vectorized greens_kummer over a rectangular grid (complex, shape (nx, ny)).
 
-    One truncation plan covers every grid point; the points of a column that share
-    a mode count (all of them, off the axis) cost one _kummer_value product.  Exact
-    coincidence with r0 yields NaN.
+    One truncation plan covers every grid point and each distinct mode count one
+    blocked product (_kummer_sum).  Exact coincidence with r0 yields NaN.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if np.any(ys < 0.0) or np.any(ys > _D):
         raise DomainError("grid extends outside the strip")
-    kd = k * _D
-    guard_mode_openings(kd)
-    x0, y0 = float(r0[0]), float(r0[1])
-    ax = np.abs(xs - x0)
-    ax_grid, y_grid = np.broadcast_arrays(ax[:, None], ys)
-    live = (ax_grid != 0.0) | (y_grid != y0)
-    m_trunc, completion = np.zeros(live.shape, dtype=int), np.zeros(live.shape)
-    m_trunc[live], completion[live], _ = _kummer_plan(kd, ax_grid[live], tol, y_grid[live], y0)
-    out = np.full(live.shape, np.nan, dtype=complex)
-    for i, ax_i in enumerate(ax.tolist()):
-        for m in np.unique(m_trunc[i, live[i]]).tolist():
-            at = live[i] & (m_trunc[i] == m)
-            out[i, at] = _kummer_value(channels(kd, m), ax_i, ys[at], y0, completion[i, at])
-    return out
+    guard_mode_openings(k * _D)
+    return _kummer_grid(k * _D, np.abs(xs - float(r0[0])), ys, float(r0[1]), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +536,11 @@ def _grating_sum(ax: float, eta: float, k: float, period: float, tol: float) -> 
         kappa = np.sqrt(max(kyq ** 2 - k ** 2, 0.0))
         tail = (4.0 / period) * np.exp(-kappa * ax) / max(kappa, 1e-300) / max(
             1.0 - np.exp(-2.0 * np.pi * ax / period), 1e-300)
-        if tail < tol or n_max > 200000:
+        if tail < tol:
             break
+        if n_max > _GEOMETRIC_MODE_CAP:
+            raise TruncationLimit(f"grating sum at |x - x0|={ax!r}: bound {tail:.3g} with "
+                                  f"{2 * n_max + 1} orders misses its share {tol:g} of tol")
         n_max *= 2
     n = np.arange(-n_max, n_max + 1)
     ky = 2.0 * np.pi * n / period
@@ -557,7 +556,8 @@ def greens_diffraction(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
 
     The positive images {y0 + 2nd} and negative images {-y0 + 2nd} are each
     a periodic array; their grating Green's functions combine to exactly the
-    spectral form.  Requires x != x0 for per-order decay.
+    spectral form.  Requires x != x0 for per-order decay; TruncationLimit where
+    the order cap misses tol (|x - x0| below ~3e-5 d).
     """
     _check_strip(r, r0)
     guard_mode_openings(k * _D)
@@ -653,7 +653,10 @@ def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc: int,
     At r = r0 this is the renormalization sum G_w - G_0.
     """
     tail = float(mode_product_tail(kd, m_trunc, *_mode_angles(y, y0))[0]) if completion else 0.0
-    return complex(_kummer_value(channels(kd, m_trunc), ax, y, y0, tail))
+    if ax == 0.0 and y == y0:
+        return complex(_kummer_coincident(channels(kd, m_trunc), y0, tail))
+    return complex(_kummer_sum(kd, np.array([ax]), np.array([y]), y0, np.array([[m_trunc]]),
+                               np.array([[tail]]))[0, 0])
 
 
 def convergence_benchmark(r, r0, k: float, representations=("spectral", "image", "kummer"),

@@ -39,8 +39,8 @@ import numpy as np
 from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
                      SingularSystem)
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
-from .greens import _kummer_plan, _kummer_value
-from .specfun import cylinder_bessel_j, cylinder_bessel_y, hankel1
+from .greens import _BLOCK, _kummer_coincident, _kummer_plan
+from .specfun import cylinder_bessel_j, hankel1
 from .waveguide import WireConfig, channels, open_channel_count, transverse_mode
 
 __all__ = [
@@ -60,8 +60,6 @@ __all__ = [
 
 _D = 1.0
 POLE_THRESHOLD = 1e-14
-# elements of the largest (rows x modes) temporary that renorm_grid builds
-_BLOCK = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,8 @@ def _strength(k, a):
 
     k and a broadcast against each other and the sign of the denominator
     phase is picked per element, so sweeps get s over a whole kd grid or a
-    whole a grid in one call per Bessel function.
+    whole a grid in one hankel1 call: J_0 is its real part, and its conjugate
+    is the a < 0 denominator J_0 - i Y_0.
     """
     k = np.asarray(k, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -158,11 +157,8 @@ def _strength(k, a):
         raise DomainError("k must be positive")
     if np.any(a == 0.0):
         raise DomainError("a must be nonzero; a transparent impurity has s = 0")
-    ka = k * np.abs(a)
-    j = cylinder_bessel_j(0, ka)
-    y = cylinder_bessel_y(0, ka)
-    denom = np.where(a > 0, j + 1j * y, j - 1j * y)
-    return -2j * j / denom
+    h = hankel1(0, k * np.abs(a))
+    return -2j * h.real / np.where(a > 0, h, np.conj(h))
 
 
 def t_matrix(k: float, a: float) -> TMatrix:
@@ -200,8 +196,8 @@ def renorm_sum(k: float, y0: float, tol: float = 1e-12) -> RenormState:
 def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
     """G_r and Sigma over arrays of k and y0 that broadcast together; a RenormState of arrays.
 
-    G_r is the greens Kummer kernel at x = x0, y = y0 under one call of
-    greens_kummer's truncation plan (_kummer_plan), so it raises
+    G_r is the greens Kummer kernel at r = r0 (_kummer_coincident) under one call
+    of greens_kummer's truncation plan (_kummer_plan), so it raises
     TruncationLimit where the plan cannot meet tol (y0 very close to a wall);
     the first bad element, in order, raises.  Elements sharing the plan's
     mode count and the open-channel count are summed in row blocks of at
@@ -219,7 +215,7 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
         step = max(1, _BLOCK // m_trunc)
         for b in (rows[i:i + step] for i in range(0, len(rows), step)):
             ch, y_b = channels(kd[b], m_trunc), yy[b]
-            g_r[b] = _kummer_value(ch, 0.0, y_b, y_b, completion[b])
+            g_r[b] = _kummer_coincident(ch, y_b, completion[b])
             # contiguous rows, so each row sums like one kd's open modes alone
             chi2 = np.ascontiguousarray(transverse_mode(np.arange(1, n + 1), y_b).T) ** 2
             sigma[b] = np.sum(chi2 / ch.kx[:, :n].real, axis=-1)

@@ -1,5 +1,7 @@
 """Green's function representations: examples, cross-route oracles, invariants."""
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -136,6 +138,14 @@ def test_diffraction_identity_with_spectral():
         greens_diffraction((0.0, 0.6), R0, KD)
 
 
+def test_diffraction_refuses_a_missed_tolerance():
+    # at |x - x0| = 1e-6 even the order cap leaves a tail bound of ~0.2: an
+    # error, not a value whose bound misses tol
+    with pytest.raises(TruncationLimit, match="grating sum"):
+        greens_diffraction((1e-6, 0.5), R0, KD, tol=1e-12)
+    assert greens_diffraction((0.05, 0.5), R0, KD, tol=1e-12).tail_bound < 1e-12
+
+
 def test_reciprocity():
     for f in (lambda p, q: greens_kummer(p, q, KD, 1e-12).value,
               lambda p, q: greens_spectral(p, q, KD, 4000).value,
@@ -164,6 +174,51 @@ def test_grid_evaluator_matches_scalar():
                     assert abs(grid[i, j] - ref.value) <= 1e-10
             if abs(x) == 3e-5:
                 assert len(terms) > 1
+
+
+def test_grid_memory_is_bounded():
+    # the columns at x = x0 +- 1e-4 take 131072 modes; the product is blocked
+    # over modes, where one (modes x ys) product per column traced ~130 MB
+    args = ((-1e-4, 0.0, 1e-4), np.linspace(0.0, 1.0, 41), (0.0, 0.5), 2.5 * np.pi, 1e-10)
+    greens_kummer_grid((0.3,), (0.2,), *args[2:])
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        grid = greens_kummer_grid(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert np.isnan(grid[1, 20]) and np.isfinite(np.delete(grid.ravel(), 61)).all()
+    assert peak < 16 * 2 ** 20, peak
+
+
+_grid_kd = st.floats(0.5, 40.0).filter(lambda kd: abs(kd - np.pi * round(kd / np.pi)) > 1e-6)
+_signed = st.sampled_from([-1.0, 1.0])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_grid_kd, st.floats(0.05, 0.95),
+       st.lists(st.tuples(st.floats(1e-5, 1e-3), _signed), min_size=1, max_size=2),
+       st.lists(st.tuples(st.floats(0.05, 1.5), _signed), min_size=1, max_size=2),
+       st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=2),
+       st.lists(st.tuples(st.floats(1e-4, 1e-3), _signed), min_size=1, max_size=2))
+def test_grid_value_is_the_value_of_its_lone_point(kd, y0, near_x0, far, ys, near_y0):
+    # points that share a mode count are summed together, whatever their column;
+    # on and near the axis a column mixes counts close to y0, and none of its
+    # points may see another point's modes, completion or static form
+    xs = [0.0] + [sign * ax for ax, sign in near_x0 + far]
+    ys = ys + [y0 + sign * dy for dy, sign in near_y0] + [y0]
+    grid = greens_kummer_grid(xs, ys, (0.0, y0), kd, tol=1e-8)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            lone = greens_kummer_grid([x], [y], (0.0, y0), kd, tol=1e-8)[0, 0]
+            if x == 0.0 and y == y0:
+                assert np.isnan(grid[i, j]) and np.isnan(lone)
+            else:
+                assert abs(grid[i, j] - lone) <= 1e-14 * max(1.0, abs(lone)), (x, y)
 
 
 # mode counts of the scalar plan that the elementwise one replaced: it must keep every one
