@@ -13,7 +13,8 @@ from wirescat.renorm import (FoldyProblem, _strength, attach_strength, effective
                              renorm_grid, renorm_state, renorm_sum, t_matrix)
 from wirescat.scattering import _state_s_matrix
 from wirescat.specfun import SWITCHOVER, cylinder_bessel_j
-from wirescat.waveguide import WireConfig, channels, mode_opening_gaps, transverse_mode
+from wirescat.waveguide import (WireConfig, channels, image_positions, mode_opening_gaps,
+                                transverse_mode)
 
 J0_ROOT_1 = 2.404825557695773
 KD = 2.5 * np.pi
@@ -327,3 +328,16 @@ def test_foldy_rejects_duplicate_positions():
     pos = np.array([[0.0, 0.3], [0.0, 0.3]])
     with pytest.raises(DomainError):
         FoldyProblem(pos, 1.0 + 0.0j, np.array([1.0, 1.0], dtype=complex))
+
+
+def test_foldy_image_array_reproduces_renormalization():
+    cfg = WireConfig(y0=Y0, a=0.1)
+    half = 1000
+    imgs = image_positions(cfg, -half, half)
+    s = t_matrix(KD, 0.1).s
+    phi = imgs.signs.astype(complex)
+    psi = foldy_solve(FoldyProblem(imgs.positions, s, phi), KD)
+    target = 1.0 / (1.0 - s * renorm_sum(KD, Y0).g_r)
+    assert abs(psi[half] - target) / abs(target) <= 1e-2
+    for j in (-2, -1, 1, 2, 5):
+        assert abs(psi[half + j] - (-1.0) ** j * psi[half]) <= 2e-2 * abs(psi[half])
