@@ -438,28 +438,36 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     return tuple(v.reshape(args[0].shape) for v in (m_trunc, completion, bound))
 
 
+def _mode_product(kd: float, m_max: int, ax, ys, y0: float):
+    """sum_{m <= m_max} chi_m(y_j) chi_m(y0) [exp(i k_x ax_i)/(i k_x) + (d/m pi) exp(-m pi ax_i/d)]
+    with one channels call, blocked over modes: the (ax x modes) and (modes x ys) temporaries of
+    a block stay within _BLOCK elements while len(ax) and len(ys) do."""
+    kx = channels(kd, m_max).kx
+    step = max(1, _BLOCK // max(ax.size, ys.size))
+    total = 0.0
+    for lo in range(0, m_max, step):
+        m, kx_b = np.arange(lo + 1, min(lo + step, m_max) + 1), kx[lo:lo + step]
+        if ax.any():
+            phase = np.exp(1j * np.multiply.outer(ax, kx_b))
+            decay = np.exp(np.multiply.outer(ax, -m * np.pi / _D))
+        else:  # on the axis both exponentials are exactly 1
+            phase = decay = np.ones((ax.size, 1))
+        coef = transverse_mode(m, y0) * (phase / (1j * kx_b) + (_D / (m * np.pi)) * decay)
+        total = total + coef @ transverse_mode(m, ys)
+    return total
+
+
 def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
-    """G_w at the grid points (ax_i, y_j), ax = |x - x0|: completion + static form + the mode sum
-
-        sum_{m <= M} chi_m(y) chi_m(y0) [exp(i k_x ax)/(i k_x) + (d/m pi) exp(-m pi ax/d)]
-
-    to M = m_trunc[i, j] (0: left out, NaN).  Each distinct M costs one channels call
-    and one (columns x modes)(modes x ys) product over the columns and ys that hold
-    it, blocked over modes so that no temporary exceeds _BLOCK elements.
-    """
+    """G_w at the points (ax_i, y_j), ax = |x - x0|: completion + static form + one _mode_product
+    per distinct M = m_trunc[i, j] over the rows and columns holding it (M = 0: r = r0, NaN)."""
+    counts = set(m_trunc.ravel().tolist())
+    if len(counts) == 1 and 0 not in counts:  # one M everywhere, as at every lone point
+        return _mode_product(kd, counts.pop(), ax, ys, y0) + completion + _static_form(ax[:, None], ys, y0)
     out = np.full(m_trunc.shape, np.nan, dtype=complex)
-    for m_max in sorted(set(m_trunc[m_trunc > 0].tolist())):
+    for m_max in sorted(counts - {0}):
         at = m_trunc == m_max
         rows, cols = np.flatnonzero(at.any(axis=1)), np.flatnonzero(at.any(axis=0))
-        ax_r, kx = ax[rows], channels(kd, m_max).kx
-        total = np.zeros((rows.size, cols.size), dtype=complex)
-        step = max(1, _BLOCK // max(rows.size, cols.size))
-        for lo in range(0, m_max, step):
-            m, kx_b = np.arange(lo + 1, min(lo + step, m_max) + 1), kx[lo:lo + step]
-            wave = np.exp(1j * np.multiply.outer(ax_r, kx_b)) / (1j * kx_b)
-            static = (_D / (m * np.pi)) * np.exp(np.multiply.outer(ax_r, -m * np.pi / _D))
-            total += (transverse_mode(m, y0) * (wave + static)) @ transverse_mode(m, ys[cols])
-        out[at] = total[at[np.ix_(rows, cols)]]
+        out[at] = _mode_product(kd, m_max, ax[rows], ys[cols], y0)[at[np.ix_(rows, cols)]]
     with np.errstate(divide="ignore"):  # log 0 at r = r0, where out is NaN already
         return out + completion + _static_form(ax[:, None], ys, y0)
 
@@ -482,10 +490,10 @@ def _kummer_grid(kd: float, ax, ys, y0: float, tol: float):
     """(G_w, mode counts, bounds) at the points (ax_i, y_j) from one plan and one _kummer_sum.
 
     r = r0 (ax = 0, y = y0) is left out: NaN, with mode count and bound 0."""
-    ax_grid, y_grid = np.broadcast_arrays(ax[:, None], ys)
-    live = (ax_grid != 0.0) | (y_grid != y0)
-    m_trunc, completion, bound = np.zeros(live.shape, dtype=int), np.zeros(live.shape), np.zeros(live.shape)
-    m_trunc[live], completion[live], bound[live] = _kummer_plan(kd, ax_grid[live], tol, y_grid[live], y0)
+    at_r0 = (ax == 0.0)[:, None] & (ys == y0)
+    # r0 is planned as a point one width away (a cheap geometric plan), then dropped
+    m_trunc, completion, bound = _kummer_plan(kd, np.where(at_r0, _D, ax[:, None]), tol, ys, y0)
+    m_trunc[at_r0] = bound[at_r0] = 0
     return _kummer_sum(kd, ax, ys, y0, m_trunc, completion), m_trunc, bound
 
 
@@ -655,8 +663,7 @@ def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc: int,
     tail = float(mode_product_tail(kd, m_trunc, *_mode_angles(y, y0))[0]) if completion else 0.0
     if ax == 0.0 and y == y0:
         return complex(_kummer_coincident(channels(kd, m_trunc), y0, tail))
-    return complex(_kummer_sum(kd, np.array([ax]), np.array([y]), y0, np.array([[m_trunc]]),
-                               np.array([[tail]]))[0, 0])
+    return complex(_kummer_sum(kd, np.array([ax]), np.array([y]), y0, np.full((1, 1), m_trunc), tail)[0, 0])
 
 
 def convergence_benchmark(r, r0, k: float, representations=("spectral", "image", "kummer"),

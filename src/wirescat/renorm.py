@@ -40,7 +40,7 @@ from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
                      SingularSystem)
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
 from .greens import _BLOCK, _kummer_coincident, _kummer_plan
-from .specfun import cylinder_bessel_j, hankel1
+from .specfun import cylinder_bessel_j, cylinder_bessel_y, hankel1
 from .waveguide import WireConfig, channels, open_channel_count, transverse_mode
 
 __all__ = [
@@ -148,8 +148,7 @@ def _strength(k, a):
 
     k and a broadcast against each other and the sign of the denominator
     phase is picked per element, so sweeps get s over a whole kd grid or a
-    whole a grid in one hankel1 call: J_0 is its real part, and its conjugate
-    is the a < 0 denominator J_0 - i Y_0.
+    whole a grid in one call per Bessel function.
     """
     k = np.asarray(k, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -157,8 +156,11 @@ def _strength(k, a):
         raise DomainError("k must be positive")
     if np.any(a == 0.0):
         raise DomainError("a must be nonzero; a transparent impurity has s = 0")
-    h = hankel1(0, k * np.abs(a))
-    return -2j * h.real / np.where(a > 0, h, np.conj(h))
+    ka = k * np.abs(a)
+    j = cylinder_bessel_j(0, ka)
+    y = cylinder_bessel_y(0, ka)
+    denom = np.where(a > 0, j + 1j * y, j - 1j * y)
+    return -2j * j / denom
 
 
 def t_matrix(k: float, a: float) -> TMatrix:

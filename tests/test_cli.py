@@ -336,30 +336,35 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["sweep-k", "--y0", "1.4", "--out", str(tmp_path / "x.csv")]) == 2  # bad y0
 
 
-def _count_grid_and_hankel_calls(monkeypatch):
-    """Spy on renorm_grid (rows per call) and on the H0 calls of the strength (ndim per call)."""
+def _count_grid_and_bessel_calls(monkeypatch):
+    """Spy on renorm_grid (rows per call) and on the J0/Y0 calls of the strength (ndim per call)."""
     from wirescat import renorm
-    calls = {"grid": [], "h": []}
-    orig_grid, orig_h = renorm.renorm_grid, renorm.hankel1
+    calls = {"grid": [], "j": [], "y": []}
+    orig_grid, orig_j, orig_y = renorm.renorm_grid, renorm.cylinder_bessel_j, renorm.cylinder_bessel_y
 
     def count_grid(k, y0, tol=1e-12):
         calls["grid"].append(np.broadcast(k, y0).size)
         return orig_grid(k, y0, tol)
 
-    def count_h(n, x):
-        calls["h"].append(np.ndim(x))
-        return orig_h(n, x)
+    def count_j(n, x):
+        calls["j"].append(np.ndim(x))
+        return orig_j(n, x)
+
+    def count_y(n, x):
+        calls["y"].append(np.ndim(x))
+        return orig_y(n, x)
 
     monkeypatch.setattr(renorm, "renorm_grid", count_grid)
-    monkeypatch.setattr(renorm, "hankel1", count_h)
+    monkeypatch.setattr(renorm, "cylinder_bessel_j", count_j)
+    monkeypatch.setattr(renorm, "cylinder_bessel_y", count_y)
     return calls
 
 
 def test_sweep_k_evaluates_each_row_state_once(tmp_path, monkeypatch):
     # criterion 15's cost was per-row state building and s(k) from one scalar
     # Bessel pair per row; the sweep now takes every non-gap row from one
-    # state grid and s from one array H0 call
-    calls = _count_grid_and_hankel_calls(monkeypatch)
+    # state grid and s from one array J0 and one array Y0 call
+    calls = _count_grid_and_bessel_calls(monkeypatch)
     out = tmp_path / "count.csv"
     points = 41  # the grid steps by pi/20 and so lands on pi, 2 pi and 3 pi
     assert main(["sweep-k", "--y0", "0.3", "--a", "0.1", "--kd-min", str(np.pi),
@@ -368,7 +373,7 @@ def test_sweep_k_evaluates_each_row_state_once(tmp_path, monkeypatch):
     n_gap = sum(row[cols.index("gap")] == "1" for row in rows)
     assert n_gap == 3
     assert calls["grid"] == [points - n_gap]
-    assert calls["h"] == [1]
+    assert calls["j"] == [1] and calls["y"] == [1]
 
 
 @pytest.mark.parametrize("a", [0.1, -0.1, 0.0])
@@ -400,15 +405,15 @@ def test_sweep_k_rows_match_scalar_api(tmp_path, a):
 
 def test_sweep_geom_evaluates_each_factor_once(tmp_path, monkeypatch):
     # G_r depends on y0 alone and s on a alone: one state grid over the y0
-    # and one array H0 call over the nonzero a, not one of each per row
-    calls = _count_grid_and_hankel_calls(monkeypatch)
+    # and one array J0/Y0 pair over the nonzero a, not one of each per row
+    calls = _count_grid_and_bessel_calls(monkeypatch)
     out = tmp_path / "count.csv"
     for kd, grids in ((12.5 * np.pi, [7]), (2.0, [])):  # no G_r below kd = pi
-        calls.update(grid=[], h=[])
+        calls.update(grid=[], j=[], y=[])
         assert main(["sweep-geom", "--kd", str(kd), "--a-points", "11", "--y0-points", "7",
                      "--out", str(out)]) == 0
         assert calls["grid"] == grids
-        assert calls["h"] == [1]
+        assert calls["j"] == [1] and calls["y"] == [1]
 
 
 @pytest.mark.parametrize("kd", [7.3, 2.0])

@@ -176,6 +176,29 @@ def test_grid_evaluator_matches_scalar():
                 assert len(terms) > 1
 
 
+def _on_axis_mode_sum(kd, y, y0, m_max=2 ** 19, block=2 ** 16):
+    """G_w(x0, y; x0, y0) with d = 1 from its own formulas: the Kummer-subtracted
+    terms chi_m(y) chi_m(y0) [1/(i k_x) + 1/(m pi)], whose remainder past m_max is
+    O(kd^2 / m_max^2), plus the on-axis static form in mpmath."""
+    total = 0j
+    for lo in range(1, m_max + 1, block):
+        m = np.arange(lo, lo + block, dtype=float)
+        kx = np.sqrt((kd ** 2 - (m * np.pi) ** 2).astype(complex))
+        total += np.sum(2.0 * np.sin(m * np.pi * y) * np.sin(m * np.pi * y0)
+                        * (1.0 / (1j * kx) + 1.0 / (m * np.pi)))
+    static = mp.log(mp.sin(mp.pi * (y - y0) / 2) ** 2 / mp.sin(mp.pi * (y + y0) / 2) ** 2) / (2 * mp.pi)
+    return total + float(static)
+
+
+def test_grid_on_axis_column_matches_an_independent_mode_sum():
+    # the x = x0 column mixes 256 to 32768 modes, and shares them with an off-axis column
+    ys = [0.0, 0.29, 0.299, 0.31, 0.61]
+    grid = greens_kummer_grid([0.0, 0.37], ys, R0, KD, tol=1e-12)
+    assert len({greens_kummer((0.0, y), R0, KD, tol=1e-12).terms_used for y in ys}) > 2
+    for j, y in enumerate(ys):
+        assert abs(grid[0, j] - _on_axis_mode_sum(KD, y, R0[1])) <= 1e-12, y
+
+
 def test_grid_memory_is_bounded():
     # the columns at x = x0 +- 1e-4 take 131072 modes; the product is blocked
     # over modes, where one (modes x ys) product per column traced ~130 MB
