@@ -71,7 +71,7 @@ _D = 1.0
 _COSH_OVERFLOW = 700.0  # pi |x-x0| / d beyond which the static form is exactly 0
 _GEOMETRIC_MODE_CAP = 200000
 _KUMMER_MODE_CAP = 65536
-# elements of the largest (rows x modes) or (modes x points) temporary of a Kummer sum
+# elements in a (rows x modes) or (modes x points) block of a Kummer sum
 _BLOCK = 2 ** 12
 REPRESENTATIONS = ("free", "spectral", "image", "static", "kummer", "diffraction", "semiclassical")
 
