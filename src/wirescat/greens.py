@@ -43,7 +43,7 @@ from operator import mul
 import numpy as np
 
 from .errors import CoincidentPoints, DomainError, TruncationLimit
-from .specfun import hankel1
+from .specfun import cylinder_bessel_j, hankel1
 from .waveguide import (ChannelSet, _branch_kx, _image_heights, channels,
                         guard_mode_openings, transverse_mode)
 
@@ -228,7 +228,7 @@ def image_sum_positive(r, r0, k: float, n_images: int) -> float:
     _, rho = _image_distances(r, r0, n_images)
     if np.any(rho == 0.0):
         raise CoincidentPoints("field point coincides with an image point")
-    t = hankel1(0, k * rho).real
+    t = cylinder_bessel_j(0, k * rho)
     i0 = n_images
     return float(t[i0] + _paired(t[i0 + 1:]) + _paired(t[:i0][::-1]))
 

@@ -184,7 +184,8 @@ def hard_disk_boundary_check(k: float, a: float) -> float:
         raise DomainError("boundary check is defined for a > 0")
     tm = t_matrix(k, a)
     ka = k * a
-    psi = cylinder_bessel_j(0, ka) + tm.s * (-0.5j) * hankel1(0, ka)
+    h = hankel1(0, ka)
+    psi = h.real + tm.s * (-0.5j) * h
     return float(np.abs(psi))
 
 

@@ -192,10 +192,9 @@ def phase_shift(k: float, cfg: WireConfig, tol: float = 1e-12) -> PhaseShift:
     optical constraint pins it to the unit circle, and
     sigma = (1/4)|1 - e^{2 i delta_0}|^2 = sin^2(delta_0).
     """
-    st = renorm_state(k, cfg, tol)
-    if int(np.floor(k * _D / np.pi)) < 1:
+    if open_channel_count(k * _D) < 1:
         raise DomainError("phase shift needs at least one open channel")
-    return PhaseShift.from_state(st)
+    return PhaseShift.from_state(renorm_state(k, cfg, tol))
 
 
 def sigma_edge_asymptote(n_mode: int, eps: float, y0: float) -> float:

@@ -6,11 +6,20 @@ budget is set one to two orders below the tightest downstream tolerance.
 
 Evaluation strategy
 -------------------
-* ``x < 15``: ascending power series, accumulated in ``numpy.longdouble``
+Each branch has one kernel that yields J_n and Y_n together, and one
+dispatch at ``SWITCHOVER`` serves ``cylinder_bessel_j``, ``cylinder_bessel_y``
+and ``hankel1`` (= J + iY of the same values).
+
+* ``x < 15``: one loop over the ascending-series terms
+  t_m = (-1)^m (x/2)^(2m+n) / (m!(m+n)!) accumulates J_n = sum t_m and
+  S_n = sum (H_m + H_{m+n}) t_m (H_m the harmonic numbers), from which
+  A&S 9.1.11 gives Y_n = (2/pi)[(ln(x/2) + gamma) J_n - S_n/2], less
+  2/(pi x) for n = 1.  The sums are accumulated in ``numpy.longdouble``
   (80-bit on x86) because the alternating series loses ~6 decimal digits to
   cancellation near the switchover; the extended accumulator keeps the final
-  double result at full precision.
-* ``x >= 15``: Hankel asymptotic expansion
+  double result at full precision.  A call for J alone skips S_n.
+* ``x >= 15``: Hankel asymptotic expansion, one P/Q evaluation and one phase
+  for both functions,
 
       J_n(x) = sqrt(2/(pi x)) [P_n(x) cos(c) - Q_n(x) sin(c)],
       Y_n(x) = sqrt(2/(pi x)) [P_n(x) sin(c) + Q_n(x) cos(c)],
@@ -50,61 +59,41 @@ _MAX_SERIES_TERMS = 120
 _ASYM_TERMS = 22
 
 
-def _series_j(n: int, x: np.ndarray) -> np.ndarray:
-    """Ascending series for J_n, longdouble accumulation, x < ~16."""
+def _series(n: int, x: np.ndarray, want_y: bool):
+    """J_n and, if ``want_y``, Y_n (n <= 1) from one loop over the series terms t_m.
+
+    J_n and S_n (see the module docstring) each stop at their own convergence;
+    Y_n takes J_n rounded to double.
+    """
     x = x.astype(_LD)
     q = x * x / 4
     t = (x / 2) ** n
     for j in range(1, n + 1):
         t = t / j
-    s = t.copy()
+    jn = t.copy()
+    h_m, h_mn = _LD(0), _LD(n)   # H_0 and H_n, n <= 1 when Y is wanted
+    s = (h_m + h_mn) * t
+    j_done, y_done = False, not want_y
     for m in range(1, _MAX_SERIES_TERMS):
         t = -t * q / (m * (m + n))
-        s += t
-        if np.all(np.abs(t) <= _SERIES_EPS * np.abs(s)):
+        if not j_done:
+            jn += t
+            j_done = np.all(np.abs(t) <= _SERIES_EPS * np.abs(jn))
+        if not y_done:
+            h_m = h_m + _LD(1) / m
+            h_mn = h_mn + _LD(1) / (m + n)
+            term = (h_m + h_mn) * t
+            s += term
+            y_done = np.all(np.abs(term) <= _SERIES_EPS * np.abs(s))
+        if j_done and y_done:
             break
-    return s.astype(float)
-
-
-def _series_y0(x: np.ndarray) -> np.ndarray:
-    x = x.astype(_LD)
-    q = x * x / 4
-    j0 = _series_j(0, x.astype(float)).astype(_LD)
-    t = np.ones_like(x)          # q^k / (k!)^2
-    harmonic = _LD(0)
-    s = np.zeros_like(x)
-    for m in range(1, _MAX_SERIES_TERMS):
-        t = t * q / (m * m)
-        harmonic = harmonic + _LD(1) / m
-        term = harmonic * t if m % 2 else -harmonic * t
-        s += term
-        if np.all(np.abs(term) <= _SERIES_EPS * (np.abs(s) + _LD(1e-300))):
-            break
-    out = (2 / _PI_LD) * ((np.log(x / 2) + _EULER_LD) * j0 + s)
-    return out.astype(float)
-
-
-def _series_y1(x: np.ndarray) -> np.ndarray:
-    x = x.astype(_LD)
-    q = x * x / 4
-    j1 = _series_j(1, x.astype(float)).astype(_LD)
-    t = np.ones_like(x)          # q^k / (k!(k+1)!)
-    h_k = _LD(0)
-    h_k1 = _LD(1)
-    s = (h_k + h_k1) * t
-    sign = -1
-    for m in range(1, _MAX_SERIES_TERMS):
-        t = t * q / (m * (m + 1))
-        h_k = h_k + _LD(1) / m
-        h_k1 = h_k1 + _LD(1) / (m + 1)
-        term = sign * (h_k + h_k1) * t
-        s += term
-        sign = -sign
-        if np.all(np.abs(term) <= _SERIES_EPS * (np.abs(s) + _LD(1e-300))):
-            break
-    out = ((2 / _PI_LD) * (np.log(x / 2) + _EULER_LD) * j1
-           - 2 / (_PI_LD * x) - (x / (2 * _PI_LD)) * s)
-    return out.astype(float)
+    j_out = jn.astype(float)
+    if not want_y:
+        return j_out, None
+    y = (2 / _PI_LD) * ((np.log(x / 2) + _EULER_LD) * j_out.astype(_LD) - s / 2)
+    if n == 1:
+        y = y - 2 / (_PI_LD * x)
+    return j_out, y.astype(float)
 
 
 def _asym_pq(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,25 +111,19 @@ def _asym_pq(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _asym_phase(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(c), sin(c) with c = x - (2n+1)pi/4 reduced in longdouble."""
+def _asym(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_n, Y_n from one P/Q evaluation and the phase c = x - (2n+1)pi/4 reduced in longdouble."""
+    p, q = _asym_pq(n, x)
     c = x.astype(_LD) - (2 * n + 1) * _PI_LD / 4
-    return np.cos(c).astype(float), np.sin(c).astype(float)
+    cc, ss = np.cos(c).astype(float), np.sin(c).astype(float)
+    amp = np.sqrt(2.0 / (np.pi * x))
+    return amp * (p * cc - q * ss), amp * (p * ss + q * cc)
 
 
-def _asym_j(n: int, x: np.ndarray) -> np.ndarray:
-    p, q = _asym_pq(n, x)
-    cc, ss = _asym_phase(n, x)
-    return np.sqrt(2.0 / (np.pi * x)) * (p * cc - q * ss)
-
-
-def _asym_y(n: int, x: np.ndarray) -> np.ndarray:
-    p, q = _asym_pq(n, x)
-    cc, ss = _asym_phase(n, x)
-    return np.sqrt(2.0 / (np.pi * x)) * (p * ss + q * cc)
-
-
-def _asarray_checked(x, positive: bool) -> tuple[np.ndarray, bool]:
+def _checked(n, top: int, x, positive: bool) -> tuple[np.ndarray, bool]:
+    """x as a 1-d float array and whether it was a scalar, once n is an order in 0..top."""
+    if not isinstance(n, (int, np.integer)) or not 0 <= n <= top:
+        raise DomainError(f"order must be an integer in 0..{top}, got {n!r}")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -154,15 +137,18 @@ def _asarray_checked(x, positive: bool) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
-def _dispatch(x: np.ndarray, lo_fn, hi_fn) -> np.ndarray:
-    out = np.empty_like(x)
+def _bessel_jy(n: int, x: np.ndarray, want_y: bool):
+    """J_n(x) and, if ``want_y``, Y_n(x): the series below SWITCHOVER, the expansion above."""
+    j, y = np.empty_like(x), np.empty_like(x)
     lo = x < SWITCHOVER
     if lo.any():
-        out[lo] = lo_fn(x[lo])
+        j[lo], y_lo = _series(n, x[lo], want_y)
+        if want_y:
+            y[lo] = y_lo
     hi = ~lo
     if hi.any():
-        out[hi] = hi_fn(x[hi])
-    return out
+        j[hi], y[hi] = _asym(n, x[hi])
+    return j, (y if want_y else None)
 
 
 def cylinder_bessel_j(n: int, x):
@@ -170,45 +156,21 @@ def cylinder_bessel_j(n: int, x):
 
     Accepts a scalar or array; returns the matching shape.
     """
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= 3:
-        raise DomainError(f"order must be an integer in 0..3, got {n!r}")
-    arr, scalar = _asarray_checked(x, positive=False)
-    out = _dispatch(arr, lambda z: _series_j(n, z), lambda z: _asym_j(n, z))
+    arr, scalar = _checked(n, 3, x, positive=False)
+    out, _ = _bessel_jy(n, arr, want_y=False)
     return float(out[0]) if scalar else out
 
 
 def cylinder_bessel_y(n: int, x):
     """Neumann function Y_n(x) for n in 0..1 and real x > 0."""
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= 1:
-        raise DomainError(f"order must be an integer in 0..1, got {n!r}")
-    arr, scalar = _asarray_checked(x, positive=True)
-    lo_fn = _series_y0 if n == 0 else _series_y1
-    out = _dispatch(arr, lo_fn, lambda z: _asym_y(n, z))
+    arr, scalar = _checked(n, 1, x, positive=True)
+    _, out = _bessel_jy(n, arr, want_y=True)
     return float(out[0]) if scalar else out
 
 
 def hankel1(n: int, x):
-    """Outgoing Hankel function H_n^(1)(x) = J_n(x) + i Y_n(x), n in 0..1, x > 0.
-
-    For x >= 15 the two components share one P/Q evaluation via
-    H_n ~ sqrt(2/(pi x)) (P + iQ) exp(i c), halving the cost on the large
-    image-sum workloads.
-    """
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= 1:
-        raise DomainError(f"order must be an integer in 0..1, got {n!r}")
-    arr, scalar = _asarray_checked(x, positive=True)
-    out = np.empty(arr.shape, dtype=complex)
-    lo = arr < SWITCHOVER
-    if lo.any():
-        xs = arr[lo]
-        ys = _series_y0(xs) if n == 0 else _series_y1(xs)
-        out[lo] = _series_j(n, xs) + 1j * ys
-    hi = ~lo
-    if hi.any():
-        xh = arr[hi]
-        p, q = _asym_pq(n, xh)
-        cc, ss = _asym_phase(n, xh)
-        amp = np.sqrt(2.0 / (np.pi * xh))
-        # assembled exactly as the real J/Y branches so Im hankel1 == Y bitwise
-        out[hi] = amp * (p * cc - q * ss) + 1j * (amp * (p * ss + q * cc))
+    """Outgoing Hankel function H_n^(1)(x) = J_n(x) + i Y_n(x), n in 0..1, x > 0."""
+    arr, scalar = _checked(n, 1, x, positive=True)
+    j, y = _bessel_jy(n, arr, want_y=True)
+    out = j + 1j * y
     return complex(out[0]) if scalar else out

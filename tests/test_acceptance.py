@@ -15,7 +15,7 @@ from wirescat import greens, mirror, renorm, scattering
 from wirescat.cli import main as cli_main
 from wirescat.renorm import EULER_GAMMA
 from wirescat.validate import STANDARD_A, STANDARD_Y0, check_smatrix_grid
-from wirescat.waveguide import WireConfig, image_positions
+from wirescat.waveguide import WireConfig
 
 GRID = f"standard kd grid x {len(STANDARD_Y0)} y0 x {len(STANDARD_A)} a"
 
@@ -138,12 +138,9 @@ def test_criterion_10_edge_asymptotes():
            f"worst relative deviation {worst:.3e}")
 
 
-def test_criterion_11_foldy_consistency():
-    kd, y0, a = 2.5 * np.pi, 0.3, 0.1
-    imgs = image_positions(WireConfig(y0=y0, a=a), -1000, 1000)
-    s = renorm.t_matrix(kd, a).s
-    psi = renorm.foldy_solve(
-        renorm.FoldyProblem(imgs.positions, s, imgs.signs.astype(complex)), kd)
+def test_criterion_11_foldy_consistency(foldy_image_array):
+    kd, y0 = 2.5 * np.pi, 0.3
+    s, psi = foldy_image_array
     target = 1.0 / (1.0 - s * renorm.renorm_sum(kd, y0).g_r)
     rel = abs(psi[1000] - target) / abs(target)
     report(11, "Foldy solve reproduces renormalization (2001 images)", rel <= 1e-2,

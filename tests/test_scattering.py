@@ -115,6 +115,17 @@ def test_phase_shift_properties():
     assert zero.delta0 == 0.0 and zero.e2id == 1.0 + 0.0j
 
 
+def test_phase_shift_below_threshold_is_a_domain_error_even_at_a_bound_state():
+    # kd = 2.6475... is the sub-threshold bound state of (a, y0) = (-0.1, 0.3):
+    # 1 - s G_r vanishes there, so building the state first would hit the pole
+    cfg = WireConfig(y0=0.3, a=-0.1)
+    for kd in (2.647549698739732, 0.5 * np.pi):
+        with pytest.raises(DomainError, match="open channel"):
+            phase_shift(kd, cfg)
+        with pytest.raises(DomainError):
+            s_matrix(kd, cfg)
+
+
 def test_sigma_edge_asymptote_scaling():
     base = sigma_edge_asymptote(2, 1e-6, 0.05)
     assert sigma_edge_asymptote(2, 2e-6, 0.05) == pytest.approx(2.0 * base, rel=1e-12)

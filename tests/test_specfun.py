@@ -36,11 +36,16 @@ def test_y0_first_root_and_value():
     assert cylinder_bessel_y(0, 1.0) == pytest.approx(Y0_AT_1, abs=1e-13)
 
 
-def test_hankel_is_j_plus_iy():
+@pytest.mark.parametrize("n", [0, 1])
+def test_hankel_is_j_plus_iy(n):
     for x in (0.3, 1.0, 7.0, 14.9, 15.1, 200.0):
-        h = hankel1(0, x)
-        assert h.real == cylinder_bessel_j(0, x)
-        assert h.imag == cylinder_bessel_y(0, x)
+        h = hankel1(n, x)
+        assert h.real == cylinder_bessel_j(n, x)
+        assert h.imag == cylinder_bessel_y(n, x)
+    xs = np.concatenate([np.logspace(-3, 4, 400), [14.9, 15.0, 15.1]])
+    h = hankel1(n, xs)
+    assert np.array_equal(h.real, cylinder_bessel_j(n, xs))
+    assert np.array_equal(h.imag, cylinder_bessel_y(n, xs))
     assert hankel1(0, 1.0) == pytest.approx(J0_AT_1 + 1j * Y0_AT_1, abs=1e-13)
 
 
@@ -85,12 +90,14 @@ def test_recurrence_property():
 
 
 def test_branch_continuity_at_switchover():
-    from wirescat.specfun import _asym_j, _asym_y, _series_j, _series_y0, _series_y1
+    from wirescat.specfun import _asym, _series
     for x in np.linspace(SWITCHOVER - 0.3, SWITCHOVER + 0.3, 13):
         arr = np.array([x])
-        assert abs(float(_series_j(0, arr)[0]) - float(_asym_j(0, arr)[0])) <= 1e-11
-        assert abs(float(_series_y0(arr)[0]) - float(_asym_y(0, arr)[0])) <= 1e-11
-        assert abs(float(_series_y1(arr)[0]) - float(_asym_y(1, arr)[0])) <= 1e-11
+        (j0_lo, y0_lo), (j0_hi, y0_hi) = _series(0, arr, True), _asym(0, arr)
+        y1_lo, y1_hi = _series(1, arr, True)[1], _asym(1, arr)[1]
+        assert abs(float(j0_lo[0]) - float(j0_hi[0])) <= 1e-11
+        assert abs(float(y0_lo[0]) - float(y0_hi[0])) <= 1e-11
+        assert abs(float(y1_lo[0]) - float(y1_hi[0])) <= 1e-11
 
 
 def test_domain_errors():
