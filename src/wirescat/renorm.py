@@ -303,10 +303,17 @@ def foldy_solve(problem: FoldyProblem, k: float,
     if n == 1:
         return phi.copy()
     diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    off = ~np.eye(n, dtype=bool)
+    kr = k * np.hypot(diff[..., 0], diff[..., 1])
+    # In an image array kr depends on i - j and the two parities alone, so it
+    # mostly repeats two rows up and two columns left: G_0 is evaluated only
+    # where it does not, and copied along the diagonal elsewhere.
+    fresh = np.ones((n, n), dtype=bool)
+    fresh[2:, 2:] = kr[2:, 2:] != kr[:-2, :-2]
+    np.fill_diagonal(fresh, False)
     g = np.zeros((n, n), dtype=complex)
-    g[off] = -0.5j * hankel1(0, k * dist[off])
+    g[fresh] = -0.5j * hankel1(0, kr[fresh])
+    for i in range(2, n):
+        np.copyto(g[i, 2:], g[i - 2, :-2], where=~fresh[i, 2:])
     sg = problem.strength * g
     if method == "direct":
         a = np.eye(n) - sg

@@ -1,23 +1,30 @@
 """Cylinder (Bessel) functions J_0..J_3, Y_0, Y_1 and the outgoing Hankel function.
 
-Self-contained double-precision implementation; every Green's function and
-t-matrix formula in this package rests on these routines, so their accuracy
-budget is set one to two orders below the tightest downstream tolerance.
+Self-contained implementation in plain float64, so the results are the same
+on every platform; every Green's function and t-matrix formula in this
+package rests on these routines, so their accuracy budget is set one to two
+orders below the tightest downstream tolerance.
 
 Evaluation strategy
 -------------------
 Each branch has one kernel that yields J_n and Y_n together, and one
 dispatch at ``SWITCHOVER`` serves ``cylinder_bessel_j``, ``cylinder_bessel_y``
-and ``hankel1`` (= J + iY of the same values).
+and ``hankel1`` (= J + iY of the same values).  Every operation is
+elementwise, so a value does not depend on the batch it is computed in.
 
-* ``x < 15``: one loop over the ascending-series terms
-  t_m = (-1)^m (x/2)^(2m+n) / (m!(m+n)!) accumulates J_n = sum t_m and
-  S_n = sum (H_m + H_{m+n}) t_m (H_m the harmonic numbers), from which
-  A&S 9.1.11 gives Y_n = (2/pi)[(ln(x/2) + gamma) J_n - S_n/2], less
-  2/(pi x) for n = 1.  The sums are accumulated in ``numpy.longdouble``
-  (80-bit on x86) because the alternating series loses ~6 decimal digits to
-  cancellation near the switchover; the extended accumulator keeps the final
-  double result at full precision.  A call for J alone skips S_n.
+* ``x < 15``: Miller's algorithm.  One backward recurrence
+  J_{m-1} = (2m/x) J_m - J_{m+1}, started at the fixed even order
+  N = 44 for every x, gives J_0..J_3; it is normalised by
+  J_0 + 2 sum_{k>=1} J_2k = 1 (A&S 9.1.46; Numerical Recipes 6.5).  The
+  Neumann series (A&S 9.1.88) give Y from the same values,
+
+      Y_0 = (2/pi)[(ln(x/2) + gamma) J_0 - 2 sum_{k>=1} (-1)^k J_2k / k],
+      Y_1 = -Y_0' = -(2/pi)[J_0/x - (ln(x/2) + gamma) J_1
+                            - sum_{k>=1} (-1)^k (J_{2k-1} - J_{2k+1}) / k].
+
+  The recurrence is carried on F_m = J_m (2/x)^m, and |F_m| <= 1/m!, so
+  from F_N = 1 no value exceeds N! ~ 3e54 for any x >= 0: nothing needs
+  rescaling and x = 0 needs no special case.
 * ``x >= 15``: Hankel asymptotic expansion, one P/Q evaluation and one phase
   for both functions,
 
@@ -28,14 +35,23 @@ and ``hankel1`` (= J + iY of the same values).
   truncated at 22 terms.  The optimally-truncated remainder of this
   expansion scales as exp(-2x), which is why the switchover sits at 15
   (exp(-30) ~ 1e-13) rather than the textbook 8 (exp(-16) ~ 1e-7 would
-  wreck the 1e-12 budget).  The phase ``c`` is reduced in longdouble; in
-  plain double the ulp of x ~ 1e4 alone costs 2e-12.
+  wreck the 1e-12 budget).  The phase is reduced by Cody & Waite (Software
+  Manual for the Elementary Functions, 1980): x = k pi/2 + r with
+  k = rint(2x/pi) and r = ((x - k P1) - k P2) - k P3, where P1 + P2 + P3 is
+  fdlibm's three-part split of pi/2.  k P1 is exact for k < 2^22, and k is
+  split at 2^22 beyond that, so r carries no more than the rounding of
+  k P2, below 1e-15 for x <= 1e11.  Then c = r + (j pi/2 - pi/4) mod 2 pi
+  with j = (k - n) mod 4, so |c| <= pi.  In a plain double subtraction
+  x - (2n+1) pi/4 the ulp of x ~ 1e4 alone would cost 2e-12.
 
 Accuracy (validated against arbitrary-precision mpmath in the test suite)
 --------------------------------------------------------------------------
-Absolute error <= 3e-13 * envelope for x <= 1e4, where the envelope is
-max(|f(x)|, sqrt(2/(pi x))).  Away from the zeros of f this is a relative
-error <= 1e-12.  Both branches agree within 1e-11 around x = 15.
+Absolute error <= 1e-12 * envelope for 0 <= x <= 1e11, where the envelope is
+max(|f(x)|, sqrt(2/(pi x))); measured, it is below 2e-15 below the
+switchover, 3e-14 at x = 15, where the exp(-2x) remainder dominates, and
+below 1e-15 from x = 20 on.  Away from the zeros of f this is a relative
+error <= 1e-12.  Both branches agree within 1e-11 around x = 15.  Beyond
+x = 1e11 the rounding of k P2 grows like 4e-27 x (4e-15 at x = 1e12).
 
 Orders are capped at J_3 / Y_1: the mirror partial waves stop at the f wave
 and the Hankel function is only needed at orders 0 and 1.
@@ -51,49 +67,52 @@ __all__ = ["cylinder_bessel_j", "cylinder_bessel_y", "hankel1", "SWITCHOVER"]
 
 SWITCHOVER = 15.0
 
-_LD = np.longdouble
-_EULER_LD = _LD("0.577215664901532860606512090082402431")
-_PI_LD = _LD("3.14159265358979323846264338327950288")
-_SERIES_EPS = float(np.finfo(_LD).eps)
-_MAX_SERIES_TERMS = 120
+_MILLER_START = 44   # even; the first neglected term, J_46(x), is below 1e-18 for x < 15
 _ASYM_TERMS = 22
+_EULER = 0.5772156649015329
+_LN2 = 0.6931471805599453
+# fdlibm's split of pi/2 (31, 32 and 28 significant bits): k * _PIO2_1 is exact for k < 2**22
+_PIO2_1 = 1.57079632673412561417e+00
+_PIO2_2 = 6.07710050630396597660e-11
+_PIO2_3 = 2.02226624871116645580e-21
+# (k - n) pi/2 - pi/4 mod 2 pi for (k - n) mod 4 = 0..3
+_QUADRANT_PHASE = np.array([-0.25, 0.25, 0.75, -0.75]) * np.pi
 
 
-def _series(n: int, x: np.ndarray, want_y: bool):
-    """J_n and, if ``want_y``, Y_n (n <= 1) from one loop over the series terms t_m.
+def _miller(n: int, x: np.ndarray, want_y: bool):
+    """J_n and, if ``want_y``, Y_n (n <= 1) from one backward recurrence.
 
-    J_n and S_n (see the module docstring) each stop at their own convergence;
-    Y_n takes J_n rounded to double.
+    It runs on F_m = J_m (2/x)^m up to a common factor,
+    F_{m-1} = m F_m - (x/2)^2 F_{m+1}, and each sum over J_2k or J_{2k+-1}
+    is a Horner sum in (x/2)^2 over the same F_m.
     """
-    x = x.astype(_LD)
-    q = x * x / 4
-    t = (x / 2) ** n
-    for j in range(1, n + 1):
-        t = t / j
-    jn = t.copy()
-    h_m, h_mn = _LD(0), _LD(n)   # H_0 and H_n, n <= 1 when Y is wanted
-    s = (h_m + h_mn) * t
-    j_done, y_done = False, not want_y
-    for m in range(1, _MAX_SERIES_TERMS):
-        t = -t * q / (m * (m + n))
-        if not j_done:
-            jn += t
-            j_done = np.all(np.abs(t) <= _SERIES_EPS * np.abs(jn))
-        if not y_done:
-            h_m = h_m + _LD(1) / m
-            h_mn = h_mn + _LD(1) / (m + n)
-            term = (h_m + h_mn) * t
-            s += term
-            y_done = np.all(np.abs(term) <= _SERIES_EPS * np.abs(s))
-        if j_done and y_done:
-            break
-    j_out = jn.astype(float)
+    h = x / 2
+    q = h * h
+    minus_q = -q
+    f_up, f = 0.0, 1.0                   # F_{m+1}, F_m
+    even = y0_sum = y1_sum = 0.0         # Horner sums in q, -q and -q
+    f_n = None
+    for m in range(_MILLER_START, 0, -1):
+        if m == n:
+            f_n = f
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            even = even * q + f
+            if want_y:
+                y0_sum = y0_sum * minus_q + f / k
+        elif want_y:
+            y1_sum = y1_sum * minus_q + (f / k - f_up)
+        f_up, f = f, m * f - q * f_up
+    norm = f + 2 * q * even              # J_0 + 2 sum J_2k = 1
+    jn = (f if n == 0 else f_n) * (1.0, h, q, h * q)[n] / norm
     if not want_y:
-        return j_out, None
-    y = (2 / _PI_LD) * ((np.log(x / 2) + _EULER_LD) * j_out.astype(_LD) - s / 2)
-    if n == 1:
-        y = y - 2 / (_PI_LD * x)
-    return j_out, y.astype(float)
+        return jn, None
+    log_term = np.log(x) - _LN2 + _EULER  # ln(x/2) + gamma; x/2 underflows for subnormal x
+    if n == 0:
+        y = (2 / np.pi) * ((log_term * f + 2 * q * y0_sum) / norm)
+    else:
+        y = -(2 / np.pi) * (f / norm / x - (log_term * f_up - 2 * y1_sum) * h / norm)
+    return jn, y
 
 
 def _asym_pq(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,12 +131,20 @@ def _asym_pq(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _asym(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J_n, Y_n from one P/Q evaluation and the phase c = x - (2n+1)pi/4 reduced in longdouble."""
+    """J_n, Y_n from one P/Q evaluation and the phase c = x - (2n+1)pi/4.
+
+    x = k pi/2 + r is reduced by Cody-Waite, so c equals r plus a multiple
+    of pi/4 picked by the quadrant (k - n) mod 4, up to a multiple of 2 pi.
+    """
     p, q = _asym_pq(n, x)
-    c = x.astype(_LD) - (2 * n + 1) * _PI_LD / 4
-    cc, ss = np.cos(c).astype(float), np.sin(c).astype(float)
+    k = np.rint(x * (2 / np.pi))
+    k_lo = np.fmod(k, 2.0 ** 22)        # k = k_hi + k_lo, each times _PIO2_1 exact
+    r = (((x - (k - k_lo) * _PIO2_1) - k_lo * _PIO2_1) - k * _PIO2_2) - k * _PIO2_3
+    quad = (k_lo.astype(np.intp) - n) & 3        # 2**22 is a multiple of 4
+    c = r + _QUADRANT_PHASE[quad]                # c mod 2 pi, within [-pi, pi]
+    cos_c, sin_c = np.cos(c), np.sin(c)
     amp = np.sqrt(2.0 / (np.pi * x))
-    return amp * (p * cc - q * ss), amp * (p * ss + q * cc)
+    return amp * (p * cos_c - q * sin_c), amp * (p * sin_c + q * cos_c)
 
 
 def _checked(n, top: int, x, positive: bool) -> tuple[np.ndarray, bool]:
@@ -138,11 +165,11 @@ def _checked(n, top: int, x, positive: bool) -> tuple[np.ndarray, bool]:
 
 
 def _bessel_jy(n: int, x: np.ndarray, want_y: bool):
-    """J_n(x) and, if ``want_y``, Y_n(x): the series below SWITCHOVER, the expansion above."""
+    """J_n(x) and, if ``want_y``, Y_n(x): the recurrence below SWITCHOVER, the expansion above."""
     j, y = np.empty_like(x), np.empty_like(x)
     lo = x < SWITCHOVER
     if lo.any():
-        j[lo], y_lo = _series(n, x[lo], want_y)
+        j[lo], y_lo = _miller(n, x[lo], want_y)
         if want_y:
             y[lo] = y_lo
     hi = ~lo

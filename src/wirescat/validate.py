@@ -60,9 +60,9 @@ def check_specfun(fast: bool = False):
     rec = cylinder_bessel_j(0, xs) + cylinder_bessel_j(2, xs) - 2.0 * cylinder_bessel_j(1, xs) / xs
     res_r = np.max(np.abs(rec))
     span = np.linspace(SWITCHOVER - 0.25, SWITCHOVER + 0.25, 11)
-    from .specfun import _asym, _series
-    (j0_lo, y0_lo), (j0_hi, y0_hi) = _series(0, span, True), _asym(0, span)
-    y1_lo, y1_hi = _series(1, span, True)[1], _asym(1, span)[1]
+    from .specfun import _asym, _miller
+    (j0_lo, y0_lo), (j0_hi, y0_hi) = _miller(0, span, True), _asym(0, span)
+    y1_lo, y1_hi = _miller(1, span, True)[1], _asym(1, span)[1]
     res_c = float(np.max(np.abs([j0_lo - j0_hi, y0_lo - y0_hi, y1_lo - y1_hi])))
     return [
         CheckResult.from_residual("specfun.wronskian", res_w, 1e-10),

@@ -1,8 +1,14 @@
 """Cylinder function accuracy against an arbitrary-precision oracle (mpmath)."""
 
+import warnings
+from fractions import Fraction
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirescat.errors import DomainError
 from wirescat.specfun import SWITCHOVER, cylinder_bessel_j, cylinder_bessel_y, hankel1
@@ -57,7 +63,7 @@ def test_hankel_asymptotic_amplitude():
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_j_accuracy_vs_mpmath(n):
     rng = np.random.default_rng(3 + n)
-    xs = np.concatenate([10 ** rng.uniform(-3, 4, 200), np.linspace(13.0, 17.0, 41)])
+    xs = np.concatenate([10 ** rng.uniform(-3, 6, 200), np.linspace(13.0, 17.0, 41)])
     mine = cylinder_bessel_j(n, xs)
     ref = np.array([float(mp.besselj(n, float(x))) for x in xs])
     assert np.max(np.abs(mine - ref) / envelope(xs)) <= 1e-12
@@ -66,10 +72,61 @@ def test_j_accuracy_vs_mpmath(n):
 @pytest.mark.parametrize("n", [0, 1])
 def test_y_accuracy_vs_mpmath(n):
     rng = np.random.default_rng(13 + n)
-    xs = np.concatenate([10 ** rng.uniform(-3, 4, 200), np.linspace(13.0, 17.0, 41)])
+    xs = np.concatenate([10 ** rng.uniform(-3, 6, 200), np.linspace(13.0, 17.0, 41)])
     mine = cylinder_bessel_y(n, xs)
     ref = np.array([float(mp.bessely(n, float(x))) for x in xs])
     assert np.max(np.abs(mine - ref) / envelope(xs)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_small_argument_j_is_relatively_accurate(n):
+    # J_2 and J_3 ~ (x/2)^n / n! come out of the recurrence, not a leading term
+    xs = 10 ** np.random.default_rng(17 + n).uniform(-100, -3, 100)
+    mine = cylinder_bessel_j(n, xs)
+    ref = np.array([float(mp.besselj(n, float(x))) for x in xs])
+    assert np.max(np.abs(mine / ref - 1.0)) <= 1e-14
+
+
+def test_phase_reduction_holds_to_1e11():
+    from wirescat.specfun import _PIO2_1
+    # k * P1 is exact below k = 2**22, and so is each half of a larger k split there
+    for k in (2 ** 22 - 1, 2 ** 22 * (2 ** 22 - 1)):
+        assert Fraction(k * _PIO2_1) == k * Fraction(_PIO2_1)
+    xs = 10 ** np.random.default_rng(19).uniform(np.log10(16.0), 11, 120)
+    for n in (0, 1):
+        mine = hankel1(n, xs)
+        ref = np.array([complex(mp.hankel1(n, float(x))) for x in xs])
+        assert np.max(np.abs(mine - ref) / envelope(xs)) <= 1e-14
+
+
+_BATCH_X = st.one_of(
+    st.just(0.0), st.just(1e-300),
+    st.floats(1e-300, 1e-3),
+    st.floats(SWITCHOVER - 1e-9, SWITCHOVER + 1e-9),
+    st.floats(1e-3, 1e6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_BATCH_X, min_size=1, max_size=10))
+def test_a_batch_does_not_change_a_value(xs):
+    x = np.array(xs)
+    pos = x[x > 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(4):
+            assert np.array_equal(cylinder_bessel_j(n, x), [cylinder_bessel_j(n, v) for v in xs])
+        for n in range(2):
+            assert np.array_equal(cylinder_bessel_y(n, pos), [cylinder_bessel_y(n, v) for v in pos])
+            assert np.array_equal(hankel1(n, pos), [hankel1(n, v) for v in pos])
+
+
+def test_src_never_uses_longdouble():
+    # 80-bit on x86 but plain double elsewhere: accuracy must not rest on it
+    src = Path(__file__).resolve().parents[1] / "src"
+    hits = [p for p in src.rglob("*")
+            if p.is_file() and "__pycache__" not in p.parts and b"longdouble" in p.read_bytes()]
+    assert hits == []
 
 
 def test_wronskian_property():
@@ -90,11 +147,11 @@ def test_recurrence_property():
 
 
 def test_branch_continuity_at_switchover():
-    from wirescat.specfun import _asym, _series
+    from wirescat.specfun import _asym, _miller
     for x in np.linspace(SWITCHOVER - 0.3, SWITCHOVER + 0.3, 13):
         arr = np.array([x])
-        (j0_lo, y0_lo), (j0_hi, y0_hi) = _series(0, arr, True), _asym(0, arr)
-        y1_lo, y1_hi = _series(1, arr, True)[1], _asym(1, arr)[1]
+        (j0_lo, y0_lo), (j0_hi, y0_hi) = _miller(0, arr, True), _asym(0, arr)
+        y1_lo, y1_hi = _miller(1, arr, True)[1], _asym(1, arr)[1]
         assert abs(float(j0_lo[0]) - float(j0_hi[0])) <= 1e-11
         assert abs(float(y0_lo[0]) - float(y0_hi[0])) <= 1e-11
         assert abs(float(y1_lo[0]) - float(y1_hi[0])) <= 1e-11
