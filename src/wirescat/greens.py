@@ -20,11 +20,12 @@ kummer        spectral sum with the static series subtracted term by term and
               x = x0 and geometrically off-axis.  An analytic tail completion
               (mode_product_tail: Hurwitz-zeta + iterated Abel summation of
               the oscillatory part) brings the truncation error far below the
-              requested tolerance.  One elementwise plan (_kummer_plan) picks
-              M, completion and bound for all points of a call; _kummer_sum
-              sums a grid of field points around one source once per distinct
-              M (greens_kummer is its 1 x 1 case), _kummer_coincident the G_r
-              rows at r = r0, one per (kd, y0).
+              requested tolerance.  The tail functions are elementwise, and a
+              batch equals its lone calls bit for bit.  One elementwise plan
+              (_kummer_plan) picks M, completion and bound for all points of a
+              call; _kummer_sum sums a grid of field points around one source
+              once per distinct M (greens_kummer is its 1 x 1 case),
+              _kummer_coincident the G_r rows at r = r0, one per (kd, y0).
 diffraction   difference of two period-2d grating Green's functions, the
               Poisson-resummed form of the image array.
 semiclassical image sum with each Hankel function replaced by its large-
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isfinite, prod
 from operator import mul
 
 import numpy as np
@@ -124,7 +125,7 @@ def _deltas(r, r0) -> tuple[float, float, float]:
 
 def _check_strip(*points):
     for p in points:
-        if not 0.0 <= p[1] <= _D:
+        if not (isfinite(p[0]) and 0.0 <= p[1] <= _D):
             raise DomainError(f"point {p!r} lies outside the strip 0 <= y <= d")
 
 
@@ -259,13 +260,13 @@ def greens_image(r, r0, k: float, n_images: int) -> GreensValue:
 # series tail machinery (shared with renorm)
 # ---------------------------------------------------------------------------
 
-def zeta_tail(s: float, m_trunc: int, shift: float = 0.0) -> float:
-    """sum_{m > m_trunc} (m + shift)^(-s) by Euler-Maclaurin; ~1e-16 for m_trunc >= 50."""
+def zeta_tail(s, m_trunc, shift=0.0):
+    """sum_{m > m_trunc} (m + shift)^(-s) by Euler-Maclaurin, elementwise; ~1e-16 for m_trunc >= 50."""
     a = m_trunc + 1.0 + shift
-    f = a ** (-s)
-    return (a ** (1.0 - s) / (s - 1.0) + 0.5 * f + s * a ** (-s - 1.0) / 12.0
-            - s * (s + 1.0) * (s + 2.0) * a ** (-s - 3.0) / 720.0
-            + s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * a ** (-s - 5.0) / 30240.0)
+    return (np.float_power(a, 1.0 - s) / (s - 1.0) + 0.5 * np.float_power(a, -s)
+            + s * np.float_power(a, -s - 1.0) / 12.0
+            - s * (s + 1.0) * (s + 2.0) * np.float_power(a, -s - 3.0) / 720.0
+            + s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * np.float_power(a, -s - 5.0) / 30240.0)
 
 
 _ABEL_DEPTH = 5
@@ -275,38 +276,50 @@ _FORWARD_DIFFERENCE = tuple(tuple((-1) ** i * comb(j, i) for i in range(j + 1))
                             for j in range(_ABEL_DEPTH))
 
 
-def geometric_tail(z: complex, s: float, m_trunc: int,
-                   shift: float = 0.0) -> tuple[complex, float]:
-    """sum_{m > m_trunc} z^m (m + shift)^(-s) for |z| <= 1, z != 1.
+# numpy's array loops for complex product and modulus may fuse or reorder what its scalar
+# ones round step by step; these round alike for both, so a batch matches its lone calls
+
+def _cmul(p, q):
+    return (p.real * q.real - p.imag * q.imag) + 1j * (p.real * q.imag + p.imag * q.real)
+
+
+def _cabs(w):
+    return np.hypot(w.real, w.imag)
+
+
+def geometric_tail(z, s, m_trunc, shift=0.0):
+    """sum_{m > m_trunc} z^m (m + shift)^(-s) for |z| <= 1, z != 1, elementwise.
 
     Iterated Abel (summation-by-parts) transform; each level trades one
     power of (m + shift) for a factor z/(1-z).  Returns (value, bound on
     the dropped remainder).
     """
+    z = np.asarray(z, dtype=complex)  # numpy's complex power, not Python's, for every caller
     one_minus = 1.0 - z
-    if abs(one_minus) < 1e-12:
+    if np.any(_cabs(one_minus) < 1e-12):
         raise DomainError("geometric_tail requires z != 1")
     lead = z ** (m_trunc + 1) / one_minus
-    f = [(m_trunc + 1.0 + i + shift) ** (-s) for i in range(_ABEL_DEPTH)]
-    total = 0.0 + 0.0j
-    coef = 1.0 + 0.0j
+    f = [np.float_power(m_trunc + 1.0 + i + shift, -s) for i in range(_ABEL_DEPTH)]
+    total, coef, ratio = 0.0 + 0.0j, 1.0 + 0.0j, -z / one_minus
     for row in _FORWARD_DIFFERENCE:
-        total += coef * lead * sum(map(mul, row, f))
-        coef *= -z / one_minus
-    rising = 1.0
-    for j in range(_ABEL_DEPTH):
-        rising *= s + j
-    bound = abs(coef) * rising * zeta_tail(s + _ABEL_DEPTH, m_trunc, shift)
-    return total, float(bound)
+        total = total + _cmul(coef, lead) * sum(map(mul, row, f))
+        coef = _cmul(coef, ratio)
+    rising = prod(s + j for j in range(_ABEL_DEPTH))
+    return total, _cabs(coef) * rising * zeta_tail(s + _ABEL_DEPTH, m_trunc, shift)
 
 
-def _cos_tail(theta: float, s: float, m_trunc: int) -> tuple[float, float]:
-    """sum_{m > m_trunc} cos(m theta) / m^s with remainder bound."""
-    th = float(theta) % (2.0 * np.pi)
-    if min(th, 2.0 * np.pi - th) < 1e-9:
-        return zeta_tail(s, m_trunc), 0.0
-    val, bound = geometric_tail(np.exp(1j * th), s, m_trunc)
-    return float(val.real), bound
+def _flat(theta):
+    """theta mod 2 pi, and where it lies within 1e-9 of 0 mod 2 pi (e^{i theta} = 1)."""
+    th = np.remainder(theta, 2.0 * np.pi)
+    return th, np.minimum(th, 2.0 * np.pi - th) < 1e-9
+
+
+def _cos_tail(theta, s, m_trunc):
+    """sum_{m > m_trunc} cos(m theta) / m^s with remainder bound, elementwise; flat angles take
+    the exact zeta tail (their Abel lane runs at theta = pi and is discarded)."""
+    th, flat = _flat(theta)
+    val, bound = geometric_tail(np.exp(1j * np.where(flat, np.pi, th)), s, m_trunc)
+    return np.where(flat, zeta_tail(s, m_trunc), val.real), np.where(flat, 0.0, bound)
 
 
 def kummer_tail_coefficients(kd):
@@ -323,17 +336,6 @@ def kummer_tail_coefficients(kd):
     return c3, c5, c7
 
 
-def _per_distinct(fn, *args) -> np.ndarray:
-    """fn(*element) over broadcast args, stacked on a leading axis; fn runs once per distinct element.
-
-    The Kummer tails depend on (M, alpha, beta) through scalar series, and few elements differ there.
-    """
-    args = np.broadcast_arrays(*args)
-    keys = list(zip(*(a.ravel().tolist() for a in args)))
-    values = {key: fn(*key) for key in set(keys)}
-    return np.array([values[key] for key in keys], dtype=float).T.reshape((-1,) + args[0].shape)
-
-
 def mode_product_tail(kd, m_trunc, alpha, beta):
     """Analytic tail of the Kummer-subtracted series past ``m_trunc``, elementwise.
 
@@ -342,18 +344,17 @@ def mode_product_tail(kd, m_trunc, alpha, beta):
     Returns (tail value, error bound including the O(m^-7) neglect).
     """
     c3, c5, c7 = kummer_tail_coefficients(kd)
-    z7, t3a, b3a, t5a, b5a, t3b, b3b, t5b, b5b = _per_distinct(lambda m, a, b: (
-        zeta_tail(7.0, m), *_cos_tail(a, 3.0, m), *_cos_tail(a, 5.0, m),
-        *_cos_tail(b, 3.0, m), *_cos_tail(b, 5.0, m)), m_trunc, alpha, beta)
-    total = (-(c3 * t3a) - c5 * t5a) - (-(c3 * t3b) - c5 * t5b)
-    bound = 2.0 * c7 * z7 + (c3 * b3a + c5 * b5a) + (c3 * b3b + c5 * b5b)
-    return total, bound
+    angles = np.stack(np.broadcast_arrays(alpha, beta, kd, m_trunc)[:2])
+    # orders s = 3, 5 on axis 0 and angles alpha, beta on axis 1 of one _cos_tail
+    (t3, t5), (b3, b5) = _cos_tail(angles, np.reshape([3.0, 5.0], (2,) + (1,) * angles.ndim), m_trunc)
+    total, bound = -(c3 * t3) - c5 * t5, c3 * b3 + c5 * b5
+    return total[0] - total[1], 2.0 * c7 * zeta_tail(7.0, m_trunc) + bound[0] + bound[1]
 
 
-def _abel_gap6(theta: float) -> float:
-    """|1 - e^{i theta}|^6; inf at theta = 0 mod 2 pi, where a cos-tail has no Abel remainder."""
-    t = theta % (2.0 * np.pi)
-    return abs(1.0 - np.exp(1j * t)) ** 6 if min(t, 2.0 * np.pi - t) >= 1e-9 else np.inf
+def _abel_gap6(theta):
+    """|1 - e^{i theta}|^6, elementwise; inf at flat theta, where a cos-tail has no Abel remainder."""
+    th, flat = _flat(theta)
+    return np.where(flat, np.inf, np.float_power(_cabs(1.0 - np.exp(1j * th)), 6))
 
 
 def _closed_form_bound(kd, m_trunc, alpha, beta):
@@ -362,13 +363,10 @@ def _closed_form_bound(kd, m_trunc, alpha, beta):
     A cos-tail's Abel remainder is at most (s)_5 zeta_tail(s + 5, M) / _abel_gap6.
     """
     c3, c5, c7 = kummer_tail_coefficients(kd)
-    z7, z8, z10, *gaps6 = _per_distinct(lambda m, a, b: (
-        zeta_tail(7.0, m), zeta_tail(8.0, m), zeta_tail(10.0, m), _abel_gap6(a), _abel_gap6(b)),
-        m_trunc, alpha, beta)
+    z7, z8, z10 = zeta_tail(np.reshape([7.0, 8.0, 10.0], (3,) + (1,) * np.ndim(m_trunc)), m_trunc)
     bound = 4.0 * c7 * z7
-    for gap6 in gaps6:
-        bound = bound + c3 * (3 * 4 * 5 * 6 * 7) * z8 / gap6
-        bound = bound + c5 * (5 * 6 * 7 * 8 * 9) * z10 / gap6
+    for gap6 in _abel_gap6(np.stack(np.broadcast_arrays(alpha, beta))):
+        bound = bound + c3 * (3 * 4 * 5 * 6 * 7) * z8 / gap6 + c5 * (5 * 6 * 7 * 8 * 9) * z10 / gap6
     return bound
 
 
@@ -523,9 +521,9 @@ def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
     One truncation plan covers every grid point and each distinct mode count one
     blocked product (_kummer_sum).  Exact coincidence with r0 yields NaN.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if np.any(ys < 0.0) or np.any(ys > _D):
+    _check_strip(r0)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if not (np.isfinite(xs).all() and ((0.0 <= ys) & (ys <= _D)).all()):
         raise DomainError("grid extends outside the strip")
     guard_mode_openings(k * _D)
     return _kummer_grid(k * _D, np.abs(xs - float(r0[0])), ys, float(r0[1]), tol)[0]
@@ -636,6 +634,8 @@ def semiclassical_renorm_sum(k: float, y0: float, n_explicit: int = 400) -> comp
     at them, which is what makes it useful as a resonance-position
     diagnostic.
     """
+    if not 0.0 < y0 < _D:
+        raise DomainError(f"source must sit strictly inside the wire, got y0={y0!r}")
     guard_mode_openings(k * _D)
     step = 2.0 * _D
     z = np.exp(1j * k * step)
@@ -654,13 +654,11 @@ def semiclassical_renorm_sum(k: float, y0: float, n_explicit: int = 400) -> comp
 # convergence benchmark
 # ---------------------------------------------------------------------------
 
-def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc: int,
-                      completion: bool) -> complex:
-    """Kummer form summed to exactly m_trunc modes, with or without tail completion.
+def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc: int, tail) -> complex:
+    """Kummer form summed to exactly m_trunc modes plus the tail completion ``tail`` (0 for none).
 
     At r = r0 this is the renormalization sum G_w - G_0.
     """
-    tail = float(mode_product_tail(kd, m_trunc, *_mode_angles(y, y0))[0]) if completion else 0.0
     if ax == 0.0 and y == y0:
         return complex(_kummer_coincident(channels(kd, m_trunc), y0, tail))
     return complex(_kummer_sum(kd, np.array([ax]), np.array([y]), y0, np.full((1, 1), m_trunc), tail)[0, 0])
@@ -682,21 +680,23 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
         bad = set(representations) - {"kummer", "kummer_raw"}
         if bad:
             raise CoincidentPoints(f"only the kummer forms exist at coincidence, not {sorted(bad)}")
-        ref = _kummer_truncated(kd, ax, y, y0, 65536, completion=True)
+        ref = _kummer_truncated(kd, ax, y, y0, 65536, mode_product_tail(kd, 65536, *_mode_angles(y, y0))[0])
     else:
         ref = greens_kummer(r, r0, k, tol=1e-12).value
     rows: list[BenchmarkRow] = []
     for rep in representations:
-        for terms in term_grid:
-            if rep in ("kummer", "kummer_raw"):
-                val = _kummer_truncated(kd, ax, y, y0, terms, completion=(rep == "kummer"))
-            elif rep == "spectral":
-                val = greens_spectral(r, r0, k, terms).value
-            elif rep == "image":
-                val = greens_image(r, r0, k, terms).value
-            elif rep == "diffraction":
-                val = greens_diffraction(r, r0, k, tol=1e-14).value
-            else:
-                raise DomainError(f"benchmark does not support representation {rep!r}")
-            rows.append(BenchmarkRow(rep, terms, float(abs(val - ref))))
+        if rep == "kummer":
+            tails = mode_product_tail(kd, np.array(term_grid), *_mode_angles(y, y0))[0]
+            values = [_kummer_truncated(kd, ax, y, y0, t, c) for t, c in zip(term_grid, tails)]
+        elif rep == "kummer_raw":
+            values = [_kummer_truncated(kd, ax, y, y0, t, 0.0) for t in term_grid]
+        elif rep == "spectral":
+            values = [greens_spectral(r, r0, k, t).value for t in term_grid]
+        elif rep == "image":
+            values = [greens_image(r, r0, k, t).value for t in term_grid]
+        elif rep == "diffraction":  # independent of the term count
+            values = [greens_diffraction(r, r0, k, tol=1e-14).value] * len(term_grid)
+        else:
+            raise DomainError(f"benchmark does not support representation {rep!r}")
+        rows += [BenchmarkRow(rep, t, float(abs(v - ref))) for t, v in zip(term_grid, values)]
     return rows

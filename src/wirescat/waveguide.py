@@ -67,6 +67,8 @@ class WireConfig:
             raise DomainError(f"impurity must sit strictly inside the wire, got y0={self.y0!r}")
         if not abs(self.a) < self.d / 2:
             raise DomainError(f"|a| must be < d/2, got a={self.a!r}")
+        if not np.isfinite(self.x0):
+            raise DomainError(f"x0 must be finite, got x0={self.x0!r}")
 
     @property
     def r0(self) -> tuple[float, float]:
@@ -172,7 +174,7 @@ def channels(kd, m_max: int) -> ChannelSet:
 def transverse_mode(m, y, d: float = 1.0):
     """chi_m(y) = sqrt(2/d) sin(m pi y / d) on 0 <= y <= d."""
     y_arr = np.asarray(y, dtype=float)
-    if (y_arr < 0.0).any() or (y_arr > d).any():
+    if not ((0.0 <= y_arr) & (y_arr <= d)).all():
         raise DomainError("y outside the wire [0, d]")
     out = np.sqrt(2.0 / d) * np.sin(np.multiply.outer(np.asarray(m, dtype=float), y_arr) * np.pi / d)
     return out if out.ndim else float(out)

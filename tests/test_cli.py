@@ -219,6 +219,19 @@ def test_field_map_outside_strip_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["field-map", "--y0", "0.3", "--x0", "nan", "--nx", "3", "--ny", "3"],
+    ["field-map", "--y0", "0.3", "--x0", "inf", "--nx", "3", "--ny", "3"],
+    ["sweep-k", "--y0", "0.3", "--x0", "nan", "--points", "3"],
+])
+def test_non_finite_x0_exit_2(tmp_path, capsys, argv):
+    # an all-NaN field map or an x0 = nan metadata line is not a result
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "x0 must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_greens_bench(tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(["greens-bench", "--kd", str(2.5 * np.pi), "--x", "0.37",

@@ -1,6 +1,7 @@
 """Green's function representations: examples, cross-route oracles, invariants."""
 
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -47,6 +48,69 @@ def test_zeta_tail_vs_mpmath():
     for s in (3.0, 5.0, 7.0):
         for m in (60, 500):
             assert abs(zeta_tail(s, m) - float(mp.zeta(s, m + 1))) <= 1e-16
+
+
+def test_geometric_tail_refuses_z_equal_to_one():
+    with pytest.raises(DomainError):
+        geometric_tail(1.0 + 0.0j, 3.0, 100)
+    with pytest.raises(DomainError):
+        geometric_tail(np.exp(1j * np.array([0.5, 0.0, 2.0])), 3.0, 100)
+
+
+def _tails(kd, m, alpha, beta, z, s, shift):
+    """Every tail function at (kd, M, alpha, beta, z), as float parts."""
+    value, bound = geometric_tail(z, s, m, shift)
+    return [*greens.mode_product_tail(kd, m, alpha, beta), greens._closed_form_bound(kd, m, alpha, beta),
+            *greens._cos_tail(beta, s, m), greens._abel_gap6(alpha), zeta_tail(s, m, shift),
+            np.real(value), np.imag(value), bound]
+
+
+# flat angles (0 mod 2 pi within 1e-9) take the zeta branch, next to angles that do not
+_tail_angles = st.one_of(st.sampled_from([0.0, 2.0 * np.pi, 1e-10, -1e-10]), st.floats(-7.0, 7.0))
+_tail_elements = st.tuples(st.floats(0.5, 100.0),                                         # kd
+                           st.one_of(st.sampled_from([64, 65536]), st.integers(64, 65536)),  # M
+                           _tail_angles, _tail_angles)                                    # alpha, beta
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_tail_elements, min_size=1, max_size=8), st.sampled_from([0.5, 3.0, 5.0]),
+       st.floats(-0.5, 0.5))
+def test_tails_of_a_batch_are_the_tails_of_each_element(elements, s, shift):
+    kd, m, alpha, beta = (np.array(v) for v in zip(*elements))
+    # geometric_tail needs z != 1: a flat alpha becomes angle 1 there
+    z = np.exp(1j * np.where(np.abs(np.exp(1j * alpha) - 1.0) < 1e-6, 1.0, alpha))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _tails(kd, m, alpha, beta, z, s, shift)
+        lone = [_tails(*e, zi, s, shift) for e, zi in zip(elements, z.tolist())]
+    for i, column in enumerate(zip(*lone)):
+        assert np.asarray(batch[i]).tobytes() == np.array(column).tobytes(), i
+
+
+# ---------------------------------------------------------------------------
+# domain checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: greens_kummer_grid([np.nan], [0.5], R0, KD),
+    lambda: greens_kummer_grid([np.inf], [0.5], R0, KD),
+    lambda: greens_kummer_grid([0.1], [np.nan], R0, KD),
+    lambda: greens_kummer_grid([0.1], [0.5], (0.0, np.nan), KD),
+    lambda: greens_kummer_grid([0.1], [0.5], (np.nan, 0.3), KD),
+    lambda: greens_kummer((np.nan, 0.5), R0, KD),
+    lambda: greens_spectral((np.nan, 0.5), R0, KD, 100),
+    lambda: greens_spectral((np.inf, 0.5), R0, KD, 100),
+    lambda: greens_diffraction((np.nan, 0.5), R0, KD),
+    lambda: semiclassical_renorm_sum(KD, np.nan),
+    lambda: semiclassical_renorm_sum(KD, 0.0),
+    lambda: transverse_mode(1, np.nan),
+], ids=["grid-x-nan", "grid-x-inf", "grid-y-nan", "grid-y0-nan", "grid-x0-nan", "kummer-x-nan",
+        "spectral-x-nan", "spectral-x-inf", "diffraction-x-nan", "semiclassical-y0-nan",
+        "semiclassical-y0-wall", "transverse-mode-y-nan"])
+def test_a_non_finite_coordinate_is_a_domain_error(call):
+    # never a silent NaN, nor a truncation error after a futile doubling
+    with pytest.raises(DomainError):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -463,5 +527,5 @@ def test_kummer_meets_tol_just_off_the_axis():
     g = greens_kummer((ax, y), r0, kd, tol=1e-12)
     assert g.tail_bound < 1e-12
     # plain truncation converges here once m pi ax ~ 25: 2^18 modes
-    ref = greens._kummer_truncated(kd, ax, y, r0[1], 2**18, completion=False)
+    ref = greens._kummer_truncated(kd, ax, y, r0[1], 2**18, 0.0)
     assert abs(g.value - ref) <= g.tail_bound

@@ -1,5 +1,7 @@
 """Cylinder function accuracy against an arbitrary-precision oracle (mpmath)."""
 
+import ast
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -127,6 +129,23 @@ def test_src_never_uses_longdouble():
     hits = [p for p in src.rglob("*")
             if p.is_file() and "__pycache__" not in p.parts and b"longdouble" in p.read_bytes()]
     assert hits == []
+
+
+def test_src_imports_only_numpy_and_the_stdlib():
+    # scipy and the test oracles (mpmath, hypothesis) stay out of the library
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    src = Path(__file__).resolve().parents[1] / "src" / "wirescat"
+    outside = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names if name.split(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_wronskian_property():
