@@ -38,15 +38,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import comb, isfinite, prod
+from math import comb, prod
 from operator import mul
 
 import numpy as np
 
 from .errors import CoincidentPoints, DomainError, TruncationLimit
 from .specfun import cylinder_bessel_j, hankel1
-from .waveguide import (ChannelSet, _branch_kx, _image_heights, channels,
-                        guard_mode_openings, transverse_mode)
+from .waveguide import (_branch_kx, _check_strip, _chi, _image_heights, _kx, guard_mode_openings,
+                        open_channel_count)
 
 __all__ = [
     "GreensValue",
@@ -123,12 +123,6 @@ def _deltas(r, r0) -> tuple[float, float, float]:
     return dx, dy, float(np.hypot(dx, dy))
 
 
-def _check_strip(*points):
-    for p in points:
-        if not (isfinite(p[0]) and 0.0 <= p[1] <= _D):
-            raise DomainError(f"point {p!r} lies outside the strip 0 <= y <= d")
-
-
 # ---------------------------------------------------------------------------
 # elementary representations
 # ---------------------------------------------------------------------------
@@ -149,7 +143,7 @@ def greens_static(r, r0) -> float:
     cos - cosh quotient but stays fully accurate at separations ~1e-8 d,
     where the naive form loses five digits to cancellation.
     """
-    _check_strip(r, r0)
+    _check_strip((r[0], r0[0]), (r[1], r0[1]))
     dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("static Green's function diverges at r = r0")
@@ -179,17 +173,16 @@ def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
     Off-axis the tail decays like exp(-m pi |x-x0|/d); at x = x0 the decay
     is only ~1/m (conditional), which the returned tail_bound reflects.
     """
-    _check_strip(r, r0)
-    guard_mode_openings(k * _D)
-    if terms < 1:
-        raise DomainError("terms must be >= 1")
+    _check_strip((r[0], r0[0]), (r[1], r0[1]))
+    n_open = open_channel_count(k * _D)
+    if terms < max(n_open, 1):
+        raise DomainError(f"terms={terms} must be >= 1 and cover the {n_open} open channels")
     dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("spectral sum diverges at r = r0 (use renorm_sum)")
     ax = abs(dx)
-    ch = channels(k * _D, terms)
-    m = np.arange(1, terms + 1)
-    term = (-1j / ch.kx) * transverse_mode(m, r[1]) * transverse_mode(m, r0[1]) * np.exp(1j * ch.kx * ax)
+    kx, m = _kx(k * _D, terms), np.arange(1, terms + 1)
+    term = (-1j / kx) * _chi(m, r[1]) * _chi(m, r0[1]) * np.exp(1j * kx * ax)
     value = complex(term.sum())
     if ax > 0.0:
         tail = _geometric_mode_tail_bound(terms, k, ax)
@@ -226,6 +219,8 @@ def image_sum_alternating(r, r0, k: float, n_images: int, include_source: bool =
 
 def image_sum_positive(r, r0, k: float, n_images: int) -> float:
     """sum over images of J_0(k |r - r_n|) with all-positive signs, pairwise-grouped."""
+    if not k > 0.0:
+        raise DomainError(f"k must be positive, got {k!r}")
     _, rho = _image_distances(r, r0, n_images)
     if np.any(rho == 0.0):
         raise CoincidentPoints("field point coincides with an image point")
@@ -247,7 +242,8 @@ def greens_image(r, r0, k: float, n_images: int) -> GreensValue:
     is honest for a conditionally convergent alternating series; expect
     ~1e-3 accuracy even at 1e5 images.
     """
-    _check_strip(r, r0)
+    _check_strip((r[0], r0[0]), (r[1], r0[1]))
+    guard_mode_openings(k * _D)
     if n_images < 0:
         raise DomainError("n_images must be >= 0")
     value = image_sum_alternating(r, r0, k, n_images)
@@ -379,11 +375,12 @@ def _geometric_mode_tail_bound(m_trunc, k, ax):
     """Bound on the neglected spectral/kummer modes for ax = |x-x0| > 0, elementwise."""
     kappa_rate = np.pi * ax / _D
     m1 = m_trunc + 1
-    # kappa_m >= 0.85 m pi / d once m exceeds ~1.9 kd/pi; be conservative below that
+    # kappa_m >= 0.85 m pi / d once m exceeds ~1.9 kd/pi, and >= m pi / 2d once m pi sqrt(3/4) >= kd;
+    # below that an m > M may be open or barely decaying, and nothing is bounded
     rate = kappa_rate * np.where(m1 > 1.9 * k * _D / np.pi, 0.85, 0.5)
     amp = (2.0 / _D) * (2.0 * _D / (m1 * np.pi))
     tail = amp * np.exp(-rate * m1) / np.maximum(1.0 - np.exp(-rate), 1e-300)
-    return np.where(rate * m1 > 700.0, 0.0, tail)
+    return np.where(m1 * np.pi * np.sqrt(0.75) < k * _D, np.inf, np.where(rate * m1 > 700.0, 0.0, tail))
 
 
 def _doubled(m_trunc, live, cap, done):
@@ -438,9 +435,9 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
 
 def _mode_product(kd: float, m_max: int, ax, ys, y0: float):
     """sum_{m <= m_max} chi_m(y_j) chi_m(y0) [exp(i k_x ax_i)/(i k_x) + (d/m pi) exp(-m pi ax_i/d)]
-    with one channels call, blocked over modes: the (ax x modes) and (modes x ys) temporaries of
+    with one _kx call, blocked over modes: the (ax x modes) and (modes x ys) temporaries of
     a block stay within _BLOCK elements while len(ax) and len(ys) do."""
-    kx = channels(kd, m_max).kx
+    kx = _kx(kd, m_max)
     step = max(1, _BLOCK // max(ax.size, ys.size))
     total = 0.0
     for lo in range(0, m_max, step):
@@ -450,8 +447,8 @@ def _mode_product(kd: float, m_max: int, ax, ys, y0: float):
             decay = np.exp(np.multiply.outer(ax, -m * np.pi / _D))
         else:  # on the axis both exponentials are exactly 1
             phase = decay = np.ones((ax.size, 1))
-        coef = transverse_mode(m, y0) * (phase / (1j * kx_b) + (_D / (m * np.pi)) * decay)
-        total = total + coef @ transverse_mode(m, ys)
+        coef = _chi(m, y0) * (phase / (1j * kx_b) + (_D / (m * np.pi)) * decay)
+        total = total + coef @ _chi(m, ys)
     return total
 
 
@@ -470,18 +467,15 @@ def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
         return out + completion + _static_form(ax[:, None], ys, y0)
 
 
-def _kummer_coincident(ch: ChannelSet, y0, completion):
-    """G_r = G_w - G_0 at r = r0 for rows of (kd, y0), ch = channels of an array of kd.
+def _kummer_coincident(kd, y0, kx, chi_y0, completion):
+    """G_r = G_w - G_0 at r = r0 for rows of (kd, y0), from contiguous rows kx and chi_y0 of modes 1..M.
 
     The mode sum is sum_{m <= M} chi_m(y0)^2 [1/(i k_x) + d/(m pi)], and the
     coincidence constant replaces the static form.
     """
-    m = np.arange(1, ch.kx.shape[-1] + 1)
-    # rows of modes, contiguous so that each row's dot product sums like a lone one
-    chi_y0 = np.ascontiguousarray(transverse_mode(m, y0).T)
-    coef = chi_y0 * (1.0 / (1j * ch.kx) + _D / (m * np.pi))
+    coef = chi_y0 * (1.0 / (1j * kx) + _D / (np.arange(1, kx.shape[-1] + 1) * np.pi))
     mode_sum = (coef[..., None, :] @ chi_y0[..., :, None])[..., 0, 0]
-    return mode_sum + completion + _coincidence_constant(ch.k, y0)
+    return mode_sum + completion + _coincidence_constant(kd, y0)
 
 
 def _kummer_grid(kd: float, ax, ys, y0: float, tol: float):
@@ -505,7 +499,7 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     bound on everything dropped and below tol; very close to the source, where
     the plan cannot meet tol, it raises TruncationLimit.
     """
-    _check_strip(r, r0)
+    _check_strip((r[0], r0[0]), (r[1], r0[1]))
     guard_mode_openings(k * _D)
     dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
@@ -521,12 +515,9 @@ def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
     One truncation plan covers every grid point and each distinct mode count one
     blocked product (_kummer_sum).  Exact coincidence with r0 yields NaN.
     """
-    _check_strip(r0)
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    if not (np.isfinite(xs).all() and ((0.0 <= ys) & (ys <= _D)).all()):
-        raise DomainError("grid extends outside the strip")
+    x, y = _check_strip(np.append(xs, r0[0]), np.append(ys, r0[1]))
     guard_mode_openings(k * _D)
-    return _kummer_grid(k * _D, np.abs(xs - float(r0[0])), ys, float(r0[1]), tol)[0]
+    return _kummer_grid(k * _D, np.abs(x[:-1] - x[-1]), y[:-1], y[-1], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +556,7 @@ def greens_diffraction(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     spectral form.  Requires x != x0 for per-order decay; TruncationLimit where
     the order cap misses tol (|x - x0| below ~3e-5 d).
     """
-    _check_strip(r, r0)
+    _check_strip((r[0], r0[0]), (r[1], r0[1]))
     guard_mode_openings(k * _D)
     dx, _, _ = _deltas(r, r0)
     ax = abs(dx)
@@ -612,7 +603,8 @@ def greens_semiclassical(r, r0, k: float, n_images: int) -> complex:
     Each reflection contributes a -1 (Maslov phase); validity needs
     k rho_n >~ 1 for every retained image, warned about otherwise.
     """
-    _check_strip(r, r0)
+    _check_strip((r[0], r0[0]), (r[1], r0[1]))
+    guard_mode_openings(k * _D)
     n, rho = _image_distances(r, r0, n_images)
     if np.any(rho == 0.0):
         raise CoincidentPoints("field point coincides with an image point")
@@ -660,7 +652,7 @@ def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc: int, t
     At r = r0 this is the renormalization sum G_w - G_0.
     """
     if ax == 0.0 and y == y0:
-        return complex(_kummer_coincident(channels(kd, m_trunc), y0, tail))
+        return complex(_kummer_coincident(kd, y0, _kx(kd, m_trunc), _chi(np.arange(1, m_trunc + 1), y0), tail))
     return complex(_kummer_sum(kd, np.array([ax]), np.array([y]), y0, np.full((1, 1), m_trunc), tail)[0, 0])
 
 
@@ -674,6 +666,10 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
     benchmark measures the regularized self-field G_w - G_0 instead (only
     the kummer representations are defined there).
     """
+    _check_strip((r[0], r0[0]), (r[1], r0[1]))
+    n_open = open_channel_count(k * _D)
+    if {"kummer", "kummer_raw"} & set(representations) and min(term_grid) < max(n_open, 1):
+        raise DomainError(f"terms={min(term_grid)} must be >= 1 and cover the {n_open} open channels")
     dx, _, rho = _deltas(r, r0)
     kd, ax, y, y0 = k * _D, abs(dx), float(r[1]), float(r0[1])
     if rho == 0.0:

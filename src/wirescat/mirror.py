@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError
 from .greens import greens_kummer_grid
 from .renorm import renorm_state
-from .waveguide import WireConfig, channels, open_channel_count, transverse_mode
+from .waveguide import WireConfig, _check_strip, _chi, channels
 
 __all__ = [
     "MirrorKind",
@@ -61,7 +61,7 @@ class MirrorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular sampling grid; y range must stay inside the strip."""
+    """Rectangular sampling grid; finite bounds, and the y range inside the strip."""
 
     x_min: float
     x_max: float
@@ -75,8 +75,8 @@ class GridSpec:
             raise DomainError("grid needs at least 2 points per axis")
         if not (0.0 <= self.y_min < self.y_max <= _D):
             raise DomainError("y range must lie inside [0, d]")
-        if not self.x_min < self.x_max:
-            raise DomainError("x range must be increasing")
+        if not (np.isfinite([self.x_min, self.x_max]).all() and self.x_min < self.x_max):
+            raise DomainError("x range must be finite and increasing")
 
     @property
     def xs(self) -> np.ndarray:
@@ -106,13 +106,10 @@ def _mirror_grid(kind: MirrorKind, k: float, cfg: WireConfig, xs, ys) -> np.ndar
     s_plus, whose T_m = cos(m pi y/d) includes the n = 0 order (k_x = k,
     half weight); the grid is one (nx x M)(M x ny) product.
     """
-    ys = np.asarray(ys, dtype=float)
-    if (ys < 0.0).any() or (ys > _D).any():
-        raise DomainError("y outside the wire [0, d]")
-    n = open_channel_count(k * _D)
-    # channels needs m_max >= 1; below kd = pi kx_open is empty and so is m
-    kx = channels(k * _D, max(n, 1)).kx_open
-    m = np.arange(1, n + 1)
+    xs, ys = _check_strip(xs, ys)
+    # channels guards kd; floor(kd/pi) + 1 modes cover the open ones (none below kd = pi)
+    ch = channels(k * _D, int(k * _D / np.pi) + 1 if np.isfinite(k) else 1)
+    kx, m = ch.kx_open, np.arange(1, ch.n_open + 1)
     q = m * np.pi / _D
     if kind == MirrorKind.S_PLUS:
         kx = np.concatenate(([k], kx))
@@ -121,8 +118,8 @@ def _mirror_grid(kind: MirrorKind, k: float, cfg: WireConfig, xs, ys) -> np.ndar
         c[0] *= 0.5
         trans = np.cos(np.multiply.outer(q, ys))
     else:
-        trans = transverse_mode(m, ys)
-        chi0 = transverse_mode(m, cfg.y0)
+        trans = _chi(m, ys)
+        chi0 = _chi(m, cfg.y0)
         if kind == MirrorKind.S:
             c = chi0 / kx
         elif kind == MirrorKind.PX:
@@ -132,7 +129,7 @@ def _mirror_grid(kind: MirrorKind, k: float, cfg: WireConfig, xs, ys) -> np.ndar
         else:
             c = (kx**2 - 3.0 * q**2) * chi0 / k**3
     trig = np.cos if kind in (MirrorKind.S, MirrorKind.S_PLUS) else np.sin
-    xi = np.asarray(xs, dtype=float) - cfg.x0
+    xi = xs - cfg.x0
     return trig(np.multiply.outer(xi, kx)) @ (c[:, None] * trans)
 
 
@@ -161,9 +158,9 @@ def renormalized_mirror_at_impurity(k: float, cfg: WireConfig, tol: float = 1e-1
     phi_s(r0) diverges as eps^(-1/2) just above a mode opening while this
     renormalized value stays bounded: the divergence cancels against G_r.
     """
-    if open_channel_count(k * _D) < 1:
-        raise DomainError("renormalized mirror wave needs an open channel")
     st = renorm_state(k, cfg, tol)
+    if k * _D < np.pi:
+        raise DomainError("renormalized mirror wave needs an open channel")
     return complex(st.sigma_open * st.renorm_factor)
 
 

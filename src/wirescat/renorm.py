@@ -41,7 +41,7 @@ from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
 from .greens import _BLOCK, _kummer_coincident, _kummer_plan
 from .specfun import cylinder_bessel_j, cylinder_bessel_y, hankel1
-from .waveguide import WireConfig, channels, open_channel_count, transverse_mode
+from .waveguide import WireConfig, _chi, _kx, open_channel_count, transverse_mode
 
 __all__ = [
     "TMatrix",
@@ -133,8 +133,8 @@ class FoldyProblem:
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 2:
-            raise DomainError("positions must be an (n, 2) array")
+        if pos.ndim != 2 or pos.shape[1] != 2 or not np.isfinite(pos).all():
+            raise DomainError("positions must be a finite (n, 2) array")
         if len(pos) != len(self.incident):
             raise DomainError("positions and incident values must align")
         diff = pos[:, None, :] - pos[None, :, :]
@@ -204,7 +204,7 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
     TruncationLimit where the plan cannot meet tol (y0 very close to a wall);
     the first bad element, in order, raises.  Elements sharing the plan's
     mode count and the open-channel count are summed in row blocks of at
-    most _BLOCK (row x mode) elements.
+    most _BLOCK (row x mode) elements, whose k_x and chi_m(y0) serve G_r and Sigma.
     """
     k, y0 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(y0, dtype=float))
     if not np.all((0.0 < y0) & (y0 < _D)):
@@ -217,11 +217,10 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
         rows = np.flatnonzero((terms == m_trunc) & (n_open == n))
         step = max(1, _BLOCK // m_trunc)
         for b in (rows[i:i + step] for i in range(0, len(rows), step)):
-            ch, y_b = channels(kd[b], m_trunc), yy[b]
-            g_r[b] = _kummer_coincident(ch, y_b, completion[b])
-            # contiguous rows, so each row sums like one kd's open modes alone
-            chi2 = np.ascontiguousarray(transverse_mode(np.arange(1, n + 1), y_b).T) ** 2
-            sigma[b] = np.sum(chi2 / ch.kx[:, :n].real, axis=-1)
+            # rows of modes, contiguous so that each row sums like one kd's modes alone
+            kx, chi = _kx(kd[b], m_trunc), np.ascontiguousarray(_chi(np.arange(1, m_trunc + 1), yy[b]).T)
+            g_r[b] = _kummer_coincident(kd[b], yy[b], kx, chi, completion[b])
+            sigma[b] = np.sum(chi[:, :n] ** 2 / kx[:, :n].real, axis=-1)
     return RenormState(k=k, y0=y0, g_r=g_r.reshape(k.shape), sigma_open=sigma.reshape(k.shape),
                        tail_bound=bound.reshape(k.shape), terms_used=terms.reshape(k.shape))
 
@@ -297,6 +296,8 @@ def foldy_solve(problem: FoldyProblem, k: float,
     ``born`` iterates the multiple-scattering series instead and refuses if
     its spectral radius is >= 1.
     """
+    if not k > 0.0:
+        raise DomainError(f"k must be positive, got {k!r}")
     pos = np.asarray(problem.positions, dtype=float)
     n = len(pos)
     phi = np.asarray(problem.incident, dtype=complex)

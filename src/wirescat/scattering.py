@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DegenerateMode, DomainError
 from .greens import semiclassical_renorm_sum
 from .renorm import RenormState, attach_strength, renorm_state, t_matrix
-from .waveguide import WireConfig, channels, open_channel_count, transverse_mode
+from .waveguide import WireConfig, _chi, _kx, open_channel_count, transverse_mode
 
 __all__ = [
     "SMatrixResult",
@@ -127,8 +127,8 @@ def _state_s_matrix(st: RenormState, n: int) -> SMatrixResult:
     A grid state whose elements all have n open channels gives the stack of
     their S matrices.
     """
-    kx = channels(st.k * _D, n).kx.real
-    v = transverse_mode(np.arange(1, n + 1), st.y0).T / np.sqrt(kx)
+    kx = _kx(st.k * _D, n).real
+    v = _chi(np.arange(1, n + 1), st.y0).T / np.sqrt(kx)
     rs = np.asarray(st.rs)[..., None]
     refl = 1j * rs[..., None] * (v[..., :, None] * v[..., None, :])
     sigma_modes = abs(rs) ** 2 * _D * (v * v) * np.asarray(st.sigma_open)[..., None]
@@ -146,14 +146,14 @@ def cross_section_mode(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) ->
 
 def cross_section(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """Total cross section as a fraction of the wire width; 0 below kd = pi."""
-    if k * _D < np.pi:
+    if 0.0 < k * _D < np.pi:
         return 0.0
     return renorm_state(k, cfg, tol).cross_section
 
 
 def conductance(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """Two-terminal conductance N - sigma in quanta; 0 below first threshold."""
-    if k * _D < np.pi:
+    if 0.0 < k * _D < np.pi:
         return 0.0
     return float(open_channel_count(k * _D) - renorm_state(k, cfg, tol).cross_section)
 
@@ -181,8 +181,7 @@ def forward_amplitude(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> 
     if not 1 <= n <= n_open:
         raise DomainError(f"mode {n} is not open at kd = {k * _D!r}")
     st = renorm_state(k, cfg, tol)
-    kx = channels(k * _D, n_open).kx_open
-    return complex(-1j * st.rs * transverse_mode(n, cfg.y0) / kx[n - 1])
+    return complex(-1j * st.rs * _chi(n, cfg.y0) / _kx(k * _D, n)[n - 1].real)
 
 
 def phase_shift(k: float, cfg: WireConfig, tol: float = 1e-12) -> PhaseShift:
@@ -213,7 +212,7 @@ def sigma_edge_asymptote(n_mode: int, eps: float, y0: float) -> float:
     if chi_n2 < 1e-24:
         raise DegenerateMode(f"mode {n_mode} has a node at y0={y0!r}")
     n = np.arange(1, n_mode)
-    total = np.sum((transverse_mode(n, y0) ** 2 / chi_n2) / np.sqrt(n_mode**2 - n**2))
+    total = np.sum((_chi(n, y0) ** 2 / chi_n2) / np.sqrt(n_mode**2 - n**2))
     return float(2.0 * n_mode * (eps / np.pi) * total**2)
 
 
@@ -229,9 +228,7 @@ def sigma_from_greens(k: float, cfg: WireConfig,
     cross_section; ``semiclassical`` substitutes the asymptotic image sum
     (no accuracy contract, resonance-position diagnostic only).
     """
-    if cfg.a == 0.0:
-        return 0.0
-    if k * _D < np.pi:
+    if 0.0 < k * _D < np.pi:
         return 0.0
     if variant == "kummer":
         st = renorm_state(k, cfg, tol)
@@ -239,7 +236,7 @@ def sigma_from_greens(k: float, cfg: WireConfig,
         g_r = semiclassical_renorm_sum(k, cfg.y0)
         base = RenormState(k=k, y0=cfg.y0, g_r=g_r, sigma_open=0.5 - g_r.imag,
                            tail_bound=float("inf"), terms_used=0)
-        st = attach_strength(base, t_matrix(k, cfg.a).s)
+        st = attach_strength(base, t_matrix(k, cfg.a).s if cfg.a != 0.0 else 0.0 + 0.0j)
     else:
         raise DomainError(f"unknown variant {variant!r}")
     return float(np.square(np.abs(st.rs * (0.5 - st.g_r.imag))))

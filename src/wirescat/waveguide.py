@@ -12,6 +12,11 @@ longitudinal wavenumber
 
 The +i branch for closed channels makes exp(i k_x |x-x0|) die off away from
 the source; it is applied consistently everywhere.
+
+Public functions validate their inputs once, at the boundary: _check_strip
+(finite x, 0 <= y <= d) and guard_mode_openings (kd > 0, finite, off every
+opening) serve every module.  The _-prefixed kernels (_chi, _kx and the mode
+sums built on them) take validated arrays and never check again.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_MODE_GUARD = 1e-9
+_D = 1.0
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,14 @@ def open_channel_count(kd):
     return n if n.ndim else int(n)
 
 
+def _check_strip(x, y):
+    """x and y as float arrays; DomainError unless every x is finite and 0 <= y <= d (NaN is out)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and ((0.0 <= y) & (y <= _D)).all()):
+        raise DomainError("a point lies outside the strip: x must be finite and 0 <= y <= d")
+    return x, y
+
+
 def _branch_kx(k, q):
     """sqrt(k^2 - q^2) for transverse wavenumber q, on the decaying +i branch when q > k."""
     val = k * k - q ** 2
@@ -166,18 +180,23 @@ def channels(kd, m_max: int) -> ChannelSet:
     n_open = open_channel_count(kd)
     if m_max < max(np.max(n_open), 1):
         raise DomainError(f"m_max={m_max} must cover the {np.max(n_open)} open channels")
-    m = np.arange(1, m_max + 1, dtype=float)
-    kx = _branch_kx(np.asarray(kd, dtype=float)[..., None], m * np.pi)
-    return ChannelSet(k=kd, n_open=n_open, kx=kx)
+    return ChannelSet(k=kd, n_open=n_open, kx=_kx(kd, m_max))
 
 
-def transverse_mode(m, y, d: float = 1.0):
+def _kx(kd, m_max: int):
+    """k_x^(m) for m = 1..m_max along a new last axis of kd (validated kd, unchecked)."""
+    return _branch_kx(np.asarray(kd, dtype=float)[..., None], np.arange(1, m_max + 1, dtype=float) * np.pi)
+
+
+def transverse_mode(m, y):
     """chi_m(y) = sqrt(2/d) sin(m pi y / d) on 0 <= y <= d."""
-    y_arr = np.asarray(y, dtype=float)
-    if not ((0.0 <= y_arr) & (y_arr <= d)).all():
-        raise DomainError("y outside the wire [0, d]")
-    out = np.sqrt(2.0 / d) * np.sin(np.multiply.outer(np.asarray(m, dtype=float), y_arr) * np.pi / d)
+    out = _chi(m, _check_strip(0.0, y)[1])
     return out if out.ndim else float(out)
+
+
+def _chi(m, y):
+    """chi_m(y) over the outer product of m and y (validated y, unchecked)."""
+    return np.sqrt(2.0 / _D) * np.sin(np.multiply.outer(np.asarray(m, dtype=float), y) * np.pi / _D)
 
 
 def image_positions(cfg: WireConfig, n_min: int, n_max: int) -> ImageArray:

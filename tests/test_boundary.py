@@ -1,0 +1,201 @@
+"""Input checks at the public boundary: every entry refuses a bad y or kd, once per call."""
+
+import inspect
+import sys
+import warnings
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from wirescat import greens, mirror, renorm, scattering, waveguide
+from wirescat.errors import WireError
+from wirescat.mirror import GridSpec
+from wirescat.renorm import FoldyProblem
+from wirescat.waveguide import WireConfig
+
+KD, Y = 2.5 * np.pi, 0.45
+R0 = (0.0, 0.3)
+CFG = WireConfig(y0=0.3, a=0.1)
+BAD_Y = {"y=1.5": 1.5, "y=-0.2": -0.2, "y=nan": np.nan}
+BAD_KD = {"kd=3pi+1e-10": 3 * np.pi + 1e-10, "kd=3pi-1e-10": 3 * np.pi - 1e-10,
+          "kd=0": 0.0, "kd=-1": -1.0}
+
+# (id, function, call(y, kd), what it takes): "y" and "kd" get every bad value
+# of theirs; free-space forms ("y0", "kd0": no walls, no openings) get only
+# a NaN y and kd <= 0
+ENTRIES = [
+    ("greens_free", greens.greens_free, lambda y, kd: greens.greens_free((0.3, y), R0, kd), "y0 kd0"),
+    ("greens_spectral", greens.greens_spectral,
+     lambda y, kd: greens.greens_spectral((0.3, y), R0, kd, 100), "y kd"),
+    ("greens_image", greens.greens_image, lambda y, kd: greens.greens_image((0.3, y), R0, kd, 10), "y kd"),
+    ("greens_static", greens.greens_static, lambda y, kd: greens.greens_static((0.3, y), R0), "y"),
+    ("greens_kummer", greens.greens_kummer, lambda y, kd: greens.greens_kummer((0.3, y), R0, kd), "y kd"),
+    ("greens_kummer_grid", greens.greens_kummer_grid,
+     lambda y, kd: greens.greens_kummer_grid([0.3], [0.5, y], R0, kd), "y kd"),
+    ("greens_kummer_grid[r0]", greens.greens_kummer_grid,
+     lambda y, kd: greens.greens_kummer_grid([0.3], [0.5], (0.0, y), kd), "y kd"),
+    ("greens_diffraction", greens.greens_diffraction,
+     lambda y, kd: greens.greens_diffraction((0.3, y), R0, kd), "y kd"),
+    ("greens_semiclassical", greens.greens_semiclassical,
+     lambda y, kd: greens.greens_semiclassical((0.3, y), R0, kd, 10), "y kd"),
+    ("semiclassical_renorm_sum", greens.semiclassical_renorm_sum,
+     lambda y, kd: greens.semiclassical_renorm_sum(kd, y), "y kd"),
+    ("bragg_spectrum", greens.bragg_spectrum, lambda y, kd: greens.bragg_spectrum(kd, 2.0), "kd0"),
+    ("convergence_benchmark", greens.convergence_benchmark,
+     lambda y, kd: greens.convergence_benchmark((0.3, y), R0, kd, ("spectral", "kummer"), (10, 100)), "y kd"),
+    ("convergence_benchmark[coincident]", greens.convergence_benchmark,
+     lambda y, kd: greens.convergence_benchmark((0.0, y), (0.0, y), kd, ("kummer", "kummer_raw"), (10, 100)),
+     "y kd"),
+    ("image_sum_alternating", greens.image_sum_alternating,
+     lambda y, kd: greens.image_sum_alternating((0.3, y), R0, kd, 10), "y0 kd0"),
+    ("image_sum_positive", greens.image_sum_positive,
+     lambda y, kd: greens.image_sum_positive((0.3, y), R0, kd, 10), "y0 kd0"),
+    ("t_matrix", renorm.t_matrix, lambda y, kd: renorm.t_matrix(kd, 0.1), "kd0"),
+    ("hard_disk_boundary_check", renorm.hard_disk_boundary_check,
+     lambda y, kd: renorm.hard_disk_boundary_check(kd, 0.1), "kd0"),
+    ("renorm_sum", renorm.renorm_sum, lambda y, kd: renorm.renorm_sum(kd, y), "y kd"),
+    ("renorm_grid", renorm.renorm_grid, lambda y, kd: renorm.renorm_grid(np.array([KD, kd]), y), "y kd"),
+    ("renorm_state", renorm.renorm_state, lambda y, kd: renorm.renorm_state(kd, WireConfig(y0=y)), "y kd"),
+    ("effective_strength", renorm.effective_strength,
+     lambda y, kd: renorm.effective_strength(kd, y, 0.1), "y kd"),
+    ("gr_edge_asymptote", renorm.gr_edge_asymptote, lambda y, kd: renorm.gr_edge_asymptote(3, 1e-4, y), "y"),
+    ("foldy_solve", renorm.foldy_solve,
+     lambda y, kd: renorm.foldy_solve(FoldyProblem([[0.0, y]], 0.5j, [1.0]), kd), "y0 kd0"),
+    ("s_matrix", scattering.s_matrix, lambda y, kd: scattering.s_matrix(kd, WireConfig(y0=y)), "y kd"),
+    ("cross_section_mode", scattering.cross_section_mode,
+     lambda y, kd: scattering.cross_section_mode(1, kd, WireConfig(y0=y)), "y kd"),
+    ("cross_section", scattering.cross_section,
+     lambda y, kd: scattering.cross_section(kd, WireConfig(y0=y)), "y kd"),
+    ("conductance", scattering.conductance, lambda y, kd: scattering.conductance(kd, WireConfig(y0=y)), "y kd"),
+    ("free_cross_section", scattering.free_cross_section,
+     lambda y, kd: scattering.free_cross_section(kd, 0.1), "kd0"),
+    ("optical_residual", scattering.optical_residual,
+     lambda y, kd: scattering.optical_residual(kd, WireConfig(y0=y)), "y kd"),
+    ("forward_amplitude", scattering.forward_amplitude,
+     lambda y, kd: scattering.forward_amplitude(1, kd, WireConfig(y0=y)), "y kd"),
+    ("phase_shift", scattering.phase_shift, lambda y, kd: scattering.phase_shift(kd, WireConfig(y0=y)), "y kd"),
+    ("sigma_edge_asymptote", scattering.sigma_edge_asymptote,
+     lambda y, kd: scattering.sigma_edge_asymptote(3, 1e-4, y), "y"),
+    ("sigma_from_greens", scattering.sigma_from_greens,
+     lambda y, kd: scattering.sigma_from_greens(kd, WireConfig(y0=y)), "y kd"),
+    ("sigma_from_greens[semiclassical]", scattering.sigma_from_greens,
+     lambda y, kd: scattering.sigma_from_greens(kd, WireConfig(y0=y), "semiclassical"), "y kd"),
+    ("mirror_s", mirror.mirror_s, lambda y, kd: mirror.mirror_s((0.2, y), kd, CFG), "y kd"),
+    ("mirror_s_plus", mirror.mirror_s_plus, lambda y, kd: mirror.mirror_s_plus((0.2, y), kd, CFG), "y kd"),
+    ("mirror_partial", mirror.mirror_partial,
+     lambda y, kd: mirror.mirror_partial("f", (0.2, y), kd, CFG), "y kd"),
+    ("renormalized_mirror_at_impurity", mirror.renormalized_mirror_at_impurity,
+     lambda y, kd: mirror.renormalized_mirror_at_impurity(kd, WireConfig(y0=y)), "y kd"),
+    ("field_map", mirror.field_map,
+     lambda y, kd: mirror.field_map("s", kd, CFG, GridSpec(-1.0, 1.0, 0.0, y, 3, 3)), "y kd"),
+    ("field_map[greens]", mirror.field_map,
+     lambda y, kd: mirror.field_map("greens", kd, WireConfig(y0=y), GridSpec(-1.0, 1.0, 0.0, 1.0, 3, 3)),
+     "y kd"),
+    ("GridSpec", GridSpec, lambda y, kd: GridSpec(-1.0, 1.0, y, 1.0, 3, 3), "y"),
+    ("WireConfig", WireConfig, lambda y, kd: WireConfig(y0=y), "y"),
+    ("open_channel_count", waveguide.open_channel_count, lambda y, kd: waveguide.open_channel_count(kd), "kd"),
+    ("longitudinal_wavenumber", waveguide.longitudinal_wavenumber,
+     lambda y, kd: waveguide.longitudinal_wavenumber(3, kd), "kd"),
+    ("channels", waveguide.channels, lambda y, kd: waveguide.channels(kd, 10), "kd"),
+    ("transverse_mode", waveguide.transverse_mode, lambda y, kd: waveguide.transverse_mode(2, y), "y"),
+    ("image_positions", waveguide.image_positions,
+     lambda y, kd: waveguide.image_positions(WireConfig(y0=y), -2, 2), "y"),
+    ("guard_mode_openings", waveguide.guard_mode_openings,
+     lambda y, kd: waveguide.guard_mode_openings(kd), "kd"),
+]
+
+# mode_opening_gaps is the guard's predicate: it classifies kd (sweeps flag
+# gap rows with it) and evaluates nothing there
+EXEMPT = {waveguide.mode_opening_gaps}
+_POINT_ARGS = {"k", "kd", "y", "y0", "r", "r0", "xs", "ys", "cfg"}
+
+
+def _bad_inputs(takes):
+    kinds = takes.split()
+    cases = {}
+    if "y" in kinds:
+        cases |= {c: (y, KD) for c, y in BAD_Y.items()}
+    if "y0" in kinds:
+        cases["y=nan"] = (np.nan, KD)
+    if "kd" in kinds:
+        cases |= {c: (Y, kd) for c, kd in BAD_KD.items()}
+    if "kd0" in kinds:
+        cases |= {c: (Y, kd) for c, kd in BAD_KD.items() if kd <= 0.0}
+    return cases
+
+
+def test_every_public_entry_is_covered():
+    public = {getattr(mod, name) for mod in (greens, renorm, scattering, mirror, waveguide)
+              for name in mod.__all__}
+    takes_point = {fn for fn in public if inspect.isfunction(fn)
+                   and _POINT_ARGS & set(inspect.signature(fn).parameters)}
+    covered = {fn for _, fn, _, _ in ENTRIES}
+    assert takes_point - covered - EXEMPT == set()
+    assert covered <= public
+
+
+@pytest.mark.parametrize("call,takes", [e[2:] for e in ENTRIES], ids=[e[0] for e in ENTRIES])
+def test_a_bad_y_or_kd_raises_a_named_wire_error(call, takes):
+    # never a value, a bare exception or a warning
+    wrong = {}
+    for case, (y, kd) in _bad_inputs(takes).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                call(y, kd)
+                wrong[case] = "returned"
+            except WireError as exc:
+                if type(exc) is WireError:
+                    wrong[case] = "bare WireError"
+            except Exception as exc:  # noqa: BLE001  (reported, not swallowed)
+                wrong[case] = repr(exc)
+    assert wrong == {}
+
+
+def _check_counts(call):
+    """Calls of each input check of waveguide made during call()."""
+    codes = {getattr(waveguide, name).__code__: name
+             for name in ("transverse_mode", "channels", "open_channel_count",
+                          "guard_mode_openings", "_check_strip") if hasattr(waveguide, name)}
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_renorm_grid_guards_its_kd_once():
+    # one guard over the whole kd array; the row blocks take k_x and chi_m(y0)
+    # from the unchecked kernels
+    kd = np.linspace(0.5 * np.pi, 7.5 * np.pi, 2000)
+    kd = kd[~waveguide.mode_opening_gaps(kd)[1]]
+    counts = _check_counts(lambda: renorm.renorm_grid(kd, 0.32))
+    assert counts["guard_mode_openings"] == 1
+    assert counts["transverse_mode"] == counts["channels"] == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: greens.greens_kummer((0.37, 0.61), R0, KD),
+    lambda: greens.greens_kummer((0.0, 0.61), R0, KD),
+    lambda: greens.greens_kummer_grid(np.linspace(-1.0, 1.0, 41), np.linspace(0.0, 1.0, 11), R0, KD),
+    lambda: greens.greens_spectral((0.37, 0.61), R0, KD, 100),
+    lambda: greens.convergence_benchmark(R0, R0, KD, ("kummer", "kummer_raw"), (10, 100, 1000)),
+    lambda: renorm.renorm_sum(KD, 0.3),
+    lambda: mirror.mirror_s((0.2, 0.5), KD, CFG),
+    lambda: mirror.renormalized_mirror_at_impurity(KD, CFG),
+    lambda: mirror.field_map("dxy", KD, CFG, GridSpec(-1.0, 1.0, 0.0, 1.0, 21, 11)),
+    lambda: mirror.field_map("greens", KD, CFG, GridSpec(-1.0, 1.0, 0.0, 1.0, 21, 11)),
+], ids=["kummer", "kummer-axis", "kummer-grid", "spectral", "benchmark-coincident", "renorm-sum",
+        "mirror-s", "renormalized-mirror", "field-map-dxy", "field-map-greens"])
+def test_one_strip_check_and_one_guard_per_call(call):
+    counts = _check_counts(call)
+    assert counts["_check_strip"] <= 1 and counts["guard_mode_openings"] <= 1, counts
+    assert counts["transverse_mode"] == 0, counts

@@ -232,6 +232,17 @@ def test_non_finite_x0_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["s", "greens"])
+@pytest.mark.parametrize("bound", [["--x-max", "inf"], ["--x-min", "nan"]], ids=["x-max-inf", "x-min-nan"])
+def test_non_finite_grid_exit_2(tmp_path, capsys, kind, bound):
+    # an infinite or NaN x bound gives rows of nan and inf, not a field map
+    out = tmp_path / "x.csv"
+    assert main(["field-map", "--kind", kind, "--kd", "7.85", "--y0", "0.3", "--nx", "3", "--ny", "3",
+                 *bound, "--out", str(out)]) == 2
+    assert "x range must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_greens_bench(tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(["greens-bench", "--kd", str(2.5 * np.pi), "--x", "0.37",

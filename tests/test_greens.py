@@ -1,5 +1,7 @@
 """Green's function representations: examples, cross-route oracles, invariants."""
 
+import ast
+import inspect
 import tracemalloc
 import warnings
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wirescat import greens
+from wirescat import greens, mirror
 from wirescat.errors import CoincidentPoints, DomainError, TruncationLimit
 from wirescat.greens import (bragg_spectrum, convergence_benchmark, geometric_tail,
                              greens_diffraction, greens_free, greens_image,
@@ -18,7 +20,7 @@ from wirescat.greens import (bragg_spectrum, convergence_benchmark, geometric_ta
                              zeta_tail)
 from wirescat.renorm import renorm_sum
 from wirescat.specfun import hankel1
-from wirescat.waveguide import transverse_mode
+from wirescat.waveguide import WireConfig, transverse_mode
 
 mp.mp.dps = 30
 
@@ -104,9 +106,15 @@ def test_tails_of_a_batch_are_the_tails_of_each_element(elements, s, shift):
     lambda: semiclassical_renorm_sum(KD, np.nan),
     lambda: semiclassical_renorm_sum(KD, 0.0),
     lambda: transverse_mode(1, np.nan),
+    lambda: mirror.mirror_s((np.nan, 0.5), KD, WireConfig(y0=0.3)),
+    lambda: mirror.mirror_s((np.inf, 0.5), KD, WireConfig(y0=0.3)),
+    lambda: mirror.mirror_partial("px", (np.nan, 0.5), KD, WireConfig(y0=0.3)),
+    lambda: mirror.mirror_partial("f", (-np.inf, 0.5), KD, WireConfig(y0=0.3)),
+    lambda: mirror.mirror_s_plus((0.2, np.nan), KD, WireConfig(y0=0.3)),
 ], ids=["grid-x-nan", "grid-x-inf", "grid-y-nan", "grid-y0-nan", "grid-x0-nan", "kummer-x-nan",
         "spectral-x-nan", "spectral-x-inf", "diffraction-x-nan", "semiclassical-y0-nan",
-        "semiclassical-y0-wall", "transverse-mode-y-nan"])
+        "semiclassical-y0-wall", "transverse-mode-y-nan", "mirror-s-x-nan", "mirror-s-x-inf",
+        "mirror-px-x-nan", "mirror-f-x-inf", "mirror-s-plus-y-nan"])
 def test_a_non_finite_coordinate_is_a_domain_error(call):
     # never a silent NaN, nor a truncation error after a futile doubling
     with pytest.raises(DomainError):
@@ -189,6 +197,17 @@ def test_kummer_tail_bound_is_honest():
     tight = greens_kummer((0.001, 0.31), R0, KD, tol=1e-12)
     assert abs(loose.value - tight.value) <= loose.tail_bound + tight.tail_bound + 1e-13
     assert ref.tail_bound <= 1e-13
+
+
+@pytest.mark.parametrize("kd", [190.0, 199.0, 250.0, 300.0])
+@pytest.mark.parametrize("ax", [0.05, 0.3, 1.0])
+def test_kummer_bound_is_honest_while_modes_open(kd, ax):
+    # past kd ~ 177 the modes just above M = 64 are open or barely decay:
+    # the plan must double past them, not claim a tiny bound
+    r, r0 = (ax, 0.41), (0.0, 0.3)
+    g = greens_kummer(r, r0, kd, tol=1e-10)
+    ref = greens_diffraction(r, r0, kd, tol=1e-14)
+    assert abs(g.value - ref.value) <= g.tail_bound + 1e-13
 
 
 def test_diffraction_identity_with_spectral():
@@ -529,3 +548,30 @@ def test_kummer_meets_tol_just_off_the_axis():
     # plain truncation converges here once m pi ax ~ 25: 2^18 modes
     ref = greens._kummer_truncated(kd, ax, y, r0[1], 2**18, 0.0)
     assert abs(g.value - ref) <= g.tail_bound
+
+
+# names of the checked public calls; a mode kernel takes validated arrays
+_CHECKS = {"transverse_mode", "channels", "open_channel_count", "guard_mode_openings", "_check_strip"}
+
+
+def _called_names(fn):
+    tree = ast.parse(inspect.getsource(fn))
+    return {node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
+@pytest.mark.parametrize("kernel", ["_mode_product", "_kummer_sum", "_kummer_coincident", "_kummer_plan"])
+def test_mode_kernels_never_check_their_inputs(kernel):
+    # inputs are checked once, at the public boundary; the kernels and the
+    # greens helpers they call must not check again
+    seen, todo, reached = set(), [kernel], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        called = _called_names(getattr(greens, name))
+        reached |= called & _CHECKS
+        todo += [c for c in called if inspect.isfunction(getattr(greens, c, None))
+                 and getattr(greens, c).__module__ == greens.__name__]
+    assert reached == set(), (kernel, sorted(seen))
