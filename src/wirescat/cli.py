@@ -53,17 +53,17 @@ def run_sweep_k(args) -> int:
     cfg = WireConfig(y0=args.y0, a=args.a, x0=args.x0)
     kds = np.linspace(args.kd_min, args.kd_max, args.points)
     # s depends on kd alone: one array evaluation covers the grid
-    strengths = renorm._strength(kds, cfg.a) if cfg.a != 0.0 else np.zeros(len(kds), complex)
-    # gap rows carry the one-sided limits; every other row comes from one state grid
+    strengths = renorm._strength(kds, cfg.a)
+    # gap rows carry the one-sided limits; every other row comes from one state
+    # grid, where sigma = 0 below kd = pi because Sigma = 0 there
     n_near, gap = mode_opening_gaps(kds)
     kd, ok = kds[~gap], ~gap
     st = renorm.attach_strength(renorm.renorm_grid(kd, cfg.y0, args.tol), strengths[ok])
-    n_open = np.floor(kd / np.pi).astype(int)
-    sigma = np.where(n_open >= 1, st.cross_section, 0.0)
+    n_open, sigma = st.n_open, st.cross_section
     col = {name: np.full(len(kds), NAN) for name in SWEEP_COLUMNS}
     col["kd"], col["gap"] = kds, gap.astype(int)
-    col["n_open"] = col["conductance_empty"] = np.where(gap, n_near, np.floor(kds / np.pi)).astype(int)
-    for name, value in (("sigma", sigma), ("conductance", n_open - sigma),
+    col["n_open"] = col["conductance_empty"] = n_near.astype(int)  # gap rows: the nearest opening
+    for name, value in (("n_open", n_open), ("sigma", sigma), ("conductance", n_open - sigma),
                         ("sigma_free", renorm.TMatrix(kd, cfg.a, strengths[ok]).cross_section / cfg.d),
                         ("g_r_re", st.g_r.real), ("g_r_im", st.g_r.imag),
                         ("rs_re", st.rs.real), ("rs_im", st.rs.imag),
@@ -99,14 +99,11 @@ def run_sweep_geom(args) -> int:
     for a in a_list:
         WireConfig(y0=y0_list[0], a=a)
     # sigma = |Rs|^2 Sigma^2 with Rs = s/(1 - s G_r): G_r depends on y0 alone
-    # and s on a alone, so one G_r grid over y0 and one array s over the
-    # nonzero a broadcast to the (a, y0) grid.  Nothing is open below kd = pi
-    # and sigma = 0 there; a NaN kd still reaches renorm_grid's guard.
+    # and s on a alone (0 at a = 0), so one G_r grid over y0 and one array s over a
+    # broadcast to the (a, y0) grid.  Nothing is open below kd = pi and sigma = 0
+    # there; a NaN kd reaches renorm_grid's guard and kd <= 0 _strength's check.
     base = renorm.renorm_grid(kd, y0_grid, args.tol) if not kd < np.pi else None
-    nonzero = a_grid != 0.0
-    strengths = np.zeros(len(a_grid), complex)
-    if nonzero.any():
-        strengths[nonzero] = renorm._strength(kd, a_grid[nonzero])
+    strengths = renorm._strength(kd, a_grid)
     sigma = (renorm.attach_strength(base, strengths[:, None]).cross_section if base is not None
              else np.zeros((len(a_list), len(y0_list))))
     sigma_free = renorm.TMatrix(kd, a_grid, strengths).cross_section

@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import CoincidentPoints, DomainError, TruncationLimit
 from .specfun import cylinder_bessel_j, hankel1
-from .waveguide import (_branch_kx, _check_strip, _chi, _image_heights, _kx, guard_mode_openings,
-                        open_channel_count)
+from .waveguide import (_branch_kx, _check_strip, _chi, _image_heights, _kx, _n_open,
+                        guard_mode_openings, open_channel_count)
 
 __all__ = [
     "GreensValue",
@@ -419,7 +419,7 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
             completion_i, bound_i = mode_product_tail(kd_n[i], m, alpha[i], beta[i])
             return completion_i, np.where(ax_n[i] > 0.0, bound_i + np.abs(completion_i), bound_i)
 
-        m_n = _doubled(np.maximum(256, 4 * np.floor(kd_n / np.pi).astype(int)), True, _KUMMER_MODE_CAP,
+        m_n = _doubled(np.maximum(256, 4 * _n_open(kd_n)), True, _KUMMER_MODE_CAP,
                        lambda m, i: _closed_form_bound(kd_n[i], m, alpha[i], beta[i]) < tol)
         m_n = _doubled(m_n, ax_n > 0.0, _KUMMER_MODE_CAP, lambda m, i: charged_bound(m, i)[1] < tol)
         completion_n, bound[near] = charged_bound(m_n, slice(None))

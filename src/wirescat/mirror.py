@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError
 from .greens import greens_kummer_grid
 from .renorm import renorm_state
-from .waveguide import WireConfig, _check_strip, _chi, channels
+from .waveguide import WireConfig, _check_strip, _chi, _kx, open_channel_count
 
 __all__ = [
     "MirrorKind",
@@ -107,9 +107,8 @@ def _mirror_grid(kind: MirrorKind, k: float, cfg: WireConfig, xs, ys) -> np.ndar
     half weight); the grid is one (nx x M)(M x ny) product.
     """
     xs, ys = _check_strip(xs, ys)
-    # channels guards kd; floor(kd/pi) + 1 modes cover the open ones (none below kd = pi)
-    ch = channels(k * _D, int(k * _D / np.pi) + 1 if np.isfinite(k) else 1)
-    kx, m = ch.kx_open, np.arange(1, ch.n_open + 1)
+    n = open_channel_count(k * _D)  # guards kd; none open below kd = pi
+    kx, m = _kx(k * _D, n).real, np.arange(1, n + 1)
     q = m * np.pi / _D
     if kind == MirrorKind.S_PLUS:
         kx = np.concatenate(([k], kx))
@@ -158,9 +157,9 @@ def renormalized_mirror_at_impurity(k: float, cfg: WireConfig, tol: float = 1e-1
     phi_s(r0) diverges as eps^(-1/2) just above a mode opening while this
     renormalized value stays bounded: the divergence cancels against G_r.
     """
-    st = renorm_state(k, cfg, tol)
-    if k * _D < np.pi:
+    if 0.0 < k * _D < np.pi:
         raise DomainError("renormalized mirror wave needs an open channel")
+    st = renorm_state(k, cfg, tol)
     return complex(st.sigma_open * st.renorm_factor)
 
 

@@ -8,6 +8,7 @@ which satisfies the free-space optical theorem -2 Im s = |s|^2 identically.
 Negative scattering lengths (attractive impurity) are modelled by
 conjugating the denominator phase, s = -2i J_0(k|a|) / [J_0 - i Y_0], which
 flips the sign of the phase shift while preserving the optical theorem.
+A transparent impurity (a = 0) has s = 0; _strength alone applies that rule.
 
 Confinement renormalizes the incident amplitude at the impurity by
 1/(1 - s G_r), where
@@ -23,10 +24,11 @@ downstream and are enforced by the test suite:
     |Rs|^2 Sigma = -Im Rs,      Rs = s/(1 - s G_r)
 
 the second being the waveguide optical theorem (it forces S-matrix
-unitarity).  G_r is the Kummer Green's function's mode sum at r = r0 with
-the static form replaced by the constant above, summed and tail-completed
-by the same greens kernel and truncation plan, so ~300 modes already give
-~1e-14.
+unitarity).  Sigma sums the RenormState.n_open = floor(kd/pi) open channels,
+so below kd = pi it is 0 and so is sigma.  G_r is the Kummer Green's
+function's mode sum at r = r0 with the static form replaced by the constant
+above, summed and tail-completed by the same greens kernel and truncation
+plan, so ~300 modes already give ~1e-14.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
 from .greens import _BLOCK, _kummer_coincident, _kummer_plan
 from .specfun import cylinder_bessel_j, cylinder_bessel_y, hankel1
-from .waveguide import WireConfig, _chi, _kx, open_channel_count, transverse_mode
+from .waveguide import WireConfig, _chi, _kx, _n_open, open_channel_count, transverse_mode
 
 __all__ = [
     "TMatrix",
@@ -85,7 +87,7 @@ class TMatrix:
 class RenormState:
     """G_r, the open-channel sum Sigma and (optionally) the effective strength.
 
-    From renorm_grid every field is an array and the properties are elementwise.
+    From renorm_grid every field is an array and the properties (n_open too) are elementwise.
     """
 
     k: float
@@ -97,6 +99,11 @@ class RenormState:
     s: complex | None = None
     rs: complex | None = None
     renorm_factor: complex | None = None
+
+    @property
+    def n_open(self) -> int:
+        """Number of open channels N = floor(kd/pi) that Sigma sums over."""
+        return _n_open(self.k * _D)
 
     @property
     def im_identity_residual(self) -> float:
@@ -137,34 +144,30 @@ class FoldyProblem:
             raise DomainError("positions must be a finite (n, 2) array")
         if len(pos) != len(self.incident):
             raise DomainError("positions and incident values must align")
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
-        if np.any(dist[~np.eye(len(pos), dtype=bool)] == 0.0):
+        if len(np.unique(pos, axis=0)) < len(pos):
             raise DomainError("scatterer positions must be pairwise distinct")
 
 
 def _strength(k, a):
     """s(k, a) for scalar or array k and a; the one copy of the hard-disk strength formula.
 
-    k and a broadcast against each other and the sign of the denominator
-    phase is picked per element, so sweeps get s over a whole kd grid or a
-    whole a grid in one call per Bessel function.
+    k and a broadcast against each other; the sign of the denominator phase
+    and s = 0 at a = 0 are picked per element, so sweeps get s over a whole kd
+    grid or a whole a grid in one call per Bessel function.  Every k must be > 0.
     """
     k = np.asarray(k, dtype=float)
     a = np.asarray(a, dtype=float)
     if np.any(k <= 0.0):
         raise DomainError("k must be positive")
-    if np.any(a == 0.0):
-        raise DomainError("a must be nonzero; a transparent impurity has s = 0")
-    ka = k * np.abs(a)
+    ka = k * np.where(a == 0.0, 1.0, np.abs(a))  # Y_0(0) is singular; a = 0 gets s = 0 below
     j = cylinder_bessel_j(0, ka)
     y = cylinder_bessel_y(0, ka)
     denom = np.where(a > 0, j + 1j * y, j - 1j * y)
-    return -2j * j / denom
+    return np.where(a == 0.0, 0j, -2j * j / denom)
 
 
 def t_matrix(k: float, a: float) -> TMatrix:
-    """Hard-disk s-wave strength; rejects a = 0 (use s = 0 directly for sweeps).
+    """Hard-disk s-wave strength; s = 0 for a transparent impurity (a = 0).
 
     Scalar k only; the same formula over an array of k is ``_strength``,
     which this wraps.
@@ -249,15 +252,11 @@ def attach_strength(base: RenormState, s) -> RenormState:
 
 def renorm_state(k: float, cfg: WireConfig, tol: float = 1e-12) -> RenormState:
     """renorm_sum with cfg's impurity attached (attach_strength; s = 0 for a = 0)."""
-    base = renorm_sum(k, cfg.y0, tol)
-    s = t_matrix(k, cfg.a).s if cfg.a != 0.0 else 0.0 + 0.0j
-    return attach_strength(base, s)
+    return attach_strength(renorm_sum(k, cfg.y0, tol), t_matrix(k, cfg.a).s)
 
 
 def effective_strength(k: float, y0: float, a: float, tol: float = 1e-12) -> complex:
-    """Confined scattering strength Rs = s/(1 - s G_r)."""
-    if a == 0.0:
-        return 0.0 + 0.0j
+    """Confined scattering strength Rs = s/(1 - s G_r); 0 for a = 0."""
     return renorm_state(k, WireConfig(y0=y0, a=a), tol).rs
 
 

@@ -22,7 +22,9 @@ Observables (d = 1, conductance in quanta of 2e^2/h):
     G       = N - sigma = Tr T^dag T
 
 with e^{2 i delta_0} = 1 - 2 i s phi_s~(r0) the eigenvalue of S in the one
-scattering channel (phi_s~(r0) = Sigma/(1 - s G_r)).
+scattering channel (phi_s~(r0) = Sigma/(1 - s G_r)).  Each function guards
+kd once (in renorm_state) and reads N from the state; those needing an open
+channel refuse 0 < kd < pi before building it, even at a bound state.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import DegenerateMode, DomainError
 from .greens import semiclassical_renorm_sum
 from .renorm import RenormState, attach_strength, renorm_state, t_matrix
-from .waveguide import WireConfig, _chi, _kx, open_channel_count, transverse_mode
+from .waveguide import WireConfig, _chi, _kx, transverse_mode
 
 __all__ = [
     "SMatrixResult",
@@ -115,18 +117,18 @@ class PhaseShift:
 
 def s_matrix(k: float, cfg: WireConfig, tol: float = 1e-12) -> SMatrixResult:
     """Assemble R, T and the derived observables for the open channels."""
-    n = open_channel_count(k * _D)
-    if n < 1:
+    if 0.0 < k * _D < np.pi:
         raise DomainError("no open channels below kd = pi; sweeps report sigma = 0 there")
-    return _state_s_matrix(renorm_state(k, cfg, tol), n)
+    return _state_s_matrix(renorm_state(k, cfg, tol))
 
 
-def _state_s_matrix(st: RenormState, n: int) -> SMatrixResult:
-    """SMatrixResult of a state with the strength attached and n open channels.
+def _state_s_matrix(st: RenormState) -> SMatrixResult:
+    """SMatrixResult of a state with the strength attached, over its st.n_open channels.
 
-    A grid state whose elements all have n open channels gives the stack of
-    their S matrices.
+    A grid state whose elements all share one open-channel count gives the
+    stack of their S matrices.
     """
+    (n,) = np.unique(st.n_open).tolist()  # a stack with mixed counts fails here
     kx = _kx(st.k * _D, n).real
     v = _chi(np.arange(1, n + 1), st.y0).T / np.sqrt(kx)
     rs = np.asarray(st.rs)[..., None]
@@ -139,9 +141,10 @@ def _state_s_matrix(st: RenormState, n: int) -> SMatrixResult:
 
 def cross_section_mode(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """sigma_n = |Rs|^2 d (chi_n^2(y0)/k_x^(n)) Sigma for open mode n."""
-    if not 1 <= n <= open_channel_count(k * _D):
+    sm = s_matrix(k, cfg, tol)
+    if not 1 <= n <= sm.n_open:
         raise DomainError(f"mode {n} is not open at kd = {k * _D!r}")
-    return float(s_matrix(k, cfg, tol).sigma_n[n - 1])
+    return float(sm.sigma_n[n - 1])
 
 
 def cross_section(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
@@ -155,16 +158,13 @@ def conductance(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """Two-terminal conductance N - sigma in quanta; 0 below first threshold."""
     if 0.0 < k * _D < np.pi:
         return 0.0
-    return float(open_channel_count(k * _D) - renorm_state(k, cfg, tol).cross_section)
+    st = renorm_state(k, cfg, tol)
+    return float(st.n_open - st.cross_section)
 
 
 def free_cross_section(k: float, a: float) -> float:
-    """Free-space cross section sigma_f = |s|^2 / k (a length)."""
-    if k <= 0.0:
-        raise DomainError("k must be positive")
-    if a == 0.0:
-        return 0.0
-    return t_matrix(k, a).cross_section
+    """Free-space cross section sigma_f = |s|^2 / k (a length); 0 for a = 0."""
+    return float(t_matrix(k, a).cross_section)
 
 
 def optical_residual(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
@@ -177,10 +177,9 @@ def forward_amplitude(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> 
 
     It obeys the per-channel optical theorem sigma_n = -Re[chi_n(y0) f_n].
     """
-    n_open = open_channel_count(k * _D)
-    if not 1 <= n <= n_open:
+    st = None if 0.0 < k * _D < np.pi else renorm_state(k, cfg, tol)
+    if st is None or not 1 <= n <= st.n_open:
         raise DomainError(f"mode {n} is not open at kd = {k * _D!r}")
-    st = renorm_state(k, cfg, tol)
     return complex(-1j * st.rs * _chi(n, cfg.y0) / _kx(k * _D, n)[n - 1].real)
 
 
@@ -191,7 +190,7 @@ def phase_shift(k: float, cfg: WireConfig, tol: float = 1e-12) -> PhaseShift:
     optical constraint pins it to the unit circle, and
     sigma = (1/4)|1 - e^{2 i delta_0}|^2 = sin^2(delta_0).
     """
-    if open_channel_count(k * _D) < 1:
+    if 0.0 < k * _D < np.pi:
         raise DomainError("phase shift needs at least one open channel")
     return PhaseShift.from_state(renorm_state(k, cfg, tol))
 
@@ -236,7 +235,7 @@ def sigma_from_greens(k: float, cfg: WireConfig,
         g_r = semiclassical_renorm_sum(k, cfg.y0)
         base = RenormState(k=k, y0=cfg.y0, g_r=g_r, sigma_open=0.5 - g_r.imag,
                            tail_bound=float("inf"), terms_used=0)
-        st = attach_strength(base, t_matrix(k, cfg.a).s if cfg.a != 0.0 else 0.0 + 0.0j)
+        st = attach_strength(base, t_matrix(k, cfg.a).s)
     else:
         raise DomainError(f"unknown variant {variant!r}")
     return float(np.square(np.abs(st.rs * (0.5 - st.g_r.imag))))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import greens, mirror, renorm, scattering
 from .specfun import SWITCHOVER, cylinder_bessel_j, cylinder_bessel_y
-from .waveguide import WireConfig, image_positions, transverse_mode
+from .waveguide import WireConfig, _n_open, image_positions, transverse_mode
 
 __all__ = ["CheckResult", "run_checks", "CHECK_GROUPS", "standard_kd_grid",
            "STANDARD_Y0", "STANDARD_A"]
@@ -288,7 +288,7 @@ def check_smatrix_grid(fast: bool = False):
     """S-matrix and sigma identities on standard_kd_grid x STANDARD_Y0 x STANDARD_A: one
     state grid per y0, one array s(k) per a, S matrices stacked by open-channel count."""
     kd = standard_kd_grid(60 if fast else 500)
-    n_open = np.floor(kd / np.pi).astype(int)
+    n_open = _n_open(kd)
     res_unit = res_rank = res_four = res_cond = res_flux = res_im = res_opt = 0.0
     sigma_lo, sigma_hi = np.inf, -np.inf
     for y0 in STANDARD_Y0:
@@ -308,7 +308,7 @@ def check_smatrix_grid(fast: bool = False):
             res_four = max(res_four, np.max(np.ptp(forms, axis=0)))
             res_opt = max(res_opt, np.max(st.optical_residual))
             for n in np.unique(n_open).tolist():
-                sm = scattering._state_s_matrix(st[n_open == n], n)
+                sm = scattering._state_s_matrix(st[n_open == n])
                 res_unit = max(res_unit, np.max(sm.unitarity_residual))
                 res_rank = max(res_rank, np.max(sm.rank_one_residual))
                 tr = np.trace(np.swapaxes(sm.trans.conj(), -1, -2) @ sm.trans,

@@ -15,8 +15,8 @@ the source; it is applied consistently everywhere.
 
 Public functions validate their inputs once, at the boundary: _check_strip
 (finite x, 0 <= y <= d) and guard_mode_openings (kd > 0, finite, off every
-opening) serve every module.  The _-prefixed kernels (_chi, _kx and the mode
-sums built on them) take validated arrays and never check again.
+opening) serve every module.  The _-prefixed kernels (_chi, _kx, _n_open and
+the mode sums built on them) take validated arrays and never check again.
 """
 
 from __future__ import annotations
@@ -142,6 +142,11 @@ def guard_mode_openings(kd) -> None:
 def open_channel_count(kd):
     """Number of propagating transverse modes, N = floor(kd/pi), for scalar or array kd."""
     guard_mode_openings(kd)
+    return _n_open(kd)
+
+
+def _n_open(kd):
+    """N = floor(kd/pi) for validated kd (unchecked); the one copy of the open-channel count."""
     n = np.floor(np.divide(kd, np.pi)).astype(int)
     return n if n.ndim else int(n)
 

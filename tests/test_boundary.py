@@ -1,9 +1,11 @@
 """Input checks at the public boundary: every entry refuses a bad y or kd, once per call."""
 
+import ast
 import inspect
 import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +61,8 @@ ENTRIES = [
     ("renorm_state", renorm.renorm_state, lambda y, kd: renorm.renorm_state(kd, WireConfig(y0=y)), "y kd"),
     ("effective_strength", renorm.effective_strength,
      lambda y, kd: renorm.effective_strength(kd, y, 0.1), "y kd"),
+    ("effective_strength[a=0]", renorm.effective_strength,
+     lambda y, kd: renorm.effective_strength(kd, y, 0.0), "y kd"),
     ("gr_edge_asymptote", renorm.gr_edge_asymptote, lambda y, kd: renorm.gr_edge_asymptote(3, 1e-4, y), "y"),
     ("foldy_solve", renorm.foldy_solve,
      lambda y, kd: renorm.foldy_solve(FoldyProblem([[0.0, y]], 0.5j, [1.0]), kd), "y0 kd0"),
@@ -193,9 +197,77 @@ def test_renorm_grid_guards_its_kd_once():
     lambda: mirror.renormalized_mirror_at_impurity(KD, CFG),
     lambda: mirror.field_map("dxy", KD, CFG, GridSpec(-1.0, 1.0, 0.0, 1.0, 21, 11)),
     lambda: mirror.field_map("greens", KD, CFG, GridSpec(-1.0, 1.0, 0.0, 1.0, 21, 11)),
+    lambda: scattering.s_matrix(KD, CFG),
+    lambda: scattering.cross_section_mode(2, KD, CFG),
+    lambda: scattering.conductance(KD, CFG),
+    lambda: scattering.forward_amplitude(2, KD, CFG),
+    lambda: scattering.phase_shift(KD, CFG),
 ], ids=["kummer", "kummer-axis", "kummer-grid", "spectral", "benchmark-coincident", "renorm-sum",
-        "mirror-s", "renormalized-mirror", "field-map-dxy", "field-map-greens"])
+        "mirror-s", "renormalized-mirror", "field-map-dxy", "field-map-greens", "s-matrix",
+        "cross-section-mode", "conductance", "forward-amplitude", "phase-shift"])
 def test_one_strip_check_and_one_guard_per_call(call):
     counts = _check_counts(call)
     assert counts["_check_strip"] <= 1 and counts["guard_mode_openings"] <= 1, counts
     assert counts["transverse_mode"] == 0, counts
+
+
+# ---------------------------------------------------------------------------
+# one home per impurity rule
+# ---------------------------------------------------------------------------
+
+_SRC = Path(waveguide.__file__).resolve().parent
+_IMPURITY_A = {"a", "a_grid"}
+
+
+def _is_pi(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "pi") or \
+        (isinstance(node, ast.Name) and node.id == "pi")
+
+
+def _divides_by_pi(node):
+    """Whether the expression at node contains x / pi, x // pi or np.divide(x, pi)."""
+    return any((isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Div, ast.FloorDiv)) and _is_pi(n.right))
+               or (isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "divide"
+                   and len(n.args) == 2 and _is_pi(n.args[1]))
+               for n in ast.walk(node))
+
+
+def _counts_channels(node):
+    """floor(... / pi), int(... / pi) or ... // pi: an open-channel count N = floor(kd/pi)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv) and _is_pi(node.right):
+        return True
+    name = getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+    return name in ("floor", "int", "trunc") and any(_divides_by_pi(arg) for arg in node.args)
+
+
+def _tests_a_against_zero(node):
+    """a == 0, cfg.a != 0.0, a_grid == 0, ...: the s = 0 rule of a transparent impurity."""
+    if not (isinstance(node, ast.Compare) and all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)):
+        return False
+    operands = [node.left, *node.comparators]
+    is_a = [(isinstance(n, ast.Name) and n.id in _IMPURITY_A) or (isinstance(n, ast.Attribute) and n.attr == "a")
+            for n in operands]
+    is_zero = [isinstance(n, ast.Constant) and n.value == 0 for n in operands]
+    return any(is_a) and any(is_zero)
+
+
+def _rule_sites(predicate, home):
+    """(module, line) of every node matching predicate in src/, outside home = (module, function)."""
+    sites = []
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {id(n) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) == home for n in ast.walk(fn)}
+        sites += [(path.stem, n.lineno) for n in ast.walk(tree) if predicate(n) and id(n) not in inside]
+    return sites
+
+
+def test_open_channel_count_lives_in_waveguide_alone():
+    # N = floor(kd/pi) is waveguide._n_open; everything else reads it from there
+    # (open_channel_count, RenormState.n_open)
+    assert _rule_sites(_counts_channels, ("waveguide", "_n_open")) == []
+
+
+def test_transparent_impurity_rule_lives_in_strength_alone():
+    # s = 0 at a = 0 is applied by renorm._strength only; no caller branches on a = 0
+    assert _rule_sites(_tests_a_against_zero, ("renorm", "_strength")) == []

@@ -429,7 +429,7 @@ def test_sweep_k_rows_match_scalar_api(tmp_path, a):
 
 def test_sweep_geom_evaluates_each_factor_once(tmp_path, monkeypatch):
     # G_r depends on y0 alone and s on a alone: one state grid over the y0
-    # and one array J0/Y0 pair over the nonzero a, not one of each per row
+    # and one array J0/Y0 pair over every a (s = 0 at a = 0), not one of each per row
     calls = _count_grid_and_bessel_calls(monkeypatch)
     out = tmp_path / "count.csv"
     for kd, grids in ((12.5 * np.pi, [7]), (2.0, [])):  # no G_r below kd = pi
@@ -475,11 +475,23 @@ def test_sweep_geom_rows_match_scalar_api(tmp_path, kd):
     (["--kd", "-2.5"], "error: k must be positive"),
     (["--a-max", "0.6"], "error: |a| must be < d/2, got a=0.502"),
     (["--y0-max", "1.0"], "error: impurity must sit strictly inside the wire, got y0=1.0"),
+    (["--kd", "-1", "--a-min", "0", "--a-max", "0"], "error: k must be positive"),
+    (["--kd", "0", "--a-min", "0", "--a-max", "0"], "error: k must be positive"),
 ])
 def test_sweep_geom_domain_errors_exit_2(tmp_path, capsys, extra, message):
     out = tmp_path / "err.csv"
     assert main(["sweep-geom", *extra, "--out", str(out)]) == 2
     assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a", ["0", "0.1"])
+def test_sweep_k_refuses_kd_at_or_below_zero_for_every_a(tmp_path, capsys, a):
+    # the transparent impurity takes s = 0 from the same k > 0 check as every other a
+    out = tmp_path / "err.csv"
+    assert main(["sweep-k", "--y0", "0.3", "--a", a, "--kd-min", "-1", "--kd-max", "3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == "error: k must be positive"
     assert not out.exists()
 
 

@@ -185,13 +185,13 @@ def test_mirror_waves_reject_points_outside_the_wire(kind):
 
 def test_field_map_evaluates_modes_once(monkeypatch):
     calls = []
-    real = mirror.channels
+    real = mirror.open_channel_count
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(mirror, "channels", spy)
+    monkeypatch.setattr(mirror, "open_channel_count", spy)
     spec = GridSpec(-0.5, 0.5, 0.0, 1.0, 21, 11)
     for kind in MirrorKind:
         calls.clear()

@@ -53,17 +53,21 @@ def test_negative_a_flips_phase_only():
 
 
 def test_t_matrix_domain():
+    # a transparent impurity (a = 0, either sign of zero) has s = 0; k <= 0 is refused whatever a is
     with pytest.raises(DomainError):
         t_matrix(-1.0, 0.1)
-    with pytest.raises(DomainError):
-        t_matrix(1.0, 0.0)
+    for a in (0.0, -0.0):
+        assert t_matrix(1.0, a).s == 0.0 and t_matrix(1.0, a).cross_section == 0.0
+        for bad in (0.0, -1.0, np.array([1.0, 2.0, 0.0])):
+            with pytest.raises(DomainError, match="k must be positive"):
+                _strength(bad, a)
     for bad in (np.array([1.0, 2.0, 0.0]), np.array([-1.0, 2.0])):
         with pytest.raises(DomainError):
             _strength(bad, 0.1)
-    with pytest.raises(DomainError):
-        _strength(np.array([1.0, 2.0]), 0.0)
-    with pytest.raises(DomainError):
-        _strength(2.0, np.array([0.1, 0.0, -0.1]))
+    assert np.all(_strength(np.array([1.0, 2.0]), 0.0) == 0.0)
+    mixed = _strength(2.0, np.array([0.1, 0.0, -0.1]))
+    assert mixed[1] == 0.0
+    assert mixed[0] == t_matrix(2.0, 0.1).s and mixed[2] == t_matrix(2.0, -0.1).s
 
 
 def test_array_strength_matches_scalar_t_matrix():
@@ -239,6 +243,7 @@ def test_state_grid_properties(kds, wall_gap, upper, a):
     y0 = 1.0 - wall_gap if upper else wall_gap
     grid = attach_strength(renorm_grid(kd, y0), _strength(kd, a))
     n_open = np.floor(kd / np.pi).astype(int)
+    assert np.array_equal(grid.n_open, n_open)
     assert np.all(grid.im_identity_residual <= 1e-10)
     assert np.all(grid.optical_residual <= 1e-10)
     sigma = grid.cross_section
@@ -249,8 +254,9 @@ def test_state_grid_properties(kds, wall_gap, upper, a):
         for got, want in ((grid.g_r[i], one.g_r), (grid.sigma_open[i], one.sigma_open),
                           (grid.rs[i], one.rs), (sigma[i], one.cross_section)):
             assert got == want
+        assert one.n_open == n_open[i]
         if n_open[i] >= 1:
-            assert _state_s_matrix(grid[i:i + 1], n_open[i]).unitarity_residual[0] <= 1e-10
+            assert _state_s_matrix(grid[i:i + 1]).unitarity_residual[0] <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wirescat.errors import DegenerateMode, DomainError, ModeOpeningSingularity
+from wirescat.mirror import renormalized_mirror_at_impurity
 from wirescat.renorm import attach_strength, renorm_grid, renorm_state, t_matrix
 from wirescat.scattering import (conductance, cross_section, cross_section_mode,
                                  forward_amplitude, free_cross_section,
@@ -122,8 +123,12 @@ def test_phase_shift_below_threshold_is_a_domain_error_even_at_a_bound_state():
     for kd in (2.647549698739732, 0.5 * np.pi):
         with pytest.raises(DomainError, match="open channel"):
             phase_shift(kd, cfg)
-        with pytest.raises(DomainError):
-            s_matrix(kd, cfg)
+        with pytest.raises(DomainError, match="open channel"):
+            renormalized_mirror_at_impurity(kd, cfg)
+        for call in (lambda: s_matrix(kd, cfg), lambda: cross_section_mode(1, kd, cfg),
+                     lambda: forward_amplitude(1, kd, cfg)):
+            with pytest.raises(DomainError):
+                call()
 
 
 def test_sigma_edge_asymptote_scaling():
