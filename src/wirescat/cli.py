@@ -26,7 +26,7 @@ from . import __version__, greens, mirror, renorm, scattering
 from .errors import DegenerateMode, WireError
 from .output import fmt, svg_heatmap, svg_line_plot, table, write_table_csv, write_table_json
 from .validate import CHECK_GROUPS, run_checks
-from .waveguide import DEFAULT_MODE_GUARD, WireConfig, mode_opening_gaps
+from .waveguide import DEFAULT_MODE_GUARD, WireConfig, _closed, mode_opening_gaps
 
 SWEEP_COLUMNS = [
     "kd", "n_open", "sigma", "conductance", "conductance_empty", "sigma_free",
@@ -59,15 +59,14 @@ def run_sweep_k(args) -> int:
     n_near, gap = mode_opening_gaps(kds)
     kd, ok = kds[~gap], ~gap
     st = renorm.attach_strength(renorm.renorm_grid(kd, cfg.y0, args.tol), strengths[ok])
-    n_open, sigma = st.n_open, st.cross_section
     col = {name: np.full(len(kds), NAN) for name in SWEEP_COLUMNS}
     col["kd"], col["gap"] = kds, gap.astype(int)
     col["n_open"] = col["conductance_empty"] = n_near.astype(int)  # gap rows: the nearest opening
-    for name, value in (("n_open", n_open), ("sigma", sigma), ("conductance", n_open - sigma),
+    for name, value in (("n_open", st.n_open), ("sigma", st.cross_section), ("conductance", st.conductance),
                         ("sigma_free", renorm.TMatrix(kd, cfg.a, strengths[ok]).cross_section / cfg.d),
                         ("g_r_re", st.g_r.real), ("g_r_im", st.g_r.imag),
                         ("rs_re", st.rs.real), ("rs_im", st.rs.imag),
-                        ("delta0", np.where(n_open >= 1, scattering.PhaseShift.from_state(st).delta0, NAN))):
+                        ("delta0", np.where(_closed(kd), NAN, scattering.PhaseShift.from_state(st).delta0))):
         col[name][ok] = value
     for i in np.flatnonzero(gap):
         for name, value in zip(SWEEP_COLUMNS[-4:], _edge_limits(kds[i], int(n_near[i]), cfg.y0)):
@@ -279,38 +278,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _argument_types(parser: argparse.ArgumentParser, command: str) -> dict:
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {action.dest: (action.type or str)
-            for action in sub.choices[command]._actions}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args, remaining = parser.parse_known_args(argv)
-    if remaining:
-        parser.error(f"unrecognized arguments: {' '.join(remaining)}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     if getattr(args, "config", None):
         try:
             overrides = _load_config(args.config)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        explicit = set()
-        for token in (argv if argv is not None else sys.argv[1:]):
-            if token.startswith("--"):
-                explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-        casters = _argument_types(parser, args.command)
-        for key, val in overrides.items():
-            if key in explicit or not hasattr(args, key):
-                continue
-            caster = casters.get(key, str)
-            try:
-                setattr(args, key, caster(val))
-            except ValueError:
-                print(f"error: config value {key}={val!r} is not a {caster.__name__}",
-                      file=sys.stderr)
-                return 2
+        # file values become flags ahead of the command line's, which win by coming later
+        at = argv.index(args.command) + 1
+        argv[at:at] = [f"--{key.replace('_', '-')}={val}" for key, val in overrides.items()
+                       if hasattr(args, key)]
+        args = parser.parse_args(argv)
     required = ("out", "y0") if args.command != "validate" else ()
     missing = [name for name in required
                if hasattr(args, name) and getattr(args, name) is None]
@@ -324,10 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except WireError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (WireError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

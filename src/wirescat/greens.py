@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import CoincidentPoints, DomainError, TruncationLimit
 from .specfun import cylinder_bessel_j, hankel1
-from .waveguide import (_branch_kx, _check_strip, _chi, _image_heights, _kx, _n_open,
-                        guard_mode_openings, open_channel_count)
+from .waveguide import (_branch_kx, _check_strip, _chi, _covered_open_count, _image_heights, _kx, _n_open,
+                        guard_mode_openings)
 
 __all__ = [
     "GreensValue",
@@ -174,9 +174,7 @@ def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
     is only ~1/m (conditional), which the returned tail_bound reflects.
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
-    n_open = open_channel_count(k * _D)
-    if terms < max(n_open, 1):
-        raise DomainError(f"terms={terms} must be >= 1 and cover the {n_open} open channels")
+    _covered_open_count(k * _D, terms, "terms")
     dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("spectral sum diverges at r = r0 (use renorm_sum)")
@@ -524,8 +522,8 @@ def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
 # diffraction (periodic-array) representation
 # ---------------------------------------------------------------------------
 
-def _grating_sum(ax: float, eta: float, k: float, period: float, tol: float) -> tuple[complex, int, float]:
-    """G_p for a period-`period` array: -(i/period) sum_n exp(i k_x^(n) ax) cos(2 n pi eta / period) / k_x^(n)."""
+def _grating_sum(ax: float, etas, k: float, period: float, tol: float) -> tuple[list[complex], int, float]:
+    """G_p = -(i/period) sum_n exp(i k_x^(n) ax) cos(2 n pi eta / period) / k_x^(n) at each eta, one order set."""
     n_open = int(np.floor(k * period / (2.0 * np.pi)))
     n_max = n_open + 8
     while True:
@@ -544,8 +542,9 @@ def _grating_sum(ax: float, eta: float, k: float, period: float, tol: float) -> 
     kx = _branch_kx(k, ky)
     if np.any(np.abs(kx) < 1e-9 * k):
         raise DomainError("grazing diffraction order: k coincides with a reciprocal vector")
-    total = (-1j / period) * np.sum(np.exp(1j * kx * ax) * np.cos(ky * eta) / kx)
-    return complex(total), 2 * n_max + 1, float(tail)
+    phase = np.exp(1j * kx * ax)
+    totals = [complex((-1j / period) * np.sum(phase * np.cos(ky * eta) / kx)) for eta in etas]
+    return totals, 2 * n_max + 1, float(tail)
 
 
 def greens_diffraction(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
@@ -562,9 +561,9 @@ def greens_diffraction(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     ax = abs(dx)
     if ax == 0.0:
         raise DomainError("diffraction representation requires x != x0")
-    minus, n1, b1 = _grating_sum(ax, r[1] - r0[1], k, 2.0 * _D, tol / 2)
-    plus, n2, b2 = _grating_sum(ax, r[1] + r0[1], k, 2.0 * _D, tol / 2)
-    return GreensValue(minus - plus, "diffraction", n1 + n2, b1 + b2)
+    # both arrays sum the same orders, each charged half of tol
+    (minus, plus), n, bound = _grating_sum(ax, (r[1] - r0[1], r[1] + r0[1]), k, 2.0 * _D, tol / 2)
+    return GreensValue(minus - plus, "diffraction", 2 * n, 2 * bound)
 
 
 def bragg_spectrum(k: float, period: float, n_max: int | None = None) -> BraggSpectrum:
@@ -667,9 +666,10 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
     the kummer representations are defined there).
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
-    n_open = open_channel_count(k * _D)
-    if {"kummer", "kummer_raw"} & set(representations) and min(term_grid) < max(n_open, 1):
-        raise DomainError(f"terms={min(term_grid)} must be >= 1 and cover the {n_open} open channels")
+    if {"kummer", "kummer_raw"} & set(representations):
+        _covered_open_count(k * _D, min(term_grid), "terms")
+    else:
+        guard_mode_openings(k * _D)
     dx, _, rho = _deltas(r, r0)
     kd, ax, y, y0 = k * _D, abs(dx), float(r[1]), float(r0[1])
     if rho == 0.0:

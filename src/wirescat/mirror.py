@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from .greens import greens_kummer_grid
-from .renorm import renorm_state
+from .renorm import _open_state
 from .waveguide import WireConfig, _check_strip, _chi, _kx, open_channel_count
 
 __all__ = [
@@ -157,9 +157,7 @@ def renormalized_mirror_at_impurity(k: float, cfg: WireConfig, tol: float = 1e-1
     phi_s(r0) diverges as eps^(-1/2) just above a mode opening while this
     renormalized value stays bounded: the divergence cancels against G_r.
     """
-    if 0.0 < k * _D < np.pi:
-        raise DomainError("renormalized mirror wave needs an open channel")
-    st = renorm_state(k, cfg, tol)
+    st = _open_state(k, cfg, tol)
     return complex(st.sigma_open * st.renorm_factor)
 
 

@@ -25,10 +25,12 @@ downstream and are enforced by the test suite:
 
 the second being the waveguide optical theorem (it forces S-matrix
 unitarity).  Sigma sums the RenormState.n_open = floor(kd/pi) open channels,
-so below kd = pi it is 0 and so is sigma.  G_r is the Kummer Green's
-function's mode sum at r = r0 with the static form replaced by the constant
-above, summed and tail-completed by the same greens kernel and truncation
-plan, so ~300 modes already give ~1e-14.
+so below kd = pi it is 0 and so are sigma and G = N - sigma.  Observables
+that need an open channel get their state from _open_state, the one
+closed-wire refusal, made before the state is built (1 - s G_r can vanish
+at a bound state there).  G_r is the Kummer Green's function's mode sum at
+r = r0 with the static form replaced by the constant above, summed and
+tail-completed by the same greens kernel and plan: ~300 modes give ~1e-14.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
 from .greens import _BLOCK, _kummer_coincident, _kummer_plan
 from .specfun import cylinder_bessel_j, cylinder_bessel_y, hankel1
-from .waveguide import WireConfig, _chi, _kx, _n_open, open_channel_count, transverse_mode
+from .waveguide import WireConfig, _chi, _closed, _kx, _n_open, open_channel_count, transverse_mode
 
 __all__ = [
     "TMatrix",
@@ -116,6 +118,11 @@ class RenormState:
         if self.rs is None:
             raise DomainError("cross_section needs the effective strength attached")
         return np.square(np.abs(self.rs)) * np.square(self.sigma_open)
+
+    @property
+    def conductance(self) -> float:
+        """G = N - sigma in quanta of 2e^2/h (strength attached)."""
+        return self.n_open - self.cross_section
 
     @property
     def optical_residual(self) -> float:
@@ -255,9 +262,24 @@ def renorm_state(k: float, cfg: WireConfig, tol: float = 1e-12) -> RenormState:
     return attach_strength(renorm_sum(k, cfg.y0, tol), t_matrix(k, cfg.a).s)
 
 
+def _open_state(k: float, cfg: WireConfig, tol: float) -> RenormState:
+    """renorm_state where a channel is open; DomainError for 0 < kd < pi, before building it."""
+    if _closed(k * _D):
+        raise DomainError("no open channels below kd = pi; sweeps report sigma = 0 there")
+    return renorm_state(k, cfg, tol)
+
+
 def effective_strength(k: float, y0: float, a: float, tol: float = 1e-12) -> complex:
     """Confined scattering strength Rs = s/(1 - s G_r); 0 for a = 0."""
     return renorm_state(k, WireConfig(y0=y0, a=a), tol).rs
+
+
+def _threshold_chi2(n_mode: int, y0: float) -> float:
+    """chi_N^2(y0) of the threshold mode N = n_mode; DegenerateMode where y0 sits on its node."""
+    chi2 = transverse_mode(n_mode, y0) ** 2
+    if chi2 < 1e-24:
+        raise DegenerateMode(f"mode {n_mode} has a node at y0={y0!r}")
+    return chi2
 
 
 def gr_edge_asymptote(n_mode: int, eps: float, y0: float,
@@ -274,10 +296,7 @@ def gr_edge_asymptote(n_mode: int, eps: float, y0: float,
         raise DomainError("mode index must be >= 1")
     if not 0.0 < eps <= 1e-3:
         raise DomainError("eps must lie in (0, 1e-3] for the leading order to apply")
-    chi2 = transverse_mode(n_mode, y0) ** 2
-    if chi2 < 1e-24:
-        raise DegenerateMode(f"mode {n_mode} has a node at y0={y0!r}")
-    amp = chi2 * _D / np.sqrt(2.0 * np.pi * n_mode * eps)
+    amp = _threshold_chi2(n_mode, y0) * _D / np.sqrt(2.0 * np.pi * n_mode * eps)
     if side == "below":
         return complex(-amp)
     if side == "above":

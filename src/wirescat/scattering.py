@@ -23,8 +23,9 @@ Observables (d = 1, conductance in quanta of 2e^2/h):
 
 with e^{2 i delta_0} = 1 - 2 i s phi_s~(r0) the eigenvalue of S in the one
 scattering channel (phi_s~(r0) = Sigma/(1 - s G_r)).  Each function guards
-kd once (in renorm_state) and reads N from the state; those needing an open
-channel refuse 0 < kd < pi before building it, even at a bound state.
+kd once (in renorm_state) and reads N and G from the state; those needing an
+open channel refuse 0 < kd < pi in renorm._open_state, the one refusal, before
+building it, even at a bound state.  sigma and G are 0 there (waveguide._closed).
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateMode, DomainError
+from .errors import DomainError
 from .greens import semiclassical_renorm_sum
-from .renorm import RenormState, attach_strength, renorm_state, t_matrix
-from .waveguide import WireConfig, _chi, _kx, transverse_mode
+from .renorm import RenormState, _open_state, _threshold_chi2, attach_strength, renorm_state, t_matrix
+from .waveguide import WireConfig, _chi, _closed, _kx
 
 __all__ = [
     "SMatrixResult",
@@ -117,9 +118,7 @@ class PhaseShift:
 
 def s_matrix(k: float, cfg: WireConfig, tol: float = 1e-12) -> SMatrixResult:
     """Assemble R, T and the derived observables for the open channels."""
-    if 0.0 < k * _D < np.pi:
-        raise DomainError("no open channels below kd = pi; sweeps report sigma = 0 there")
-    return _state_s_matrix(renorm_state(k, cfg, tol))
+    return _state_s_matrix(_open_state(k, cfg, tol))
 
 
 def _state_s_matrix(st: RenormState) -> SMatrixResult:
@@ -135,8 +134,7 @@ def _state_s_matrix(st: RenormState) -> SMatrixResult:
     refl = 1j * rs[..., None] * (v[..., :, None] * v[..., None, :])
     sigma_modes = abs(rs) ** 2 * _D * (v * v) * np.asarray(st.sigma_open)[..., None]
     return SMatrixResult(k=st.k, n_open=n, refl=refl, trans=np.eye(n) - refl,
-                         sigma_n=sigma_modes, sigma=st.cross_section,
-                         conductance=n - st.cross_section)
+                         sigma_n=sigma_modes, sigma=st.cross_section, conductance=st.conductance)
 
 
 def cross_section_mode(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
@@ -149,17 +147,16 @@ def cross_section_mode(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) ->
 
 def cross_section(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """Total cross section as a fraction of the wire width; 0 below kd = pi."""
-    if 0.0 < k * _D < np.pi:
+    if _closed(k * _D):
         return 0.0
     return renorm_state(k, cfg, tol).cross_section
 
 
 def conductance(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """Two-terminal conductance N - sigma in quanta; 0 below first threshold."""
-    if 0.0 < k * _D < np.pi:
+    if _closed(k * _D):
         return 0.0
-    st = renorm_state(k, cfg, tol)
-    return float(st.n_open - st.cross_section)
+    return float(renorm_state(k, cfg, tol).conductance)
 
 
 def free_cross_section(k: float, a: float) -> float:
@@ -177,8 +174,8 @@ def forward_amplitude(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> 
 
     It obeys the per-channel optical theorem sigma_n = -Re[chi_n(y0) f_n].
     """
-    st = None if 0.0 < k * _D < np.pi else renorm_state(k, cfg, tol)
-    if st is None or not 1 <= n <= st.n_open:
+    st = _open_state(k, cfg, tol)
+    if not 1 <= n <= st.n_open:
         raise DomainError(f"mode {n} is not open at kd = {k * _D!r}")
     return complex(-1j * st.rs * _chi(n, cfg.y0) / _kx(k * _D, n)[n - 1].real)
 
@@ -190,9 +187,7 @@ def phase_shift(k: float, cfg: WireConfig, tol: float = 1e-12) -> PhaseShift:
     optical constraint pins it to the unit circle, and
     sigma = (1/4)|1 - e^{2 i delta_0}|^2 = sin^2(delta_0).
     """
-    if 0.0 < k * _D < np.pi:
-        raise DomainError("phase shift needs at least one open channel")
-    return PhaseShift.from_state(renorm_state(k, cfg, tol))
+    return PhaseShift.from_state(_open_state(k, cfg, tol))
 
 
 def sigma_edge_asymptote(n_mode: int, eps: float, y0: float) -> float:
@@ -207,9 +202,7 @@ def sigma_edge_asymptote(n_mode: int, eps: float, y0: float) -> float:
         raise DomainError("edge law needs at least one mode open below the threshold")
     if eps <= 0.0:
         raise DomainError("eps must be positive")
-    chi_n2 = transverse_mode(n_mode, y0) ** 2
-    if chi_n2 < 1e-24:
-        raise DegenerateMode(f"mode {n_mode} has a node at y0={y0!r}")
+    chi_n2 = _threshold_chi2(n_mode, y0)
     n = np.arange(1, n_mode)
     total = np.sum((_chi(n, y0) ** 2 / chi_n2) / np.sqrt(n_mode**2 - n**2))
     return float(2.0 * n_mode * (eps / np.pi) * total**2)
@@ -227,7 +220,7 @@ def sigma_from_greens(k: float, cfg: WireConfig,
     cross_section; ``semiclassical`` substitutes the asymptotic image sum
     (no accuracy contract, resonance-position diagnostic only).
     """
-    if 0.0 < k * _D < np.pi:
+    if _closed(k * _D):
         return 0.0
     if variant == "kummer":
         st = renorm_state(k, cfg, tol)

@@ -14,8 +14,9 @@ The +i branch for closed channels makes exp(i k_x |x-x0|) die off away from
 the source; it is applied consistently everywhere.
 
 Public functions validate their inputs once, at the boundary: _check_strip
-(finite x, 0 <= y <= d) and guard_mode_openings (kd > 0, finite, off every
-opening) serve every module.  The _-prefixed kernels (_chi, _kx, _n_open and
+(finite x, 0 <= y <= d), guard_mode_openings (kd > 0, finite, off every
+opening) and _covered_open_count (the guard, and a mode count covering the
+open channels) serve every module.  The _-prefixed kernels (_chi, _kx, _n_open and
 the mode sums built on them) take validated arrays and never check again.
 """
 
@@ -89,11 +90,6 @@ class ChannelSet:
     n_open: int | np.ndarray
     kx: np.ndarray = field(repr=False)  # complex, kx[..., m-1] = k_x^(m)
 
-    @property
-    def kx_open(self) -> np.ndarray:
-        """Real longitudinal wavenumbers of the open channels (one kd)."""
-        return self.kx[: self.n_open].real
-
 
 @dataclass(frozen=True)
 class ImageArray:
@@ -151,6 +147,19 @@ def _n_open(kd):
     return n if n.ndim else int(n)
 
 
+def _closed(kd):
+    """Whether no channel is open, 0 < kd < pi, elementwise; the one copy of the closed-wire test."""
+    return (0.0 < kd) & (kd < np.pi)
+
+
+def _covered_open_count(kd, m_max: int, name: str = "m_max"):
+    """open_channel_count(kd), after refusing a mode count m_max below max(N, 1)."""
+    n_open = open_channel_count(kd)
+    if m_max < max(np.max(n_open), 1):
+        raise DomainError(f"{name}={m_max} must be >= 1 and cover the {np.max(n_open)} open channels")
+    return n_open
+
+
 def _check_strip(x, y):
     """x and y as float arrays; DomainError unless every x is finite and 0 <= y <= d (NaN is out)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -182,10 +191,7 @@ def longitudinal_wavenumber(m: int, kd: float) -> complex:
 
 def channels(kd, m_max: int) -> ChannelSet:
     """ChannelSet with kx for modes 1..m_max; an array of kd adds a leading axis."""
-    n_open = open_channel_count(kd)
-    if m_max < max(np.max(n_open), 1):
-        raise DomainError(f"m_max={m_max} must cover the {np.max(n_open)} open channels")
-    return ChannelSet(k=kd, n_open=n_open, kx=_kx(kd, m_max))
+    return ChannelSet(k=kd, n_open=_covered_open_count(kd, m_max), kx=_kx(kd, m_max))
 
 
 def _kx(kd, m_max: int):

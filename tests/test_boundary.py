@@ -271,3 +271,65 @@ def test_open_channel_count_lives_in_waveguide_alone():
 def test_transparent_impurity_rule_lives_in_strength_alone():
     # s = 0 at a = 0 is applied by renorm._strength only; no caller branches on a = 0
     assert _rule_sites(_tests_a_against_zero, ("renorm", "_strength")) == []
+
+
+# ---------------------------------------------------------------------------
+# one home per shared rule of the observables
+# ---------------------------------------------------------------------------
+
+def _tests_closed_wire(node):
+    """0 < kd < pi, chained or as (0 < kd) & (kd < pi): the closed-wire test."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+        parts = [node.left, node.right]
+    else:
+        parts = [node]
+    compares = [n for n in parts if isinstance(n, ast.Compare)]
+    above_zero = any(isinstance(c.left, ast.Constant) and c.left.value == 0 and isinstance(c.ops[0], ast.Lt)
+                     for c in compares)
+    below_pi = any(isinstance(op, ast.Lt) and _is_pi(right)
+                   for c in compares for op, right in zip(c.ops, c.comparators))
+    return above_zero and below_pi
+
+
+def _raises_degenerate_mode(node):
+    return isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+        and getattr(node.exc.func, "id", None) == "DegenerateMode"
+
+
+def _subtracts_cross_section(node):
+    """... - x.cross_section: G = N - sigma."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) \
+        and isinstance(node.right, ast.Attribute) and node.right.attr == "cross_section"
+
+
+def test_closed_wire_test_lives_in_waveguide_alone():
+    # 0 < kd < pi is waveguide._closed; renorm._open_state is the one refusal built on it
+    assert _rule_sites(_tests_closed_wire, ("waveguide", "_closed")) == []
+
+
+def test_threshold_node_rule_lives_in_one_helper():
+    assert _rule_sites(_raises_degenerate_mode, ("renorm", "_threshold_chi2")) == []
+
+
+def test_conductance_lives_in_the_state_alone():
+    # G = N - sigma is RenormState.conductance; sweeps and the S matrix read it
+    assert _rule_sites(_subtracts_cross_section, ("renorm", "conductance")) == []
+
+
+def test_the_guards_see_the_rules_they_guard():
+    # each predicate matches its rule's home, so an empty site list means something
+    home = {"_closed": _tests_closed_wire, "_threshold_chi2": _raises_degenerate_mode,
+            "conductance": _subtracts_cross_section}
+    found = set()
+    for path in (_SRC / "waveguide.py", _SRC / "renorm.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and fn.name in home and any(map(home[fn.name], ast.walk(fn))):
+                found.add(fn.name)
+    assert found == set(home)
+
+
+def test_no_module_uses_the_private_argparse_api():
+    # --config values go through parse_args like any flag
+    for path in sorted(_SRC.glob("*.py")):
+        text = path.read_text()
+        assert "argparse._" not in text and "parser._actions" not in text, path.name

@@ -308,6 +308,42 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 5  # explicit flag wins
 
 
+@pytest.mark.parametrize("flag", [["--poi", "5"], ["--po=5"], ["--points=5"]])
+def test_config_file_loses_to_an_abbreviated_flag(tmp_path, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("y0 = 0.3\nkd-min = 4.0\nkd-max = 9.0\npoints = 7\n")
+    out = tmp_path / "c.csv"
+    assert main(["sweep-k", "--config", str(cfg), *flag, "--out", str(out)]) == 0
+    _, _, rows = read_data_lines(out)
+    assert len(rows) == 5
+
+
+@pytest.mark.parametrize("line,message", [
+    ("format = xml", "argument --format: invalid choice: 'xml'"),
+    ("points = 7.5", "argument --points: invalid int value: '7.5'"),
+    ("func = x", "unrecognized arguments: --func=x"),
+])
+def test_a_bad_config_value_is_a_usage_error(tmp_path, capsys, line, message):
+    # a file value is checked like the flag it sets; a value that is no flag's is refused
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"y0 = 0.3\npoints = 7\n{line}\n")
+    out = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-k", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("y0 0.3\n")
+    assert main(["sweep-k", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err.strip() == "error: config line 'y0 0.3' is not key=value"
+    assert main(["sweep-k", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "c.csv")]) == 2
+
+
 def test_sweep_k_resonance_figure_structure(tmp_path):
     """Centered impurity: sigma continuous across kd = 2pi, jumps at kd = 3pi;
     the empty-wire column reproduces the N(kd) staircase."""
