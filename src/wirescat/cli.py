@@ -63,7 +63,7 @@ def run_sweep_k(args) -> int:
     col["kd"], col["gap"] = kds, gap.astype(int)
     col["n_open"] = col["conductance_empty"] = n_near.astype(int)  # gap rows: the nearest opening
     for name, value in (("n_open", st.n_open), ("sigma", st.cross_section), ("conductance", st.conductance),
-                        ("sigma_free", renorm.TMatrix(kd, cfg.a, strengths[ok]).cross_section / cfg.d),
+                        ("sigma_free", renorm.TMatrix(kd, cfg.a, strengths[ok]).cross_section),
                         ("g_r_re", st.g_r.real), ("g_r_im", st.g_r.imag),
                         ("rs_re", st.rs.real), ("rs_im", st.rs.imag),
                         ("delta0", np.where(_closed(kd), NAN, scattering.PhaseShift.from_state(st).delta0))):

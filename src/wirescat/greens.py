@@ -44,7 +44,7 @@ from operator import mul
 import numpy as np
 
 from .errors import CoincidentPoints, DomainError, TruncationLimit
-from .specfun import cylinder_bessel_j, hankel1
+from .specfun import _integer_in, cylinder_bessel_j, hankel1
 from .waveguide import (_branch_kx, _check_strip, _chi, _covered_open_count, _image_heights, _kx, _n_open,
                         guard_mode_openings)
 
@@ -68,7 +68,6 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015328606
-_D = 1.0
 _COSH_OVERFLOW = 700.0  # pi |x-x0| / d beyond which the static form is exactly 0
 _GEOMETRIC_MODE_CAP = 200000
 _KUMMER_MODE_CAP = 65536
@@ -153,9 +152,9 @@ def greens_static(r, r0) -> float:
 def _static_form(ax, y, y0: float):
     """greens_static at |x - x0| = ax, elementwise over broadcast ax and y."""
     # capped where sinh^2 swamps both sines, so that the quotient there is exactly 1
-    sh2 = np.sinh(np.minimum(np.pi * ax / (2.0 * _D), _COSH_OVERFLOW / 2.0)) ** 2
-    num = np.sin(np.pi * (y - y0) / (2.0 * _D)) ** 2 + sh2
-    den = np.sin(np.pi * (y + y0) / (2.0 * _D)) ** 2 + sh2
+    sh2 = np.sinh(np.minimum(np.pi * ax / 2.0, _COSH_OVERFLOW / 2.0)) ** 2
+    num = np.sin(np.pi * (y - y0) / 2.0) ** 2 + sh2
+    den = np.sin(np.pi * (y + y0) / 2.0) ** 2 + sh2
     return np.log(num / den) / (2.0 * np.pi)
 
 
@@ -164,7 +163,7 @@ def _coincidence_constant(kd, y0):
 
     The closed-form part of G_r, which replaces the static form at r = r0.
     """
-    return -np.log((kd / np.pi) * np.sin(np.pi * y0 / _D)) / np.pi + 0.5j - EULER_GAMMA / np.pi
+    return -np.log((kd / np.pi) * np.sin(np.pi * y0)) / np.pi + 0.5j - EULER_GAMMA / np.pi
 
 
 def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
@@ -174,12 +173,12 @@ def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
     is only ~1/m (conditional), which the returned tail_bound reflects.
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
-    _covered_open_count(k * _D, terms, "terms")
+    _covered_open_count(k, terms, "terms")
     dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("spectral sum diverges at r = r0 (use renorm_sum)")
     ax = abs(dx)
-    kx, m = _kx(k * _D, terms), np.arange(1, terms + 1)
+    kx, m = _kx(k, terms), np.arange(1, terms + 1)
     term = (-1j / kx) * _chi(m, r[1]) * _chi(m, r0[1]) * np.exp(1j * kx * ax)
     value = complex(term.sum())
     if ax > 0.0:
@@ -193,9 +192,11 @@ def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
 
 
 def _image_distances(r, r0, n_images: int):
-    """Image indices n = -n_images..n_images and rho_n = |r - r_n|, r_n = (x0, y_n)."""
+    """Image indices n = -n_images..n_images (an integer >= 0) and rho_n = |r - r_n|, r_n = (x0, y_n)."""
+    if not _integer_in(n_images, 0):
+        raise DomainError(f"n_images must be an integer >= 0, got {n_images!r}")
     n = np.arange(-n_images, n_images + 1)
-    ys = _image_heights(n, float(r0[1]), _D)
+    ys = _image_heights(n, float(r0[1]))
     return n, np.hypot(float(r[0]) - float(r0[0]), float(r[1]) - ys)
 
 
@@ -241,11 +242,9 @@ def greens_image(r, r0, k: float, n_images: int) -> GreensValue:
     ~1e-3 accuracy even at 1e5 images.
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
-    guard_mode_openings(k * _D)
-    if n_images < 0:
-        raise DomainError("n_images must be >= 0")
+    guard_mode_openings(k)
     value = image_sum_alternating(r, r0, k, n_images)
-    rho_last = max(2.0 * n_images * _D - 2.0 * _D, _deltas(r, r0)[2])
+    rho_last = max(2.0 * n_images - 2.0, _deltas(r, r0)[2])
     tail = float(np.sqrt(2.0 / (np.pi * k * max(rho_last, 1e-300))))
     return GreensValue(complex(value), "image", 2 * n_images + 1, tail)
 
@@ -366,19 +365,19 @@ def _closed_form_bound(kd, m_trunc, alpha, beta):
 
 def _mode_angles(y, y0):
     """Angles of chi_m(y) chi_m(y0) = (1/d)[cos(m alpha) - cos(m beta)], as (alpha, beta)."""
-    return np.pi * (y - y0) / _D, np.pi * (y + y0) / _D
+    return np.pi * (y - y0), np.pi * (y + y0)
 
 
 def _geometric_mode_tail_bound(m_trunc, k, ax):
     """Bound on the neglected spectral/kummer modes for ax = |x-x0| > 0, elementwise."""
-    kappa_rate = np.pi * ax / _D
+    kappa_rate = np.pi * ax
     m1 = m_trunc + 1
     # kappa_m >= 0.85 m pi / d once m exceeds ~1.9 kd/pi, and >= m pi / 2d once m pi sqrt(3/4) >= kd;
     # below that an m > M may be open or barely decaying, and nothing is bounded
-    rate = kappa_rate * np.where(m1 > 1.9 * k * _D / np.pi, 0.85, 0.5)
-    amp = (2.0 / _D) * (2.0 * _D / (m1 * np.pi))
+    rate = kappa_rate * np.where(m1 > 1.9 * k / np.pi, 0.85, 0.5)
+    amp = 2.0 * (2.0 / (m1 * np.pi))
     tail = amp * np.exp(-rate * m1) / np.maximum(1.0 - np.exp(-rate), 1e-300)
-    return np.where(m1 * np.pi * np.sqrt(0.75) < k * _D, np.inf, np.where(rate * m1 > 700.0, 0.0, tail))
+    return np.where(m1 * np.pi * np.sqrt(0.75) < k, np.inf, np.where(rate * m1 > 700.0, 0.0, tail))
 
 
 def _doubled(m_trunc, live, cap, done):
@@ -405,8 +404,8 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (kd, ax, y, y0)))
     kd, ax, y, y0 = (v.ravel() for v in args)
     m_trunc = _doubled(np.full(kd.shape, 64), ax > 0.0, _GEOMETRIC_MODE_CAP,
-                       lambda m, i: _geometric_mode_tail_bound(m, kd[i] / _D, ax[i]) <= tol)
-    bound = np.where(ax > 0.0, _geometric_mode_tail_bound(m_trunc, kd / _D, ax), np.inf)
+                       lambda m, i: _geometric_mode_tail_bound(m, kd[i], ax[i]) <= tol)
+    bound = np.where(ax > 0.0, _geometric_mode_tail_bound(m_trunc, kd, ax), np.inf)
     completion = np.zeros(kd.shape)
     near = np.flatnonzero(~(bound <= tol))
     if near.size:
@@ -442,10 +441,10 @@ def _mode_product(kd: float, m_max: int, ax, ys, y0: float):
         m, kx_b = np.arange(lo + 1, min(lo + step, m_max) + 1), kx[lo:lo + step]
         if ax.any():
             phase = np.exp(1j * np.multiply.outer(ax, kx_b))
-            decay = np.exp(np.multiply.outer(ax, -m * np.pi / _D))
+            decay = np.exp(np.multiply.outer(ax, -m * np.pi))
         else:  # on the axis both exponentials are exactly 1
             phase = decay = np.ones((ax.size, 1))
-        coef = _chi(m, y0) * (phase / (1j * kx_b) + (_D / (m * np.pi)) * decay)
+        coef = _chi(m, y0) * (phase / (1j * kx_b) + (1.0 / (m * np.pi)) * decay)
         total = total + coef @ _chi(m, ys)
     return total
 
@@ -471,7 +470,7 @@ def _kummer_coincident(kd, y0, kx, chi_y0, completion):
     The mode sum is sum_{m <= M} chi_m(y0)^2 [1/(i k_x) + d/(m pi)], and the
     coincidence constant replaces the static form.
     """
-    coef = chi_y0 * (1.0 / (1j * kx) + _D / (np.arange(1, kx.shape[-1] + 1) * np.pi))
+    coef = chi_y0 * (1.0 / (1j * kx) + 1.0 / (np.arange(1, kx.shape[-1] + 1) * np.pi))
     mode_sum = (coef[..., None, :] @ chi_y0[..., :, None])[..., 0, 0]
     return mode_sum + completion + _coincidence_constant(kd, y0)
 
@@ -482,7 +481,7 @@ def _kummer_grid(kd: float, ax, ys, y0: float, tol: float):
     r = r0 (ax = 0, y = y0) is left out: NaN, with mode count and bound 0."""
     at_r0 = (ax == 0.0)[:, None] & (ys == y0)
     # r0 is planned as a point one width away (a cheap geometric plan), then dropped
-    m_trunc, completion, bound = _kummer_plan(kd, np.where(at_r0, _D, ax[:, None]), tol, ys, y0)
+    m_trunc, completion, bound = _kummer_plan(kd, np.where(at_r0, 1.0, ax[:, None]), tol, ys, y0)
     m_trunc[at_r0] = bound[at_r0] = 0
     return _kummer_sum(kd, ax, ys, y0, m_trunc, completion), m_trunc, bound
 
@@ -498,11 +497,11 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     the plan cannot meet tol, it raises TruncationLimit.
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
-    guard_mode_openings(k * _D)
+    guard_mode_openings(k)
     dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("coincident points are routed to renorm_sum")
-    value, m_trunc, bound = _kummer_grid(k * _D, np.array([abs(dx)]), np.array([float(r[1])]),
+    value, m_trunc, bound = _kummer_grid(k, np.array([abs(dx)]), np.array([float(r[1])]),
                                          float(r0[1]), tol)
     return GreensValue(complex(value[0, 0]), "kummer", int(m_trunc[0, 0]), float(bound[0, 0]))
 
@@ -514,8 +513,8 @@ def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
     blocked product (_kummer_sum).  Exact coincidence with r0 yields NaN.
     """
     x, y = _check_strip(np.append(xs, r0[0]), np.append(ys, r0[1]))
-    guard_mode_openings(k * _D)
-    return _kummer_grid(k * _D, np.abs(x[:-1] - x[-1]), y[:-1], y[-1], tol)[0]
+    guard_mode_openings(k)
+    return _kummer_grid(k, np.abs(x[:-1] - x[-1]), y[:-1], y[-1], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +555,13 @@ def greens_diffraction(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     the order cap misses tol (|x - x0| below ~3e-5 d).
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
-    guard_mode_openings(k * _D)
+    guard_mode_openings(k)
     dx, _, _ = _deltas(r, r0)
     ax = abs(dx)
     if ax == 0.0:
         raise DomainError("diffraction representation requires x != x0")
     # both arrays sum the same orders, each charged half of tol
-    (minus, plus), n, bound = _grating_sum(ax, (r[1] - r0[1], r[1] + r0[1]), k, 2.0 * _D, tol / 2)
+    (minus, plus), n, bound = _grating_sum(ax, (r[1] - r0[1], r[1] + r0[1]), k, 2.0, tol / 2)
     return GreensValue(minus - plus, "diffraction", 2 * n, 2 * bound)
 
 
@@ -603,7 +602,7 @@ def greens_semiclassical(r, r0, k: float, n_images: int) -> complex:
     k rho_n >~ 1 for every retained image, warned about otherwise.
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
-    guard_mode_openings(k * _D)
+    guard_mode_openings(k)
     n, rho = _image_distances(r, r0, n_images)
     if np.any(rho == 0.0):
         raise CoincidentPoints("field point coincides with an image point")
@@ -625,13 +624,13 @@ def semiclassical_renorm_sum(k: float, y0: float, n_explicit: int = 400) -> comp
     at them, which is what makes it useful as a resonance-position
     diagnostic.
     """
-    if not 0.0 < y0 < _D:
+    if not 0.0 < y0 < 1.0:
         raise DomainError(f"source must sit strictly inside the wire, got y0={y0!r}")
-    guard_mode_openings(k * _D)
-    step = 2.0 * _D
+    guard_mode_openings(k)
+    step = 2.0
     z = np.exp(1j * k * step)
     total = 0.0 + 0.0j
-    for sign, dist0 in ((2.0, 0.0), (-1.0, -2.0 * y0), (-1.0, 2.0 * y0 - 2.0 * _D)):
+    for sign, dist0 in ((2.0, 0.0), (-1.0, -2.0 * y0), (-1.0, 2.0 * y0 - 2.0)):
         j = np.arange(1, n_explicit + 1)
         x = k * (dist0 + j * step)
         explicit = np.sum(-0.5j * np.sqrt(2.0 / (np.pi * x)) * np.exp(1j * (x - np.pi / 4)))
@@ -667,11 +666,11 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
     if {"kummer", "kummer_raw"} & set(representations):
-        _covered_open_count(k * _D, min(term_grid), "terms")
+        _covered_open_count(k, min(term_grid), "terms")
     else:
-        guard_mode_openings(k * _D)
+        guard_mode_openings(k)
     dx, _, rho = _deltas(r, r0)
-    kd, ax, y, y0 = k * _D, abs(dx), float(r[1]), float(r0[1])
+    kd, ax, y, y0 = k, abs(dx), float(r[1]), float(r0[1])
     if rho == 0.0:
         bad = set(representations) - {"kummer", "kummer_raw"}
         if bad:

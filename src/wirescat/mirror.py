@@ -35,6 +35,7 @@ import numpy as np
 from .errors import DomainError
 from .greens import greens_kummer_grid
 from .renorm import _open_state
+from .specfun import _integer_in
 from .waveguide import WireConfig, _check_strip, _chi, _kx, open_channel_count
 
 __all__ = [
@@ -47,8 +48,6 @@ __all__ = [
     "renormalized_mirror_at_impurity",
     "field_map",
 ]
-
-_D = 1.0
 
 
 class MirrorKind(enum.Enum):
@@ -71,9 +70,9 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise DomainError("grid needs at least 2 points per axis")
-        if not (0.0 <= self.y_min < self.y_max <= _D):
+        if not (_integer_in(self.nx, 2) and _integer_in(self.ny, 2)):
+            raise DomainError(f"grid needs integer counts of at least 2 points, got {self.nx!r} x {self.ny!r}")
+        if not (0.0 <= self.y_min < self.y_max <= 1.0):
             raise DomainError("y range must lie inside [0, d]")
         if not (np.isfinite([self.x_min, self.x_max]).all() and self.x_min < self.x_max):
             raise DomainError("x range must be finite and increasing")
@@ -107,13 +106,13 @@ def _mirror_grid(kind: MirrorKind, k: float, cfg: WireConfig, xs, ys) -> np.ndar
     half weight); the grid is one (nx x M)(M x ny) product.
     """
     xs, ys = _check_strip(xs, ys)
-    n = open_channel_count(k * _D)  # guards kd; none open below kd = pi
-    kx, m = _kx(k * _D, n).real, np.arange(1, n + 1)
-    q = m * np.pi / _D
+    n = open_channel_count(k)  # guards kd; none open below kd = pi
+    kx, m = _kx(k, n).real, np.arange(1, n + 1)
+    q = m * np.pi
     if kind == MirrorKind.S_PLUS:
         kx = np.concatenate(([k], kx))
         q = np.concatenate(([0.0], q))
-        c = (2.0 / _D) * np.cos(q * cfg.y0) / kx
+        c = 2.0 * np.cos(q * cfg.y0) / kx
         c[0] *= 0.5
         trans = np.cos(np.multiply.outer(q, ys))
     else:
@@ -124,7 +123,7 @@ def _mirror_grid(kind: MirrorKind, k: float, cfg: WireConfig, xs, ys) -> np.ndar
         elif kind == MirrorKind.PX:
             c = -chi0 / k
         elif kind == MirrorKind.DXY:
-            c = (2.0 / k**2) * np.sqrt(2.0 / _D) * q * np.cos(q * cfg.y0)
+            c = (2.0 / k**2) * np.sqrt(2.0) * q * np.cos(q * cfg.y0)
         else:
             c = (kx**2 - 3.0 * q**2) * chi0 / k**3
     trig = np.cos if kind in (MirrorKind.S, MirrorKind.S_PLUS) else np.sin

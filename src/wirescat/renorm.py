@@ -62,7 +62,6 @@ __all__ = [
     "foldy_solve",
 ]
 
-_D = 1.0
 POLE_THRESHOLD = 1e-14
 
 
@@ -105,7 +104,7 @@ class RenormState:
     @property
     def n_open(self) -> int:
         """Number of open channels N = floor(kd/pi) that Sigma sums over."""
-        return _n_open(self.k * _D)
+        return _n_open(self.k)
 
     @property
     def im_identity_residual(self) -> float:
@@ -217,9 +216,9 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
     most _BLOCK (row x mode) elements, whose k_x and chi_m(y0) serve G_r and Sigma.
     """
     k, y0 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(y0, dtype=float))
-    if not np.all((0.0 < y0) & (y0 < _D)):
+    if not np.all((0.0 < y0) & (y0 < 1.0)):
         raise DomainError("y0 must lie strictly inside the wire")
-    kd, yy = (k * _D).ravel(), y0.ravel()
+    kd, yy = k.ravel(), y0.ravel()
     n_open = open_channel_count(kd)
     terms, completion, bound = _kummer_plan(kd, 0.0, tol, yy, yy)
     g_r, sigma = np.empty(kd.size, dtype=complex), np.empty(kd.size)
@@ -264,7 +263,7 @@ def renorm_state(k: float, cfg: WireConfig, tol: float = 1e-12) -> RenormState:
 
 def _open_state(k: float, cfg: WireConfig, tol: float) -> RenormState:
     """renorm_state where a channel is open; DomainError for 0 < kd < pi, before building it."""
-    if _closed(k * _D):
+    if _closed(k):
         raise DomainError("no open channels below kd = pi; sweeps report sigma = 0 there")
     return renorm_state(k, cfg, tol)
 
@@ -296,7 +295,7 @@ def gr_edge_asymptote(n_mode: int, eps: float, y0: float,
         raise DomainError("mode index must be >= 1")
     if not 0.0 < eps <= 1e-3:
         raise DomainError("eps must lie in (0, 1e-3] for the leading order to apply")
-    amp = _threshold_chi2(n_mode, y0) * _D / np.sqrt(2.0 * np.pi * n_mode * eps)
+    amp = _threshold_chi2(n_mode, y0) / np.sqrt(2.0 * np.pi * n_mode * eps)
     if side == "below":
         return complex(-amp)
     if side == "above":

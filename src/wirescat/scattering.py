@@ -38,6 +38,7 @@ import numpy as np
 from .errors import DomainError
 from .greens import semiclassical_renorm_sum
 from .renorm import RenormState, _open_state, _threshold_chi2, attach_strength, renorm_state, t_matrix
+from .specfun import _integer_in
 from .waveguide import WireConfig, _chi, _closed, _kx
 
 __all__ = [
@@ -54,8 +55,6 @@ __all__ = [
     "sigma_edge_asymptote",
     "sigma_from_greens",
 ]
-
-_D = 1.0
 
 
 @dataclass(frozen=True)
@@ -128,33 +127,38 @@ def _state_s_matrix(st: RenormState) -> SMatrixResult:
     stack of their S matrices.
     """
     (n,) = np.unique(st.n_open).tolist()  # a stack with mixed counts fails here
-    kx = _kx(st.k * _D, n).real
+    kx = _kx(st.k, n).real
     v = _chi(np.arange(1, n + 1), st.y0).T / np.sqrt(kx)
     rs = np.asarray(st.rs)[..., None]
     refl = 1j * rs[..., None] * (v[..., :, None] * v[..., None, :])
-    sigma_modes = abs(rs) ** 2 * _D * (v * v) * np.asarray(st.sigma_open)[..., None]
+    sigma_modes = abs(rs) ** 2 * (v * v) * np.asarray(st.sigma_open)[..., None]
     return SMatrixResult(k=st.k, n_open=n, refl=refl, trans=np.eye(n) - refl,
                          sigma_n=sigma_modes, sigma=st.cross_section, conductance=st.conductance)
 
 
+def _open_mode_state(n, k: float, cfg: WireConfig, tol: float) -> RenormState:
+    """_open_state(k, cfg, tol), before any S matrix, once n is an integer open-mode index 1..N."""
+    st = _open_state(k, cfg, tol)
+    if not _integer_in(n, 1, st.n_open):
+        raise DomainError(f"mode must be an integer in 1..{st.n_open} at kd = {k!r}, got {n!r}")
+    return st
+
+
 def cross_section_mode(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """sigma_n = |Rs|^2 d (chi_n^2(y0)/k_x^(n)) Sigma for open mode n."""
-    sm = s_matrix(k, cfg, tol)
-    if not 1 <= n <= sm.n_open:
-        raise DomainError(f"mode {n} is not open at kd = {k * _D!r}")
-    return float(sm.sigma_n[n - 1])
+    return float(_state_s_matrix(_open_mode_state(n, k, cfg, tol)).sigma_n[n - 1])
 
 
 def cross_section(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """Total cross section as a fraction of the wire width; 0 below kd = pi."""
-    if _closed(k * _D):
+    if _closed(k):
         return 0.0
     return renorm_state(k, cfg, tol).cross_section
 
 
 def conductance(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
     """Two-terminal conductance N - sigma in quanta; 0 below first threshold."""
-    if _closed(k * _D):
+    if _closed(k):
         return 0.0
     return float(renorm_state(k, cfg, tol).conductance)
 
@@ -174,10 +178,8 @@ def forward_amplitude(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> 
 
     It obeys the per-channel optical theorem sigma_n = -Re[chi_n(y0) f_n].
     """
-    st = _open_state(k, cfg, tol)
-    if not 1 <= n <= st.n_open:
-        raise DomainError(f"mode {n} is not open at kd = {k * _D!r}")
-    return complex(-1j * st.rs * _chi(n, cfg.y0) / _kx(k * _D, n)[n - 1].real)
+    st = _open_mode_state(n, k, cfg, tol)
+    return complex(-1j * st.rs * _chi(n, cfg.y0) / _kx(k, n)[n - 1].real)
 
 
 def phase_shift(k: float, cfg: WireConfig, tol: float = 1e-12) -> PhaseShift:
@@ -220,7 +222,7 @@ def sigma_from_greens(k: float, cfg: WireConfig,
     cross_section; ``semiclassical`` substitutes the asymptotic image sum
     (no accuracy contract, resonance-position diagnostic only).
     """
-    if _closed(k * _D):
+    if _closed(k):
         return 0.0
     if variant == "kummer":
         st = renorm_state(k, cfg, tol)

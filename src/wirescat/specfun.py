@@ -147,9 +147,14 @@ def _asym(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return amp * (p * cos_c - q * sin_c), amp * (p * sin_c + q * cos_c)
 
 
+def _integer_in(n, lo: int, hi=np.inf) -> bool:
+    """Whether n is an int or numpy integer in lo..hi: the one integer test of orders, indices and counts."""
+    return isinstance(n, (int, np.integer)) and lo <= n <= hi
+
+
 def _checked(n, top: int, x, positive: bool) -> tuple[np.ndarray, bool]:
     """x as a 1-d float array and whether it was a scalar, once n is an order in 0..top."""
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= top:
+    if not _integer_in(n, 0, top):
         raise DomainError(f"order must be an integer in 0..{top}, got {n!r}")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0

@@ -20,7 +20,6 @@ from .waveguide import WireConfig, _n_open, image_positions, transverse_mode
 __all__ = ["CheckResult", "run_checks", "CHECK_GROUPS", "standard_kd_grid",
            "STANDARD_Y0", "STANDARD_A"]
 
-_D = 1.0
 STANDARD_Y0 = (0.05, 0.25, 0.32, 0.5)
 STANDARD_A = (0.02, -0.02, 0.1, -0.1)
 
@@ -77,18 +76,18 @@ def check_specfun(fast: bool = False):
 
 def check_waveguide(fast: bool = False):
     nodes, weights = np.polynomial.legendre.leggauss(60 if fast else 200)
-    y = 0.5 * (nodes + 1.0) * _D
-    w = 0.5 * _D * weights
+    y = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights
     modes = transverse_mode(np.arange(1, 11), y)
     res_o = float(np.max(np.abs((w * modes) @ modes.T - np.eye(10))))
     res_g = 0.0
     for y0 in (0.055, 0.3, 0.47):
         imgs = image_positions(WireConfig(y0=y0, a=0.1), -20, 20)
-        mirr = image_positions(WireConfig(y0=_D - y0, a=0.1), -20, 20)
-        reflected = np.sort(_D - mirr.positions[:, 1])
+        mirr = image_positions(WireConfig(y0=1.0 - y0, a=0.1), -20, 20)
+        reflected = np.sort(1.0 - mirr.positions[:, 1])
         res_g = max(res_g, float(np.max(np.abs(np.sort(imgs.positions[:, 1]) - reflected))))
         mid = 0.5 * (imgs.positions[:-1, 1] + imgs.positions[1:, 1])
-        res_g = max(res_g, float(np.max(np.abs(mid / _D - np.round(mid / _D)))))
+        res_g = max(res_g, float(np.max(np.abs(mid - np.round(mid)))))
     return [
         CheckResult.from_residual("waveguide.mode_orthonormality", res_o, 1e-10),
         CheckResult.from_residual("waveguide.image_geometry", res_g, 1e-12,
@@ -126,7 +125,7 @@ def check_greens_boundary(fast: bool = False):
     r0 = (0.0, 0.3)
     res = 0.0
     for x in (0.1, 0.45) if fast else (0.1, 0.45, 1.2):
-        for wall in (0.0, _D):
+        for wall in (0.0, 1.0):
             res = max(res, abs(greens.greens_kummer((x, wall), r0, kd, 1e-12).value))
             res = max(res, abs(greens.greens_spectral((x, wall), r0, kd, 4000).value))
             res = max(res, abs(greens.greens_diffraction((x, wall), r0, kd, 1e-12).value))
@@ -168,7 +167,7 @@ def check_greens_properties(fast: bool = False):
         r0c = (0.0, y0c)
         rc = (1e-6, y0c)
         lhs = greens.greens_static(rc, r0c) - greens.greens_free(rc, r0c, kdc)
-        rhs = (-np.log((kdc / np.pi) * np.sin(np.pi * y0c / _D)) / np.pi
+        rhs = (-np.log((kdc / np.pi) * np.sin(np.pi * y0c)) / np.pi
                + 0.5j - renorm.EULER_GAMMA / np.pi)
         res_coin = max(res_coin, abs(lhs - rhs))
     return [
@@ -198,7 +197,7 @@ def check_greens_benchmark(fast: bool = False):
     errs = np.array([r.error for r in spec_rows])
     good = (errs > 1e-13) & (errs < 1e-2)
     slope = -np.polyfit(terms[good], np.log(errs[good] * terms[good]), 1)[0]
-    res_s = abs(slope / (np.pi * dx / _D) - 1.0)
+    res_s = abs(slope / (np.pi * dx) - 1.0)
     small_dx_rows = greens.convergence_benchmark((0.5, 0.61), r0, kd, representations=("spectral",),
                                                  term_grid=(100,))
     return [
@@ -243,8 +242,8 @@ def check_edge_asymptotes(fast: bool = False):
     for eps in ((1e-6,) if fast else (1e-6, 1e-8)):
         # below the opening G_r diverges in its real part, above in its imaginary part
         for side, sign, part in (("below", -1.0, "real"), ("above", 1.0, "imag")):
-            full = (renorm.renorm_sum((n_mode * np.pi + sign * eps) / _D, y0).g_r
-                    - renorm.renorm_sum((n_mode * np.pi + sign * eps_ref) / _D, y0).g_r)
+            full = (renorm.renorm_sum(n_mode * np.pi + sign * eps, y0).g_r
+                    - renorm.renorm_sum(n_mode * np.pi + sign * eps_ref, y0).g_r)
             asym = (renorm.gr_edge_asymptote(n_mode, eps, y0, side)
                     - renorm.gr_edge_asymptote(n_mode, eps_ref, y0, side))
             res_g = max(res_g, abs(getattr(full, part) / getattr(asym, part) - 1.0))
@@ -253,7 +252,7 @@ def check_edge_asymptotes(fast: bool = False):
     cfg = WireConfig(y0=y0, a=0.1)
     res_s = 0.0
     for eps in ((1e-6,) if fast else (1e-6, 1e-7, 1e-8)):
-        full = scattering.cross_section((n_mode * np.pi - eps) / _D, cfg)
+        full = scattering.cross_section(n_mode * np.pi - eps, cfg)
         res_s = max(res_s, abs(scattering.sigma_edge_asymptote(n_mode, eps, y0) / full - 1.0))
     results.append(CheckResult.from_residual("scattering.sigma_edge_asymptote", res_s, 0.1))
     return results
@@ -292,10 +291,10 @@ def check_smatrix_grid(fast: bool = False):
     res_unit = res_rank = res_four = res_cond = res_flux = res_im = res_opt = 0.0
     sigma_lo, sigma_hi = np.inf, -np.inf
     for y0 in STANDARD_Y0:
-        base = renorm.renorm_grid(kd / _D, y0)
+        base = renorm.renorm_grid(kd, y0)
         res_im = max(res_im, np.max(base.im_identity_residual))
         for a in STANDARD_A:
-            st = renorm.attach_strength(base, renorm._strength(kd / _D, a))
+            st = renorm.attach_strength(base, renorm._strength(kd, a))
             sigma_lo = min(sigma_lo, np.min(st.cross_section))
             sigma_hi = max(sigma_hi, np.max(st.cross_section))
             phi_t = st.sigma_open * st.renorm_factor
@@ -315,10 +314,10 @@ def check_smatrix_grid(fast: bool = False):
                               axis1=-2, axis2=-1).real
                 sigma_sum = np.sum(sm.sigma_n, axis=-1)
                 res_cond = max(res_cond, np.max(np.abs(tr - sm.conductance)),
-                               np.max(np.abs(sm.conductance - (n - sigma_sum / _D))))
+                               np.max(np.abs(sm.conductance - (n - sigma_sum))))
                 if not np.all((n - 1 - 1e-10 <= tr) & (tr <= n + 1e-10)):
                     res_cond = max(res_cond, 1.0)
-                res_flux = max(res_flux, np.max(sigma_sum) - _D)
+                res_flux = max(res_flux, np.max(sigma_sum) - 1.0)
     return [
         CheckResult.from_residual("scattering.unitarity", res_unit, 1e-10),
         CheckResult.from_residual("scattering.rank_one", res_rank, 1e-10),
@@ -337,15 +336,15 @@ def check_smatrix_grid(fast: bool = False):
 
 def check_resonances(fast: bool = False):
     cfg = WireConfig(y0=0.05, a=0.1)
-    below = scattering.cross_section((2.0 * np.pi - 1e-4) / _D, cfg)
-    seq = [scattering.cross_section((2.0 * np.pi + eps) / _D, cfg)
+    below = scattering.cross_section(2.0 * np.pi - 1e-4, cfg)
+    seq = [scattering.cross_section(2.0 * np.pi + eps, cfg)
            for eps in (1e-4, 1e-6, 1e-8)]
     mono = seq[0] < seq[1] < seq[2]
     center = WireConfig(y0=0.5, a=0.1)
-    cont = abs(scattering.cross_section((2.0 * np.pi + 1e-6) / _D, center)
-               - scattering.cross_section((2.0 * np.pi - 1e-6) / _D, center))
-    jump = (scattering.cross_section((3.0 * np.pi + 1e-6) / _D, center)
-            - scattering.cross_section((3.0 * np.pi - 1e-6) / _D, center))
+    cont = abs(scattering.cross_section(2.0 * np.pi + 1e-6, center)
+               - scattering.cross_section(2.0 * np.pi - 1e-6, center))
+    jump = (scattering.cross_section(3.0 * np.pi + 1e-6, center)
+            - scattering.cross_section(3.0 * np.pi - 1e-6, center))
     return [
         CheckResult.from_residual("scattering.sigma_below_opening", below, 1e-3,
                                   "sigma(2pi - 1e-4), y0=0.05, a=0.1"),
@@ -368,7 +367,7 @@ def check_mirror(fast: bool = False):
     nx, ny = (80, 24) if fast else (400, 100)
     for kd, y0 in ((2.5 * np.pi, 0.3), (40.0, 0.6)):
         cfg = WireConfig(y0=y0, a=0.1)
-        spec = mirror.GridSpec(-1.0, 1.0, 0.0, _D, nx, ny)
+        spec = mirror.GridSpec(-1.0, 1.0, 0.0, 1.0, nx, ny)
         gw = greens.greens_kummer_grid(spec.xs, spec.ys, cfg.r0, kd, tol=1e-8)
         phi = mirror.field_map(mirror.MirrorKind.S, kd, cfg, spec).values
         res_id = max(res_id, float(np.max(np.abs(phi + gw.imag))))
@@ -385,8 +384,8 @@ def check_mirror(fast: bool = False):
     # flux-weighted cross term with the scattering wave vanishes when the
     # two longitudinal parities are combined (x = +L with x = -L)
     nodes, weights = np.polynomial.legendre.leggauss(120)
-    y = 0.5 * (nodes + 1.0) * _D
-    w = 0.5 * _D * weights
+    y = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights
     xs = (0.8, -0.8)
     phi_s = mirror._mirror_grid(mirror.MirrorKind.S, kd, cfg, xs, y)
     res_orth = 0.0

@@ -1,8 +1,9 @@
 """Geometry, transverse modes, channel bookkeeping and image positions.
 
 The wire occupies 0 < y < d with hard (Dirichlet) walls at y = 0 and y = d
-and is infinite along x.  Everything is nondimensional: the width d is fixed
-to 1 internally and all physics depends only on kd, y0/d and a/d.
+and is infinite along x.  The width d is the unit of length: all physics depends
+only on kd, y0/d and a/d, so no function or WireConfig field takes a width, and
+other docstrings keep d in formulas as notation only.
 
 Mode m has transverse profile chi_m(y) = sqrt(2/d) sin(m pi y / d) and
 longitudinal wavenumber
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ModeOpeningSingularity
+from .specfun import _integer_in
 
 __all__ = [
     "WireConfig",
@@ -42,12 +44,11 @@ __all__ = [
 ]
 
 DEFAULT_MODE_GUARD = 1e-9
-_D = 1.0
 
 
 @dataclass(frozen=True)
 class WireConfig:
-    """Wire geometry and impurity parameters (nondimensional, d = 1).
+    """Wire geometry and impurity parameters, lengths in units of the wire width d.
 
     Attributes
     ----------
@@ -58,21 +59,16 @@ class WireConfig:
         and must satisfy |a| < d/2.  a = 0 denotes a transparent impurity.
     x0 : float
         Longitudinal impurity position; observables don't depend on it.
-    d : float
-        Wire width; fixed to 1 (kept explicit so formulas read dimensionally).
     """
 
     y0: float
     a: float = 0.1
     x0: float = 0.0
-    d: float = 1.0
 
     def __post_init__(self):
-        if self.d != 1.0:
-            raise DomainError("wire width is fixed to 1; rescale inputs by d")
-        if not 0.0 < self.y0 < self.d:
+        if not 0.0 < self.y0 < 1.0:
             raise DomainError(f"impurity must sit strictly inside the wire, got y0={self.y0!r}")
-        if not abs(self.a) < self.d / 2:
+        if not abs(self.a) < 0.5:
             raise DomainError(f"|a| must be < d/2, got a={self.a!r}")
         if not np.isfinite(self.x0):
             raise DomainError(f"x0 must be finite, got x0={self.x0!r}")
@@ -153,17 +149,17 @@ def _closed(kd):
 
 
 def _covered_open_count(kd, m_max: int, name: str = "m_max"):
-    """open_channel_count(kd), after refusing a mode count m_max below max(N, 1)."""
+    """open_channel_count(kd), after refusing a mode count m_max that is not an integer >= max(N, 1)."""
     n_open = open_channel_count(kd)
-    if m_max < max(np.max(n_open), 1):
-        raise DomainError(f"{name}={m_max} must be >= 1 and cover the {np.max(n_open)} open channels")
+    if not _integer_in(m_max, max(np.max(n_open), 1)):
+        raise DomainError(f"{name}={m_max!r} must be an integer >= 1 and cover the {np.max(n_open)} open channels")
     return n_open
 
 
 def _check_strip(x, y):
     """x and y as float arrays; DomainError unless every x is finite and 0 <= y <= d (NaN is out)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (np.isfinite(x).all() and ((0.0 <= y) & (y <= _D)).all()):
+    if not (np.isfinite(x).all() and ((0.0 <= y) & (y <= 1.0)).all()):
         raise DomainError("a point lies outside the strip: x must be finite and 0 <= y <= d")
     return x, y
 
@@ -180,8 +176,8 @@ def longitudinal_wavenumber(m: int, kd: float) -> complex:
     Guards only this mode's own threshold kd = m pi; other modes opening
     nearby leave k_x^(m) perfectly regular.
     """
-    if m < 1:
-        raise DomainError(f"mode index must be >= 1, got {m}")
+    if not _integer_in(m, 1):
+        raise DomainError(f"mode index must be an integer >= 1, got {m!r}")
     if kd <= 0.0 or not np.isfinite(kd):
         raise DomainError(f"kd must be positive and finite, got {kd!r}")
     if abs(kd - m * np.pi) <= DEFAULT_MODE_GUARD:
@@ -207,7 +203,7 @@ def transverse_mode(m, y):
 
 def _chi(m, y):
     """chi_m(y) over the outer product of m and y (validated y, unchecked)."""
-    return np.sqrt(2.0 / _D) * np.sin(np.multiply.outer(np.asarray(m, dtype=float), y) * np.pi / _D)
+    return np.sqrt(2.0) * np.sin(np.multiply.outer(np.asarray(m, dtype=float), y) * np.pi)
 
 
 def image_positions(cfg: WireConfig, n_min: int, n_max: int) -> ImageArray:
@@ -215,10 +211,10 @@ def image_positions(cfg: WireConfig, n_min: int, n_max: int) -> ImageArray:
     if n_min > 0 or n_max < 0:
         raise DomainError("image index range must include the n = 0 source")
     n = np.arange(n_min, n_max + 1)
-    pos = np.column_stack([np.full(n.shape, cfg.x0), _image_heights(n, cfg.y0, cfg.d)])
+    pos = np.column_stack([np.full(n.shape, cfg.x0), _image_heights(n, cfg.y0)])
     return ImageArray(indices=n, positions=pos, signs=(-1.0) ** n)
 
 
-def _image_heights(n, y0: float, d: float = 1.0) -> np.ndarray:
+def _image_heights(n, y0: float) -> np.ndarray:
     """y_n = 2 ceil(n/2) d + (-1)^n y0: the heights of the images of a source at y0."""
-    return 2.0 * np.ceil(n / 2) * d + (-1.0) ** n * y0
+    return 2.0 * np.ceil(n / 2) + (-1.0) ** n * y0

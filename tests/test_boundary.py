@@ -1,6 +1,7 @@
 """Input checks at the public boundary: every entry refuses a bad y or kd, once per call."""
 
 import ast
+import dataclasses
 import inspect
 import sys
 import warnings
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from wirescat import greens, mirror, renorm, scattering, waveguide
-from wirescat.errors import WireError
+from wirescat.errors import DomainError, WireError
 from wirescat.mirror import GridSpec
 from wirescat.renorm import FoldyProblem
 from wirescat.waveguide import WireConfig
@@ -316,12 +317,36 @@ def test_conductance_lives_in_the_state_alone():
     assert _rule_sites(_subtracts_cross_section, ("renorm", "conductance")) == []
 
 
+def _bounds_a_mode_index(node):
+    """1 <= n <= st.n_open or _integer_in(n, 1, st.n_open): the open-mode index check."""
+    operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else \
+        node.args if isinstance(node, ast.Call) else []
+    return any(getattr(n, "attr", getattr(n, "id", None)) == "n_open" for n in operands) \
+        and any(isinstance(n, ast.Constant) and n.value == 1 for n in operands)
+
+
+def _tests_for_an_integer(node):
+    """np.integer or numbers.Integral: part of an integer test of an order, index or count."""
+    return isinstance(node, ast.Attribute) and node.attr in ("integer", "Integral")
+
+
+def test_open_mode_index_check_lives_in_one_helper():
+    # cross_section_mode and forward_amplitude both take their state from scattering._open_mode_state
+    assert _rule_sites(_bounds_a_mode_index, ("scattering", "_open_mode_state")) == []
+
+
+def test_integer_test_lives_in_specfun_alone():
+    # orders, mode indices and counts (nx, ny, n_images, terms) all use specfun._integer_in
+    assert _rule_sites(_tests_for_an_integer, ("specfun", "_integer_in")) == []
+
+
 def test_the_guards_see_the_rules_they_guard():
     # each predicate matches its rule's home, so an empty site list means something
     home = {"_closed": _tests_closed_wire, "_threshold_chi2": _raises_degenerate_mode,
-            "conductance": _subtracts_cross_section}
+            "conductance": _subtracts_cross_section, "_open_mode_state": _bounds_a_mode_index,
+            "_integer_in": _tests_for_an_integer}
     found = set()
-    for path in (_SRC / "waveguide.py", _SRC / "renorm.py"):
+    for path in (_SRC / "waveguide.py", _SRC / "renorm.py", _SRC / "scattering.py", _SRC / "specfun.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, ast.FunctionDef) and fn.name in home and any(map(home[fn.name], ast.walk(fn))):
                 found.add(fn.name)
@@ -333,3 +358,47 @@ def test_no_module_uses_the_private_argparse_api():
     for path in sorted(_SRC.glob("*.py")):
         text = path.read_text()
         assert "argparse._" not in text and "parser._actions" not in text, path.name
+
+
+# ---------------------------------------------------------------------------
+# the wire width is the unit; indices and counts are integers
+# ---------------------------------------------------------------------------
+
+def test_no_module_keeps_a_width_variable():
+    # d = 1 is the unit of length (waveguide's docstring), not a constant or a field
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+            assert not any(isinstance(t, ast.Name) and t.id == "_D" for t in targets), (path.name, node.lineno)
+    assert [f.name for f in dataclasses.fields(WireConfig)] == ["y0", "a", "x0"]
+
+
+@pytest.mark.parametrize("fn", [scattering.cross_section_mode, scattering.forward_amplitude])
+@pytest.mark.parametrize("n", [1.5, 0, 3], ids=["n=1.5", "n=0", "n=N+1"])
+def test_a_mode_index_that_is_not_an_open_mode_is_a_domain_error(fn, n):
+    assert waveguide.open_channel_count(KD) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="mode must be an integer in 1..2"):
+            fn(n, KD, CFG)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GridSpec(-1, 1, 0, 1, 2.5, 3),
+    lambda: GridSpec(-1, 1, 0, 1, 3, 3.0),
+    lambda: greens.greens_image((0.37, 0.61), R0, KD, 10.5),
+    lambda: greens.greens_semiclassical((0.37, 0.61), R0, KD, 10.5),
+    lambda: greens.image_sum_positive((0.37, 0.61), R0, KD, 10.5),
+    lambda: greens.greens_spectral((0.37, 0.61), R0, KD, 100.5),
+    lambda: greens.greens_spectral((0.37, 0.61), R0, KD, 100.0),
+    lambda: waveguide.channels(KD, 10.0),
+    lambda: waveguide.longitudinal_wavenumber(1.5, KD),
+], ids=["nx", "ny", "image", "semiclassical", "image-positive", "spectral", "spectral-whole-float", "channels",
+        "mode-index"])
+def test_a_count_that_is_not_an_integer_is_a_domain_error(call):
+    # no numpy TypeError, no RuntimeWarning from (-1.0) ** n, no value with a fractional count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="integer"):
+            call()

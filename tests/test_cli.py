@@ -458,7 +458,7 @@ def test_sweep_k_rows_match_scalar_api(tmp_path, a):
         close(float(val["sigma"]), cross_section(kd, cfg))
         close(float(val["conductance"]), conductance(kd, cfg))
         close(float(val["delta0"]), phase_shift(kd, cfg).delta0)
-        close(float(val["sigma_free"]), free_cross_section(kd, a) / cfg.d)
+        close(float(val["sigma_free"]), free_cross_section(kd, a))
         close(float(val["rs_re"]), st.rs.real)
         close(float(val["rs_im"]), st.rs.imag)
 
