@@ -53,17 +53,17 @@ def run_sweep_k(args) -> int:
     cfg = WireConfig(y0=args.y0, a=args.a, x0=args.x0)
     kds = np.linspace(args.kd_min, args.kd_max, args.points)
     # s depends on kd alone: one array evaluation covers the grid
-    strengths = renorm._strength(kds, cfg.a)
+    tm = renorm.t_matrix_grid(kds, cfg.a)
     # gap rows carry the one-sided limits; every other row comes from one state
     # grid, where sigma = 0 below kd = pi because Sigma = 0 there
     n_near, gap = mode_opening_gaps(kds)
     kd, ok = kds[~gap], ~gap
-    st = renorm.attach_strength(renorm.renorm_grid(kd, cfg.y0, args.tol), strengths[ok])
+    st = renorm.attach_strength(renorm.renorm_grid(kd, cfg.y0, args.tol), tm.s[ok])
     col = {name: np.full(len(kds), NAN) for name in SWEEP_COLUMNS}
     col["kd"], col["gap"] = kds, gap.astype(int)
     col["n_open"] = col["conductance_empty"] = n_near.astype(int)  # gap rows: the nearest opening
     for name, value in (("n_open", st.n_open), ("sigma", st.cross_section), ("conductance", st.conductance),
-                        ("sigma_free", renorm.TMatrix(kd, cfg.a, strengths[ok]).cross_section),
+                        ("sigma_free", tm.cross_section[ok]),
                         ("g_r_re", st.g_r.real), ("g_r_im", st.g_r.imag),
                         ("rs_re", st.rs.real), ("rs_im", st.rs.imag),
                         ("delta0", np.where(_closed(kd), NAN, scattering.PhaseShift.from_state(st).delta0))):
@@ -100,12 +100,12 @@ def run_sweep_geom(args) -> int:
     # sigma = |Rs|^2 Sigma^2 with Rs = s/(1 - s G_r): G_r depends on y0 alone
     # and s on a alone (0 at a = 0), so one G_r grid over y0 and one array s over a
     # broadcast to the (a, y0) grid.  Nothing is open below kd = pi and sigma = 0
-    # there; a NaN kd reaches renorm_grid's guard and kd <= 0 _strength's check.
+    # there; a NaN kd reaches renorm_grid's guard and kd <= 0 t_matrix_grid's check.
     base = renorm.renorm_grid(kd, y0_grid, args.tol) if not kd < np.pi else None
-    strengths = renorm._strength(kd, a_grid)
-    sigma = (renorm.attach_strength(base, strengths[:, None]).cross_section if base is not None
+    tm = renorm.t_matrix_grid(kd, a_grid)
+    sigma = (renorm.attach_strength(base, tm.s[:, None]).cross_section if base is not None
              else np.zeros((len(a_list), len(y0_list))))
-    sigma_free = renorm.TMatrix(kd, a_grid, strengths).cross_section
+    sigma_free = tm.cross_section
     n_a, n_y0 = sigma.shape
     rows = table({"a": np.repeat(a_grid, n_y0), "y0": np.tile(y0_grid, n_a),
                   "sigma": sigma.ravel(), "sigma_free": np.repeat(sigma_free, n_y0),
@@ -161,8 +161,7 @@ def run_greens_bench(args) -> int:
 
 
 def run_validate(args) -> int:
-    groups = args.groups.split(",") if args.groups else None
-    results = run_checks(fast=args.fast, perturb_s=args.perturb_s, groups=groups)
+    results = run_checks(fast=args.fast, groups=args.groups)
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
@@ -191,6 +190,14 @@ def _write(args, rows, meta) -> None:
         write_table_csv(args.out, rows, meta)
 
 
+def _check_groups(value: str) -> list[str]:
+    """--groups as CHECK_GROUPS names (empty: every group); an unknown name is a usage error."""
+    names = value.split(",") if value else []
+    if not set(names) <= CHECK_GROUPS.keys():
+        raise argparse.ArgumentTypeError(f"unknown group in {value!r}; choose from {', '.join(CHECK_GROUPS)}")
+    return names
+
+
 def _load_config(path: str) -> dict[str, str]:
     out = {}
     with open(path) as fh:
@@ -213,14 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"wirescat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_impurity=True):
+    def common(p, with_impurity=True, with_svg_and_tol=True):
         # required values may come from --config, so requiredness is checked
         # after the merge rather than by argparse
         p.add_argument("--config", help="key=value file; command-line flags win")
         p.add_argument("--out", help="output file path (required)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--svg", help="optional SVG rendering path")
-        p.add_argument("--tol", type=float, default=1e-12, help="series tolerance")
+        if with_svg_and_tol:
+            p.add_argument("--svg", help="optional SVG rendering path")
+            p.add_argument("--tol", type=float, default=1e-12, help="series tolerance")
         if with_impurity:
             p.add_argument("--y0", type=float, help="impurity height, 0<y0<1 (required)")
             p.add_argument("--a", type=float, default=0.1, help="scattering length, |a|<1/2")
@@ -258,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_field_map)
 
     p = sub.add_parser("greens-bench", help="convergence benchmark at one point pair")
-    common(p, with_impurity=False)
+    common(p, with_impurity=False, with_svg_and_tol=False)
     p.add_argument("--kd", type=float, default=2.5 * np.pi)
     p.add_argument("--x", type=float, default=0.37)
     p.add_argument("--y", type=float, default=0.61)
@@ -270,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the identity suite")
     p.add_argument("--fast", action="store_true", help="shrink grids for a smoke run")
-    p.add_argument("--groups", help="comma-separated subset of: " + ",".join(CHECK_GROUPS))
+    p.add_argument("--groups", type=_check_groups,
+                   help="comma-separated subset of: " + ",".join(CHECK_GROUPS))
     p.add_argument("--out", help="optional machine-readable report path")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--perturb-s", type=float, default=0.0, help=argparse.SUPPRESS)
     p.set_defaults(func=run_validate)
     return parser
 

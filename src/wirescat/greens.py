@@ -73,6 +73,7 @@ _GEOMETRIC_MODE_CAP = 200000
 _KUMMER_MODE_CAP = 65536
 # elements in a (rows x modes) or (modes x points) block of a Kummer sum
 _BLOCK = 2 ** 12
+_SC_EXPLICIT = 400  # images per family that semiclassical_renorm_sum sums before its tail
 REPRESENTATIONS = ("free", "spectral", "image", "static", "kummer", "diffraction", "semiclassical")
 
 
@@ -278,6 +279,20 @@ def _cmul(p, q):
 
 def _cabs(w):
     return np.hypot(w.real, w.imag)
+
+
+def _cdiv(p, q):
+    """p / q for q != 0, bit for bit as CPython divides complex numbers (Smith's method)."""
+    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
+    by_re = np.abs(q.real) >= np.abs(q.imag)  # divide through by the larger part of q
+    x, y = np.where(by_re, q.real, q.imag), np.where(by_re, q.imag, q.real)
+    u, v = np.where(by_re, p.real, p.imag), np.where(by_re, p.imag, p.real)
+    r = y / x
+    den = x + y * r
+    re, im = (u + v * r) / den, np.where(by_re, v - u * r, u * r - v) / den
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im  # not re + 1j * im, which turns an imaginary -0 into +0
+    return out[()]
 
 
 def geometric_tail(z, s, m_trunc, shift=0.0):
@@ -574,9 +589,9 @@ def bragg_spectrum(k: float, period: float, n_max: int | None = None) -> BraggSp
     """
     if k <= 0.0 or period <= 0.0:
         raise DomainError("k and period must be positive")
-    n_open = int(np.floor(k * period / (2.0 * np.pi)))
-    if n_max is None:
-        n_max = n_open + 8
+    n_max = int(np.floor(k * period / (2.0 * np.pi))) + 8 if n_max is None else n_max
+    if not _integer_in(n_max, 0):
+        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
     n = np.arange(-n_max, n_max + 1)
     z = 2.0 * np.pi * n / (k * period)
     if np.any(np.abs(np.abs(z) - 1.0) < 1e-12):
@@ -614,15 +629,14 @@ def greens_semiclassical(r, r0, k: float, n_images: int) -> complex:
     return complex(pref * np.sum(np.exp(1j * (x - n * np.pi)) / np.sqrt(x)))
 
 
-def semiclassical_renorm_sum(k: float, y0: float, n_explicit: int = 400) -> complex:
+def semiclassical_renorm_sum(k: float, y0: float) -> complex:
     """Self-field sum over images with asymptotic Hankel forms, tail-completed.
 
     The three image families seen from the source sit at distances
-    {2jd}, {2jd - 2y0}, {2jd + 2y0 - 2d} (j >= 1) with signs +, -, -; each
-    family is a geometric-phase series resummed by geometric_tail, so the
-    result is a smooth function of kd away from mode openings and diverges
-    at them, which is what makes it useful as a resonance-position
-    diagnostic.
+    {2jd}, {2jd - 2y0}, {2jd + 2y0 - 2d} (j >= 1) with signs +, -, -; past its
+    first _SC_EXPLICIT images each family is a geometric-phase series resummed
+    by geometric_tail, so the result is a smooth function of kd away from mode
+    openings and diverges at them, which makes it useful as a resonance-position diagnostic.
     """
     if not 0.0 < y0 < 1.0:
         raise DomainError(f"source must sit strictly inside the wire, got y0={y0!r}")
@@ -631,11 +645,11 @@ def semiclassical_renorm_sum(k: float, y0: float, n_explicit: int = 400) -> comp
     z = np.exp(1j * k * step)
     total = 0.0 + 0.0j
     for sign, dist0 in ((2.0, 0.0), (-1.0, -2.0 * y0), (-1.0, 2.0 * y0 - 2.0)):
-        j = np.arange(1, n_explicit + 1)
+        j = np.arange(1, _SC_EXPLICIT + 1)
         x = k * (dist0 + j * step)
         explicit = np.sum(-0.5j * np.sqrt(2.0 / (np.pi * x)) * np.exp(1j * (x - np.pi / 4)))
         pref = -0.5j * np.sqrt(2.0 / (np.pi * k * step)) * np.exp(1j * (k * dist0 - np.pi / 4))
-        tail, _ = geometric_tail(z, 0.5, n_explicit, shift=dist0 / step)
+        tail, _ = geometric_tail(z, 0.5, _SC_EXPLICIT, shift=dist0 / step)
         total += sign * (explicit + pref * tail)
     return complex(total)
 
@@ -665,6 +679,8 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
     the kummer representations are defined there).
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
+    if len(term_grid) == 0 or not all(_integer_in(t, 0) for t in term_grid):
+        raise DomainError(f"term_grid must be a non-empty sequence of integers >= 0, got {term_grid!r}")
     if {"kummer", "kummer_raw"} & set(representations):
         _covered_open_count(k, min(term_grid), "terms")
     else:

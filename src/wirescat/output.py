@@ -50,18 +50,18 @@ def _blocks(rows: np.ndarray, render: dict, row_template: str, separator: str):
     step = max(1, _BLOCK // len(names))
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
-        cells = np.empty((len(block), len(names)), dtype=object)
+        cells = [None] * (len(block) * len(names))  # row-major: cell j of each row at j::len(names)
         for j, name in enumerate(names):
             column = block[name]
             to_text = render[column.dtype.kind]
             if column.dtype.kind != "f":
-                cells[:, j] = list(map(to_text, column.tolist()))
+                cells[j::len(names)] = map(to_text, column.tolist())
                 continue
             bits, inverse = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
             text = list(map(to_text, bits.view(np.float64).tolist()))
-            cells[:, j] = np.array(text, object)[inverse]
+            cells[j::len(names)] = map(text.__getitem__, inverse.tolist())
         template = (separator if start else "") + separator.join([row_template] * len(block))
-        yield template % tuple(cells.ravel().tolist())
+        yield template % tuple(cells)
 
 
 def write_table_csv(path: str, rows: np.ndarray, metadata: dict) -> None:

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
                      SingularSystem)
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
-from .greens import _BLOCK, _kummer_coincident, _kummer_plan
+from .greens import _BLOCK, _cabs, _cdiv, _cmul, _kummer_coincident, _kummer_plan
 from .specfun import cylinder_bessel_j, cylinder_bessel_y, hankel1
 from .waveguide import WireConfig, _chi, _closed, _kx, _n_open, open_channel_count, transverse_mode
 
@@ -52,6 +52,7 @@ __all__ = [
     "RenormState",
     "FoldyProblem",
     "t_matrix",
+    "t_matrix_grid",
     "hard_disk_boundary_check",
     "renorm_sum",
     "renorm_grid",
@@ -172,13 +173,14 @@ def _strength(k, a):
     return np.where(a == 0.0, 0j, -2j * j / denom)
 
 
-def t_matrix(k: float, a: float) -> TMatrix:
-    """Hard-disk s-wave strength; s = 0 for a transparent impurity (a = 0).
+def t_matrix_grid(k, a) -> TMatrix:
+    """Hard-disk s-wave strength over broadcast k and a; s = 0 for a transparent impurity (a = 0)."""
+    return TMatrix(k=k, a=a, s=_strength(k, a))
 
-    Scalar k only; the same formula over an array of k is ``_strength``,
-    which this wraps.
-    """
-    return TMatrix(k=k, a=a, s=complex(_strength(k, a)))
+
+def t_matrix(k: float, a: float) -> TMatrix:
+    """t_matrix_grid at one (k, a), with s a numpy scalar."""
+    return TMatrix(k=k, a=a, s=_strength(k, a)[()])
 
 
 def hard_disk_boundary_check(k: float, a: float) -> float:
@@ -200,9 +202,7 @@ def hard_disk_boundary_check(k: float, a: float) -> float:
 
 def renorm_sum(k: float, y0: float, tol: float = 1e-12) -> RenormState:
     """G_r(k, y0) and Sigma: renorm_grid for one (k, y0); attach an impurity with renorm_state."""
-    st = renorm_grid(k, y0, tol)
-    return RenormState(k=k, y0=y0, g_r=complex(st.g_r), sigma_open=float(st.sigma_open),
-                       tail_bound=float(st.tail_bound), terms_used=int(st.terms_used))
+    return renorm_grid(k, y0, tol)[()]
 
 
 def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
@@ -239,21 +239,16 @@ def attach_strength(base: RenormState, s) -> RenormState:
 
     The one place the effective strength and the pole check live; raises
     PoleEncountered at the first element (row-major) with |1 - s G_r| < POLE_THRESHOLD.
+    greens' real-operation arithmetic keeps each element equal to its lone state bit for bit.
     """
-    # object dtype: Python complex arithmetic per element, so that each grid
-    # element is bit-identical to the scalar state at its (k, y0); numpy's own
-    # complex multiply may fuse multiply-adds
-    denom = 1.0 - np.multiply(s, base.g_r, dtype=object)
-    poles = np.flatnonzero(np.abs(denom) < POLE_THRESHOLD)
+    denom = 1.0 - _cmul(s, base.g_r)
+    poles = np.flatnonzero(_cabs(denom) < POLE_THRESHOLD)
     if poles.size:
         at = np.unravel_index(poles[0], np.shape(denom))
         k_at = float(np.broadcast_to(base.k, np.shape(denom))[at])
-        raise PoleEncountered(f"1 - s G_r = {np.asarray(denom, dtype=object)[at]!r} "
+        raise PoleEncountered(f"1 - s G_r = {complex(np.asarray(denom)[at])!r} "
                               f"at k={k_at!r}: resonance pole")
-    rs, factor = s / denom, 1.0 / denom
-    if isinstance(denom, np.ndarray):
-        rs, factor = rs.astype(complex), factor.astype(complex)
-    return replace(base, s=s, rs=rs, renorm_factor=factor)
+    return replace(base, s=s, rs=_cdiv(s, denom), renorm_factor=_cdiv(1.0, denom))
 
 
 def renorm_state(k: float, cfg: WireConfig, tol: float = 1e-12) -> RenormState:

@@ -216,14 +216,12 @@ def check_greens_benchmark(fast: bool = False):
 # t matrix and renormalization
 # ---------------------------------------------------------------------------
 
-def check_free_optical(fast: bool = False, perturb_s: float = 0.0):
+def check_free_optical(fast: bool = False):
     ka = np.logspace(-3, np.log10(20.0), 40 if fast else 200)
     res = 0.0
     for a in (0.1, -0.1):
-        s = renorm._strength(ka / abs(a), a) + perturb_s
-        res = max(res, float(np.max(renorm.TMatrix(ka / abs(a), a, s).optical_residual)))
-    return [CheckResult.from_residual("renorm.free_optical_theorem", res, 1e-12,
-                                      "perturbed detector run" if perturb_s else "")]
+        res = max(res, float(np.max(renorm.t_matrix_grid(ka / abs(a), a).optical_residual)))
+    return [CheckResult.from_residual("renorm.free_optical_theorem", res, 1e-12)]
 
 
 def check_hard_disk(fast: bool = False):
@@ -294,7 +292,7 @@ def check_smatrix_grid(fast: bool = False):
         base = renorm.renorm_grid(kd, y0)
         res_im = max(res_im, np.max(base.im_identity_residual))
         for a in STANDARD_A:
-            st = renorm.attach_strength(base, renorm._strength(kd, a))
+            st = renorm.attach_strength(base, renorm.t_matrix_grid(kd, a).s)
             sigma_lo = min(sigma_lo, np.min(st.cross_section))
             sigma_hi = max(sigma_hi, np.max(st.cross_section))
             phi_t = st.sigma_open * st.renorm_factor
@@ -431,15 +429,10 @@ CHECK_GROUPS = {
 }
 
 
-def run_checks(fast: bool = False, perturb_s: float = 0.0,
-               groups: list[str] | None = None) -> list[CheckResult]:
+def run_checks(fast: bool = False, groups: list[str] | None = None) -> list[CheckResult]:
     """Run all (or selected) check groups; returns the flat result list."""
     selected = groups or list(CHECK_GROUPS)
     out: list[CheckResult] = []
     for name in selected:
-        fn = CHECK_GROUPS[name]
-        if name == "free_optical":
-            out.extend(fn(fast, perturb_s=perturb_s))
-        else:
-            out.extend(fn(fast))
+        out.extend(CHECK_GROUPS[name](fast))
     return out

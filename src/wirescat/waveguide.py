@@ -208,8 +208,8 @@ def _chi(m, y):
 
 def image_positions(cfg: WireConfig, n_min: int, n_max: int) -> ImageArray:
     """Image array entries for n in [n_min, n_max]; the range must include n = 0."""
-    if n_min > 0 or n_max < 0:
-        raise DomainError("image index range must include the n = 0 source")
+    if not (_integer_in(n_min, -np.inf, 0) and _integer_in(n_max, 0)):
+        raise DomainError(f"image index range must be integers n_min <= 0 <= n_max, got {n_min!r}, {n_max!r}")
     n = np.arange(n_min, n_max + 1)
     pos = np.column_stack([np.full(n.shape, cfg.x0), _image_heights(n, cfg.y0)])
     return ImageArray(indices=n, positions=pos, signs=(-1.0) ** n)

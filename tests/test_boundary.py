@@ -55,6 +55,7 @@ ENTRIES = [
     ("image_sum_positive", greens.image_sum_positive,
      lambda y, kd: greens.image_sum_positive((0.3, y), R0, kd, 10), "y0 kd0"),
     ("t_matrix", renorm.t_matrix, lambda y, kd: renorm.t_matrix(kd, 0.1), "kd0"),
+    ("t_matrix_grid", renorm.t_matrix_grid, lambda y, kd: renorm.t_matrix_grid(np.array([KD, kd]), 0.1), "kd0"),
     ("hard_disk_boundary_check", renorm.hard_disk_boundary_check,
      lambda y, kd: renorm.hard_disk_boundary_check(kd, 0.1), "kd0"),
     ("renorm_sum", renorm.renorm_sum, lambda y, kd: renorm.renorm_sum(kd, y), "y kd"),
@@ -340,11 +341,46 @@ def test_integer_test_lives_in_specfun_alone():
     assert _rule_sites(_tests_for_an_integer, ("specfun", "_integer_in")) == []
 
 
+def _names_strength(node):
+    """_strength, renorm._strength or an import of it: the hard-disk strength kernel."""
+    return (isinstance(node, ast.Name) and node.id == "_strength") or \
+        (isinstance(node, ast.Attribute) and node.attr == "_strength") or \
+        (isinstance(node, ast.alias) and node.name == "_strength")
+
+
+def _is_object(node):
+    return (isinstance(node, ast.Name) and node.id == "object") or \
+        (isinstance(node, ast.Attribute) and node.attr == "object_") or \
+        (isinstance(node, ast.Constant) and node.value in ("O", "object"))
+
+
+def _uses_object_dtype(node):
+    """dtype=object (or "O", np.object_), or object as a positional dtype of np.* or .astype."""
+    if isinstance(node, ast.keyword):
+        return node.arg == "dtype" and _is_object(node.value)
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and (node.func.attr == "astype" or getattr(node.func.value, "id", None) == "np") \
+        and any(map(_is_object, node.args))
+
+
+def test_strength_kernel_is_private_to_renorm():
+    # callers take s from t_matrix or t_matrix_grid, never from renorm._strength
+    assert [site for site in _rule_sites(_names_strength, (None, None)) if site[0] != "renorm"] == []
+
+
+def test_no_module_uses_object_arrays():
+    # grids and lone points share one elementwise arithmetic (greens._cmul, _cabs, _cdiv)
+    assert any(map(_uses_object_dtype, ast.walk(ast.parse("np.multiply(s, g, dtype=object)"))))
+    assert any(map(_uses_object_dtype, ast.walk(ast.parse("rs.astype(object)"))))
+    assert any(map(_uses_object_dtype, ast.walk(ast.parse("np.array(text, object)"))))
+    assert _rule_sites(_uses_object_dtype, (None, None)) == []
+
+
 def test_the_guards_see_the_rules_they_guard():
     # each predicate matches its rule's home, so an empty site list means something
     home = {"_closed": _tests_closed_wire, "_threshold_chi2": _raises_degenerate_mode,
             "conductance": _subtracts_cross_section, "_open_mode_state": _bounds_a_mode_index,
-            "_integer_in": _tests_for_an_integer}
+            "_integer_in": _tests_for_an_integer, "t_matrix": _names_strength}
     found = set()
     for path in (_SRC / "waveguide.py", _SRC / "renorm.py", _SRC / "scattering.py", _SRC / "specfun.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
@@ -394,8 +430,13 @@ def test_a_mode_index_that_is_not_an_open_mode_is_a_domain_error(fn, n):
     lambda: greens.greens_spectral((0.37, 0.61), R0, KD, 100.0),
     lambda: waveguide.channels(KD, 10.0),
     lambda: waveguide.longitudinal_wavenumber(1.5, KD),
+    lambda: greens.convergence_benchmark((0.37, 0.61), R0, KD, ("kummer",), (10, 30.5)),
+    lambda: greens.convergence_benchmark((0.37, 0.61), R0, KD, ("kummer",), ()),
+    lambda: waveguide.image_positions(CFG, -2.5, 2),
+    lambda: greens.bragg_spectrum(2.0, 2.0 * np.pi, n_max=1.5),
+    lambda: greens.bragg_spectrum(2.0, 2.0 * np.pi, n_max=-1),
 ], ids=["nx", "ny", "image", "semiclassical", "image-positive", "spectral", "spectral-whole-float", "channels",
-        "mode-index"])
+        "mode-index", "benchmark-terms", "benchmark-no-terms", "image-range", "bragg-orders", "bragg-negative"])
 def test_a_count_that_is_not_an_integer_is_a_domain_error(call):
     # no numpy TypeError, no RuntimeWarning from (-1.0) ** n, no value with a fractional count
     with warnings.catch_warnings():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wirescat.cli import main
+from wirescat.cli import build_parser, main
 
 
 def read_data_lines(path):
@@ -272,15 +272,39 @@ def test_greens_bench_diffraction_refuses_a_missed_tolerance(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_validate_fast_and_perturbation(tmp_path, capsys):
+def test_validate_fast_and_perturbation(tmp_path, capsys, monkeypatch):
+    from wirescat import renorm
     rc = main(["validate", "--fast", "--groups", "free_optical,hard_disk"])
     assert rc == 0
     capsys.readouterr()
-    rc = main(["validate", "--fast", "--groups", "free_optical",
-               "--perturb-s", "1e-6"])
+    strength = renorm._strength
+    monkeypatch.setattr(renorm, "_strength", lambda k, a: strength(k, a) + 1e-6)
+    rc = main(["validate", "--fast", "--groups", "free_optical"])
     assert rc == 1
     outtext = capsys.readouterr().out
     assert "FAIL" in outtext
+
+
+@pytest.mark.parametrize("groups", ["nosuch", "specfun,nosuch", "specfun,"])
+def test_validate_unknown_group_is_a_usage_error(capsys, groups):
+    # exit 1 means a failed check; a group name that does not exist is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--fast", "--groups", groups])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown group" in err and "smatrix_grid" in err and "Traceback" not in err
+    # an empty list still means every group
+    assert build_parser().parse_args(["validate", "--groups", ""]).groups == []
+
+
+@pytest.mark.parametrize("flag", [["--svg", "x.svg"], ["--tol", "1e-3"]])
+def test_greens_bench_refuses_flags_it_does_not_read(tmp_path, capsys, flag):
+    out = tmp_path / "b.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["greens-bench", "--terms", "10", "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_report_file(tmp_path, capsys):

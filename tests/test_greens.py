@@ -59,6 +59,31 @@ def test_geometric_tail_refuses_z_equal_to_one():
         geometric_tail(np.exp(1j * np.array([0.5, 0.0, 2.0])), 3.0, 100)
 
 
+def _bits(z):
+    """The raw bits of the real and imaginary parts, so that signs of zero count."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag]).view(np.uint64)
+
+
+def test_cdiv_is_python_complex_division_bit_for_bit():
+    rng = np.random.default_rng(17)
+    n = 50000
+
+    def parts():
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    p, q = parts() + 1j * parts(), parts() + 1j * parts()
+    q.imag[:2000] = rng.choice([-1.0, 1.0], 2000) * q.real[:2000]      # |re| = |im| ties
+    for z in (p, q):                                                   # +-0 parts, q != 0
+        z.real[2000:3000] = rng.choice([0.0, -0.0], 1000)
+        z.imag[3000:4000] = rng.choice([0.0, -0.0], 1000)
+    want = [complex(a) / complex(b) for a, b in zip(p.tolist(), q.tolist())]
+    assert np.array_equal(_bits(greens._cdiv(p, q)), _bits(want))
+    assert np.array_equal(_bits(greens._cdiv(1.0, q)), _bits([1.0 / b for b in q.tolist()]))
+    # a lone pair is a batch of one
+    lone = [greens._cdiv(a, b) for a, b in zip(p[:3000:7].tolist(), q[:3000:7].tolist())]
+    assert np.array_equal(_bits(lone), _bits(want[:3000:7]))
+
+
 def _tails(kd, m, alpha, beta, z, s, shift):
     """Every tail function at (kd, M, alpha, beta, z), as float parts."""
     value, bound = geometric_tail(z, s, m, shift)
