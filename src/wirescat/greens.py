@@ -25,7 +25,9 @@ kummer        spectral sum with the static series subtracted term by term and
               (_kummer_plan) picks M, completion and bound for all points of a
               call; _kummer_sum sums a grid of field points around one source
               once per distinct M (greens_kummer is its 1 x 1 case),
-              _kummer_coincident the G_r rows at r = r0, one per (kd, y0).
+              _kummer_coincident the G_r rows at r = r0, one per (kd, y0),
+              in real arithmetic: with r_m = |k_x^(m)|, 1/(i k_x) is -i/r_m
+              for an open mode and -1/r_m for a closed one.
 diffraction   difference of two period-2d grating Green's functions, the
               Poisson-resummed form of the image array.
 semiclassical image sum with each Hankel function replaced by its large-
@@ -479,15 +481,35 @@ def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
         return out + completion + _static_form(ax[:, None], ys, y0)
 
 
-def _kummer_coincident(kd, y0, kx, chi_y0, completion):
-    """G_r = G_w - G_0 at r = r0 for rows of (kd, y0), from contiguous rows kx and chi_y0 of modes 1..M.
+def _kummer_coincident(kd, y0, chi_y0, n_open: int, completion):
+    """G_r = G_w - G_0 at r = r0 and Sigma for rows of (kd, y0) with n_open open modes each.
 
-    The mode sum is sum_{m <= M} chi_m(y0)^2 [1/(i k_x) + d/(m pi)], and the
-    coincidence constant replaces the static form.
+    chi_y0 holds chi_m(y0), m = 1..M, in contiguous rows: one per kd, or one
+    that every kd shares.  The mode sum sum_{m <= M} chi_m(y0)^2 [1/(i k_x) + d/(m pi)]
+    is real arithmetic: with r_m = |k_x^(m)| = sqrt|kd^2 - (m pi)^2|, 1/(i k_x)
+    is -i/r_m for an open mode and -1/r_m for a closed one, so
+
+        Re = sum_m chi_m^2 [d/(m pi) - [m > N]/r_m],   Im = -sum_{m <= N} chi_m^2 / r_m.
+
+    Sigma = sum_{m <= N} chi_m^2 / r_m divides by r_m where Im multiplies by
+    1/r_m: the two are rounded apart, so Im G_r = 1/2 - Sigma stays a check.
+    The coincidence constant replaces the static form.
     """
-    coef = chi_y0 * (1.0 / (1j * kx) + 1.0 / (np.arange(1, kx.shape[-1] + 1) * np.pi))
-    mode_sum = (coef[..., None, :] @ chi_y0[..., :, None])[..., 0, 0]
-    return mode_sum + completion + _coincidence_constant(kd, y0)
+    kd = np.asarray(kd, dtype=float)
+    q, w = np.arange(1, chi_y0.shape[-1] + 1, dtype=float) * np.pi, chi_y0 ** 2
+    inv_q = 1.0 / q
+    # r rounds as waveguide._kx's |k_x| does; the one buffer then holds 1/r, then the Re weights
+    r = kd[..., None] * kd[..., None] - q ** 2
+    np.sqrt(np.abs(r, out=r), out=r)
+    sigma = np.sum(w[..., :n_open] / r[..., :n_open], axis=-1)
+    inv_r = np.divide(1.0, r, out=r)
+    im = -np.sum(w[..., :n_open] * inv_r[..., :n_open], axis=-1)
+    coef = np.subtract(inv_q, inv_r, out=r)
+    coef[..., :n_open] = inv_q[:n_open]
+    re = np.sum(np.multiply(w, coef, out=coef), axis=-1)
+    mode_sum = np.empty(np.shape(re), dtype=complex)
+    mode_sum.real, mode_sum.imag = re + completion, im
+    return mode_sum + _coincidence_constant(kd, y0), sigma
 
 
 def _kummer_grid(kd: float, ax, ys, y0: float, tol: float):
@@ -664,7 +686,7 @@ def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc: int, t
     At r = r0 this is the renormalization sum G_w - G_0.
     """
     if ax == 0.0 and y == y0:
-        return complex(_kummer_coincident(kd, y0, _kx(kd, m_trunc), _chi(np.arange(1, m_trunc + 1), y0), tail))
+        return complex(_kummer_coincident(kd, y0, _chi(np.arange(1, m_trunc + 1), y0), _n_open(kd), tail)[0])
     return complex(_kummer_sum(kd, np.array([ax]), np.array([y]), y0, np.full((1, 1), m_trunc), tail)[0, 0])
 
 

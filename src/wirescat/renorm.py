@@ -17,8 +17,12 @@ Confinement renormalizes the incident amplitude at the impurity by
         = sum_m (1/(i k_x^(m)) + d/(m pi)) chi_m^2(y0)
           - (1/pi) ln[(kd/pi) sin(pi y0/d)] + i/2 - gamma/pi
 
-(gamma the Euler-Mascheroni constant).  Two identities anchor everything
-downstream and are enforced by the test suite:
+(gamma the Euler-Mascheroni constant).  The mode sum is real arithmetic:
+with r_m = |k_x^(m)| = sqrt|kd^2 - (m pi)^2| and N open modes,
+
+    Re sum = sum_m chi_m^2 [d/(m pi) - [m > N]/r_m],   Im sum = -sum_{m <= N} chi_m^2/r_m.
+
+Two identities anchor everything downstream and are enforced by the test suite:
 
     Im G_r = 1/2 - Sigma,       Sigma = sum_open chi_m^2(y0)/k_x^(m)
     |Rs|^2 Sigma = -Im Rs,      Rs = s/(1 - s G_r)
@@ -45,7 +49,7 @@ from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
 from .greens import _BLOCK, _cabs, _cdiv, _cmul, _kummer_coincident, _kummer_plan
 from .specfun import cylinder_bessel_j, cylinder_bessel_y, hankel1
-from .waveguide import WireConfig, _chi, _closed, _kx, _n_open, open_channel_count, transverse_mode
+from .waveguide import WireConfig, _chi, _closed, _n_open, open_channel_count, transverse_mode
 
 __all__ = [
     "TMatrix",
@@ -213,7 +217,9 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
     TruncationLimit where the plan cannot meet tol (y0 very close to a wall);
     the first bad element, in order, raises.  Elements sharing the plan's
     mode count and the open-channel count are summed in row blocks of at
-    most _BLOCK (row x mode) elements, whose k_x and chi_m(y0) serve G_r and Sigma.
+    most _BLOCK (row x mode) elements; _kummer_coincident gives each block's
+    G_r and Sigma in real arithmetic, from chi_m(y0) evaluated once where the
+    block shares one y0 (every block of a sweep over kd).
     """
     k, y0 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(y0, dtype=float))
     if not np.all((0.0 < y0) & (y0 < 1.0)):
@@ -224,12 +230,12 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
     g_r, sigma = np.empty(kd.size, dtype=complex), np.empty(kd.size)
     for m_trunc, n in set(zip(terms.tolist(), n_open.tolist())):
         rows = np.flatnonzero((terms == m_trunc) & (n_open == n))
-        step = max(1, _BLOCK // m_trunc)
+        step, modes = max(1, _BLOCK // m_trunc), np.arange(1, m_trunc + 1)
         for b in (rows[i:i + step] for i in range(0, len(rows), step)):
+            yb = yy[b]
             # rows of modes, contiguous so that each row sums like one kd's modes alone
-            kx, chi = _kx(kd[b], m_trunc), np.ascontiguousarray(_chi(np.arange(1, m_trunc + 1), yy[b]).T)
-            g_r[b] = _kummer_coincident(kd[b], yy[b], kx, chi, completion[b])
-            sigma[b] = np.sum(chi[:, :n] ** 2 / kx[:, :n].real, axis=-1)
+            chi = np.ascontiguousarray(_chi(modes, yb[:1] if (yb == yb[0]).all() else yb).T)
+            g_r[b], sigma[b] = _kummer_coincident(kd[b], yb, chi, n, completion[b])
     return RenormState(k=k, y0=y0, g_r=g_r.reshape(k.shape), sigma_open=sigma.reshape(k.shape),
                        tail_bound=bound.reshape(k.shape), terms_used=terms.reshape(k.shape))
 
@@ -315,8 +321,8 @@ def foldy_solve(problem: FoldyProblem, k: float,
     phi = np.asarray(problem.incident, dtype=complex)
     if n == 1:
         return phi.copy()
-    diff = pos[:, None, :] - pos[None, :, :]
-    kr = k * np.hypot(diff[..., 0], diff[..., 1])
+    x, y = pos[:, 0], pos[:, 1]
+    kr = k * np.hypot(np.subtract.outer(x, x), np.subtract.outer(y, y))
     # In an image array kr depends on i - j and the two parities alone, so it
     # mostly repeats two rows up and two columns left: G_0 is evaluated only
     # where it does not, and copied along the diagonal elsewhere.
@@ -327,9 +333,10 @@ def foldy_solve(problem: FoldyProblem, k: float,
     g[fresh] = -0.5j * hankel1(0, kr[fresh])
     for i in range(2, n):
         np.copyto(g[i, 2:], g[i - 2, :-2], where=~fresh[i, 2:])
-    sg = problem.strength * g
     if method == "direct":
-        a = np.eye(n) - sg
+        # I - sG in g's memory: G_ii = 0, so the diagonal is exactly 1
+        a = np.multiply(-problem.strength, g, out=g)
+        np.fill_diagonal(a, 1.0)
         try:
             psi = np.linalg.solve(a, phi)
         except np.linalg.LinAlgError as exc:
@@ -339,6 +346,7 @@ def foldy_solve(problem: FoldyProblem, k: float,
             raise SingularSystem("multiple-scattering system is numerically singular")
         return psi
     if method == "born":
+        sg = problem.strength * g
         radius = float(np.max(np.abs(np.linalg.eigvals(sg))))
         if radius >= 1.0:
             raise BornDiverged(f"spectral radius of sG is {radius:.3f} >= 1")

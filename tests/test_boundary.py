@@ -376,13 +376,42 @@ def test_no_module_uses_object_arrays():
     assert _rule_sites(_uses_object_dtype, (None, None)) == []
 
 
+def _calls_coincidence_constant(node):
+    """A call of greens._coincidence_constant, the closed-form part of G_r."""
+    return isinstance(node, ast.Call) and \
+        getattr(node.func, "id", getattr(node.func, "attr", None)) == "_coincidence_constant"
+
+
+def _names_complex_kx(node):
+    """_kx or _branch_kx by name, attribute or import: the complex longitudinal wavenumbers."""
+    names = ("_kx", "_branch_kx")
+    return (isinstance(node, ast.Name) and node.id in names) or \
+        (isinstance(node, ast.Attribute) and node.attr in names) or \
+        (isinstance(node, ast.alias) and node.name in names)
+
+
+def test_coincident_mode_sum_lives_in_one_kernel():
+    # G_r's mode sum and its constant are greens._kummer_coincident's, in real arithmetic;
+    # renorm takes G_r and Sigma from it and builds no k_x of its own
+    assert any(map(_names_complex_kx, ast.walk(ast.parse("from .waveguide import _chi, _kx"))))
+    assert _rule_sites(_calls_coincidence_constant, ("greens", "_kummer_coincident")) == []
+    assert [site for site in _rule_sites(_names_complex_kx, (None, None)) if site[0] == "renorm"] == []
+    callers = {(path.stem, fn.name) for path in sorted(_SRC.glob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef) and fn.name != "_kummer_coincident"
+               and any(getattr(n, "id", None) == "_kummer_coincident" for n in ast.walk(fn))}
+    assert callers == {("renorm", "renorm_grid"), ("greens", "_kummer_truncated")}
+
+
 def test_the_guards_see_the_rules_they_guard():
     # each predicate matches its rule's home, so an empty site list means something
     home = {"_closed": _tests_closed_wire, "_threshold_chi2": _raises_degenerate_mode,
             "conductance": _subtracts_cross_section, "_open_mode_state": _bounds_a_mode_index,
-            "_integer_in": _tests_for_an_integer, "t_matrix": _names_strength}
+            "_integer_in": _tests_for_an_integer, "t_matrix": _names_strength,
+            "_kummer_coincident": _calls_coincidence_constant}
     found = set()
-    for path in (_SRC / "waveguide.py", _SRC / "renorm.py", _SRC / "scattering.py", _SRC / "specfun.py"):
+    for path in (_SRC / "waveguide.py", _SRC / "renorm.py", _SRC / "scattering.py", _SRC / "specfun.py",
+                 _SRC / "greens.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, ast.FunctionDef) and fn.name in home and any(map(home[fn.name], ast.walk(fn))):
                 found.add(fn.name)

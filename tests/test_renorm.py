@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from wirescat.errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
                              TruncationLimit)
-from wirescat.greens import (_kummer_truncated, _mode_angles, greens_free, image_sum_alternating,
-                             mode_product_tail)
+from wirescat.greens import (EULER_GAMMA, _kummer_plan, _kummer_truncated, _mode_angles, greens_free,
+                             image_sum_alternating, mode_product_tail)
 from wirescat.renorm import (FoldyProblem, _strength, attach_strength, effective_strength,
                              foldy_solve, gr_edge_asymptote, hard_disk_boundary_check,
                              renorm_grid, renorm_state, renorm_sum, t_matrix)
 from wirescat.scattering import _state_s_matrix
-from wirescat.specfun import SWITCHOVER, cylinder_bessel_j
-from wirescat.waveguide import WireConfig, channels, mode_opening_gaps, transverse_mode
+from wirescat.specfun import SWITCHOVER, cylinder_bessel_j, hankel1
+from wirescat.waveguide import WireConfig, _chi, channels, image_positions, mode_opening_gaps, transverse_mode
 
 J0_ROOT_1 = 2.404825557695773
 KD = 2.5 * np.pi
@@ -259,6 +259,76 @@ def test_state_grid_properties(kds, wall_gap, upper, a):
             assert _state_s_matrix(grid[i:i + 1]).unitarity_residual[0] <= 1e-10
 
 
+_WALL_Y0 = (1e-4, 1.0 - 1e-4)  # the plan takes its 65,536-mode cap at every kd here
+
+
+@st.composite
+def _mixed_y0_rows(draw):
+    """(kd, y0) rows: one (M, N) group mixing a repeated y0 with distinct ones, and kd within 1e-8 of
+    openings, some at a wall y0."""
+    shared = draw(st.floats(0.2, 0.8))
+    other = draw(st.floats(0.2, 0.8).filter(lambda y: y != shared))
+    group_kd = st.floats(3.3, 6.1)  # kd in (pi, 2 pi) with y0 in [0.2, 0.8]: M = 256, N = 1
+    group = [(draw(group_kd), shared), (draw(group_kd), shared), (draw(group_kd), other)]
+    group += draw(st.lists(st.tuples(group_kd, st.one_of(st.just(shared), st.floats(0.2, 0.8))), max_size=40))
+    edge_kd = st.builds(lambda n, eps: n * np.pi + eps, st.integers(1, 12), st.sampled_from([-1e-8, 1e-8]))
+    edges = draw(st.lists(st.tuples(edge_kd, st.sampled_from(_WALL_Y0 + (shared,))), min_size=1, max_size=4))
+    edges.append((draw(edge_kd), draw(st.sampled_from(_WALL_Y0))))
+    return draw(st.permutations(group + edges))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(rows=_mixed_y0_rows())
+def test_mixed_y0_grid_elements_equal_their_lone_sums(rows):
+    kd, y0 = (np.array(v) for v in zip(*rows))
+    grid = renorm_grid(kd, y0)
+    group = (kd > 3.3 - 1e-9) & (kd < 6.1 + 1e-9) & (y0 >= 0.2) & (y0 <= 0.8)
+    assert set(grid.terms_used[group].tolist()) == {256} and len(set(y0[group].tolist())) < group.sum()
+    assert grid.terms_used.max() == 65536
+    for i, (kd_i, y0_i) in enumerate(rows):
+        one = renorm_sum(kd_i, y0_i)
+        assert grid.g_r[i] == one.g_r and grid.sigma_open[i] == one.sigma_open
+
+
+def test_gr_rows_match_the_complex_mode_sum():
+    # the real-arithmetic kernel against sum chi^2 [1/(i k_x) + 1/(m pi)] in complex arithmetic,
+    # with the same plan's M and completion; Sigma is the open part of the same k_x, bit for bit
+    n = np.arange(1, 13)
+    kd = np.concatenate([n * np.pi - 1e-8, n * np.pi + 1e-8, [0.5 * np.pi, 7.3, 19.0, 37.0]])
+    y0 = np.resize([0.3, 1e-4, 0.05, 0.5, 1.0 - 1e-4, 0.999, 0.61], kd.shape)
+    grid = renorm_grid(kd, y0)
+    terms, completion, _ = _kummer_plan(kd, 0.0, 1e-12, y0, y0)
+    assert np.array_equal(grid.terms_used, terms)
+    for i, (kd_i, y0_i) in enumerate(zip(kd.tolist(), y0.tolist())):
+        m = np.arange(1, terms[i] + 1)
+        ch, chi = channels(kd_i, terms[i]), transverse_mode(m, y0_i)
+        mode_sum = np.sum(chi ** 2 * (1.0 / (1j * ch.kx) + 1.0 / (m * np.pi)))
+        ref = mode_sum + completion[i] - np.log((kd_i / np.pi) * np.sin(np.pi * y0_i)) / np.pi \
+            + 0.5j - EULER_GAMMA / np.pi
+        assert abs(grid.g_r[i] - ref) <= 1e-14 * max(1.0, abs(grid.g_r[i])), (kd_i, y0_i)
+        assert grid.sigma_open[i] == np.sum(chi[:ch.n_open] ** 2 / ch.kx[:ch.n_open].real)
+    # Im G_r and Sigma are rounded apart, so their identity still has something to check
+    sweep = renorm_grid(np.linspace(1.1 * np.pi, 7.4 * np.pi, 500), 0.3)
+    assert np.all(sweep.im_identity_residual <= 1e-10) and np.any(sweep.im_identity_residual > 0.0)
+
+
+def test_a_one_y0_grid_evaluates_chi_on_that_y0_alone(monkeypatch):
+    from wirescat import renorm as rn
+    sizes = []
+
+    def spy(m, y):
+        sizes.append(np.size(y))
+        return _chi(m, y)
+
+    monkeypatch.setattr(rn, "_chi", spy)
+    kd = np.linspace(0.5 * np.pi, 7.5 * np.pi, 2000)
+    rn.renorm_grid(kd[~mode_opening_gaps(kd)[1]], 0.32)
+    assert len(sizes) > 100 and set(sizes) == {1}
+    sizes.clear()
+    rn.renorm_grid(np.full(6, 7.3), [0.3, 0.3, 0.41, 0.3, 0.52, 0.3])  # one block of mixed y0
+    assert sizes == [6]
+
+
 # ---------------------------------------------------------------------------
 # edge asymptote
 # ---------------------------------------------------------------------------
@@ -329,6 +399,19 @@ def test_foldy_born_divergence_detected():
     phi = np.array([1.0 + 0.0j, 1.0 + 0.0j])
     with pytest.raises(BornDiverged):
         foldy_solve(FoldyProblem(pos, 50.0 + 0.0j, phi), KD, method="born")
+
+
+def test_foldy_system_is_one_minus_s_g(monkeypatch):
+    # I - sG, built in G's memory from the image parities' repeats, is the textbook matrix bit for bit
+    imgs = image_positions(WireConfig(y0=0.37, a=0.1), -30, 30)
+    s, solve, seen = t_matrix(KD, 0.1).s, np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: seen.append(a.copy()) or solve(a, b))
+    foldy_solve(FoldyProblem(imgs.positions, s, imgs.signs.astype(complex)), KD)
+    x, y = imgs.positions.T
+    off = ~np.eye(len(x), dtype=bool)
+    g = np.zeros((len(x), len(x)), dtype=complex)
+    g[off] = -0.5j * hankel1(0, KD * np.hypot(x[:, None] - x, y[:, None] - y)[off])
+    assert np.array_equal(seen[0], np.eye(len(x)) - s * g)
 
 
 def test_foldy_rejects_duplicate_positions():
