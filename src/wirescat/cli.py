@@ -55,7 +55,8 @@ def run_sweep_k(args) -> int:
     # s depends on kd alone: one array evaluation covers the grid
     tm = renorm.t_matrix_grid(kds, cfg.a)
     # gap rows carry the one-sided limits; every other row comes from one state
-    # grid, where sigma = 0 below kd = pi because Sigma = 0 there
+    # grid, where sigma = 0 below kd = pi because Sigma = 0 there, and so is
+    # Im Rs = -|Rs|^2 Sigma, which 1/(1 - s G_r) leaves as rounding noise
     n_near, gap = mode_opening_gaps(kds)
     kd, ok = kds[~gap], ~gap
     st = renorm.attach_strength(renorm.renorm_grid(kd, cfg.y0, args.tol), tm.s[ok])
@@ -65,7 +66,7 @@ def run_sweep_k(args) -> int:
     for name, value in (("n_open", st.n_open), ("sigma", st.cross_section), ("conductance", st.conductance),
                         ("sigma_free", tm.cross_section[ok]),
                         ("g_r_re", st.g_r.real), ("g_r_im", st.g_r.imag),
-                        ("rs_re", st.rs.real), ("rs_im", st.rs.imag),
+                        ("rs_re", st.rs.real), ("rs_im", np.where(_closed(kd), 0.0, st.rs.imag)),
                         ("delta0", np.where(_closed(kd), NAN, scattering.PhaseShift.from_state(st).delta0))):
         col[name][ok] = value
     for i in np.flatnonzero(gap):

@@ -481,10 +481,10 @@ def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
         return out + completion + _static_form(ax[:, None], ys, y0)
 
 
-def _kummer_coincident(kd, y0, chi_y0, n_open: int, completion):
+def _kummer_coincident(kd, y0, w, n_open: int, completion):
     """G_r = G_w - G_0 at r = r0 and Sigma for rows of (kd, y0) with n_open open modes each.
 
-    chi_y0 holds chi_m(y0), m = 1..M, in contiguous rows: one per kd, or one
+    w holds chi_m^2(y0), m = 1..M, in contiguous rows: one per kd, or one
     that every kd shares.  The mode sum sum_{m <= M} chi_m(y0)^2 [1/(i k_x) + d/(m pi)]
     is real arithmetic: with r_m = |k_x^(m)| = sqrt|kd^2 - (m pi)^2|, 1/(i k_x)
     is -i/r_m for an open mode and -1/r_m for a closed one, so
@@ -496,7 +496,7 @@ def _kummer_coincident(kd, y0, chi_y0, n_open: int, completion):
     The coincidence constant replaces the static form.
     """
     kd = np.asarray(kd, dtype=float)
-    q, w = np.arange(1, chi_y0.shape[-1] + 1, dtype=float) * np.pi, chi_y0 ** 2
+    q = np.arange(1, w.shape[-1] + 1, dtype=float) * np.pi
     inv_q = 1.0 / q
     # r rounds as waveguide._kx's |k_x| does; the one buffer then holds 1/r, then the Re weights
     r = kd[..., None] * kd[..., None] - q ** 2
@@ -686,7 +686,7 @@ def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc: int, t
     At r = r0 this is the renormalization sum G_w - G_0.
     """
     if ax == 0.0 and y == y0:
-        return complex(_kummer_coincident(kd, y0, _chi(np.arange(1, m_trunc + 1), y0), _n_open(kd), tail)[0])
+        return complex(_kummer_coincident(kd, y0, _chi(np.arange(1, m_trunc + 1), y0) ** 2, _n_open(kd), tail)[0])
     return complex(_kummer_sum(kd, np.array([ax]), np.array([y]), y0, np.full((1, 1), m_trunc), tail)[0, 0])
 
 

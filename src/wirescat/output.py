@@ -4,12 +4,15 @@ A table is a structured array (``table``): one named field per float, int or
 str column, rows in input order.  CSV renders floats as '%.17g'; JSON renders
 them as ``float.__repr__`` and non-finite ones as null, in the layout of
 ``json.dump(indent=1, sort_keys=True)``.  Rows are written in blocks of at most
-``_BLOCK`` values; in each block every distinct double of a float column (by bit
-pattern, so -0.0, NaN, inf and subnormals stay exact) is formatted once and one
-'%' row template fills the block.  Metadata goes into '#' header lines or
-the "metadata" object.  Identical inputs give byte-identical files: no
-timestamps, hostnames or locale-dependent formatting.  The SVG renderer is
-minimal (line plots and heatmaps), so no plotting dependency enters the contract.
+``_BLOCK`` values, and one '%' row template fills each block.  In a block, a
+float column with more distinct values than half its rows is formatted by the
+template itself ('%.17g' in CSV; '%s', which is ``float.__repr__``, in JSON
+where the column is finite); any other float column has each distinct double
+(by bit pattern, so -0.0, NaN, inf and subnormals stay exact) formatted once.
+Metadata goes into '#' header lines or the "metadata" object.  Identical inputs
+give byte-identical files: no timestamps, hostnames or locale-dependent
+formatting.  The SVG renderer is minimal (line plots and heatmaps), so no
+plotting dependency enters the contract.
 """
 
 from __future__ import annotations
@@ -38,29 +41,37 @@ def table(columns: dict) -> np.ndarray:
     return np.rec.fromarrays(list(columns.values()), names=list(columns))
 
 
-_CSV_RENDER = {"f": "%.17g".__mod__, "i": str, "U": str}
+# per dtype kind, the text of one value; "direct" gives a float column's '%' spec
+# in the row template, or None where that spec would not render like "f"
+_CSV_RENDER = {"f": "%.17g".__mod__, "i": str, "U": str, "direct": lambda column: "%.17g"}
 _JSON_RENDER = {"f": lambda v: float.__repr__(v) if math.isfinite(v) else "null",
-                "i": str, "U": json.dumps}
+                "i": str, "U": json.dumps,
+                "direct": lambda column: "%s" if np.isfinite(column).all() else None}
 
 
 def _blocks(rows: np.ndarray, render: dict, row_template: str, separator: str):
     """Yield the rows as text, one block at a time, every row after the first
-    preceded by separator."""
+    preceded by separator.  row_template holds one '%s' per column."""
     names = rows.dtype.names
+    columns = [rows[name] for name in names]
     step = max(1, _BLOCK // len(names))
     for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        cells = [None] * (len(block) * len(names))  # row-major: cell j of each row at j::len(names)
-        for j, name in enumerate(names):
-            column = block[name]
-            to_text = render[column.dtype.kind]
+        n_rows = min(step, len(rows) - start)
+        cells = [None] * (n_rows * len(names))  # row-major: cell j of each row at j::len(names)
+        specs = ["%s"] * len(names)
+        for j, column in enumerate(c[start:start + step] for c in columns):
             if column.dtype.kind != "f":
-                cells[j::len(names)] = map(to_text, column.tolist())
+                cells[j::len(names)] = map(render[column.dtype.kind], column.tolist())
                 continue
-            bits, inverse = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
-            text = list(map(to_text, bits.view(np.float64).tolist()))
+            distinct, inverse = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
+            # mostly distinct values gain nothing from formatting each once
+            spec = render["direct"](column) if 2 * len(distinct) > n_rows else None
+            if spec:
+                specs[j], cells[j::len(names)] = spec, column.tolist()
+                continue
+            text = list(map(render["f"], distinct.view(np.float64).tolist()))
             cells[j::len(names)] = map(text.__getitem__, inverse.tolist())
-        template = (separator if start else "") + separator.join([row_template] * len(block))
+        template = (separator if start else "") + separator.join([row_template % tuple(specs)] * n_rows)
         yield template % tuple(cells)
 
 

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
                      SingularSystem)
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
-from .greens import _BLOCK, _cabs, _cdiv, _cmul, _kummer_coincident, _kummer_plan
+from .greens import _cabs, _cdiv, _cmul, _kummer_coincident, _kummer_plan
 from .specfun import cylinder_bessel_j, cylinder_bessel_y, hankel1
 from .waveguide import WireConfig, _chi, _closed, _n_open, open_channel_count, transverse_mode
 
@@ -68,6 +68,9 @@ __all__ = [
 ]
 
 POLE_THRESHOLD = 1e-14
+# (row x mode) elements per renorm_grid block: a 2,000-kd sweep's largest group
+# (286 rows of 512 modes) fits whole; a block of mixed y0 holds two arrays this size
+_ROW_BLOCK = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -217,9 +220,11 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
     TruncationLimit where the plan cannot meet tol (y0 very close to a wall);
     the first bad element, in order, raises.  Elements sharing the plan's
     mode count and the open-channel count are summed in row blocks of at
-    most _BLOCK (row x mode) elements; _kummer_coincident gives each block's
-    G_r and Sigma in real arithmetic, from chi_m(y0) evaluated once where the
-    block shares one y0 (every block of a sweep over kd).
+    most _ROW_BLOCK (row x mode) elements, so a sweep over a few thousand kd
+    takes one block per group; each row sums contiguously, so the block size
+    changes no bit.  _kummer_coincident gives each block's G_r and Sigma in
+    real arithmetic, from chi_m(y0) evaluated once where the block shares one
+    y0 (every block of a sweep over kd).
     """
     k, y0 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(y0, dtype=float))
     if not np.all((0.0 < y0) & (y0 < 1.0)):
@@ -230,12 +235,12 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
     g_r, sigma = np.empty(kd.size, dtype=complex), np.empty(kd.size)
     for m_trunc, n in set(zip(terms.tolist(), n_open.tolist())):
         rows = np.flatnonzero((terms == m_trunc) & (n_open == n))
-        step, modes = max(1, _BLOCK // m_trunc), np.arange(1, m_trunc + 1)
+        step, modes = max(1, _ROW_BLOCK // m_trunc), np.arange(1, m_trunc + 1)
         for b in (rows[i:i + step] for i in range(0, len(rows), step)):
             yb = yy[b]
             # rows of modes, contiguous so that each row sums like one kd's modes alone
-            chi = np.ascontiguousarray(_chi(modes, yb[:1] if (yb == yb[0]).all() else yb).T)
-            g_r[b], sigma[b] = _kummer_coincident(kd[b], yb, chi, n, completion[b])
+            w = np.ascontiguousarray(_chi(modes, yb[:1] if (yb == yb[0]).all() else yb).T) ** 2
+            g_r[b], sigma[b] = _kummer_coincident(kd[b], yb, w, n, completion[b])
     return RenormState(k=k, y0=y0, g_r=g_r.reshape(k.shape), sigma_open=sigma.reshape(k.shape),
                        tail_bound=bound.reshape(k.shape), terms_used=terms.reshape(k.shape))
 

@@ -1,5 +1,7 @@
 """Fixtures shared across test modules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,3 +21,25 @@ def foldy_image_array():
     s = renorm.t_matrix(kd, a).s
     psi = renorm.foldy_solve(renorm.FoldyProblem(imgs.positions, s, imgs.signs.astype(complex)), kd)
     return s, psi
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn): bytes that one call of fn holds at most beyond what was held before it.
+
+    fn runs once untraced first, so lazy imports and caches are not counted.
+    """
+    def peak(fn):
+        fn()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return peak

@@ -487,6 +487,31 @@ def test_sweep_k_rows_match_scalar_api(tmp_path, a):
         close(float(val["rs_im"]), st.rs.imag)
 
 
+@pytest.mark.parametrize("y0, a", [(0.05, -0.1), (0.3, 0.1)])
+def test_sweep_k_closed_rows_print_im_rs_zero(tmp_path, y0, a):
+    # below kd = pi Sigma = 0, so Im Rs = -|Rs|^2 Sigma is 0 exactly, not the
+    # rounding left by s/(1 - s G_r); every other Rs digit is the state's own
+    from wirescat.output import fmt
+    from wirescat.renorm import renorm_state
+    from wirescat.waveguide import WireConfig
+    out = tmp_path / "closed.csv"
+    assert main(["sweep-k", "--y0", str(y0), "--a", str(a), "--kd-min", "0.5",
+                 "--kd-max", "6.0", "--points", "40", "--out", str(out)]) == 0
+    _, cols, rows = read_data_lines(out)
+    n_closed = n_noisy = 0
+    for row in rows:
+        val = dict(zip(cols, row))
+        kd = float(val["kd"])
+        rs = renorm_state(kd, WireConfig(y0=y0, a=a)).rs
+        assert val["gap"] == "0" and val["rs_re"] == fmt(rs.real)
+        if kd < np.pi:
+            n_closed, n_noisy = n_closed + 1, n_noisy + (rs.imag != 0.0)
+            assert val["rs_im"] == "0"
+        else:
+            assert val["rs_im"] == fmt(rs.imag)
+    assert n_closed == 19 and n_noisy > 0
+
+
 def test_sweep_geom_evaluates_each_factor_once(tmp_path, monkeypatch):
     # G_r depends on y0 alone and s on a alone: one state grid over the y0
     # and one array J0/Y0 pair over every a (s = 0 at a = 0), not one of each per row

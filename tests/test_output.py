@@ -105,6 +105,18 @@ def test_rows_arrive_in_blocks_bounded_in_values():
     assert max(sizes) * 3 <= output._BLOCK
 
 
+@pytest.mark.parametrize("writer, mib", [(write_table_csv, 0.29), (write_table_json, 0.35)])
+def test_writer_memory_is_bounded(tmp_path, traced_peak, writer, mib):
+    # a field-map-shaped table, 40,000 rows x 4 columns: one block of cells and
+    # text at a time traces 0.29 MiB for CSV and 0.35 MiB for JSON; headroom 15 %
+    rng = np.random.default_rng(3)
+    rows = table({"x": np.repeat(np.linspace(-1.0, 1.0, 400), 100),
+                  "y": np.tile(np.linspace(0.0, 1.0, 100), 400),
+                  "re": rng.standard_normal(40000), "im": rng.standard_normal(40000)})
+    peak = traced_peak(lambda: writer(str(tmp_path / "t"), rows, META))
+    assert peak < 1.15 * mib * 2 ** 20, peak
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(bits=st.lists(st.lists(st.integers(0, 2 ** 64 - 1), min_size=2, max_size=2),
                      min_size=0, max_size=40),
@@ -117,3 +129,43 @@ def test_random_bit_patterns(tmp_path_factory, bits, block):
     with mock.patch.object(output, "_BLOCK", block):
         assert_same_bytes(tmp_path, {"x": values[:, 0], "y": values[:, 1],
                                      "n": np.arange(len(values))})
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SPECIAL = st.sampled_from([None, float("nan"), float("inf"), -float("inf"), -0.0])
+
+
+@st.composite
+def _block_values(draw, size):
+    """size values for one block of a float column: all distinct (maybe one of them
+    NaN, +-inf or -0.0), size // 2 distinct values each twice, or one value."""
+    mode = draw(st.sampled_from(["distinct", "half", "one"]))
+    if mode == "one":
+        return [draw(_FINITE)] * size
+    if mode == "half":
+        half = draw(st.lists(_FINITE, min_size=size // 2, max_size=size // 2, unique=True))
+        return half * 2 + [draw(_FINITE)] * (size % 2)
+    values = draw(st.lists(_FINITE, min_size=size, max_size=size, unique=True))
+    special = draw(_SPECIAL)
+    if special is not None:
+        values[draw(st.integers(0, size - 1))] = special
+    return values
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), rows=st.sampled_from([2, 4, 6, 8]), n_blocks=st.integers(1, 4))
+def test_template_and_distinct_paths_switch_per_block(tmp_path_factory, data, rows, n_blocks):
+    # each block formats a float column in the row template where more than half
+    # its values are distinct, else each distinct value once: both float columns
+    # switch between the two from block to block, next to int and str columns
+    sizes = [rows] * n_blocks + [data.draw(st.integers(0, rows - 1))]
+    n = sum(sizes)
+    columns = {
+        "u": [v for size in sizes if size for v in data.draw(_block_values(size))],
+        "terms": data.draw(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=n, max_size=n)),
+        "name": data.draw(st.lists(st.sampled_from(["kummer", 'a "b", c', "café σ"]),
+                                   min_size=n, max_size=n)),
+        "v": [v for size in sizes if size for v in data.draw(_block_values(size))],
+    }
+    with mock.patch.object(output, "_BLOCK", rows * len(columns)):
+        assert_same_bytes(tmp_path_factory.mktemp("paths"), {k: np.array(v) for k, v in columns.items()})

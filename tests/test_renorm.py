@@ -323,10 +323,39 @@ def test_a_one_y0_grid_evaluates_chi_on_that_y0_alone(monkeypatch):
     monkeypatch.setattr(rn, "_chi", spy)
     kd = np.linspace(0.5 * np.pi, 7.5 * np.pi, 2000)
     rn.renorm_grid(kd[~mode_opening_gaps(kd)[1]], 0.32)
-    assert len(sizes) > 100 and set(sizes) == {1}
+    # one block per (mode count, open count) group: M = 256 for N = 0..4, M = 512 for N = 4..7
+    assert len(sizes) == 9 and set(sizes) == {1}
     sizes.clear()
     rn.renorm_grid(np.full(6, 7.3), [0.3, 0.3, 0.41, 0.3, 0.52, 0.3])  # one block of mixed y0
     assert sizes == [6]
+
+
+@pytest.mark.parametrize("budget", [2 ** 12, 2 ** 18, 2 ** 20])
+def test_row_budget_changes_no_bit(monkeypatch, budget):
+    # every row sums its modes contiguously, so any block equals rows summed one at a time
+    from wirescat import renorm as rn
+    kd = np.linspace(0.5 * np.pi, 7.5 * np.pi, 2000)
+    kd_grid, y0_grid = (v.ravel() for v in np.meshgrid(np.linspace(3.3, 35.0, 40), np.linspace(0.03, 0.97, 25)))
+    ok, ok_grid = ~mode_opening_gaps(kd)[1], ~mode_opening_gaps(kd_grid)[1]
+    cases = [(kd[ok], 0.32), (kd_grid[ok_grid], y0_grid[ok_grid])]  # one shared y0, then chi per row
+    monkeypatch.setattr(rn, "_ROW_BLOCK", 1)
+    want = [rn.renorm_grid(k, y0) for k, y0 in cases]
+    monkeypatch.setattr(rn, "_ROW_BLOCK", budget)
+    for (k, y0), ref in zip(cases, want):
+        got = rn.renorm_grid(k, y0)
+        for name in ("g_r", "sigma_open", "terms_used", "tail_bound"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def test_renorm_grid_memory_is_bounded(traced_peak):
+    # a 2,000-kd sweep traces 1.40 MiB (its largest block, 286 rows x 512 modes,
+    # is 1.12 MiB per array); the 51-y0 sweep-geom column at kd = 35, which
+    # evaluates chi per row, traces 0.96 MiB.  Headroom: 15 %.
+    kd = np.linspace(0.5 * np.pi, 7.5 * np.pi, 2000)
+    sweep = traced_peak(lambda: renorm_grid(kd[~mode_opening_gaps(kd)[1]], 0.05))
+    column = traced_peak(lambda: renorm_grid(35.0, np.linspace(0.05, 0.5, 51)))
+    assert sweep < 1.15 * 1.40 * 2 ** 20, sweep
+    assert column <= sweep, (column, sweep)
 
 
 # ---------------------------------------------------------------------------
