@@ -18,6 +18,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kd-min", type=float, default=0.5 * np.pi)
     p.add_argument("--kd-max", type=float, default=12.5 * np.pi)
     p.add_argument("--points", type=int, default=2000)
-    p.set_defaults(func=run_sweep_k)
+    p.set_defaults(func="run_sweep_k")
 
     p = sub.add_parser("sweep-geom", help="sigma over (a, y0) at fixed kd")
     common(p, with_impurity=False)
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y0-min", type=float, default=0.05)
     p.add_argument("--y0-max", type=float, default=0.5)
     p.add_argument("--y0-points", type=int, default=51)
-    p.set_defaults(func=run_sweep_geom)
+    p.set_defaults(func="run_sweep_geom")
 
     p = sub.add_parser("field-map", help="sample a mirror wave or G_w on a grid")
     common(p)
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-max", type=float, default=1.0)
     p.add_argument("--nx", type=int, default=400)
     p.add_argument("--ny", type=int, default=100)
-    p.set_defaults(func=run_field_map)
+    p.set_defaults(func="run_field_map")
 
     p = sub.add_parser("greens-bench", help="convergence benchmark at one point pair")
     common(p, with_impurity=False, with_svg_and_tol=False)
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y0", type=float, default=0.3)
     p.add_argument("--representations", default="spectral,image,kummer,kummer_raw")
     p.add_argument("--terms", default="10,30,100,300,1000,3000,10000")
-    p.set_defaults(func=run_greens_bench)
+    p.set_defaults(func="run_greens_bench")
 
     p = sub.add_parser("validate", help="run the identity suite")
     p.add_argument("--fast", action="store_true", help="shrink grids for a smoke run")
@@ -283,12 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of: " + ",".join(CHECK_GROUPS))
     p.add_argument("--out", help="optional machine-readable report path")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.set_defaults(func=run_validate)
+    p.set_defaults(func="run_validate")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built at the first main call and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
@@ -314,7 +321,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: sweeps need at least 2 grid points", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        # func names the run_* function, looked up now, so a replacement installed later is called
+        return globals()[args.func](args)
     except (WireError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

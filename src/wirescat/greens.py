@@ -176,14 +176,8 @@ def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
     is only ~1/m (conditional), which the returned tail_bound reflects.
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
-    _covered_open_count(k, terms, "terms")
-    dx, _, rho = _deltas(r, r0)
-    if rho == 0.0:
-        raise CoincidentPoints("spectral sum diverges at r = r0 (use renorm_sum)")
-    ax = abs(dx)
-    kx, m = _kx(k, terms), np.arange(1, terms + 1)
-    term = (-1j / kx) * _chi(m, r[1]) * _chi(m, r0[1]) * np.exp(1j * kx * ax)
-    value = complex(term.sum())
+    value = _spectral_sums(r, r0, k, [terms])[0]
+    ax = abs(_deltas(r, r0)[0])
     if ax > 0.0:
         tail = _geometric_mode_tail_bound(terms, k, ax)
     else:
@@ -192,6 +186,19 @@ def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
             2.0 / (abs(1.0 - np.exp(1j * t)) * (terms + 1)) if abs(np.exp(1j * t) - 1.0) > 1e-12 else np.inf
             for t in _mode_angles(r[1], r0[1]))
     return GreensValue(value, "spectral", terms, float(tail))
+
+
+def _spectral_sums(r, r0, k: float, counts: list) -> list[complex]:
+    """The spectral sum over each mode count of counts (checked in order): prefix sums of one
+    term vector over the modes of the largest."""
+    _covered_open_count(k, counts, "terms")
+    dx, _, rho = _deltas(r, r0)
+    if rho == 0.0:
+        raise CoincidentPoints("spectral sum diverges at r = r0 (use renorm_sum)")
+    top = max(counts)
+    kx, m = _kx(k, top), np.arange(1, top + 1)
+    term = (-1j / kx) * _chi(m, r[1]) * _chi(m, r0[1]) * np.exp(1j * kx * abs(dx))
+    return [complex(term[:t].sum()) for t in counts]
 
 
 def _image_distances(r, r0, n_images: int):
@@ -209,14 +216,21 @@ def image_sum_alternating(r, r0, k: float, n_images: int, include_source: bool =
     Adjacent opposite-sign terms are summed first; that stabilises the
     conditionally convergent series without changing its value.
     """
-    n, rho = _image_distances(r, r0, n_images)
-    i0 = n_images
+    return _alternating_sums(r, r0, k, [n_images], include_source)[0]
+
+
+def _alternating_sums(r, r0, k: float, counts: list, include_source: bool = True) -> list:
+    """image_sum_alternating at each n_images of counts, from one hankel1 call over the images
+    of the largest: each sum pairs the first n_images terms on either side of the source."""
+    top = max(counts)
+    n, rho = _image_distances(r, r0, top)
     live = (n != 0) | include_source
     if np.any(rho[live] == 0.0):
         raise CoincidentPoints("field point coincides with an image point")
     t = np.zeros(len(n), dtype=complex)
     t[live] = ((-1.0) ** n[live]) * (-0.5j) * hankel1(0, k * rho[live])
-    return t[i0] + _paired(t[i0 + 1:]) + _paired(t[:i0][::-1])
+    above, below = t[top + 1:], t[:top][::-1]
+    return [t[top] + _paired(above[:c]) + _paired(below[:c]) for c in counts]
 
 
 def image_sum_positive(r, r0, k: float, n_images: int) -> float:
@@ -447,23 +461,28 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     return tuple(v.reshape(args[0].shape) for v in (m_trunc, completion, bound))
 
 
-def _mode_product(kd: float, m_max: int, ax, ys, y0: float):
-    """sum_{m <= m_max} chi_m(y_j) chi_m(y0) [exp(i k_x ax_i)/(i k_x) + (d/m pi) exp(-m pi ax_i/d)]
-    with one _kx call, blocked over modes: the (ax x modes) and (modes x ys) temporaries of
-    a block stay within _BLOCK elements while len(ax) and len(ys) do."""
-    kx = _kx(kd, m_max)
+def _mode_product(kd: float, counts: list, ax, ys, y0: float) -> list:
+    """sum_{m <= M} chi_m(y_j) chi_m(y0) [exp(i k_x ax_i)/(i k_x) + (d/m pi) exp(-m pi ax_i/d)]
+    at each M of the ascending mode counts, as running totals, with one _kx call.  It is blocked
+    over modes, and a block ends at every count: the (ax x modes) and (modes x ys) temporaries
+    of a block stay within _BLOCK elements while len(ax) and len(ys) do."""
+    kx = _kx(kd, counts[-1])
     step = max(1, _BLOCK // max(ax.size, ys.size))
-    total = 0.0
-    for lo in range(0, m_max, step):
-        m, kx_b = np.arange(lo + 1, min(lo + step, m_max) + 1), kx[lo:lo + step]
-        if ax.any():
-            phase = np.exp(1j * np.multiply.outer(ax, kx_b))
-            decay = np.exp(np.multiply.outer(ax, -m * np.pi))
-        else:  # on the axis both exponentials are exactly 1
-            phase = decay = np.ones((ax.size, 1))
-        coef = _chi(m, y0) * (phase / (1j * kx_b) + (1.0 / (m * np.pi)) * decay)
-        total = total + coef @ _chi(m, ys)
-    return total
+    total, totals, lo = 0.0, [], 0
+    for count in counts:
+        while lo < count:
+            hi = min(lo - lo % step + step, count)
+            m, kx_b = np.arange(lo + 1, hi + 1), kx[lo:hi]
+            if ax.any():
+                phase = np.exp(1j * np.multiply.outer(ax, kx_b))
+                decay = np.exp(np.multiply.outer(ax, -m * np.pi))
+            else:  # on the axis both exponentials are exactly 1
+                phase = decay = np.ones((ax.size, 1))
+            coef = _chi(m, y0) * (phase / (1j * kx_b) + (1.0 / (m * np.pi)) * decay)
+            total = total + coef @ _chi(m, ys)
+            lo = hi
+        totals.append(total)
+    return totals
 
 
 def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
@@ -471,12 +490,12 @@ def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
     per distinct M = m_trunc[i, j] over the rows and columns holding it (M = 0: r = r0, NaN)."""
     counts = set(m_trunc.ravel().tolist())
     if len(counts) == 1 and 0 not in counts:  # one M everywhere, as at every lone point
-        return _mode_product(kd, counts.pop(), ax, ys, y0) + completion + _static_form(ax[:, None], ys, y0)
+        return _mode_product(kd, [counts.pop()], ax, ys, y0)[0] + completion + _static_form(ax[:, None], ys, y0)
     out = np.full(m_trunc.shape, np.nan, dtype=complex)
     for m_max in sorted(counts - {0}):
         at = m_trunc == m_max
         rows, cols = np.flatnonzero(at.any(axis=1)), np.flatnonzero(at.any(axis=0))
-        out[at] = _mode_product(kd, m_max, ax[rows], ys[cols], y0)[at[np.ix_(rows, cols)]]
+        out[at] = _mode_product(kd, [m_max], ax[rows], ys[cols], y0)[0][at[np.ix_(rows, cols)]]
     with np.errstate(divide="ignore"):  # log 0 at r = r0, where out is NaN already
         return out + completion + _static_form(ax[:, None], ys, y0)
 
@@ -485,9 +504,10 @@ def _kummer_coincident(kd, y0, w, n_open: int, completion):
     """G_r = G_w - G_0 at r = r0 and Sigma for rows of (kd, y0) with n_open open modes each.
 
     w holds chi_m^2(y0), m = 1..M, in contiguous rows: one per kd, or one
-    that every kd shares.  The mode sum sum_{m <= M} chi_m(y0)^2 [1/(i k_x) + d/(m pi)]
-    is real arithmetic: with r_m = |k_x^(m)| = sqrt|kd^2 - (m pi)^2|, 1/(i k_x)
-    is -i/r_m for an open mode and -1/r_m for a closed one, so
+    that every kd shares; completion broadcasts against the rows.  The mode
+    sum sum_{m <= M} chi_m(y0)^2 [1/(i k_x) + d/(m pi)] is real arithmetic:
+    with r_m = |k_x^(m)| = sqrt|kd^2 - (m pi)^2|, 1/(i k_x) is -i/r_m for an
+    open mode and -1/r_m for a closed one, so
 
         Re = sum_m chi_m^2 [d/(m pi) - [m > N]/r_m],   Im = -sum_{m <= N} chi_m^2 / r_m.
 
@@ -507,7 +527,7 @@ def _kummer_coincident(kd, y0, w, n_open: int, completion):
     coef = np.subtract(inv_q, inv_r, out=r)
     coef[..., :n_open] = inv_q[:n_open]
     re = np.sum(np.multiply(w, coef, out=coef), axis=-1)
-    mode_sum = np.empty(np.shape(re), dtype=complex)
+    mode_sum = np.empty(np.broadcast_shapes(np.shape(re), np.shape(completion)), dtype=complex)
     mode_sum.real, mode_sum.imag = re + completion, im
     return mode_sum + _coincidence_constant(kd, y0), sigma
 
@@ -680,14 +700,25 @@ def semiclassical_renorm_sum(k: float, y0: float) -> complex:
 # convergence benchmark
 # ---------------------------------------------------------------------------
 
-def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc: int, tail) -> complex:
+def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc, tail):
     """Kummer form summed to exactly m_trunc modes plus the tail completion ``tail`` (0 for none).
 
-    At r = r0 this is the renormalization sum G_w - G_0.
+    At r = r0 this is the renormalization sum G_w - G_0.  m_trunc may also be an
+    ascending list of mode counts, with tail broadcast along its last axis: every
+    count then comes from one mode sum, or one chi_m^2(y0) vector at r = r0, and
+    the result is an array.
     """
+    counts = np.atleast_1d(m_trunc).tolist()
+    tail = np.broadcast_to(tail, np.broadcast_shapes(np.shape(tail), (len(counts),)))
     if ax == 0.0 and y == y0:
-        return complex(_kummer_coincident(kd, y0, _chi(np.arange(1, m_trunc + 1), y0) ** 2, _n_open(kd), tail)[0])
-    return complex(_kummer_sum(kd, np.array([ax]), np.array([y]), y0, np.full((1, 1), m_trunc), tail)[0, 0])
+        w = _chi(np.arange(1, counts[-1] + 1), y0) ** 2
+        values = np.stack([_kummer_coincident(kd, y0, w[:c], _n_open(kd), tail[..., i])[0]
+                           for i, c in enumerate(counts)], axis=-1)
+    else:
+        ax, ys = np.array([ax]), np.array([y])
+        sums = np.array(_mode_product(kd, counts, ax, ys, y0))[:, 0, 0]
+        values = sums + tail + _static_form(ax[:, None], ys, y0)[0, 0]
+    return values if np.ndim(m_trunc) else complex(values[0])
 
 
 def convergence_benchmark(r, r0, k: float, representations=("spectral", "image", "kummer"),
@@ -698,38 +729,47 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
     rows use the shipped evaluator (completion included); ``kummer_raw``
     rows document the bare m^-3 truncation decay.  For a coincident pair the
     benchmark measures the regularized self-field G_w - G_0 instead (only
-    the kummer representations are defined there).
+    the kummer representations are defined there), against the kummer form
+    at 65,536 modes.  Each representation is evaluated once, at the largest
+    count, and every row is a prefix sum of it; both kummer forms share one
+    mode sum.
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
     if len(term_grid) == 0 or not all(_integer_in(t, 0) for t in term_grid):
         raise DomainError(f"term_grid must be a non-empty sequence of integers >= 0, got {term_grid!r}")
-    if {"kummer", "kummer_raw"} & set(representations):
+    kummer_forms = {"kummer", "kummer_raw"} & set(representations)
+    if kummer_forms:
         _covered_open_count(k, min(term_grid), "terms")
     else:
         guard_mode_openings(k)
     dx, _, rho = _deltas(r, r0)
     kd, ax, y, y0 = k, abs(dx), float(r[1]), float(r0[1])
     if rho == 0.0:
-        bad = set(representations) - {"kummer", "kummer_raw"}
+        bad = set(representations) - kummer_forms
         if bad:
             raise CoincidentPoints(f"only the kummer forms exist at coincidence, not {sorted(bad)}")
-        ref = _kummer_truncated(kd, ax, y, y0, 65536, mode_product_tail(kd, 65536, *_mode_angles(y, y0))[0])
+        counts = sorted(set(term_grid) | {65536})
     else:
         ref = greens_kummer(r, r0, k, tol=1e-12).value
+        counts = sorted(set(term_grid))
+    kummer = {}
+    if kummer_forms:
+        tails = mode_product_tail(kd, np.array(counts), *_mode_angles(y, y0))[0]
+        raw, completed = _kummer_truncated(kd, ax, y, y0, counts, np.stack([np.zeros(len(counts)), tails]))
+        kummer = {"kummer_raw": dict(zip(counts, raw)), "kummer": dict(zip(counts, completed))}
+        if rho == 0.0:
+            ref = complex(kummer["kummer"][65536])
     rows: list[BenchmarkRow] = []
     for rep in representations:
-        if rep == "kummer":
-            tails = mode_product_tail(kd, np.array(term_grid), *_mode_angles(y, y0))[0]
-            values = [_kummer_truncated(kd, ax, y, y0, t, c) for t, c in zip(term_grid, tails)]
-        elif rep == "kummer_raw":
-            values = [_kummer_truncated(kd, ax, y, y0, t, 0.0) for t in term_grid]
+        if rep in kummer:
+            values = [kummer[rep][t] for t in term_grid]
         elif rep == "spectral":
-            values = [greens_spectral(r, r0, k, t).value for t in term_grid]
+            values = _spectral_sums(r, r0, k, list(term_grid))
         elif rep == "image":
-            values = [greens_image(r, r0, k, t).value for t in term_grid]
+            values = _alternating_sums(r, r0, k, list(term_grid))
         elif rep == "diffraction":  # independent of the term count
             values = [greens_diffraction(r, r0, k, tol=1e-14).value] * len(term_grid)
         else:
             raise DomainError(f"benchmark does not support representation {rep!r}")
-        rows += [BenchmarkRow(rep, t, float(abs(v - ref))) for t, v in zip(term_grid, values)]
+        rows += [BenchmarkRow(rep, t, float(abs(complex(v) - ref))) for t, v in zip(term_grid, values)]
     return rows

@@ -121,12 +121,15 @@ def _asym_pq(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.ones_like(x)
     q = np.zeros_like(x)
     t = np.ones_like(x)
+    x8 = 8.0 * x  # k * x8 rounds as (8.0 * k) * x does: 8.0 * x is exact
     for k in range(1, _ASYM_TERMS + 1):
-        t = t * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if k % 2 == 1:
-            q += t if k % 4 == 1 else -t
+        t *= mu - (2 * k - 1) ** 2
+        t /= k * x8
+        acc = q if k % 2 else p  # odd terms go to Q, even ones to P; signs + + - - by k mod 4
+        if k % 4 < 2:
+            acc += t
         else:
-            p += -t if k % 4 == 2 else t
+            acc -= t
     return p, q
 
 

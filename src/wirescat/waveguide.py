@@ -148,11 +148,13 @@ def _closed(kd):
     return (0.0 < kd) & (kd < np.pi)
 
 
-def _covered_open_count(kd, m_max: int, name: str = "m_max"):
-    """open_channel_count(kd), after refusing a mode count m_max that is not an integer >= max(N, 1)."""
+def _covered_open_count(kd, m_max, name: str = "m_max"):
+    """open_channel_count(kd), after refusing a mode count m_max that is not an integer >= max(N, 1);
+    a list of counts is checked in order, and the error names the first one refused."""
     n_open = open_channel_count(kd)
-    if not _integer_in(m_max, max(np.max(n_open), 1)):
-        raise DomainError(f"{name}={m_max!r} must be an integer >= 1 and cover the {np.max(n_open)} open channels")
+    for m in m_max if isinstance(m_max, list) else [m_max]:
+        if not _integer_in(m, max(np.max(n_open), 1)):
+            raise DomainError(f"{name}={m!r} must be an integer >= 1 and cover the {np.max(n_open)} open channels")
     return n_open
 
 

@@ -1,11 +1,16 @@
 """CLI surface: subcommands, exit codes, determinism, formats, gap handling."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wirescat import cli
 from wirescat.cli import build_parser, main
 
 
@@ -358,6 +363,44 @@ def test_a_bad_config_value_is_a_usage_error(tmp_path, capsys, line, message):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for name in ("a", "b"):
+            assert main(["greens-bench", "--terms", "10", "--representations", "spectral",
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path):
+    # the one parser keeps no state between calls: the second call reads a config file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("y0 = 0.3\nkd-min = 4.0\nkd-max = 9.0\npoints = 7\n")
+    jobs = [["greens-bench", "--terms", "10,30", "--representations", "spectral,kummer"],
+            ["sweep-k", "--config", str(cfg), "--points", "5"]]
+    for i, argv in enumerate(jobs):
+        assert main(argv + ["--out", str(tmp_path / f"same{i}.csv")]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for i, argv in enumerate(jobs):
+        fresh = tmp_path / f"fresh{i}.csv"
+        subprocess.run([sys.executable, "-m", "wirescat", *argv, "--out", str(fresh)], env=env, check=True)
+        assert (tmp_path / f"same{i}.csv").read_bytes() == fresh.read_bytes()
+
+
+def test_a_run_function_replaced_after_the_first_call_is_called(tmp_path, monkeypatch):
+    argv = ["greens-bench", "--terms", "10", "--representations", "spectral", "--out", str(tmp_path / "b.csv")]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "run_greens_bench", lambda args: seen.append(args.terms) or 0)
+    assert main(argv) == 0
+    assert seen == ["10"]
 
 
 def test_unreadable_config_file_exits_2(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wirescat import greens, mirror
+from wirescat import greens, mirror, waveguide
 from wirescat.errors import CoincidentPoints, DomainError, TruncationLimit
 from wirescat.greens import (bragg_spectrum, convergence_benchmark, geometric_tail,
                              greens_diffraction, greens_free, greens_image,
@@ -552,6 +552,126 @@ def test_benchmark_monotone_and_thresholds():
 def test_benchmark_rejects_image_at_coincidence():
     with pytest.raises(CoincidentPoints):
         convergence_benchmark(R0, R0, KD, representations=("image",), term_grid=(10,))
+
+
+def _row_by_row(r, r0, kd, reps, grid):
+    """convergence_benchmark with every row from its own one-count call, in request order.
+
+    Returns [(representation, terms, value)] and the reference value.
+    """
+    greens._check_strip((r[0], r0[0]), (r[1], r0[1]))
+    if len(grid) == 0 or not all(greens._integer_in(t, 0) for t in grid):
+        raise DomainError(f"term_grid must be a non-empty sequence of integers >= 0, got {grid!r}")
+    if {"kummer", "kummer_raw"} & set(reps):
+        waveguide._covered_open_count(kd, min(grid), "terms")
+    else:
+        waveguide.guard_mode_openings(kd)
+    ax, y, y0 = abs(float(r[0]) - float(r0[0])), float(r[1]), float(r0[1])
+    angles = greens._mode_angles(y, y0)
+    if ax == 0.0 and y == y0:
+        bad = set(reps) - {"kummer", "kummer_raw"}
+        if bad:
+            raise CoincidentPoints(f"only the kummer forms exist at coincidence, not {sorted(bad)}")
+        ref = greens._kummer_truncated(kd, ax, y, y0, 65536, greens.mode_product_tail(kd, 65536, *angles)[0])
+    else:
+        ref = greens_kummer(r, r0, kd, tol=1e-12).value
+    one_count = {
+        "kummer": lambda t: greens._kummer_truncated(kd, ax, y, y0, t, greens.mode_product_tail(kd, t, *angles)[0]),
+        "kummer_raw": lambda t: greens._kummer_truncated(kd, ax, y, y0, t, 0.0),
+        "spectral": lambda t: greens_spectral(r, r0, kd, t).value,
+        "image": lambda t: greens_image(r, r0, kd, t).value,
+        "diffraction": lambda t: greens_diffraction(r, r0, kd, tol=1e-14).value,
+    }
+    rows = []
+    for rep in reps:
+        if rep not in one_count:
+            raise DomainError(f"benchmark does not support representation {rep!r}")
+        rows += [(rep, t, one_count[rep](t)) for t in grid]
+    return rows, ref
+
+
+def _assert_rows_are_one_count_values(r, r0, kd, reps, grid):
+    try:
+        expected, ref = _row_by_row(r, r0, kd, reps, grid)
+    except Exception as exc:  # noqa: BLE001  (the benchmark must raise the same)
+        with pytest.raises(type(exc)) as got:
+            convergence_benchmark(r, r0, kd, reps, grid)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    rows = convergence_benchmark(r, r0, kd, reps, grid)
+    assert [(b.representation, b.terms) for b in rows] == [(rep, t) for rep, t, _ in expected]
+    for b, (rep, t, value) in zip(rows, expected):
+        if rep in ("kummer", "kummer_raw"):
+            assert abs(b.error - abs(value - ref)) <= 1e-14 * max(1.0, abs(value)), (rep, t)
+        else:  # image, spectral and diffraction rows are their one-count values bit for bit
+            assert b.error == float(abs(value - ref)), (rep, t)
+
+
+_CASE_REPS = {"off": ("spectral", "image", "kummer", "kummer_raw", "diffraction"),
+              "on": ("spectral", "image", "kummer", "kummer_raw"),
+              "coincident": ("kummer", "kummer_raw")}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kd=st.floats(1.1 * np.pi, 9.9 * np.pi), case=st.sampled_from(sorted(_CASE_REPS)),
+       x=st.floats(-0.8, 0.8).filter(lambda v: abs(v) >= 0.05),
+       y=st.floats(0.05, 0.95), y0=st.floats(0.05, 0.95),
+       grid=st.lists(st.sampled_from([0, 10, 30, 100, 300, 1000]), min_size=1, max_size=5),
+       data=st.data())
+def test_benchmark_rows_are_the_one_count_values(kd, case, x, y, y0, grid, data):
+    # one evaluation per representation, rows as prefix sums: the same rows, in request
+    # order, as one call per row; grids are unsorted, repeat counts and may hold 0
+    reps = data.draw(st.permutations(_CASE_REPS[case]))[:data.draw(st.integers(1, len(_CASE_REPS[case])))]
+    r = {"off": (x, y), "on": (0.0, y), "coincident": (0.0, y0)}[case]
+    _assert_rows_are_one_count_values(r, (0.0, y0), kd, reps, grid)
+
+
+@pytest.mark.parametrize("r,r0,kd,reps,grid", [
+    ((0.3, 1.5), R0, KD, ("spectral", "kummer"), (10, 100)),
+    ((0.3, np.nan), R0, KD, ("spectral", "kummer"), (10, 100)),
+    ((0.0, -0.2), (0.0, -0.2), KD, ("kummer", "kummer_raw"), (10, 100)),
+    ((0.3, 0.45), R0, 3 * np.pi + 1e-10, ("spectral", "kummer"), (10, 100)),
+    ((0.0, 0.45), (0.0, 0.45), -1.0, ("kummer", "kummer_raw"), (10, 100)),
+    (R, R0, KD, ("kummer",), (10, 30.5)),
+    (R, R0, KD, ("kummer",), ()),
+    (R, R0, KD, ("spectral",), (10, 1, 0)),
+    (R, R0, KD, ("image", "spectral"), (0, 10, 1)),
+    (R, R0, KD, ("kummer", "spectral"), (10, 1, 0)),
+    (R, R0, KD, ("image", "bogus", "spectral"), (0, 1)),
+    (R, R0, KD, ("spectral", "bogus"), (10, 30)),
+    ((0.0, 0.61), R0, KD, ("image", "diffraction", "spectral"), (10, 0)),
+    (R0, R0, KD, ("kummer", "image"), (10,)),
+    ((0.0, 0.3 + 1e-7), R0, KD, ("image",), (10,)),
+], ids=["y=1.5", "y=nan", "coincident-y=-0.2", "kd=3pi+1e-10", "coincident-kd=-1", "terms=30.5",
+        "no-terms", "spectral-first-bad-count", "image-then-spectral", "kummer-min-count", "unknown-rep",
+        "unknown-rep-last", "diffraction-on-axis", "image-at-coincidence", "reference-misses-tol"])
+def test_benchmark_refuses_what_row_by_row_refuses(r, r0, kd, reps, grid):
+    # the same exception, with the same message, for the same representation first
+    _assert_rows_are_one_count_values(r, r0, kd, reps, grid)
+
+
+def test_benchmark_calls_hankel1_once_per_image_representation(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(greens, "hankel1", lambda n, x: sizes.append(np.size(x)) or hankel1(n, x))
+    convergence_benchmark(R, R0, KD, ("spectral", "image", "kummer"), (300, 10, 1000, 30, 10))
+    assert sizes == [2 * 1000 + 1]
+
+
+def test_both_kummer_forms_share_one_mode_sum(monkeypatch):
+    counts, mode_product = [], greens._mode_product
+    monkeypatch.setattr(greens, "_mode_product", lambda kd, c, *args: counts.append(c) or mode_product(kd, c, *args))
+    for r in (R, (0.0, 0.61)):  # off and on the axis
+        counts.clear()
+        convergence_benchmark(r, R0, KD, ("kummer", "spectral", "kummer_raw"), (300, 10, 1000, 30, 10))
+        # the first sum is greens_kummer's reference at its own mode count
+        assert len(counts) == 2 and len(counts[0]) == 1 and counts[1] == [10, 30, 300, 1000]
+
+
+def test_coincident_benchmark_takes_one_chi_vector(monkeypatch):
+    sizes, chi = [], greens._chi
+    monkeypatch.setattr(greens, "_chi", lambda m, y: sizes.append(np.size(m)) or chi(m, y))
+    convergence_benchmark(R0, R0, KD, ("kummer", "kummer_raw"), (1000, 10, 100))
+    assert sizes == [65536]  # the reference's, shared by every row
 
 
 def test_kummer_refuses_a_missed_tolerance():
