@@ -21,11 +21,16 @@ kummer        spectral sum with the static series subtracted term by term and
               (mode_product_tail: Hurwitz-zeta + iterated Abel summation of
               the oscillatory part) brings the truncation error far below the
               requested tolerance.  The tail functions are elementwise, and a
-              batch equals its lone calls bit for bit.  One elementwise plan
-              (_kummer_plan) picks M, completion and bound for all points of a
-              call; _kummer_sum sums a grid of field points around one source
-              once per distinct M (greens_kummer is its 1 x 1 case),
-              _kummer_coincident the G_r rows at r = r0, one per (kd, y0),
+              batch equals its lone calls bit for bit.  What a tail takes from
+              (M, alpha, beta) alone is evaluated once per distinct key of a
+              call (_per_key) and combined with kd elementwise: an elementwise
+              factor has the same bits in any batch, so this keeps batch = lone
+              while a sweep at one y0 pays for its few keys, not its rows.
+              One elementwise plan (_kummer_plan) picks M, completion and
+              bound for all points of a call; _kummer_sum sums a grid of
+              field points around one source once per distinct M
+              (greens_kummer is its 1 x 1 case), _kummer_coincident the G_r
+              rows at r = r0, one per (kd, y0),
               in real arithmetic: with r_m = |k_x^(m)|, 1/(i k_x) is -i/r_m
               for an open mode and -1/r_m for a closed one.
 diffraction   difference of two period-2d grating Green's functions, the
@@ -47,8 +52,8 @@ import numpy as np
 
 from .errors import CoincidentPoints, DomainError, TruncationLimit
 from .specfun import _integer_in, cylinder_bessel_j, hankel1
-from .waveguide import (_branch_kx, _check_strip, _chi, _covered_open_count, _image_heights, _kx, _n_open,
-                        guard_mode_openings)
+from .waveguide import (_branch_kx, _check_strip, _chi, _covered_open_count, _image_heights, _image_signs, _kx,
+                        _n_open, guard_mode_openings)
 
 __all__ = [
     "GreensValue",
@@ -227,10 +232,12 @@ def _alternating_sums(r, r0, k: float, counts: list, include_source: bool = True
     live = (n != 0) | include_source
     if np.any(rho[live] == 0.0):
         raise CoincidentPoints("field point coincides with an image point")
+    # (-1)^n (-i/2) H = (-1)^n (H.imag - i H.real) / 2, each part an exact +-0.5 scaling
+    h, half = hankel1(0, k * rho[live]), 0.5 * _image_signs(n[live])
     t = np.zeros(len(n), dtype=complex)
-    t[live] = ((-1.0) ** n[live]) * (-0.5j) * hankel1(0, k * rho[live])
-    above, below = t[top + 1:], t[:top][::-1]
-    return [t[top] + _paired(above[:c]) + _paired(below[:c]) for c in counts]
+    t.real[live], t.imag[live] = half * h.imag, -half * h.real
+    above, below = _paired_sums(t[top + 1:], counts), _paired_sums(t[:top][::-1], counts)
+    return [t[top] + a + b for a, b in zip(above, below)]
 
 
 def image_sum_positive(r, r0, k: float, n_images: int) -> float:
@@ -242,13 +249,14 @@ def image_sum_positive(r, r0, k: float, n_images: int) -> float:
         raise CoincidentPoints("field point coincides with an image point")
     t = cylinder_bessel_j(0, k * rho)
     i0 = n_images
-    return float(t[i0] + _paired(t[i0 + 1:]) + _paired(t[:i0][::-1]))
+    return float(t[i0] + _paired_sums(t[i0 + 1:], [i0])[0] + _paired_sums(t[:i0][::-1], [i0])[0])
 
 
-def _paired(arr: np.ndarray):
-    half = len(arr) // 2
-    head = arr[: 2 * half].reshape(half, 2).sum(axis=1).sum() if half else 0.0
-    return head + arr[2 * half:].sum()
+def _paired_sums(arr: np.ndarray, counts) -> list:
+    """The pairwise-grouped sum of arr[:c] at each c of counts: the sums of adjacent terms are
+    formed once, every count sums a prefix of them, and an odd count adds its last term."""
+    pairs = arr[0:len(arr) - 1:2] + arr[1::2]
+    return [pairs[:c // 2].sum() + arr[c - c % 2:c].sum() for c in counts]
 
 
 def greens_image(r, r0, k: float, n_images: int) -> GreensValue:
@@ -360,6 +368,41 @@ def kummer_tail_coefficients(kd):
     return c3, c5, c7
 
 
+def _per_key(factors, m_trunc, alpha, beta):
+    """factors(M, alpha, beta) once per distinct (M, alpha, beta) of the broadcast arguments.
+
+    factors is elementwise and returns arrays whose trailing axes are the
+    arguments'; it runs on the first element of each distinct key (by bit
+    pattern: one lexsort and a change mask) and its results are gathered back
+    to every element.  An elementwise result does not depend on the batch it
+    is computed in, so this changes no bit; a lone element passes straight
+    through.
+    """
+    keys = np.broadcast_arrays(m_trunc, alpha, beta)
+    if keys[0].size <= 1:
+        return factors(*keys)
+    flat = [k.ravel() for k in keys]
+    bits = [np.asarray(k, dtype=float).view(np.uint64) for k in flat]
+    order = np.lexsort(bits)
+    change = np.zeros(order.size, dtype=bool)
+    change[0] = True
+    for b in bits:
+        b = b[order]
+        change[1:] |= b[1:] != b[:-1]
+    first, inverse = order[change], np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(change) - 1
+    return tuple(np.take(f, inverse, axis=-1).reshape(f.shape[:-1] + keys[0].shape)
+                 for f in factors(*(k[first] for k in flat)))
+
+
+def _tail_factors(m_trunc, alpha, beta):
+    """What mode_product_tail takes from (M, alpha, beta) alone: the s = 3, 5 cos-tails (axis 0)
+    at alpha and beta (axis 1), their bounds, and zeta_tail(7, M)."""
+    angles = np.stack((alpha, beta))
+    values, bounds = _cos_tail(angles, np.reshape([3.0, 5.0], (2,) + (1,) * angles.ndim), m_trunc)
+    return values, bounds, zeta_tail(7.0, m_trunc)
+
+
 def mode_product_tail(kd, m_trunc, alpha, beta):
     """Analytic tail of the Kummer-subtracted series past ``m_trunc``, elementwise.
 
@@ -368,11 +411,9 @@ def mode_product_tail(kd, m_trunc, alpha, beta):
     Returns (tail value, error bound including the O(m^-7) neglect).
     """
     c3, c5, c7 = kummer_tail_coefficients(kd)
-    angles = np.stack(np.broadcast_arrays(alpha, beta, kd, m_trunc)[:2])
-    # orders s = 3, 5 on axis 0 and angles alpha, beta on axis 1 of one _cos_tail
-    (t3, t5), (b3, b5) = _cos_tail(angles, np.reshape([3.0, 5.0], (2,) + (1,) * angles.ndim), m_trunc)
-    total, bound = -(c3 * t3) - c5 * t5, c3 * b3 + c5 * b5
-    return total[0] - total[1], 2.0 * c7 * zeta_tail(7.0, m_trunc) + bound[0] + bound[1]
+    (t3, t5), (b3, b5), z7 = _per_key(_tail_factors, m_trunc, alpha, beta)
+    total_a, total_b = -(c3 * t3[0]) - c5 * t5[0], -(c3 * t3[1]) - c5 * t5[1]
+    return total_a - total_b, 2.0 * c7 * z7 + (c3 * b3[0] + c5 * b5[0]) + (c3 * b3[1] + c5 * b5[1])
 
 
 def _abel_gap6(theta):
@@ -381,15 +422,22 @@ def _abel_gap6(theta):
     return np.where(flat, np.inf, np.float_power(_cabs(1.0 - np.exp(1j * th)), 6))
 
 
+def _bound_factors(m_trunc, alpha, beta):
+    """What _closed_form_bound takes from (M, alpha, beta) alone: zeta_tail at s = 7, 8, 10
+    (axis 0), and _abel_gap6 at alpha and beta (axis 0)."""
+    s = np.reshape([7.0, 8.0, 10.0], (3,) + (1,) * np.ndim(m_trunc))
+    return zeta_tail(s, m_trunc), _abel_gap6(np.stack((alpha, beta)))
+
+
 def _closed_form_bound(kd, m_trunc, alpha, beta):
     """Closed-form estimate of mode_product_tail's bound, the plan's deciding criterion.
 
     A cos-tail's Abel remainder is at most (s)_5 zeta_tail(s + 5, M) / _abel_gap6.
     """
     c3, c5, c7 = kummer_tail_coefficients(kd)
-    z7, z8, z10 = zeta_tail(np.reshape([7.0, 8.0, 10.0], (3,) + (1,) * np.ndim(m_trunc)), m_trunc)
+    (z7, z8, z10), gaps6 = _per_key(_bound_factors, m_trunc, alpha, beta)
     bound = 4.0 * c7 * z7
-    for gap6 in _abel_gap6(np.stack(np.broadcast_arrays(alpha, beta))):
+    for gap6 in gaps6:
         bound = bound + c3 * (3 * 4 * 5 * 6 * 7) * z8 / gap6 + c5 * (5 * 6 * 7 * 8 * 9) * z10 / gap6
     return bound
 
@@ -430,7 +478,10 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     _closed_form_bound.  Off the axis the completion ignores the x decay, so the
     tail is smaller by at most the completion: that is charged to the bound, and
     M doubles until it fits.  Raises TruncationLimit for the first element, in
-    row-major order, whose bound misses tol under the caps.
+    row-major order, whose bound misses tol under the caps.  The tails
+    (_closed_form_bound, mode_product_tail) evaluate their (M, alpha, beta)
+    factors once per distinct key, 2 for a 2,000-kd sweep at one y0, and each
+    element's kd combination elementwise, so every element is its lone plan.
     """
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (kd, ax, y, y0)))
     kd, ax, y, y0 = (v.ravel() for v in args)

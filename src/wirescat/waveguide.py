@@ -214,9 +214,14 @@ def image_positions(cfg: WireConfig, n_min: int, n_max: int) -> ImageArray:
         raise DomainError(f"image index range must be integers n_min <= 0 <= n_max, got {n_min!r}, {n_max!r}")
     n = np.arange(n_min, n_max + 1)
     pos = np.column_stack([np.full(n.shape, cfg.x0), _image_heights(n, cfg.y0)])
-    return ImageArray(indices=n, positions=pos, signs=(-1.0) ** n)
+    return ImageArray(indices=n, positions=pos, signs=_image_signs(n))
+
+
+def _image_signs(n) -> np.ndarray:
+    """(-1)^n for integer image indices n, by parity (exactly +-1.0, without a float power)."""
+    return np.where(n % 2 == 0, 1.0, -1.0)
 
 
 def _image_heights(n, y0: float) -> np.ndarray:
     """y_n = 2 ceil(n/2) d + (-1)^n y0: the heights of the images of a source at y0."""
-    return 2.0 * np.ceil(n / 2) + (-1.0) ** n * y0
+    return 2.0 * np.ceil(n / 2) + _image_signs(n) * y0

@@ -404,6 +404,57 @@ def test_plan_over_an_array_is_the_plan_of_each_element(points, tol):
         assert list(zip(m_trunc.tolist(), completion.tolist(), bound.tolist())) == lone
 
 
+_SWEEP_KD = np.linspace(0.5 * np.pi, 7.5 * np.pi, 2000)
+
+
+@pytest.mark.parametrize("kd,y0", [
+    (_SWEEP_KD, 0.3),                                                   # one sweep: 2,000 kd at one y0
+    (_SWEEP_KD[::10, None], np.array([0.3, 0.05, 0.3, 0.71, 0.05])),   # a (kd, y0) grid, y0 repeated
+])
+def test_plan_of_a_sweep_is_its_lone_plans_with_tails_once_per_key(monkeypatch, kd, y0):
+    keys = []   # distinct (M, alpha, beta) of each tail call the plan makes
+    rows = []   # (elements along the key axis, keys of the enclosing tail call) per inner call
+
+    def outer(fn):
+        def spy(kd, m_trunc, alpha, beta):
+            bits = np.stack([np.asarray(v, dtype=float) for v in np.broadcast_arrays(m_trunc, alpha, beta)])
+            keys.append(np.unique(bits.reshape(3, -1).view(np.uint64), axis=1).shape[1])
+            return fn(kd, m_trunc, alpha, beta)
+        return spy
+
+    def inner(fn):
+        def spy(*args, **kwargs):
+            shape = np.broadcast_shapes(*(np.shape(a) for a in (*args, *kwargs.values())))
+            rows.append((shape[-1] if shape else 1, keys[-1]))
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in ("mode_product_tail", "_closed_form_bound"):
+        monkeypatch.setattr(greens, name, outer(getattr(greens, name)))
+    for name in ("zeta_tail", "geometric_tail"):
+        monkeypatch.setattr(greens, name, inner(getattr(greens, name)))
+    m_trunc, completion, bound = greens._kummer_plan(kd, 0.0, 1e-12, y0, y0)
+    monkeypatch.undo()
+    assert rows and all(n <= n_keys for n, n_keys in rows)
+    doublings = int(np.log2(m_trunc.max() / 256)) + 1   # every M starts at 256 for kd <= 7.5 pi
+    assert max(keys) <= np.unique(y0).size * doublings < m_trunc.size / 10
+    y0 = np.broadcast_to(y0, m_trunc.shape)
+    for i in list(range(0, m_trunc.size, 37)) + [m_trunc.size - 1]:
+        at = np.unravel_index(i, m_trunc.shape)
+        lone = greens._kummer_plan(np.broadcast_to(kd, m_trunc.shape)[at], 0.0, 1e-12, y0[at], y0[at])
+        assert [v.item() for v in lone] == [m_trunc[at].item(), completion[at].item(), bound[at].item()], at
+
+
+def test_lone_plans_and_tails_sort_no_keys(monkeypatch):
+    def lexsort(keys):
+        raise AssertionError("a lone element was sorted")
+    monkeypatch.setattr(np, "lexsort", lexsort)
+    greens._kummer_plan(7.5, 0.0, 1e-12, 0.3, 0.3)          # G_r: the m^-3 completion
+    greens._kummer_plan(KD, 3e-5, 1e-12, 0.5, 0.3)          # near the axis: the charged bound too
+    greens.mode_product_tail(np.array([KD]), np.array([256]), 0.1, 0.7)
+    greens._closed_form_bound(KD, 256, 0.1, 0.7)
+
+
 # ---------------------------------------------------------------------------
 # image representation
 # ---------------------------------------------------------------------------
@@ -421,6 +472,52 @@ def test_image_converges_slowly_but_surely():
     assert err_more <= 1e-3         # pairwise grouping reaches 1e-3 at 1e5
     wall = abs(greens_image((0.37, 0.0), R0, KD, 10**4).value)
     assert wall <= 1e-2 * abs(ref)
+
+
+def _alternating_sums_by_power(r, r0, k, counts, include_source=True):
+    """The image sums with (-1)^n as a float power and every count paired afresh."""
+    top = max(counts)
+    n = np.arange(-top, top + 1)
+    rho = np.hypot(r[0] - r0[0], r[1] - (2.0 * np.ceil(n / 2) + (-1.0) ** n * r0[1]))
+    live = (n != 0) | include_source
+    t = np.zeros(len(n), dtype=complex)
+    t[live] = ((-1.0) ** n[live]) * (-0.5j) * hankel1(0, k * rho[live])
+
+    def paired(arr):
+        half = len(arr) // 2
+        head = arr[: 2 * half].reshape(half, 2).sum(axis=1).sum() if half else 0.0
+        return head + arr[2 * half:].sum()
+    return [t[top] + paired(t[top + 1:][:c]) + paired(t[:top][::-1][:c]) for c in counts]
+
+
+@pytest.mark.parametrize("r,r0,include_source", [
+    (R, R0, True),                   # off the axis
+    ((0.0, 0.61), R0, True),         # on the axis, x = x0
+    (R0, R0, False),                 # at the source, which is left out
+])
+@pytest.mark.parametrize("k", [KD, 7.3, 30.0])
+def test_image_sums_are_the_float_power_sums_bit_for_bit(r, r0, include_source, k):
+    counts = [0, 1, 2, 3, 10, 31, 100, 301, 1000, 3000]
+    got = greens._alternating_sums(r, r0, k, counts, include_source)
+    assert np.array_equal(_bits(got), _bits(_alternating_sums_by_power(r, r0, k, counts, include_source)))
+
+
+def _is_minus_one_float(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node, sign = node.operand, -1.0
+    else:
+        sign = 1.0
+    return isinstance(node, ast.Constant) and type(node.value) is float and sign * node.value == -1.0
+
+
+@pytest.mark.parametrize("module", [greens, waveguide])
+def test_image_signs_are_parities_not_float_powers(module):
+    # (-1.0) ** n costs a C pow per image; the parity gives the same exact +-1
+    powers = [node.lineno for node in ast.walk(ast.parse(inspect.getsource(module)))
+              if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _is_minus_one_float(node.left))
+              or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("power", "float_power")
+                  and node.args and _is_minus_one_float(node.args[0]))]
+    assert powers == []
 
 
 # ---------------------------------------------------------------------------
