@@ -12,6 +12,9 @@ free          G_0 = -(i/2) H_0^(1)(k |r - r0|), no walls.
 image         alternating sum of G_0 over the wall-reflection images;
               converges painfully slowly, kept for validation/benchmarks.
 spectral      -i sum_m (1/k_x^(m)) chi_m(y) chi_m(y0) exp(i k_x^(m)|x-x0|).
+              A closed mode has k_x = i r_m, r_m = |k_x^(m)|, and the real
+              term -(1/r_m) chi_m(y) chi_m(y0) exp(-r_m |x-x0|): the open modes
+              are summed in complex arithmetic, the closed ones in real.
 static        k = 0 closed form (the grounded-plates electrostatic potential),
               evaluated through the cancellation-free identity
               cos A - cosh B = -2 [sin^2(A/2) + sinh^2(B/2)].
@@ -26,13 +29,16 @@ kummer        spectral sum with the static series subtracted term by term and
               call (_per_key) and combined with kd elementwise: an elementwise
               factor has the same bits in any batch, so this keeps batch = lone
               while a sweep at one y0 pays for its few keys, not its rows.
-              One elementwise plan (_kummer_plan) picks M, completion and
-              bound for all points of a call; _kummer_sum sums a grid of
+              The kd factors (kummer_tail_coefficients) are computed once per
+              plan.  One elementwise plan (_kummer_plan) picks M, completion
+              and bound for all points of a call; _kummer_sum sums a grid of
               field points around one source once per distinct M
               (greens_kummer is its 1 x 1 case), _kummer_coincident the G_r
-              rows at r = r0, one per (kd, y0),
-              in real arithmetic: with r_m = |k_x^(m)|, 1/(i k_x) is -i/r_m
-              for an open mode and -1/r_m for a closed one.
+              rows at r = r0, one per (kd, y0).  Both keep closed modes real:
+              with r_m = |k_x^(m)|, 1/(i k_x) is -i/r_m for an open mode and
+              -1/r_m for a closed one, whose wave term
+              exp(i k_x|x-x0|)/(i k_x) = -exp(-r_m|x-x0|)/r_m is real, so
+              _mode_product sums a block of closed modes in real arithmetic.
 diffraction   difference of two period-2d grating Green's functions, the
               Poisson-resummed form of the image array.
 semiclassical image sum with each Hankel function replaced by its large-
@@ -51,9 +57,9 @@ from operator import mul
 import numpy as np
 
 from .errors import CoincidentPoints, DomainError, TruncationLimit
-from .specfun import _integer_in, cylinder_bessel_j, hankel1
-from .waveguide import (_branch_kx, _check_strip, _chi, _covered_open_count, _image_heights, _image_signs, _kx,
-                        _n_open, guard_mode_openings)
+from .specfun import _integer_in, cylinder_bessel_j, hankel1, hankel1_parts
+from .waveguide import (_branch_kx, _check_strip, _chi, _covered_open_count, _image_heights, _image_signs, _n_open,
+                        guard_mode_openings)
 
 __all__ = [
     "GreensValue",
@@ -195,24 +201,42 @@ def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
 
 def _spectral_sums(r, r0, k: float, counts: list) -> list[complex]:
     """The spectral sum over each mode count of counts (checked in order): prefix sums of one
-    term vector over the modes of the largest."""
-    _covered_open_count(k, counts, "terms")
+    term vector over the modes of the largest.
+
+    The N open modes are summed in complex arithmetic and the closed ones in
+    real: with r_m = |k_x^(m)|, a closed mode has k_x = i r_m, so its term
+    -(1/r_m) chi_m(y) chi_m(y0) exp(-r_m |x - x0|) is real.
+    """
+    n_open = _covered_open_count(k, counts, "terms")
     dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("spectral sum diverges at r = r0 (use renorm_sum)")
-    top = max(counts)
-    kx, m = _kx(k, top), np.arange(1, top + 1)
-    term = (-1j / kx) * _chi(m, r[1]) * _chi(m, r0[1]) * np.exp(1j * kx * abs(dx))
-    return [complex(term[:t].sum()) for t in counts]
+    m = np.arange(1, max(counts) + 1)
+    r_m, ax = _abs_kx(k, m), abs(dx)
+    chi_y, chi_y0 = _chi(m, r[1]), _chi(m, r0[1])
+    op, cl = slice(None, n_open), slice(n_open, None)
+    open_term = (-1j / r_m[op]) * chi_y[op] * chi_y0[op] * np.exp(1j * r_m[op] * ax)
+    closed_term = (-1.0 / r_m[cl]) * chi_y[cl] * chi_y0[cl] * np.exp(-r_m[cl] * ax)
+    open_sum = open_term.sum()
+    return [complex(open_sum + closed_term[:t - n_open].sum()) for t in counts]
+
+
+def _abs_kx(kd, m):
+    """r_m = |k_x^(m)| = sqrt|kd^2 - (m pi)^2| for validated kd, rounded as waveguide._kx rounds it:
+    the one copy of the formula behind the spectral, Kummer and G_r mode sums."""
+    r = kd * kd - (m * np.pi) ** 2
+    return np.sqrt(np.abs(r, out=r), out=r)
 
 
 def _image_distances(r, r0, n_images: int):
-    """Image indices n = -n_images..n_images (an integer >= 0) and rho_n = |r - r_n|, r_n = (x0, y_n)."""
+    """Image indices n = -n_images..n_images (an integer >= 0), their signs (-1)^n and
+    rho_n = |r - r_n|, r_n = (x0, y_n)."""
     if not _integer_in(n_images, 0):
         raise DomainError(f"n_images must be an integer >= 0, got {n_images!r}")
     n = np.arange(-n_images, n_images + 1)
-    ys = _image_heights(n, float(r0[1]))
-    return n, np.hypot(float(r[0]) - float(r0[0]), float(r[1]) - ys)
+    signs = _image_signs(n)
+    ys = _image_heights(n, signs, float(r0[1]))
+    return n, signs, np.hypot(float(r[0]) - float(r0[0]), float(r[1]) - ys)
 
 
 def image_sum_alternating(r, r0, k: float, n_images: int, include_source: bool = True) -> complex:
@@ -225,26 +249,34 @@ def image_sum_alternating(r, r0, k: float, n_images: int, include_source: bool =
 
 
 def _alternating_sums(r, r0, k: float, counts: list, include_source: bool = True) -> list:
-    """image_sum_alternating at each n_images of counts, from one hankel1 call over the images
-    of the largest: each sum pairs the first n_images terms on either side of the source."""
+    """image_sum_alternating at each n_images of counts, from one J_0/Y_0 evaluation over the
+    images of the largest: each sum pairs the first n_images terms on either side of the source.
+
+    H_0 = J_0 + i Y_0 is never formed: (-1)^n (-i/2) H_0 = (-1)^n (Y_0 - i J_0) / 2,
+    each part an exact +-0.5 scaling of hankel1_parts, is written straight into
+    the term array.
+    """
     top = max(counts)
-    n, rho = _image_distances(r, r0, top)
-    live = (n != 0) | include_source
-    if np.any(rho[live] == 0.0):
+    signs, rho = _image_distances(r, r0, top)[1:]
+    if not include_source:  # the source term is 0: drop it, so the images are t[:top] and t[-top:]
+        signs, rho = np.delete(signs, top), np.delete(rho, top)
+    if np.any(rho == 0.0):
         raise CoincidentPoints("field point coincides with an image point")
-    # (-1)^n (-i/2) H = (-1)^n (H.imag - i H.real) / 2, each part an exact +-0.5 scaling
-    h, half = hankel1(0, k * rho[live]), 0.5 * _image_signs(n[live])
-    t = np.zeros(len(n), dtype=complex)
-    t.real[live], t.imag[live] = half * h.imag, -half * h.real
-    above, below = _paired_sums(t[top + 1:], counts), _paired_sums(t[:top][::-1], counts)
-    return [t[top] + a + b for a, b in zip(above, below)]
+    j, y = hankel1_parts(0, np.multiply(rho, k, out=rho))
+    half = np.multiply(signs, 0.5, out=signs)
+    t = np.empty(j.size, dtype=complex)
+    np.multiply(half, y, out=t.real)
+    np.multiply(np.negative(half, out=half), j, out=t.imag)
+    above, below = _paired_sums(t[t.size - top:], counts), _paired_sums(t[:top][::-1], counts)
+    source = t[top] if include_source else 0.0
+    return [source + a + b for a, b in zip(above, below)]
 
 
 def image_sum_positive(r, r0, k: float, n_images: int) -> float:
     """sum over images of J_0(k |r - r_n|) with all-positive signs, pairwise-grouped."""
     if not k > 0.0:
         raise DomainError(f"k must be positive, got {k!r}")
-    _, rho = _image_distances(r, r0, n_images)
+    _, _, rho = _image_distances(r, r0, n_images)
     if np.any(rho == 0.0):
         raise CoincidentPoints("field point coincides with an image point")
     t = cylinder_bessel_j(0, k * rho)
@@ -403,14 +435,15 @@ def _tail_factors(m_trunc, alpha, beta):
     return values, bounds, zeta_tail(7.0, m_trunc)
 
 
-def mode_product_tail(kd, m_trunc, alpha, beta):
+def mode_product_tail(coefs, m_trunc, alpha, beta):
     """Analytic tail of the Kummer-subtracted series past ``m_trunc``, elementwise.
 
-    The transverse product is (1/d)[cos(m alpha) - cos(m beta)]
-    (_mode_angles), so the alpha cos-tails add and the beta ones subtract.
-    Returns (tail value, error bound including the O(m^-7) neglect).
+    coefs is (c3, c5, c7) = kummer_tail_coefficients(kd), along axis 0.  The
+    transverse product is (1/d)[cos(m alpha) - cos(m beta)] (_mode_angles), so
+    the alpha cos-tails add and the beta ones subtract.  Returns (tail value,
+    error bound including the O(m^-7) neglect).
     """
-    c3, c5, c7 = kummer_tail_coefficients(kd)
+    c3, c5, c7 = coefs
     (t3, t5), (b3, b5), z7 = _per_key(_tail_factors, m_trunc, alpha, beta)
     total_a, total_b = -(c3 * t3[0]) - c5 * t5[0], -(c3 * t3[1]) - c5 * t5[1]
     return total_a - total_b, 2.0 * c7 * z7 + (c3 * b3[0] + c5 * b5[0]) + (c3 * b3[1] + c5 * b5[1])
@@ -429,12 +462,13 @@ def _bound_factors(m_trunc, alpha, beta):
     return zeta_tail(s, m_trunc), _abel_gap6(np.stack((alpha, beta)))
 
 
-def _closed_form_bound(kd, m_trunc, alpha, beta):
+def _closed_form_bound(coefs, m_trunc, alpha, beta):
     """Closed-form estimate of mode_product_tail's bound, the plan's deciding criterion.
 
-    A cos-tail's Abel remainder is at most (s)_5 zeta_tail(s + 5, M) / _abel_gap6.
+    coefs as for mode_product_tail.  A cos-tail's Abel remainder is at most
+    (s)_5 zeta_tail(s + 5, M) / _abel_gap6.
     """
-    c3, c5, c7 = kummer_tail_coefficients(kd)
+    c3, c5, c7 = coefs
     (z7, z8, z10), gaps6 = _per_key(_bound_factors, m_trunc, alpha, beta)
     bound = 4.0 * c7 * z7
     for gap6 in gaps6:
@@ -481,7 +515,8 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     row-major order, whose bound misses tol under the caps.  The tails
     (_closed_form_bound, mode_product_tail) evaluate their (M, alpha, beta)
     factors once per distinct key, 2 for a 2,000-kd sweep at one y0, and each
-    element's kd combination elementwise, so every element is its lone plan.
+    element's kd combination elementwise, from kd coefficients computed once
+    per plan, so every element is its lone plan.
     """
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (kd, ax, y, y0)))
     kd, ax, y, y0 = (v.ravel() for v in args)
@@ -493,13 +528,14 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     if near.size:
         kd_n, ax_n = kd[near], ax[near]
         alpha, beta = _mode_angles(y[near], y0[near])
+        coefs = np.stack(kummer_tail_coefficients(kd_n))  # once per plan; each step takes its columns
 
         def charged_bound(m, i):
-            completion_i, bound_i = mode_product_tail(kd_n[i], m, alpha[i], beta[i])
+            completion_i, bound_i = mode_product_tail(coefs[:, i], m, alpha[i], beta[i])
             return completion_i, np.where(ax_n[i] > 0.0, bound_i + np.abs(completion_i), bound_i)
 
         m_n = _doubled(np.maximum(256, 4 * _n_open(kd_n)), True, _KUMMER_MODE_CAP,
-                       lambda m, i: _closed_form_bound(kd_n[i], m, alpha[i], beta[i]) < tol)
+                       lambda m, i: _closed_form_bound(coefs[:, i], m, alpha[i], beta[i]) < tol)
         m_n = _doubled(m_n, ax_n > 0.0, _KUMMER_MODE_CAP, lambda m, i: charged_bound(m, i)[1] < tol)
         completion_n, bound[near] = charged_bound(m_n, slice(None))
         m_trunc[near], completion[near] = m_n, completion_n
@@ -514,26 +550,35 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
 
 def _mode_product(kd: float, counts: list, ax, ys, y0: float) -> list:
     """sum_{m <= M} chi_m(y_j) chi_m(y0) [exp(i k_x ax_i)/(i k_x) + (d/m pi) exp(-m pi ax_i/d)]
-    at each M of the ascending mode counts, as running totals, with one _kx call.  It is blocked
-    over modes, and a block ends at every count: the (ax x modes) and (modes x ys) temporaries
-    of a block stay within _BLOCK elements while len(ax) and len(ys) do."""
-    kx = _kx(kd, counts[-1])
+    at each M of the ascending mode counts, as running totals.
+
+    It is blocked over modes, and a block ends at every count: the (ax x modes)
+    and (modes x ys) temporaries of a block stay within _BLOCK elements while
+    len(ax) and len(ys) do.  A closed mode has k_x = i r_m, r_m = |k_x^(m)|, and
+    the real wave term -exp(-r_m ax)/r_m, so a block of closed modes is summed
+    in real arithmetic; a block holding any of the N open modes is complex.
+    """
+    n_open = _n_open(kd)
     step = max(1, _BLOCK // max(ax.size, ys.size))
     total, totals, lo = 0.0, [], 0
     for count in counts:
         while lo < count:
             hi = min(lo - lo % step + step, count)
-            m, kx_b = np.arange(lo + 1, hi + 1), kx[lo:hi]
-            if ax.any():
-                phase = np.exp(1j * np.multiply.outer(ax, kx_b))
-                decay = np.exp(np.multiply.outer(ax, -m * np.pi))
-            else:  # on the axis both exponentials are exactly 1
-                phase = decay = np.ones((ax.size, 1))
-            coef = _chi(m, y0) * (phase / (1j * kx_b) + (1.0 / (m * np.pi)) * decay)
+            m = np.arange(lo + 1, hi + 1)
+            r_m, n_o = _abs_kx(kd, m), min(max(n_open - lo, 0), hi - lo)  # the block's open modes
+            wave = _exp_outer(ax, -r_m[n_o:]) * (-1.0 / r_m[n_o:])
+            if n_o:
+                wave = np.concatenate([_exp_outer(ax, 1j * r_m[:n_o]) / (1j * r_m[:n_o]), wave], axis=-1)
+            coef = _chi(m, y0) * (wave + (1.0 / (m * np.pi)) * _exp_outer(ax, -m * np.pi))
             total = total + coef @ _chi(m, ys)
             lo = hi
         totals.append(total)
     return totals
+
+
+def _exp_outer(ax, v):
+    """exp(ax_i v_j) over the outer product; on the axis (every ax 0) exactly 1, as one column."""
+    return np.exp(np.multiply.outer(ax, v)) if ax.any() else np.ones((ax.size, 1))
 
 
 def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
@@ -566,12 +611,9 @@ def _kummer_coincident(kd, y0, w, n_open: int, completion):
     1/r_m: the two are rounded apart, so Im G_r = 1/2 - Sigma stays a check.
     The coincidence constant replaces the static form.
     """
-    kd = np.asarray(kd, dtype=float)
-    q = np.arange(1, w.shape[-1] + 1, dtype=float) * np.pi
-    inv_q = 1.0 / q
-    # r rounds as waveguide._kx's |k_x| does; the one buffer then holds 1/r, then the Re weights
-    r = kd[..., None] * kd[..., None] - q ** 2
-    np.sqrt(np.abs(r, out=r), out=r)
+    kd, m = np.asarray(kd, dtype=float), np.arange(1, w.shape[-1] + 1)
+    inv_q = 1.0 / (m * np.pi)
+    r = _abs_kx(kd[..., None], m)  # the one buffer then holds 1/r, then the Re weights
     sigma = np.sum(w[..., :n_open] / r[..., :n_open], axis=-1)
     inv_r = np.divide(1.0, r, out=r)
     im = -np.sum(w[..., :n_open] * inv_r[..., :n_open], axis=-1)
@@ -711,7 +753,7 @@ def greens_semiclassical(r, r0, k: float, n_images: int) -> complex:
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
     guard_mode_openings(k)
-    n, rho = _image_distances(r, r0, n_images)
+    n, _, rho = _image_distances(r, r0, n_images)
     if np.any(rho == 0.0):
         raise CoincidentPoints("field point coincides with an image point")
     x = k * rho
@@ -805,7 +847,7 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
         counts = sorted(set(term_grid))
     kummer = {}
     if kummer_forms:
-        tails = mode_product_tail(kd, np.array(counts), *_mode_angles(y, y0))[0]
+        tails = mode_product_tail(kummer_tail_coefficients(kd), np.array(counts), *_mode_angles(y, y0))[0]
         raw, completed = _kummer_truncated(kd, ax, y, y0, counts, np.stack([np.zeros(len(counts)), tails]))
         kummer = {"kummer_raw": dict(zip(counts, raw)), "kummer": dict(zip(counts, completed))}
         if rho == 0.0:

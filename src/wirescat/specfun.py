@@ -8,8 +8,9 @@ orders below the tightest downstream tolerance.
 Evaluation strategy
 -------------------
 Each branch has one kernel that yields J_n and Y_n together, and one
-dispatch at ``SWITCHOVER`` serves ``cylinder_bessel_j``, ``cylinder_bessel_y``
-and ``hankel1`` (= J + iY of the same values).  Every operation is
+dispatch at ``SWITCHOVER`` serves ``cylinder_bessel_j``, ``cylinder_bessel_y``,
+``hankel1`` (= J + iY of the same values) and ``hankel1_parts`` (J and Y
+themselves, for callers that scale them apart).  Every operation is
 elementwise, so a value does not depend on the batch it is computed in.
 
 * ``x < 15``: Miller's algorithm.  One backward recurrence
@@ -32,15 +33,28 @@ elementwise, so a value does not depend on the batch it is computed in.
       Y_n(x) = sqrt(2/(pi x)) [P_n(x) sin(c) + Q_n(x) cos(c)],
       c = x - (2n+1) pi/4,
 
-  truncated at 22 terms.  The optimally-truncated remainder of this
-  expansion scales as exp(-2x), which is why the switchover sits at 15
-  (exp(-30) ~ 1e-13) rather than the textbook 8 (exp(-16) ~ 1e-7 would
-  wreck the 1e-12 budget).  The phase is reduced by Cody & Waite (Software
-  Manual for the Elementary Functions, 1980): x = k pi/2 + r with
-  k = rint(2x/pi) and r = ((x - k P1) - k P2) - k P3, where P1 + P2 + P3 is
-  fdlibm's three-part split of pi/2.  k P1 is exact for k < 2^22, and k is
-  split at 2^22 beyond that, so r carries no more than the rounding of
-  k P2, below 1e-15 for x <= 1e11.  Then c = r + (j pi/2 - pi/4) mod 2 pi
+  with P and Q summed by the term recursion of A&S 9.2.9-9.2.10 to at most
+  22 terms.  The optimally-truncated remainder of this expansion scales as
+  exp(-2x), which is why the switchover sits at 15 (exp(-30) ~ 1e-13)
+  rather than the textbook 8 (exp(-16) ~ 1e-7 would wreck the 1e-12
+  budget).  Each element stops at the tier its argument reaches:
+
+      x >= 1000: 6 terms,  x >= 100: 11,  x >= 50: 14,  below: 22.
+
+  Every term a tier drops is below 2^-55 * 0.9/(8x) for n = 0 and 1, and
+  below 2^-55 * 0.9 (4n^2 - 1)/(8x) for the J-only orders 2 and 3: the test
+  suite checks this in exact arithmetic at each threshold, and |term| * 8x
+  falls with x.  That is under half an ulp of Q, whose size is at least
+  0.9/(8x) (0.9 (4n^2 - 1)/(8x)) there, and far under half an ulp of P,
+  which lies within 1 % of 1.  Adding the term would leave P or Q as it
+  is, so each value equals the 22-term sum bit for bit.
+
+  The phase is reduced by Cody & Waite (Software Manual for the Elementary
+  Functions, 1980): x = k pi/2 + r with k = rint(2x/pi) and
+  r = ((x - k P1) - k P2) - k P3, where P1 + P2 + P3 is fdlibm's three-part
+  split of pi/2.  k P1 is exact for k < 2^22; a batch holding a larger k
+  splits k at 2^22, so r carries no more than the rounding of k P2, below
+  1e-15 for x <= 1e11.  Then c = r + (j pi/2 - pi/4) mod 2 pi
   with j = (k - n) mod 4, so |c| <= pi.  In a plain double subtraction
   x - (2n+1) pi/4 the ulp of x ~ 1e4 alone would cost 2e-12.
 
@@ -63,12 +77,13 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["cylinder_bessel_j", "cylinder_bessel_y", "hankel1", "SWITCHOVER"]
+__all__ = ["cylinder_bessel_j", "cylinder_bessel_y", "hankel1", "hankel1_parts", "SWITCHOVER"]
 
 SWITCHOVER = 15.0
 
 _MILLER_START = 44   # even; the first neglected term, J_46(x), is below 1e-18 for x < 15
-_ASYM_TERMS = 22
+# (X, n): an argument x >= X sums the first n terms of P and Q (module docstring)
+_ASYM_TIERS = ((1000.0, 6), (100.0, 11), (50.0, 14), (0.0, 22))
 _EULER = 0.5772156649015329
 _LN2 = 0.6931471805599453
 # fdlibm's split of pi/2 (31, 32 and 28 significant bits): k * _PIO2_1 is exact for k < 2**22
@@ -116,21 +131,34 @@ def _miller(n: int, x: np.ndarray, want_y: bool):
 
 
 def _asym_pq(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n, Q_n of the Hankel expansion; term recursion avoids huge coefficients."""
-    mu = 4.0 * n * n
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    t = np.ones_like(x)
-    x8 = 8.0 * x  # k * x8 rounds as (8.0 * k) * x does: 8.0 * x is exact
-    for k in range(1, _ASYM_TERMS + 1):
+    """P_n, Q_n of the Hankel expansion, each element summed to its tier's term count."""
+    p, q, t = np.ones_like(x), np.zeros_like(x), np.ones_like(x)
+    _add_pq_terms(4.0 * n * n, x, p, q, t, 1, _ASYM_TIERS)
+    return p, q
+
+
+def _add_pq_terms(mu: float, x, p, q, t, first: int, tiers) -> None:
+    """Add terms first, first + 1, ... of P and Q to p and q in place, each element up to the
+    count of the first of tiers it reaches; t holds the last term added.
+
+    The term recursion avoids huge coefficients.  The elements that go on to a
+    later tier do so in a gathered copy, which is scattered back.
+    """
+    (x_min, last), later = tiers[0], tiers[1:]
+    step = np.empty_like(x)
+    for k in range(first, last + 1):
         t *= mu - (2 * k - 1) ** 2
-        t /= k * x8
+        t /= np.multiply(x, 8.0 * k, out=step)  # rounds as k * (8.0 * x) does: 8.0 * x is exact
         acc = q if k % 2 else p  # odd terms go to Q, even ones to P; signs + + - - by k mod 4
         if k % 4 < 2:
             acc += t
         else:
             acc -= t
-    return p, q
+    rest = np.flatnonzero(x < x_min)
+    if rest.size:
+        sub = x[rest], p[rest], q[rest], t[rest]
+        _add_pq_terms(mu, *sub, last + 1, later)
+        p[rest], q[rest] = sub[1], sub[2]
 
 
 def _asym(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,16 +166,38 @@ def _asym(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     x = k pi/2 + r is reduced by Cody-Waite, so c equals r plus a multiple
     of pi/4 picked by the quadrant (k - n) mod 4, up to a multiple of 2 pi.
+    The reduction and the J/Y combination run in place in preallocated
+    buffers, each element rounded in the order of amp * (p cos c - q sin c)
+    and amp * (p sin c + q cos c).
     """
     p, q = _asym_pq(n, x)
-    k = np.rint(x * (2 / np.pi))
-    k_lo = np.fmod(k, 2.0 ** 22)        # k = k_hi + k_lo, each times _PIO2_1 exact
-    r = (((x - (k - k_lo) * _PIO2_1) - k_lo * _PIO2_1) - k * _PIO2_2) - k * _PIO2_3
-    quad = (k_lo.astype(np.intp) - n) & 3        # 2**22 is a multiple of 4
-    c = r + _QUADRANT_PHASE[quad]                # c mod 2 pi, within [-pi, pi]
-    cos_c, sin_c = np.cos(c), np.sin(c)
-    amp = np.sqrt(2.0 / (np.pi * x))
-    return amp * (p * cos_c - q * sin_c), amp * (p * sin_c + q * cos_c)
+    k = x * (2 / np.pi)
+    np.rint(k, out=k)
+    r, tmp = np.empty_like(x), np.empty_like(x)
+    if k.max(initial=0.0) < 2.0 ** 22:  # k * _PIO2_1 is exact: no split
+        k_lo = k
+        np.subtract(x, np.multiply(k, _PIO2_1, out=r), out=r)
+    else:
+        k_lo = np.fmod(k, 2.0 ** 22)    # k = k_hi + k_lo, each times _PIO2_1 exact
+        np.subtract(x, np.multiply(k - k_lo, _PIO2_1, out=r), out=r)
+        r -= np.multiply(k_lo, _PIO2_1, out=tmp)
+    r -= np.multiply(k, _PIO2_2, out=tmp)
+    r -= np.multiply(k, _PIO2_3, out=tmp)
+    quad = k_lo.astype(np.intp)
+    quad -= n
+    quad &= 3                                    # (k - n) mod 4; 2**22 is a multiple of 4
+    r += np.take(_QUADRANT_PHASE, quad, out=tmp, mode="clip")  # c mod 2 pi, within [-pi, pi]
+    cos_c, sin_c = np.cos(r, out=tmp), np.sin(r, out=k)
+    q_sin = np.multiply(q, sin_c, out=r)
+    p_sin = np.multiply(p, sin_c, out=sin_c)
+    p *= cos_c
+    q *= cos_c
+    amp = np.sqrt(np.divide(2.0, np.multiply(x, np.pi, out=cos_c), out=cos_c), out=cos_c)
+    p -= q_sin
+    p_sin += q
+    p *= amp
+    p_sin *= amp
+    return p, p_sin
 
 
 def _integer_in(n, lo: int, hi=np.inf) -> bool:
@@ -209,3 +259,11 @@ def hankel1(n: int, x):
     j, y = _bessel_jy(n, arr, want_y=True)
     out = j + 1j * y
     return complex(out[0]) if scalar else out
+
+
+def hankel1_parts(n: int, x):
+    """(J_n(x), Y_n(x)), the real and imaginary parts of hankel1(n, x) with its checks, for a
+    caller that scales the two parts apart and needs no complex H."""
+    arr, scalar = _checked(n, 1, x, positive=True)
+    j, y = _bessel_jy(n, arr, want_y=True)
+    return (float(j[0]), float(y[0])) if scalar else (j, y)

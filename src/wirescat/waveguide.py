@@ -213,8 +213,9 @@ def image_positions(cfg: WireConfig, n_min: int, n_max: int) -> ImageArray:
     if not (_integer_in(n_min, -np.inf, 0) and _integer_in(n_max, 0)):
         raise DomainError(f"image index range must be integers n_min <= 0 <= n_max, got {n_min!r}, {n_max!r}")
     n = np.arange(n_min, n_max + 1)
-    pos = np.column_stack([np.full(n.shape, cfg.x0), _image_heights(n, cfg.y0)])
-    return ImageArray(indices=n, positions=pos, signs=_image_signs(n))
+    signs = _image_signs(n)
+    pos = np.column_stack([np.full(n.shape, cfg.x0), _image_heights(n, signs, cfg.y0)])
+    return ImageArray(indices=n, positions=pos, signs=signs)
 
 
 def _image_signs(n) -> np.ndarray:
@@ -222,6 +223,7 @@ def _image_signs(n) -> np.ndarray:
     return np.where(n % 2 == 0, 1.0, -1.0)
 
 
-def _image_heights(n, y0: float) -> np.ndarray:
-    """y_n = 2 ceil(n/2) d + (-1)^n y0: the heights of the images of a source at y0."""
-    return 2.0 * np.ceil(n / 2) + _image_signs(n) * y0
+def _image_heights(n, signs, y0: float) -> np.ndarray:
+    """y_n = 2 ceil(n/2) d + (-1)^n y0: the heights of the images of a source at y0, given
+    their signs (-1)^n = _image_signs(n)."""
+    return 2.0 * np.ceil(n / 2) + signs * y0

@@ -19,7 +19,7 @@ from wirescat.greens import (bragg_spectrum, convergence_benchmark, geometric_ta
                              greens_spectral, greens_static, semiclassical_renorm_sum,
                              zeta_tail)
 from wirescat.renorm import renorm_sum
-from wirescat.specfun import hankel1
+from wirescat.specfun import hankel1, hankel1_parts
 from wirescat.waveguide import WireConfig, transverse_mode
 
 mp.mp.dps = 30
@@ -87,7 +87,8 @@ def test_cdiv_is_python_complex_division_bit_for_bit():
 def _tails(kd, m, alpha, beta, z, s, shift):
     """Every tail function at (kd, M, alpha, beta, z), as float parts."""
     value, bound = geometric_tail(z, s, m, shift)
-    return [*greens.mode_product_tail(kd, m, alpha, beta), greens._closed_form_bound(kd, m, alpha, beta),
+    coefs = greens.kummer_tail_coefficients(kd)
+    return [*greens.mode_product_tail(coefs, m, alpha, beta), greens._closed_form_bound(coefs, m, alpha, beta),
             *greens._cos_tail(beta, s, m), greens._abel_gap6(alpha), zeta_tail(s, m, shift),
             np.real(value), np.imag(value), bound]
 
@@ -451,8 +452,8 @@ def test_lone_plans_and_tails_sort_no_keys(monkeypatch):
     monkeypatch.setattr(np, "lexsort", lexsort)
     greens._kummer_plan(7.5, 0.0, 1e-12, 0.3, 0.3)          # G_r: the m^-3 completion
     greens._kummer_plan(KD, 3e-5, 1e-12, 0.5, 0.3)          # near the axis: the charged bound too
-    greens.mode_product_tail(np.array([KD]), np.array([256]), 0.1, 0.7)
-    greens._closed_form_bound(KD, 256, 0.1, 0.7)
+    greens.mode_product_tail(greens.kummer_tail_coefficients(np.array([KD])), np.array([256]), 0.1, 0.7)
+    greens._closed_form_bound(greens.kummer_tail_coefficients(KD), 256, 0.1, 0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +501,37 @@ def test_image_sums_are_the_float_power_sums_bit_for_bit(r, r0, include_source, 
     counts = [0, 1, 2, 3, 10, 31, 100, 301, 1000, 3000]
     got = greens._alternating_sums(r, r0, k, counts, include_source)
     assert np.array_equal(_bits(got), _bits(_alternating_sums_by_power(r, r0, k, counts, include_source)))
+
+
+# image sums of bench-shaped pairs at 10, 1,000 and 10,000 images, as evaluated through
+# hankel1 and a complex term array before the image sum took J_0 and Y_0 straight
+_FROZEN_IMAGE_SUMS = [
+    ((0.41, 0.83), (0.0, 0.27), 13.7, True,
+     [("0x1.01aec133ab0a6p-4", "0x1.cf85948036c19p-4"), ("0x1.1f47f2e8f1f03p-4", "0x1.d8abb5d1be7fcp-4"),
+      ("0x1.1e63353d9b307p-4", "0x1.d5d6450ca7046p-4")]),
+    ((0.0, 0.12), (0.0, 0.66), 27.9, True,
+     [("-0x1.9a96bea57625ep-7", "0x1.4f068af3d18fep-9"), ("0x1.c1e2d738e6290p-8", "-0x1.08a3f2870136bp-7"),
+      ("0x1.2d56c276c9a9ap-7", "-0x1.0e240bb2b450bp-7")]),
+    ((-0.63, 0.05), (0.0, 0.94), 4.4, True,
+     [("0x1.49b106d00db30p-7", "0x1.199b8816a63dep-4"), ("0x1.d08c3f0d4ef9ep-7", "0x1.5187d4fab1620p-8"),
+      ("0x1.6d60076bebfc3p-6", "0x1.01816320ffe5cp-7")]),
+    ((0.0, 0.35), (0.0, 0.35), 21.3, False,
+     [("-0x1.80b46e63d092cp-3", "0x1.63051ae60ebe3p-4"), ("-0x1.6560792cae934p-3", "0x1.408f02d95016ep-3"),
+      ("-0x1.6a1d445f1b645p-3", "0x1.4ac7845949cb6p-3")]),
+]
+
+
+@pytest.mark.parametrize("r,r0,k,include_source,frozen", _FROZEN_IMAGE_SUMS, ids=["off", "on", "near-wall", "no-source"])
+def test_image_sums_are_frozen_bit_for_bit(r, r0, k, include_source, frozen):
+    got = greens._alternating_sums(r, r0, k, [10, 1000, 10000], include_source)
+    assert [(float(v.real).hex(), float(v.imag).hex()) for v in got] == frozen
+
+
+def test_image_sum_holds_few_full_size_arrays(traced_peak):
+    # 10,000 images a side (20,001 terms, a few of them below the Bessel switchover): 11.3
+    # arrays of that size at the peak, 20.4 when the sum went through hankel1's complex H
+    full = (2 * 10000 + 1) * 8
+    assert traced_peak(lambda: greens._alternating_sums(R, R0, KD, [10, 1000, 10000])) <= 12 * full
 
 
 def _is_minus_one_float(node):
@@ -664,16 +696,16 @@ def _row_by_row(r, r0, kd, reps, grid):
     else:
         waveguide.guard_mode_openings(kd)
     ax, y, y0 = abs(float(r[0]) - float(r0[0])), float(r[1]), float(r0[1])
-    angles = greens._mode_angles(y, y0)
+    angles, coefs = greens._mode_angles(y, y0), greens.kummer_tail_coefficients(kd)
     if ax == 0.0 and y == y0:
         bad = set(reps) - {"kummer", "kummer_raw"}
         if bad:
             raise CoincidentPoints(f"only the kummer forms exist at coincidence, not {sorted(bad)}")
-        ref = greens._kummer_truncated(kd, ax, y, y0, 65536, greens.mode_product_tail(kd, 65536, *angles)[0])
+        ref = greens._kummer_truncated(kd, ax, y, y0, 65536, greens.mode_product_tail(coefs, 65536, *angles)[0])
     else:
         ref = greens_kummer(r, r0, kd, tol=1e-12).value
     one_count = {
-        "kummer": lambda t: greens._kummer_truncated(kd, ax, y, y0, t, greens.mode_product_tail(kd, t, *angles)[0]),
+        "kummer": lambda t: greens._kummer_truncated(kd, ax, y, y0, t, greens.mode_product_tail(coefs, t, *angles)[0]),
         "kummer_raw": lambda t: greens._kummer_truncated(kd, ax, y, y0, t, 0.0),
         "spectral": lambda t: greens_spectral(r, r0, kd, t).value,
         "image": lambda t: greens_image(r, r0, kd, t).value,
@@ -748,8 +780,8 @@ def test_benchmark_refuses_what_row_by_row_refuses(r, r0, kd, reps, grid):
 
 
 def test_benchmark_calls_hankel1_once_per_image_representation(monkeypatch):
-    sizes = []
-    monkeypatch.setattr(greens, "hankel1", lambda n, x: sizes.append(np.size(x)) or hankel1(n, x))
+    sizes = []  # the image sum takes J_0 and Y_0 as hankel1_parts
+    monkeypatch.setattr(greens, "hankel1_parts", lambda n, x: sizes.append(np.size(x)) or hankel1_parts(n, x))
     convergence_benchmark(R, R0, KD, ("spectral", "image", "kummer"), (300, 10, 1000, 30, 10))
     assert sizes == [2 * 1000 + 1]
 

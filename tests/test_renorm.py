@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wirescat.errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
                              TruncationLimit)
 from wirescat.greens import (EULER_GAMMA, _kummer_plan, _kummer_truncated, _mode_angles, greens_free,
-                             image_sum_alternating, mode_product_tail)
+                             image_sum_alternating, kummer_tail_coefficients, mode_product_tail)
 from wirescat.renorm import (FoldyProblem, _strength, attach_strength, effective_strength,
                              foldy_solve, gr_edge_asymptote, hard_disk_boundary_check,
                              renorm_grid, renorm_state, renorm_sum, t_matrix)
@@ -140,7 +140,7 @@ def test_gr_vs_image_sum_oracle():
 def test_gr_is_the_coincident_kummer_bench_value(kd, y0):
     # greens-bench's coincident kummer row summed to renorm_sum's own truncation
     st = renorm_sum(kd, y0)
-    completion = mode_product_tail(kd, st.terms_used, *_mode_angles(y0, y0))[0]
+    completion = mode_product_tail(kummer_tail_coefficients(kd), st.terms_used, *_mode_angles(y0, y0))[0]
     bench = _kummer_truncated(kd, 0.0, y0, y0, st.terms_used, completion)
     assert abs(st.g_r - bench) <= 1e-14 * abs(bench)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wirescat.errors import DomainError
-from wirescat.specfun import SWITCHOVER, cylinder_bessel_j, cylinder_bessel_y, hankel1
+from wirescat.specfun import SWITCHOVER, cylinder_bessel_j, cylinder_bessel_y, hankel1, hankel1_parts
 
 mp.mp.dps = 30
 
@@ -123,6 +123,96 @@ def test_a_batch_does_not_change_a_value(xs):
             assert np.array_equal(hankel1(n, pos), [hankel1(n, v) for v in pos])
 
 
+def _asym_22(n, x):
+    """The Hankel expansion with every element summed to 22 terms and its phase split at 2**22
+    in every batch: the reference that the tiered, in-place kernel must match bit for bit."""
+    from wirescat.specfun import _PIO2_1, _PIO2_2, _PIO2_3, _QUADRANT_PHASE
+    mu = 4.0 * n * n
+    p, q, t = np.ones_like(x), np.zeros_like(x), np.ones_like(x)
+    x8 = 8.0 * x
+    for k in range(1, 23):
+        t *= mu - (2 * k - 1) ** 2
+        t /= k * x8
+        acc = q if k % 2 else p
+        if k % 4 < 2:
+            acc += t
+        else:
+            acc -= t
+    k = np.rint(x * (2 / np.pi))
+    k_lo = np.fmod(k, 2.0 ** 22)
+    r = (((x - (k - k_lo) * _PIO2_1) - k_lo * _PIO2_1) - k * _PIO2_2) - k * _PIO2_3
+    c = r + _QUADRANT_PHASE[(k_lo.astype(np.intp) - n) & 3]
+    cos_c, sin_c = np.cos(c), np.sin(c)
+    amp = np.sqrt(2.0 / (np.pi * x))
+    return amp * (p * cos_c - q * sin_c), amp * (p * sin_c + q * cos_c)
+
+
+def _term(n, k, x):
+    """The k-th term of the Hankel expansion of order n at x, exactly (A&S 9.2.9-9.2.10)."""
+    out = Fraction(1)
+    for j in range(1, k + 1):
+        out *= Fraction(4 * n * n - (2 * j - 1) ** 2, j * 8) / x
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_each_tier_drops_only_terms_below_half_an_ulp(n):
+    from wirescat.specfun import _ASYM_TIERS
+    # |Q| >= 0.9/(8x) for n = 0, 1 and 0.9 (4n^2 - 1)/(8x) for the J-only orders; every dropped
+    # term is below 2^-55 times that, under half an ulp of Q (and far under half an ulp of P)
+    scale = 1 if n < 2 else 4 * n * n - 1
+    for x_min, count in _ASYM_TIERS[:-1]:
+        x = Fraction(x_min)
+        floor = Fraction(9, 10) * scale / (8 * x)
+        terms = [_term(n, k, x) for k in range(23)]
+        assert all(abs(t) < floor / 2 ** 55 for t in terms[count + 1:]), (x_min, count)
+        # Q (odd terms) and P (even terms) keep that size while the dropped terms would be added
+        for last in range(count, 23):
+            q = sum(t * (-1) ** (k // 2) for k, t in enumerate(terms[:last + 1]) if k % 2)
+            p = sum(t * (-1) ** (k // 2) for k, t in enumerate(terms[:last + 1]) if k % 2 == 0)
+            assert abs(q) >= floor and abs(p - 1) < Fraction(1, 100), (x_min, last)
+        # the orders of H_0 and H_1 set the table, and for them it is tight: one term fewer
+        # would drop a term above the bound
+        assert n > 1 or abs(terms[count]) >= floor / 2 ** 55, (x_min, count)
+
+
+# both neighbours of each tier threshold, and the switchover with its upper one
+_TIER_EDGES = [np.nextafter(v, side) for v in (50.0, 100.0, 1000.0) for side in (0.0, np.inf)] + [
+    np.nextafter(SWITCHOVER, np.inf)]
+_SPLIT = 2.0 ** 22 * np.pi / 2  # where k = rint(2x/pi) reaches 2**22 and the phase needs its split
+_ASYM_X = st.one_of(
+    st.floats(np.log10(SWITCHOVER), 11.0).map(lambda e: float(min(max(10.0 ** e, SWITCHOVER), 1e11))),
+    st.floats(SWITCHOVER, 1e11),
+    st.sampled_from(_TIER_EDGES + [50.0, 100.0, 1000.0, SWITCHOVER]),
+    st.floats(_SPLIT - 4.0, _SPLIT + 4.0),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_ASYM_X, min_size=1, max_size=12))
+def test_tiered_expansion_is_the_22_term_expansion_bit_for_bit(xs):
+    from wirescat.specfun import _asym, _bessel_jy
+    x = np.array(xs)
+    for n in range(4):
+        want = np.stack(_asym_22(n, x)).view(np.uint64)
+        assert np.array_equal(np.stack(_asym(n, x)).view(np.uint64), want), n
+        if n < 2:
+            assert np.array_equal(np.stack(_bessel_jy(n, x, True)).view(np.uint64), want), n
+        assert np.array_equal(_bessel_jy(n, x, False)[0].view(np.uint64), want[0]), n
+
+
+def test_image_sum_arguments_hold_few_full_size_arrays(traced_peak):
+    from wirescat.specfun import _bessel_jy
+    # the 20,001 arguments k |r - r_n| of a greens-bench image sum at kd = 2.5 pi, the source
+    # term and three near images below the switchover: the tiered, in-place kernel holds 9.3
+    # arrays of that size at its peak (17.3 before it wrote into buffers)
+    n = np.arange(-10000, 10001)
+    y_n = 2.0 * np.ceil(n / 2) + np.where(n % 2 == 0, 1.0, -1.0) * 0.3
+    x = 2.5 * np.pi * np.hypot(0.37, 0.61 - y_n)
+    assert np.count_nonzero(x < SWITCHOVER) == 4
+    assert traced_peak(lambda: _bessel_jy(0, x, True)) <= 10 * x.nbytes
+
+
 def test_src_never_uses_longdouble():
     # 80-bit on x86 but plain double elsewhere: accuracy must not rest on it
     src = Path(__file__).resolve().parents[1] / "src"
@@ -189,6 +279,18 @@ def test_domain_errors():
         cylinder_bessel_y(2, 1.0)
     with pytest.raises(DomainError):
         hankel1(0, -2.0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_hankel1_parts_are_hankel1_bit_for_bit(n):
+    x = np.array([1e-3, 0.7, 14.99, SWITCHOVER, 15.01, 63.0, 2e3, 1e9])
+    j, y = hankel1_parts(n, x)
+    h = hankel1(n, x)
+    assert np.array_equal(j, h.real) and np.array_equal(y, h.imag)
+    assert hankel1_parts(n, 2.5) == (hankel1(n, 2.5).real, hankel1(n, 2.5).imag)
+    for bad_n, bad_x in ((n, 0.0), (n, -2.0), (n, np.inf), (2, 1.0)):
+        with pytest.raises(DomainError):
+            hankel1_parts(bad_n, bad_x)
 
 
 def test_y0_log_divergence_scale():
