@@ -107,11 +107,9 @@ def run_sweep_geom(args) -> int:
     tm = renorm.t_matrix_grid(kd, a_grid)
     sigma = (renorm.attach_strength(base, tm.s[:, None]).cross_section if base is not None
              else np.zeros((len(a_list), len(y0_list))))
-    sigma_free = tm.cross_section
-    n_a, n_y0 = sigma.shape
-    rows = table({"a": np.repeat(a_grid, n_y0), "y0": np.tile(y0_grid, n_a),
-                  "sigma": sigma.ravel(), "sigma_free": np.repeat(sigma_free, n_y0),
-                  "gap": np.zeros(sigma.size, int)})
+    # one run of y0 per a
+    rows = table({"a": a_grid[:, None], "y0": y0_grid, "sigma": sigma,
+                  "sigma_free": tm.cross_section[:, None], "gap": np.zeros(sigma.shape, int)})
     _write(args, rows, {
         "kd": fmt(kd),
         "a_min": fmt(args.a_min), "a_max": fmt(args.a_max), "a_points": args.a_points,
@@ -129,10 +127,9 @@ def run_field_map(args) -> int:
     spec = mirror.GridSpec(args.x_min, args.x_max, args.y_min, args.y_max,
                            args.nx, args.ny)
     grid = mirror.field_map(args.kind, args.kd, cfg, spec, tol=args.tol)
-    nx, ny = grid.values.shape
-    values = grid.values.ravel()
-    rows = table({"x": np.repeat(grid.xs, ny), "y": np.tile(grid.ys, nx),
-                  "value_re": values.real, "value_im": values.imag})
+    # one run of y per x
+    rows = table({"x": grid.xs[:, None], "y": grid.ys,
+                  "value_re": grid.values.real, "value_im": grid.values.imag})
     _write(args, rows, {
         "kind": grid.kind, "kd": fmt(args.kd),
         "y0": fmt(args.y0), "a": fmt(args.a), "x0": fmt(args.x0),

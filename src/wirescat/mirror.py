@@ -73,7 +73,8 @@ class GridSpec:
         if not (_integer_in(self.nx, 2) and _integer_in(self.ny, 2)):
             raise DomainError(f"grid needs integer counts of at least 2 points, got {self.nx!r} x {self.ny!r}")
         if not (0.0 <= self.y_min < self.y_max <= 1.0):
-            raise DomainError("y range must lie inside [0, d]")
+            raise DomainError(f"y range must be increasing and inside [0, d], got y_min={self.y_min!r}, "
+                              f"y_max={self.y_max!r}")
         if not (np.isfinite([self.x_min, self.x_max]).all() and self.x_min < self.x_max):
             raise DomainError("x range must be finite and increasing")
 

@@ -1,14 +1,24 @@
 """Deterministic CSV/JSON/SVG writers.
 
 A table is a structured array (``table``): one named field per float, int or
-str column, rows in input order.  CSV renders floats as '%.17g'; JSON renders
-them as ``float.__repr__`` and non-finite ones as null, in the layout of
-``json.dump(indent=1, sort_keys=True)``.  Rows are written in blocks of at most
-``_BLOCK`` values, and one '%' row template fills each block.  In a block, a
-float column with more distinct values than half its rows is formatted by the
-template itself ('%.17g' in CSV; '%s', which is ``float.__repr__``, in JSON
-where the column is finite); any other float column has each distinct double
-(by bit pattern, so -0.0, NaN, inf and subnormals stay exact) formatted once.
+str column.  A 1-D table is one run of rows; a 2-D table of shape (n_runs,
+run_len), such as a field map's (nx, ny) grid, is written row-major, run after
+run.  CSV renders floats as '%.17g'; JSON renders them as ``float.__repr__``
+and non-finite ones as null, in the layout of ``json.dump(indent=1,
+sort_keys=True)``.
+
+Rows are written in blocks of at most ``_BLOCK`` values: whole runs where a run
+fits in a block, else pieces of one run.  In a table of two or more runs, each
+float or int column is classed once by bit pattern (so -0.0, NaN payloads, inf
+and subnormals stay exact):
+- a column equal in every run (a grid's y) is formatted once per table, into a
+  run template that every block of whole runs reuses;
+- a column constant along every run (a grid's x) is formatted once per run and
+  joined into the run template's slots.
+Every other column, and every column of a one-run table, is formatted per
+block: by the '%' template itself where the block holds more distinct values
+than half its rows ('%.17g' in CSV; '%s', which is ``float.__repr__``, in JSON
+where the column is finite), else each distinct double once.
 Metadata goes into '#' header lines or the "metadata" object.  Identical inputs
 give byte-identical files: no timestamps, hostnames or locale-dependent
 formatting.  The SVG renderer is minimal (line plots and heatmaps), so no
@@ -37,8 +47,12 @@ def fmt(value: float) -> str:
 
 
 def table(columns: dict) -> np.ndarray:
-    """Structured array of equal-length named columns, in the dict's order."""
-    return np.rec.fromarrays(list(columns.values()), names=list(columns))
+    """Structured array of named columns broadcast to one shape, in the dict's order.
+
+    A 1-D table is one run of rows; a 2-D table of shape (n_runs, run_len) is
+    written row-major, run after run."""
+    return np.rec.fromarrays(np.broadcast_arrays(*map(np.asarray, columns.values())),
+                             names=list(columns))
 
 
 # per dtype kind, the text of one value; "direct" gives a float column's '%' spec
@@ -49,30 +63,79 @@ _JSON_RENDER = {"f": lambda v: float.__repr__(v) if math.isfinite(v) else "null"
                 "direct": lambda column: "%s" if np.isfinite(column).all() else None}
 
 
+def _kind(column: np.ndarray, reuse: bool) -> str | None:
+    """For a float or int column of two or more runs: "table" where it is equal
+    in every run and the run template is reused, "run" where it is constant
+    along every run of two or more rows; else None.  Values compare by bit
+    pattern."""
+    if column.dtype.kind not in "fi" or len(column) < 2:
+        return None
+    bits = column.astype(np.float64, copy=False).view(np.int64) if column.dtype.kind == "f" else column
+    if reuse and (bits == bits[:1]).all():
+        return "table"
+    return "run" if bits.shape[1] > 1 and (bits == bits[:, :1]).all() else None
+
+
+def _texts(render: dict, column: np.ndarray) -> list[str]:
+    return list(map(render[column.dtype.kind], column.tolist()))
+
+
 def _blocks(rows: np.ndarray, render: dict, row_template: str, separator: str):
     """Yield the rows as text, one block at a time, every row after the first
     preceded by separator.  row_template holds one '%s' per column."""
+    if not rows.size:
+        return
     names = rows.dtype.names
-    columns = [rows[name] for name in names]
+    runs = np.atleast_2d(rows.view(np.ndarray))  # a recarray's field access costs more
+    n_runs, run_len = runs.shape
     step = max(1, _BLOCK // len(names))
-    for start in range(0, len(rows), step):
-        n_rows = min(step, len(rows) - start)
-        cells = [None] * (n_rows * len(names))  # row-major: cell j of each row at j::len(names)
-        specs = ["%s"] * len(names)
-        for j, column in enumerate(c[start:start + step] for c in columns):
+    whole = run_len <= step  # blocks of whole runs share one run template
+    kinds = [_kind(runs[name], whole) for name in names]
+    other = [j for j, kind in enumerate(kinds) if kind is None]
+    per_run = [runs[name][:, 0] for name, kind in zip(names, kinds) if kind == "run"]
+    # what each column puts in the run template: a "table" column its text, a
+    # "run" column a slot "\0" for each run's text, any other its '%' spec
+    fill = [_texts(render, runs[name][0]) if kind == "table" else "\0" if kind == "run" else "%s"
+            for name, kind in zip(names, kinds)]
+    k, m = max(1, step // run_len), min(step, run_len)  # runs per block, rows per piece of a run
+    pieces = ((i, min(i + k, n_runs), p, min(p + m, run_len))
+              for i in range(0, n_runs, k) for p in range(0, run_len, m))
+    cached = None
+    for b, (i0, i1, p0, p1) in enumerate(pieces):
+        n_rows = (i1 - i0) * (p1 - p0)
+        block = runs[i0:i1, p0:p1].reshape(-1)  # a view: whole runs, or a piece of one
+        cells = [None] * (n_rows * len(other))  # row-major: other column o of each row at o::len(other)
+        for o, j in enumerate(other):
+            column, fill[j] = block[names[j]], "%s"
             if column.dtype.kind != "f":
-                cells[j::len(names)] = map(render[column.dtype.kind], column.tolist())
+                cells[o::len(other)] = _texts(render, column)
                 continue
-            distinct, inverse = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
+            bits = column.astype(np.float64).view(np.int64)
+            n_distinct = 1 + np.count_nonzero(np.diff(np.sort(bits)))
             # mostly distinct values gain nothing from formatting each once
-            spec = render["direct"](column) if 2 * len(distinct) > n_rows else None
+            spec = render["direct"](column) if 2 * n_distinct > n_rows else None
             if spec:
-                specs[j], cells[j::len(names)] = spec, column.tolist()
+                fill[j], cells[o::len(other)] = spec, column.tolist()
                 continue
+            distinct, inverse = np.unique(bits, return_inverse=True)
             text = list(map(render["f"], distinct.view(np.float64).tolist()))
-            cells[j::len(names)] = map(text.__getitem__, inverse.tolist())
-        template = (separator if start else "") + separator.join([row_template % tuple(specs)] * n_rows)
-        yield template % tuple(cells)
+            cells[o::len(other)] = map(text.__getitem__, inverse.tolist())
+        key = tuple(fill[j] for j in other)
+        if not (whole and cached and cached[0] == key):
+            if "table" in kinds:
+                run = separator.join(row_template % row for row in
+                                     zip(*(f if isinstance(f, list) else itertools.repeat(f) for f in fill)))
+            else:
+                run = separator.join([row_template % tuple(fill)] * (p1 - p0))
+            frame = [None] * (2 * run.count("\0") + 1)
+            frame[::2] = run.split("\0")
+            cached = key, frame
+        # each run: its "run" columns' texts in the frame's odd slots (none without such columns)
+        frame, parts = cached[1], []
+        for texts in zip(*(_texts(render, c[i0:i1]) for c in per_run)) if per_run else [()] * (i1 - i0):
+            frame[1::2] = texts * (p1 - p0)
+            parts.append("".join(frame))
+        yield ((separator if b else "") + separator.join(parts)) % tuple(cells)
 
 
 def write_table_csv(path: str, rows: np.ndarray, metadata: dict) -> None:
@@ -95,9 +158,9 @@ def write_table_json(path: str, rows: np.ndarray, metadata: dict) -> None:
     row_template = "  [\n" + ",\n".join(["   %s"] * len(names)) + "\n  ]"
     with open(path, "w", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True)[:-2] + ',\n "rows": ['
-                 + ("\n" if len(rows) else ""))
+                 + ("\n" if rows.size else ""))
         fh.writelines(_blocks(rows, _JSON_RENDER, row_template, ",\n"))
-        fh.write("\n ]\n}\n" if len(rows) else "]\n}\n")
+        fh.write("\n ]\n}\n" if rows.size else "]\n}\n")
 
 
 _SVG_W, _SVG_H, _MARG = 720, 480, 56

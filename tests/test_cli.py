@@ -224,6 +224,14 @@ def test_field_map_outside_strip_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_field_map_empty_y_range_exit_2(tmp_path, capsys):
+    # both bounds lie inside the strip; the range is empty
+    out = tmp_path / "x.csv"
+    assert main(["field-map", "--y0", "0.6", "--y-min", "0.3", "--y-max", "0.3", "--out", str(out)]) == 2
+    assert "y range must be increasing and inside [0, d], got y_min=0.3, y_max=0.3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["field-map", "--y0", "0.3", "--x0", "nan", "--nx", "3", "--ny", "3"],
     ["field-map", "--y0", "0.3", "--x0", "inf", "--nx", "3", "--ny", "3"],

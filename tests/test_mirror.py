@@ -161,6 +161,15 @@ def test_field_map_rejects_bad_grid():
         GridSpec(-0.5, 0.5, 0.0, 1.0, 1, 10)
 
 
+@pytest.mark.parametrize("y_min, y_max", [(0.3, 0.3), (0.7, 0.2), (0.0, 1.5), (float("nan"), 0.5),
+                                          (0.2, float("nan"))])
+def test_grid_y_range_must_increase_inside_the_strip(y_min, y_max):
+    # equal or reversed bounds inside [0, 1] are refused as such, not as lying outside
+    with pytest.raises(DomainError, match="y range must be increasing and inside") as info:
+        GridSpec(-0.5, 0.5, y_min, y_max, 10, 10)
+    assert f"y_min={y_min!r}, y_max={y_max!r}" in str(info.value)
+
+
 def test_grid_identity_with_im_greens():
     cfg = WireConfig(y0=0.6, a=0.1)
     spec = GridSpec(-1.0, 1.0, 0.0, 1.0, 60, 25)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wirescat import output
+from wirescat import __version__, cli, output
 from wirescat.output import table, write_table_csv, write_table_json
 
 META = {"generator": "wirescat test", "kd": "7.8539816339744828", "points": 3, "ratio": 0.5}
@@ -44,9 +44,12 @@ def oracle_json(path, columns, rows, metadata):
 
 
 def assert_same_bytes(tmp_path, columns: dict, metadata=META):
+    """The writers on table(columns) against the oracles on the broadcast
+    columns' values, flattened row-major."""
     rows = table(columns)
-    assert len(rows) == len(next(iter(columns.values())))
-    py_rows = [list(row) for row in zip(*(np.asarray(c).tolist() for c in columns.values()))]
+    flat = np.broadcast_arrays(*map(np.asarray, columns.values()))
+    assert rows.shape == flat[0].shape
+    py_rows = [list(row) for row in zip(*(c.ravel().tolist() for c in flat))]
     for name, writer, oracle in (("csv", write_table_csv, oracle_csv),
                                  ("json", write_table_json, oracle_json)):
         got, want = tmp_path / f"got.{name}", tmp_path / f"want.{name}"
@@ -105,6 +108,15 @@ def test_rows_arrive_in_blocks_bounded_in_values():
     assert max(sizes) * 3 <= output._BLOCK
 
 
+def test_grid_rows_arrive_in_blocks_bounded_in_values():
+    # runs of 5,000 rows are longer than a block: each is split into pieces
+    rows = table({"a": np.arange(3.0)[:, None], "b": np.arange(5000.0), "c": np.arange(15000).reshape(3, 5000)})
+    sizes = [text.count("\n") for text in output._blocks(rows, output._CSV_RENDER,
+                                                           "%s,%s,%s\n", "")]
+    assert sum(sizes) == 15000
+    assert max(sizes) * 3 <= output._BLOCK
+
+
 @pytest.mark.parametrize("writer, mib", [(write_table_csv, 0.29), (write_table_json, 0.35)])
 def test_writer_memory_is_bounded(tmp_path, traced_peak, writer, mib):
     # a field-map-shaped table, 40,000 rows x 4 columns: one block of cells and
@@ -113,6 +125,17 @@ def test_writer_memory_is_bounded(tmp_path, traced_peak, writer, mib):
     rows = table({"x": np.repeat(np.linspace(-1.0, 1.0, 400), 100),
                   "y": np.tile(np.linspace(0.0, 1.0, 100), 400),
                   "re": rng.standard_normal(40000), "im": rng.standard_normal(40000)})
+    peak = traced_peak(lambda: writer(str(tmp_path / "t"), rows, META))
+    assert peak < 1.15 * mib * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("writer, mib", [(write_table_csv, 0.29), (write_table_json, 0.35)])
+def test_grid_writer_memory_is_bounded(tmp_path, traced_peak, writer, mib):
+    # the same 40,000 values as a (400, 100) grid table: the cached run template
+    # and the per-run texts stay within the bounds of the one-run table
+    rng = np.random.default_rng(3)
+    rows = table({"x": np.linspace(-1.0, 1.0, 400)[:, None], "y": np.linspace(0.0, 1.0, 100),
+                  "re": rng.standard_normal((400, 100)), "im": rng.standard_normal((400, 100))})
     peak = traced_peak(lambda: writer(str(tmp_path / "t"), rows, META))
     assert peak < 1.15 * mib * 2 ** 20, peak
 
@@ -169,3 +192,86 @@ def test_template_and_distinct_paths_switch_per_block(tmp_path_factory, data, ro
     }
     with mock.patch.object(output, "_BLOCK", rows * len(columns)):
         assert_same_bytes(tmp_path_factory.mktemp("paths"), {k: np.array(v) for k, v in columns.items()})
+
+
+# one value per row of a column that differs from its neighbours only in its bits
+_LOOKALIKES = {"zero": (0.0, -0.0), "nan": (np.uint64(0x7FF8000000000000).view(np.float64),
+                                           np.uint64(0x7FF8000000000001).view(np.float64)),
+               "inf": (float("inf"), -float("inf"))}
+
+
+@pytest.mark.parametrize("pair", _LOOKALIKES, ids=str)
+def test_lookalike_values_are_not_constant(pair):
+    # 0.0/-0.0, two NaN payloads or +-inf in one spot: the column is neither
+    # equal in every run nor constant along every run
+    same, odd = _LOOKALIKES[pair]
+    column = np.full((3, 4), same)
+    column[1, 2] = odd
+    assert output._kind(column, True) is None
+    assert output._kind(column, False) is None
+
+
+@st.composite
+def _grid_column(draw, shape):
+    """A float column of the grid shape: constant along runs, equal in every
+    run, all constant or mostly distinct.  With a lookalike pair, every copy of
+    its first value becomes the pair's first member and one spot its second."""
+    n_runs, run_len = shape
+    mode = draw(st.sampled_from(["run", "table", "one", "distinct"]))
+    value = st.one_of(_FINITE, _SPECIAL.filter(lambda v: v is not None))
+    if mode == "run":
+        column = np.array(draw(st.lists(value, min_size=n_runs, max_size=n_runs)), float)[:, None]
+    elif mode == "table":
+        column = np.array(draw(st.lists(value, min_size=run_len, max_size=run_len)), float)[None, :]
+    elif mode == "one":
+        column = np.array(draw(value), float)
+    else:
+        column = np.array(draw(st.lists(_FINITE, min_size=n_runs * run_len, max_size=n_runs * run_len)),
+                          float).reshape(shape)
+    column = np.array(np.broadcast_to(column, shape))
+    pair = draw(st.sampled_from([None, *_LOOKALIKES]))
+    if pair is not None and column.size:
+        i, j = draw(st.integers(0, n_runs - 1)), draw(st.integers(0, run_len - 1))
+        bits = column.view(np.int64)
+        same, odd = (np.float64(v).view(np.int64) for v in _LOOKALIKES[pair])
+        bits[bits == bits.flat[0]] = same
+        bits[i, j] = odd
+    return column
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), n_runs=st.integers(0, 6), run_len=st.integers(0, 7), block_rows=st.sampled_from([1, 2, 3, 5, 64]))
+def test_grid_tables_match_the_oracles_on_flattened_rows(tmp_path_factory, data, n_runs, run_len, block_rows):
+    # runs shorter than, as long as and longer than a block of block_rows rows;
+    # shapes (1, n), (n, 1), (0, n) and (n, 0) among them
+    shape = (n_runs, run_len)
+    ints = st.lists(st.sampled_from([7, -2 ** 62, 2 ** 62]), min_size=n_runs * run_len, max_size=n_runs * run_len)
+    columns = {"u": data.draw(_grid_column(shape)),
+               "run": np.arange(n_runs)[:, None],
+               "v": data.draw(_grid_column(shape)),
+               "terms": np.array(data.draw(ints), int).reshape(shape),
+               "name": np.array(data.draw(st.lists(st.sampled_from(["kummer", 'a "b", c', "café σ"]),
+                                                   min_size=run_len, max_size=run_len)), dtype="U8"),
+               "w": data.draw(_grid_column(shape))}
+    with mock.patch.object(output, "_BLOCK", block_rows * len(columns)):
+        assert_same_bytes(tmp_path_factory.mktemp("grid"), columns)
+
+
+_GRID_COMMANDS = [["field-map", "--kind", kind, "--kd", "9.1", "--y0", "0.3", "--nx", "9", "--ny", "5"]
+                  for kind in ("s", "s_plus", "px", "dxy", "f", "greens")]
+_GRID_COMMANDS.append(["sweep-geom", "--kd", "7.3", "--a-points", "6", "--y0-points", "4"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", _GRID_COMMANDS, ids=lambda argv: "-".join(argv[:3:2]))
+def test_grid_commands_write_grid_tables(tmp_path, argv, fmt):
+    # the CLI hands the writer a table of the grid's shape, and the file is the
+    # oracle writer's on its rows
+    with mock.patch.object(cli, "_write", wraps=cli._write) as spy:
+        assert cli.main([*argv, "--format", fmt, "--out", str(tmp_path / "got")]) == 0
+    (args, rows, meta), = [call.args for call in spy.call_args_list]
+    assert rows.shape == ((9, 5) if argv[0] == "field-map" else (6, 4))
+    meta = {"generator": f"wirescat {__version__}", "command": args.command, **meta}
+    oracle = oracle_json if fmt == "json" else oracle_csv
+    oracle(str(tmp_path / "want"), rows.dtype.names, rows.reshape(-1).tolist(), meta)
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
