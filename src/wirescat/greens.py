@@ -38,11 +38,17 @@ kummer        spectral sum with the static series subtracted term by term and
               with r_m = |k_x^(m)|, 1/(i k_x) is -i/r_m for an open mode and
               -1/r_m for a closed one, whose wave term
               exp(i k_x|x-x0|)/(i k_x) = -exp(-r_m|x-x0|)/r_m is real, so
-              _mode_product sums a block of closed modes in real arithmetic.
+              _mode_product sums a block of closed modes in real arithmetic,
+              and skips the blocks past the mode where min |x-x0| r_m
+              exceeds _EXP_UNDERFLOW: every exponential there is exactly 0.
 diffraction   difference of two period-2d grating Green's functions, the
               Poisson-resummed form of the image array.
 semiclassical image sum with each Hankel function replaced by its large-
               argument form; one -1 per wall reflection.
+
+convergence_benchmark reads every mode sum of an off-source pair from one
+mode table (_pair_modes), and every coincident row from one _kummer_coincident
+pass.
 
 All evaluators are pure; points are (x, y) tuples with y in [0, d].
 """
@@ -58,8 +64,7 @@ import numpy as np
 
 from .errors import CoincidentPoints, DomainError, TruncationLimit
 from .specfun import _integer_in, cylinder_bessel_j, hankel1, hankel1_parts
-from .waveguide import (_branch_kx, _check_strip, _chi, _covered_open_count, _image_heights, _image_signs, _n_open,
-                        guard_mode_openings)
+from .waveguide import _branch_kx, _check_strip, _chi, _covered_open_count, _images, _n_open, guard_mode_openings
 
 __all__ = [
     "GreensValue",
@@ -86,6 +91,7 @@ _GEOMETRIC_MODE_CAP = 200000
 _KUMMER_MODE_CAP = 65536
 # elements in a (rows x modes) or (modes x points) block of a Kummer sum
 _BLOCK = 2 ** 12
+_EXP_UNDERFLOW = 745.2  # exp(-t) is exactly 0 past t = 745.13, where it falls below half of 2^-1074
 _SC_EXPLICIT = 400  # images per family that semiclassical_renorm_sum sums before its tail
 REPRESENTATIONS = ("free", "spectral", "image", "static", "kummer", "diffraction", "semiclassical")
 
@@ -199,9 +205,10 @@ def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
     return GreensValue(value, "spectral", terms, float(tail))
 
 
-def _spectral_sums(r, r0, k: float, counts: list) -> list[complex]:
+def _spectral_sums(r, r0, k: float, counts: list, table=None) -> list[complex]:
     """The spectral sum over each mode count of counts (checked in order): prefix sums of one
-    term vector over the modes of the largest.
+    term vector over the modes of the largest, read from the pair's mode table (_pair_modes,
+    built here unless given).
 
     The N open modes are summed in complex arithmetic and the closed ones in
     real: with r_m = |k_x^(m)|, a closed mode has k_x = i r_m, so its term
@@ -211,14 +218,22 @@ def _spectral_sums(r, r0, k: float, counts: list) -> list[complex]:
     dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("spectral sum diverges at r = r0 (use renorm_sum)")
-    m = np.arange(1, max(counts) + 1)
-    r_m, ax = _abs_kx(k, m), abs(dx)
-    chi_y, chi_y0 = _chi(m, r[1]), _chi(m, r0[1])
+    top, ax = max(counts), abs(dx)
+    r_m, chi_y0, chi_y = _pair_modes(k, top, float(r[1]), float(r0[1])) if table is None else table
+    r_m, chi_y0, chi_y = r_m[:top], chi_y0[:top], chi_y[:top, 0]
     op, cl = slice(None, n_open), slice(n_open, None)
     open_term = (-1j / r_m[op]) * chi_y[op] * chi_y0[op] * np.exp(1j * r_m[op] * ax)
     closed_term = (-1.0 / r_m[cl]) * chi_y[cl] * chi_y0[cl] * np.exp(-r_m[cl] * ax)
     open_sum = open_term.sum()
     return [complex(open_sum + closed_term[:t - n_open].sum()) for t in counts]
+
+
+def _pair_modes(kd: float, m_max: int, y: float, y0: float):
+    """The mode table of one point pair: r_m = |k_x^(m)|, chi_m(y0) and chi_m(y), the last as an
+    (m_max, 1) column, for m = 1..m_max.  Its entries are elementwise, so a slice holds the bits
+    of its modes evaluated alone, and every mode sum of the pair reads slices of one table."""
+    m = np.arange(1, m_max + 1)
+    return _abs_kx(kd, m), _chi(m, y0), _chi(m, np.array([y]))
 
 
 def _abs_kx(kd, m):
@@ -233,9 +248,7 @@ def _image_distances(r, r0, n_images: int):
     rho_n = |r - r_n|, r_n = (x0, y_n)."""
     if not _integer_in(n_images, 0):
         raise DomainError(f"n_images must be an integer >= 0, got {n_images!r}")
-    n = np.arange(-n_images, n_images + 1)
-    signs = _image_signs(n)
-    ys = _image_heights(n, signs, float(r0[1]))
+    n, signs, ys = _images(-n_images, n_images, float(r0[1]))
     return n, signs, np.hypot(float(r[0]) - float(r0[0]), float(r[1]) - ys)
 
 
@@ -548,29 +561,41 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     return tuple(v.reshape(args[0].shape) for v in (m_trunc, completion, bound))
 
 
-def _mode_product(kd: float, counts: list, ax, ys, y0: float) -> list:
+def _mode_product(kd: float, counts: list, ax, ys, y0: float, table=None) -> list:
     """sum_{m <= M} chi_m(y_j) chi_m(y0) [exp(i k_x ax_i)/(i k_x) + (d/m pi) exp(-m pi ax_i/d)]
     at each M of the ascending mode counts, as running totals.
 
     It is blocked over modes, and a block ends at every count: the (ax x modes)
     and (modes x ys) temporaries of a block stay within _BLOCK elements while
-    len(ax) and len(ys) do.  A closed mode has k_x = i r_m, r_m = |k_x^(m)|, and
-    the real wave term -exp(-r_m ax)/r_m, so a block of closed modes is summed
-    in real arithmetic; a block holding any of the N open modes is complex.
+    len(ax) and len(ys) do.  A block reads r_m, chi_m(y0) and chi_m(ys) from
+    table, one pair's _pair_modes over at least the largest count, or else
+    evaluates them.  A closed mode has k_x = i r_m, r_m = |k_x^(m)|, and the
+    real wave term -exp(-r_m ax)/r_m, so a block of closed modes is summed in
+    real arithmetic; a block holding any of the N open modes is complex.
+    Once min(ax) r_m exceeds _EXP_UNDERFLOW at the first mode of a closed
+    block, every exponential of that block and of the later ones is exactly 0
+    (r_m and m pi grow with m), so they would add exactly +-0 and are skipped:
+    one test per block, on a scalar, and never on the axis.
     """
     n_open = _n_open(kd)
     step = max(1, _BLOCK // max(ax.size, ys.size))
-    total, totals, lo = 0.0, [], 0
+    ax_min = ax.min()
+    total, totals, lo = np.zeros((ax.size, ys.size)), [], 0
     for count in counts:
         while lo < count:
             hi = min(lo - lo % step + step, count)
             m = np.arange(lo + 1, hi + 1)
-            r_m, n_o = _abs_kx(kd, m), min(max(n_open - lo, 0), hi - lo)  # the block's open modes
+            r_m = _abs_kx(kd, m) if table is None else table[0][lo:hi]
+            n_o = min(max(n_open - lo, 0), hi - lo)  # the block's open modes
+            if not n_o and ax_min * r_m[0] > _EXP_UNDERFLOW:  # this block and every later one add +-0
+                lo = counts[-1]
+                break
+            chi_y0, chi_ys = (_chi(m, y0), _chi(m, ys)) if table is None else (table[1][lo:hi], table[2][lo:hi])
             wave = _exp_outer(ax, -r_m[n_o:]) * (-1.0 / r_m[n_o:])
             if n_o:
                 wave = np.concatenate([_exp_outer(ax, 1j * r_m[:n_o]) / (1j * r_m[:n_o]), wave], axis=-1)
-            coef = _chi(m, y0) * (wave + (1.0 / (m * np.pi)) * _exp_outer(ax, -m * np.pi))
-            total = total + coef @ _chi(m, ys)
+            coef = chi_y0 * (wave + (1.0 / (m * np.pi)) * _exp_outer(ax, -m * np.pi))
+            total = total + coef @ chi_ys
             lo = hi
         totals.append(total)
     return totals
@@ -581,12 +606,13 @@ def _exp_outer(ax, v):
     return np.exp(np.multiply.outer(ax, v)) if ax.any() else np.ones((ax.size, 1))
 
 
-def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
+def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion, table=None):
     """G_w at the points (ax_i, y_j), ax = |x - x0|: completion + static form + one _mode_product
-    per distinct M = m_trunc[i, j] over the rows and columns holding it (M = 0: r = r0, NaN)."""
+    per distinct M = m_trunc[i, j] over the rows and columns holding it (M = 0: r = r0, NaN).
+    A lone point may pass its pair's mode table (_pair_modes) to its one _mode_product."""
     counts = set(m_trunc.ravel().tolist())
     if len(counts) == 1 and 0 not in counts:  # one M everywhere, as at every lone point
-        return _mode_product(kd, [counts.pop()], ax, ys, y0)[0] + completion + _static_form(ax[:, None], ys, y0)
+        return _mode_product(kd, [counts.pop()], ax, ys, y0, table)[0] + completion + _static_form(ax[:, None], ys, y0)
     out = np.full(m_trunc.shape, np.nan, dtype=complex)
     for m_max in sorted(counts - {0}):
         at = m_trunc == m_max
@@ -596,20 +622,25 @@ def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
         return out + completion + _static_form(ax[:, None], ys, y0)
 
 
-def _kummer_coincident(kd, y0, w, n_open: int, completion):
-    """G_r = G_w - G_0 at r = r0 and Sigma for rows of (kd, y0) with n_open open modes each.
+def _kummer_coincident(kd, y0, w, n_open: int, completion, counts: list):
+    """G_r = G_w - G_0 at r = r0 at each M of the ascending mode counts, and Sigma, for rows of
+    (kd, y0) with n_open <= counts[0] open modes each.
 
-    w holds chi_m^2(y0), m = 1..M, in contiguous rows: one per kd, or one
-    that every kd shares; completion broadcasts against the rows.  The mode
-    sum sum_{m <= M} chi_m(y0)^2 [1/(i k_x) + d/(m pi)] is real arithmetic:
-    with r_m = |k_x^(m)| = sqrt|kd^2 - (m pi)^2|, 1/(i k_x) is -i/r_m for an
-    open mode and -1/r_m for a closed one, so
+    w holds chi_m^2(y0), m = 1..counts[-1], in contiguous rows: one per kd, or
+    one that every kd shares; completion broadcasts against the rows, with a
+    last axis over the counts.  The mode sum sum_{m <= M} chi_m(y0)^2
+    [1/(i k_x) + d/(m pi)] is real arithmetic: with r_m = |k_x^(m)| =
+    sqrt|kd^2 - (m pi)^2|, 1/(i k_x) is -i/r_m for an open mode and -1/r_m
+    for a closed one, so
 
         Re = sum_m chi_m^2 [d/(m pi) - [m > N]/r_m],   Im = -sum_{m <= N} chi_m^2 / r_m.
 
     Sigma = sum_{m <= N} chi_m^2 / r_m divides by r_m where Im multiplies by
     1/r_m: the two are rounded apart, so Im G_r = 1/2 - Sigma stays a check.
-    The coincidence constant replaces the static form.
+    One pass weights the modes of the largest count, and each count's Re is
+    np.sum over a prefix of them, the pairwise sum of that count alone.  The
+    coincidence constant replaces the static form.  Returns the list of G_r,
+    one per count, and Sigma.
     """
     kd, m = np.asarray(kd, dtype=float), np.arange(1, w.shape[-1] + 1)
     inv_q = 1.0 / (m * np.pi)
@@ -619,10 +650,14 @@ def _kummer_coincident(kd, y0, w, n_open: int, completion):
     im = -np.sum(w[..., :n_open] * inv_r[..., :n_open], axis=-1)
     coef = np.subtract(inv_q, inv_r, out=r)
     coef[..., :n_open] = inv_q[:n_open]
-    re = np.sum(np.multiply(w, coef, out=coef), axis=-1)
-    mode_sum = np.empty(np.broadcast_shapes(np.shape(re), np.shape(completion)), dtype=complex)
-    mode_sum.real, mode_sum.imag = re + completion, im
-    return mode_sum + _coincidence_constant(kd, y0), sigma
+    weighted, constant = np.multiply(w, coef, out=coef), _coincidence_constant(kd, y0)
+    g_r = []
+    for i, c in enumerate(counts):
+        re = np.sum(weighted[..., :c], axis=-1)
+        mode_sum = np.empty(np.broadcast_shapes(np.shape(re), np.shape(completion[..., i])), dtype=complex)
+        mode_sum.real, mode_sum.imag = re + completion[..., i], im
+        g_r.append(mode_sum + constant)
+    return g_r, sigma
 
 
 def _kummer_grid(kd: float, ax, ys, y0: float, tol: float):
@@ -793,23 +828,23 @@ def semiclassical_renorm_sum(k: float, y0: float) -> complex:
 # convergence benchmark
 # ---------------------------------------------------------------------------
 
-def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc, tail):
+def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc, tail, table=None):
     """Kummer form summed to exactly m_trunc modes plus the tail completion ``tail`` (0 for none).
 
     At r = r0 this is the renormalization sum G_w - G_0.  m_trunc may also be an
     ascending list of mode counts, with tail broadcast along its last axis: every
-    count then comes from one mode sum, or one chi_m^2(y0) vector at r = r0, and
-    the result is an array.
+    count then comes from one mode sum, which reads the pair's mode table when
+    given one, or from one _kummer_coincident pass over one chi_m^2(y0) vector
+    at r = r0, and the result is an array.
     """
     counts = np.atleast_1d(m_trunc).tolist()
     tail = np.broadcast_to(tail, np.broadcast_shapes(np.shape(tail), (len(counts),)))
     if ax == 0.0 and y == y0:
         w = _chi(np.arange(1, counts[-1] + 1), y0) ** 2
-        values = np.stack([_kummer_coincident(kd, y0, w[:c], _n_open(kd), tail[..., i])[0]
-                           for i, c in enumerate(counts)], axis=-1)
+        values = np.stack(_kummer_coincident(kd, y0, w, _n_open(kd), tail, counts)[0], axis=-1)
     else:
         ax, ys = np.array([ax]), np.array([y])
-        sums = np.array(_mode_product(kd, counts, ax, ys, y0))[:, 0, 0]
+        sums = np.array(_mode_product(kd, counts, ax, ys, y0, table))[:, 0, 0]
         values = sums + tail + _static_form(ax[:, None], ys, y0)[0, 0]
     return values if np.ndim(m_trunc) else complex(values[0])
 
@@ -825,7 +860,10 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
     the kummer representations are defined there), against the kummer form
     at 65,536 modes.  Each representation is evaluated once, at the largest
     count, and every row is a prefix sum of it; both kummer forms share one
-    mode sum.
+    mode sum.  Off the source one mode table (_pair_modes) over the largest
+    count and the reference's M serves the spectral rows, the reference
+    (greens_kummer's plan and sum, so its value and its TruncationLimit) and
+    the kummer rows.
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
     if len(term_grid) == 0 or not all(_integer_in(t, 0) for t in term_grid):
@@ -837,18 +875,22 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
         guard_mode_openings(k)
     dx, _, rho = _deltas(r, r0)
     kd, ax, y, y0 = k, abs(dx), float(r[1]), float(r0[1])
+    table = None
     if rho == 0.0:
         bad = set(representations) - kummer_forms
         if bad:
             raise CoincidentPoints(f"only the kummer forms exist at coincidence, not {sorted(bad)}")
         counts = sorted(set(term_grid) | {65536})
     else:
-        ref = greens_kummer(r, r0, k, tol=1e-12).value
-        counts = sorted(set(term_grid))
+        counts, ax_1, y_1 = sorted(set(term_grid)), np.array([ax]), np.array([y])
+        # greens_kummer(r, r0, k, tol=1e-12): its plan, then its sum from the pair's table
+        m_ref, completion, _ = _kummer_plan(kd, ax_1[:, None], 1e-12, y_1, y0)
+        table = _pair_modes(kd, max(counts[-1], m_ref.item()), y, y0)
+        ref = complex(_kummer_sum(kd, ax_1, y_1, y0, m_ref, completion, table)[0, 0])
     kummer = {}
     if kummer_forms:
         tails = mode_product_tail(kummer_tail_coefficients(kd), np.array(counts), *_mode_angles(y, y0))[0]
-        raw, completed = _kummer_truncated(kd, ax, y, y0, counts, np.stack([np.zeros(len(counts)), tails]))
+        raw, completed = _kummer_truncated(kd, ax, y, y0, counts, np.stack([np.zeros(len(counts)), tails]), table)
         kummer = {"kummer_raw": dict(zip(counts, raw)), "kummer": dict(zip(counts, completed))}
         if rho == 0.0:
             ref = complex(kummer["kummer"][65536])
@@ -857,7 +899,7 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
         if rep in kummer:
             values = [kummer[rep][t] for t in term_grid]
         elif rep == "spectral":
-            values = _spectral_sums(r, r0, k, list(term_grid))
+            values = _spectral_sums(r, r0, k, list(term_grid), table)
         elif rep == "image":
             values = _alternating_sums(r, r0, k, list(term_grid))
         elif rep == "diffraction":  # independent of the term count

@@ -240,7 +240,7 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
             yb = yy[b]
             # rows of modes, contiguous so that each row sums like one kd's modes alone
             w = np.ascontiguousarray(_chi(modes, yb[:1] if (yb == yb[0]).all() else yb).T) ** 2
-            g_r[b], sigma[b] = _kummer_coincident(kd[b], yb, w, n, completion[b])
+            (g_r[b],), sigma[b] = _kummer_coincident(kd[b], yb, w, n, completion[b][:, None], [m_trunc])
     return RenormState(k=k, y0=y0, g_r=g_r.reshape(k.shape), sigma_open=sigma.reshape(k.shape),
                        tail_bound=bound.reshape(k.shape), terms_used=terms.reshape(k.shape))
 

@@ -25,7 +25,13 @@ elementwise, so a value does not depend on the batch it is computed in.
 
   The recurrence is carried on F_m = J_m (2/x)^m, and |F_m| <= 1/m!, so
   from F_N = 1 no value exceeds N! ~ 3e54 for any x >= 0: nothing needs
-  rescaling and x = 0 needs no special case.
+  rescaling and x = 0 needs no special case.  The recurrence is about 180
+  (J) or 330 (J and Y) numpy operations whatever the batch size, 70 or
+  150 us on a one-element array, so a batch with at most _MILLER_SCALAR (8)
+  arguments below the switchover runs it on each as an np.float64, 14 or
+  22 us apiece.  Real float64 arithmetic rounds alike in numpy's scalar and
+  array loops, so both paths give the same bits.  Lone calls and the few
+  near images of an image sum take the scalar path.
 * ``x >= 15``: Hankel asymptotic expansion, one P/Q evaluation and one phase
   for both functions,
 
@@ -82,6 +88,7 @@ __all__ = ["cylinder_bessel_j", "cylinder_bessel_y", "hankel1", "hankel1_parts",
 SWITCHOVER = 15.0
 
 _MILLER_START = 44   # even; the first neglected term, J_46(x), is below 1e-18 for x < 15
+_MILLER_SCALAR = 8   # at most this many arguments below SWITCHOVER take the recurrence one at a time
 # (X, n): an argument x >= X sums the first n terms of P and Q (module docstring)
 _ASYM_TIERS = ((1000.0, 6), (100.0, 11), (50.0, 14), (0.0, 22))
 _EULER = 0.5772156649015329
@@ -223,13 +230,17 @@ def _checked(n, top: int, x, positive: bool) -> tuple[np.ndarray, bool]:
 
 
 def _bessel_jy(n: int, x: np.ndarray, want_y: bool):
-    """J_n(x) and, if ``want_y``, Y_n(x): the recurrence below SWITCHOVER, the expansion above."""
+    """J_n(x) and, if ``want_y``, Y_n(x): the recurrence below SWITCHOVER, the expansion above.
+
+    Up to _MILLER_SCALAR arguments below SWITCHOVER take the recurrence one
+    np.float64 at a time (module docstring)."""
     j, y = np.empty_like(x), np.empty_like(x)
     lo = x < SWITCHOVER
-    if lo.any():
-        j[lo], y_lo = _miller(n, x[lo], want_y)
+    few = np.count_nonzero(lo) <= _MILLER_SCALAR
+    for i in zip(*np.nonzero(lo)) if few else [lo]:  # one np.float64 at a time, or one batch
+        j[i], y_i = _miller(n, x[i], want_y)
         if want_y:
-            y[lo] = y_lo
+            y[i] = y_i
     hi = ~lo
     if hi.any():
         j[hi], y[hi] = _asym(n, x[hi])

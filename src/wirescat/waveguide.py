@@ -212,18 +212,19 @@ def image_positions(cfg: WireConfig, n_min: int, n_max: int) -> ImageArray:
     """Image array entries for n in [n_min, n_max]; the range must include n = 0."""
     if not (_integer_in(n_min, -np.inf, 0) and _integer_in(n_max, 0)):
         raise DomainError(f"image index range must be integers n_min <= 0 <= n_max, got {n_min!r}, {n_max!r}")
+    n, signs, ys = _images(n_min, n_max, cfg.y0)
+    return ImageArray(indices=n, positions=np.column_stack([np.full(n.shape, cfg.x0), ys]), signs=signs)
+
+
+def _images(n_min: int, n_max: int, y0: float):
+    """Indices n = n_min..n_max of the images of a source at y0, their signs (-1)^n and heights
+    y_n = 2 ceil(n/2) d + (-1)^n y0, filled by parity slices: 2 ceil(n/2) is exactly n for an even
+    n and n + 1 for an odd one, so an even image sits at n + y0 and an odd one at (n + 1) - y0."""
     n = np.arange(n_min, n_max + 1)
-    signs = _image_signs(n)
-    pos = np.column_stack([np.full(n.shape, cfg.x0), _image_heights(n, signs, cfg.y0)])
-    return ImageArray(indices=n, positions=pos, signs=signs)
-
-
-def _image_signs(n) -> np.ndarray:
-    """(-1)^n for integer image indices n, by parity (exactly +-1.0, without a float power)."""
-    return np.where(n % 2 == 0, 1.0, -1.0)
-
-
-def _image_heights(n, signs, y0: float) -> np.ndarray:
-    """y_n = 2 ceil(n/2) d + (-1)^n y0: the heights of the images of a source at y0, given
-    their signs (-1)^n = _image_signs(n)."""
-    return 2.0 * np.ceil(n / 2) + signs * y0
+    signs, ys = np.ones(n.size), n.astype(float)
+    even, odd = slice(n_min % 2, None, 2), slice(1 - n_min % 2, None, 2)
+    signs[odd] = -1.0
+    ys[even] += y0
+    ys[odd] += 1.0
+    ys[odd] -= y0
+    return n, signs, ys

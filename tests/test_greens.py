@@ -796,6 +796,75 @@ def test_both_kummer_forms_share_one_mode_sum(monkeypatch):
         assert len(counts) == 2 and len(counts[0]) == 1 and counts[1] == [10, 30, 300, 1000]
 
 
+@pytest.mark.parametrize("r, reps", [(R, _CASE_REPS["off"]), ((0.0, 0.61), _CASE_REPS["on"])])
+def test_a_pair_takes_one_mode_table(monkeypatch, r, reps):
+    # the spectral rows, the reference and the kummer rows read slices of one table:
+    # chi_m at each coordinate once, r_m once, over the largest count and the reference's M
+    chi_at, kx_sizes, chi, abs_kx = [], [], greens._chi, greens._abs_kx
+    monkeypatch.setattr(greens, "_chi", lambda m, y: chi_at.append((np.size(m), np.ravel(y).tolist())) or chi(m, y))
+    monkeypatch.setattr(greens, "_abs_kx", lambda kd, m: kx_sizes.append(np.size(m)) or abs_kx(kd, m))
+    convergence_benchmark(r, R0, KD, reps, (10, 30, 100, 300, 1000, 3000, 10000))
+    assert sorted(chi_at) == sorted([(10000, [r[1]]), (10000, [R0[1]])]) and kx_sizes == [10000]
+    m_ref = greens_kummer(r, R0, KD, tol=1e-12).terms_used
+    chi_at[:], kx_sizes[:] = [], []
+    convergence_benchmark(r, R0, KD, reps, (10, 30))  # the reference needs more modes than the rows
+    assert m_ref > 30 and sorted(chi_at) == sorted([(m_ref, [r[1]]), (m_ref, [R0[1]])]) and kx_sizes == [m_ref]
+
+
+def _every_block(kd, counts, ax, y, y0):
+    """The pair's Kummer mode sum at each count as the kernel forms it, with no block skipped:
+    blocks of _BLOCK modes that break at each count, added in order.  Returns the running totals
+    and the terms of each block that the kernel skips."""
+    ax, ys, n_open = np.array([ax]), np.array([y]), waveguide._n_open(kd)
+    total, totals, skipped, lo = 0.0, [], [], 0
+    for count in counts:
+        while lo < count:
+            hi = min(lo - lo % greens._BLOCK + greens._BLOCK, count)
+            m = np.arange(lo + 1, hi + 1)
+            r_m, n_o = greens._abs_kx(kd, m), min(max(n_open - lo, 0), hi - lo)
+            wave = np.exp(np.multiply.outer(ax, -r_m[n_o:])) * (-1.0 / r_m[n_o:])
+            if n_o:
+                wave = np.concatenate([np.exp(np.multiply.outer(ax, 1j * r_m[:n_o])) / (1j * r_m[:n_o]), wave], axis=-1)
+            coef = waveguide._chi(m, y0) * (wave + (1.0 / (m * np.pi)) * np.exp(np.multiply.outer(ax, -m * np.pi)))
+            if not n_o and ax[0] * r_m[0] > greens._EXP_UNDERFLOW:
+                skipped.append(coef)
+            total = total + coef @ waveguide._chi(m, ys)
+            lo = hi
+        totals.append(total)
+    return totals, skipped
+
+
+@pytest.mark.parametrize("ax", [0.06, 0.4, 0.8])
+@pytest.mark.parametrize("kd, y, y0", [(KD, 0.61, 0.3), (9.7 * np.pi, 0.05, 0.93), (1.1 * np.pi, 0.5, 0.5)])
+def test_underflowed_blocks_are_skipped_without_changing_a_bit(ax, kd, y, y0):
+    counts = [10, 30, 100, 300, 1000, 3000, 5000, 10000]
+    expected, skipped = _every_block(kd, counts, ax, y, y0)
+    assert skipped and all(np.all(coef == 0.0) for coef in skipped)  # every skipped term is exactly +-0
+    table = greens._pair_modes(kd, counts[-1], y, y0)
+    for given_table in (None, table):
+        got = greens._mode_product(kd, counts, np.array([ax]), np.array([y]), y0, given_table)
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in expected]
+
+
+@pytest.mark.parametrize("kd, y0", [(KD, 0.3), (9.7 * np.pi, 0.05), (1.1 * np.pi, 0.93)])
+def test_coincident_rows_of_one_pass_are_lone_calls(kd, y0):
+    # one pass over the largest count; each row sums its prefix, as a call over w[:c] alone
+    counts, n_open = [10, 30, 100, 1000, 4096, 65536], waveguide._n_open(kd)
+    w = waveguide._chi(np.arange(1, counts[-1] + 1), y0) ** 2
+    coefs, angles = greens.kummer_tail_coefficients(kd), greens._mode_angles(y0, y0)
+    completion = np.stack([np.zeros(len(counts)), greens.mode_product_tail(coefs, np.array(counts), *angles)[0]])
+    rows, sigma = greens._kummer_coincident(kd, y0, w, n_open, completion, counts)
+    for i, c in enumerate(counts):
+        (lone,), lone_sigma = greens._kummer_coincident(kd, y0, w[:c], n_open, completion[:, i:i + 1], [c])
+        assert rows[i].tobytes() == lone.tobytes() and sigma.tobytes() == lone_sigma.tobytes()
+    kds = kd + np.array([0.0, 0.3, -0.2])  # rows of kd sharing one chi_m^2(y0) row
+    shared = np.stack([completion[1]] * 3)
+    rows, sigma = greens._kummer_coincident(kds, y0, w[None, :], n_open, shared, counts)
+    for i, c in enumerate(counts):
+        (lone,), lone_sigma = greens._kummer_coincident(kds, y0, w[None, :c], n_open, shared[:, i:i + 1], [c])
+        assert rows[i].tobytes() == lone.tobytes() and sigma.tobytes() == lone_sigma.tobytes()
+
+
 def test_coincident_benchmark_takes_one_chi_vector(monkeypatch):
     sizes, chi = [], greens._chi
     monkeypatch.setattr(greens, "_chi", lambda m, y: sizes.append(np.size(m)) or chi(m, y))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wirescat import specfun
 from wirescat.errors import DomainError
 from wirescat.specfun import SWITCHOVER, cylinder_bessel_j, cylinder_bessel_y, hankel1, hankel1_parts
 
@@ -121,6 +122,48 @@ def test_a_batch_does_not_change_a_value(xs):
         for n in range(2):
             assert np.array_equal(cylinder_bessel_y(n, pos), [cylinder_bessel_y(n, v) for v in pos])
             assert np.array_equal(hankel1(n, pos), [hankel1(n, v) for v in pos])
+
+
+_T = specfun._MILLER_SCALAR
+
+
+def _bits(values, dtype):
+    return np.asarray(values, dtype=dtype).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, _T, _T + 1, 2 * _T])
+def test_few_small_arguments_take_the_recurrence_one_at_a_time(monkeypatch, count):
+    # up to _T arguments below SWITCHOVER run the recurrence one np.float64 at a time, more run it
+    # as one batch; either way every value is its lone call's, bit for bit
+    rng = np.random.default_rng(count)
+    big = rng.uniform(SWITCHOVER, 1e4, 40)
+    x_y = rng.permutation(np.concatenate([rng.uniform(1e-3, SWITCHOVER, count), big]))
+    small_j = np.concatenate([[0.0, 1e-300][:count], rng.uniform(1e-3, SWITCHOVER, max(count - 2, 0))])
+    x_j = rng.permutation(np.concatenate([small_j, big]))
+    shapes, miller = [], specfun._miller
+    monkeypatch.setattr(specfun, "_miller", lambda n, x, want_y: shapes.append(np.shape(x)) or miller(n, x, want_y))
+    path = [()] * count if count <= _T else [(count,)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(4):
+            shapes.clear()
+            batch = cylinder_bessel_j(n, x_j)
+            assert shapes == path
+            assert _bits(batch, float) == _bits([cylinder_bessel_j(n, v) for v in x_j], float)
+            two_d = np.stack([x_j, x_j[::-1]])
+            assert _bits(cylinder_bessel_j(n, two_d), float) == _bits(np.stack([batch, batch[::-1]]), float)
+        for n in range(2):
+            shapes.clear()
+            y, h, parts = cylinder_bessel_y(n, x_y), hankel1(n, x_y), hankel1_parts(n, x_y)
+            assert shapes == path * 3
+            assert _bits(y, float) == _bits([cylinder_bessel_y(n, v) for v in x_y], float)
+            assert _bits(h, complex) == _bits([hankel1(n, v) for v in x_y], complex)
+            assert _bits(parts, float) == _bits(np.transpose([hankel1_parts(n, v) for v in x_y]), float)
+    for v in (0.785, 0.0, SWITCHOVER, 40.0):  # lone calls keep their Python return types
+        assert type(cylinder_bessel_j(0, v)) is float and type(cylinder_bessel_j(3, v)) is float
+        if v > 0.0:
+            assert type(cylinder_bessel_y(1, v)) is float and type(hankel1(1, v)) is complex
+            assert [type(p) for p in hankel1_parts(0, v)] == [float, float]
 
 
 def _asym_22(n, x):
