@@ -27,7 +27,7 @@ from . import __version__, greens, mirror, renorm, scattering
 from .errors import DegenerateMode, WireError
 from .output import fmt, svg_heatmap, svg_line_plot, table, write_table_csv, write_table_json
 from .validate import CHECK_GROUPS, run_checks
-from .waveguide import DEFAULT_MODE_GUARD, WireConfig, _closed, mode_opening_gaps
+from .waveguide import DEFAULT_MODE_GUARD, WireConfig, mode_opening_gaps
 
 SWEEP_COLUMNS = [
     "kd", "n_open", "sigma", "conductance", "conductance_empty", "sigma_free",
@@ -53,23 +53,16 @@ def _edge_limits(kd: float, n: int, y0: float) -> list[float]:
 def run_sweep_k(args) -> int:
     cfg = WireConfig(y0=args.y0, a=args.a, x0=args.x0)
     kds = np.linspace(args.kd_min, args.kd_max, args.points)
-    # s depends on kd alone: one array evaluation covers the grid
-    tm = renorm.t_matrix_grid(kds, cfg.a)
-    # gap rows carry the one-sided limits; every other row comes from one state
-    # grid, where sigma = 0 below kd = pi because Sigma = 0 there, and so is
-    # Im Rs = -|Rs|^2 Sigma, which 1/(1 - s G_r) leaves as rounding noise
+    # gap rows carry the one-sided limits; every other row is an element of one renorm_state
     n_near, gap = mode_opening_gaps(kds)
-    kd, ok = kds[~gap], ~gap
-    st = renorm.attach_strength(renorm.renorm_grid(kd, cfg.y0, args.tol), tm.s[ok])
+    st = renorm.renorm_state(kds[~gap], cfg, args.tol)
     col = {name: np.full(len(kds), NAN) for name in SWEEP_COLUMNS}
     col["kd"], col["gap"] = kds, gap.astype(int)
     col["n_open"] = col["conductance_empty"] = n_near.astype(int)  # gap rows: the nearest opening
     for name, value in (("n_open", st.n_open), ("sigma", st.cross_section), ("conductance", st.conductance),
-                        ("sigma_free", tm.cross_section[ok]),
-                        ("g_r_re", st.g_r.real), ("g_r_im", st.g_r.imag),
-                        ("rs_re", st.rs.real), ("rs_im", np.where(_closed(kd), 0.0, st.rs.imag)),
-                        ("delta0", np.where(_closed(kd), NAN, scattering.PhaseShift.from_state(st).delta0))):
-        col[name][ok] = value
+                        ("sigma_free", st.free_cross_section), ("g_r_re", st.g_r.real), ("g_r_im", st.g_r.imag),
+                        ("rs_re", st.rs.real), ("rs_im", st.rs_imag), ("delta0", st.phase_shift.delta0)):
+        col[name][~gap] = value
     for i in np.flatnonzero(gap):
         for name, value in zip(SWEEP_COLUMNS[-4:], _edge_limits(kds[i], int(n_near[i]), cfg.y0)):
             col[name][i] = value
@@ -99,14 +92,9 @@ def run_sweep_geom(args) -> int:
         WireConfig(y0=y0, a=a_list[0])
     for a in a_list:
         WireConfig(y0=y0_list[0], a=a)
-    # sigma = |Rs|^2 Sigma^2 with Rs = s/(1 - s G_r): G_r depends on y0 alone
-    # and s on a alone (0 at a = 0), so one G_r grid over y0 and one array s over a
-    # broadcast to the (a, y0) grid.  Nothing is open below kd = pi and sigma = 0
-    # there; a NaN kd reaches renorm_grid's guard and kd <= 0 t_matrix_grid's check.
-    base = renorm.renorm_grid(kd, y0_grid, args.tol) if not kd < np.pi else None
+    # one array s over the a grid, whose check refuses kd <= 0 and NaN first, serves both columns
     tm = renorm.t_matrix_grid(kd, a_grid)
-    sigma = (renorm.attach_strength(base, tm.s[:, None]).cross_section if base is not None
-             else np.zeros((len(a_list), len(y0_list))))
+    sigma = renorm._cross_section_at(kd, y0_grid, tm.s[:, None], args.tol)
     # one run of y0 per a
     rows = table({"a": a_grid[:, None], "y0": y0_grid, "sigma": sigma,
                   "sigma_free": tm.cross_section[:, None], "gap": np.zeros(sigma.shape, int)})

@@ -49,7 +49,7 @@ from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
 from .greens import _cabs, _cdiv, _cmul, _kummer_coincident, _kummer_plan
 from .specfun import cylinder_bessel_j, cylinder_bessel_y, hankel1
-from .waveguide import WireConfig, _chi, _closed, _n_open, open_channel_count, transverse_mode
+from .waveguide import WireConfig, _chi, _closed, _n_open, guard_mode_openings, open_channel_count, transverse_mode
 
 __all__ = [
     "TMatrix",
@@ -93,6 +93,18 @@ class TMatrix:
 
 
 @dataclass(frozen=True)
+class PhaseShift:
+    """s-wave phase shift analog of the confined scatterer (scattering.phase_shift)."""
+
+    delta0: float
+    e2id: complex
+
+    @property
+    def unit_modulus_residual(self) -> float:
+        return abs(abs(self.e2id) - 1.0)
+
+
+@dataclass(frozen=True)
 class RenormState:
     """G_r, the open-channel sum Sigma and (optionally) the effective strength.
 
@@ -121,15 +133,31 @@ class RenormState:
 
     @property
     def cross_section(self) -> float:
-        """sigma = |Rs|^2 Sigma^2 as a fraction of the wire width (strength attached)."""
+        """sigma = |Rs|^2 Sigma^2 as a fraction of the wire width, capped at 1 against rounding at a dip."""
         if self.rs is None:
             raise DomainError("cross_section needs the effective strength attached")
-        return np.square(np.abs(self.rs)) * np.square(self.sigma_open)
+        return np.minimum(np.square(np.abs(self.rs)) * np.square(self.sigma_open), 1.0)
 
     @property
     def conductance(self) -> float:
         """G = N - sigma in quanta of 2e^2/h (strength attached)."""
         return self.n_open - self.cross_section
+
+    @property
+    def free_cross_section(self) -> float:
+        """The attached strength's free-space cross section |s|^2 / k (TMatrix.cross_section)."""
+        return TMatrix(k=self.k, a=None, s=self.s).cross_section
+
+    @property
+    def phase_shift(self) -> PhaseShift:
+        """e^{2 i delta_0} = 1 - 2 i Rs Sigma and delta_0 in [0, pi), NaN below kd = pi (no channel scatters)."""
+        e2id = 1.0 - 2j * self.rs * self.sigma_open
+        return PhaseShift(delta0=np.where(_closed(self.k), np.nan, np.angle(e2id) / 2.0 % np.pi)[()], e2id=e2id)
+
+    @property
+    def rs_imag(self) -> float:
+        """Im Rs, but 0 below kd = pi, where Im Rs = -|Rs|^2 Sigma = 0 and s/(1 - s G_r) leaves rounding."""
+        return np.where(_closed(self.k), 0.0, self.rs.imag)[()]
 
     @property
     def optical_residual(self) -> float:
@@ -171,7 +199,7 @@ def _strength(k, a):
     """
     k = np.asarray(k, dtype=float)
     a = np.asarray(a, dtype=float)
-    if np.any(k <= 0.0):
+    if not np.all(k > 0.0):  # NaN is refused here too
         raise DomainError("k must be positive")
     ka = k * np.where(a == 0.0, 1.0, np.abs(a))  # Y_0(0) is singular; a = 0 gets s = 0 below
     j = cylinder_bessel_j(0, ka)
@@ -262,20 +290,40 @@ def attach_strength(base: RenormState, s) -> RenormState:
     return replace(base, s=s, rs=_cdiv(s, denom), renorm_factor=_cdiv(1.0, denom))
 
 
-def renorm_state(k: float, cfg: WireConfig, tol: float = 1e-12) -> RenormState:
-    """renorm_sum with cfg's impurity attached (attach_strength; s = 0 for a = 0)."""
-    return attach_strength(renorm_sum(k, cfg.y0, tol), t_matrix(k, cfg.a).s)
+def renorm_state(k, cfg: WireConfig, tol: float = 1e-12) -> RenormState:
+    """renorm_grid over kd at cfg.y0 with cfg's impurity attached (attach_strength; s = 0 for a = 0),
+    elementwise (a lone kd gives numpy scalars); G_r's guard refuses the first bad kd before s is evaluated."""
+    return attach_strength(renorm_grid(k, cfg.y0, tol), t_matrix_grid(k, cfg.a).s)[()]
 
 
-def _open_state(k: float, cfg: WireConfig, tol: float) -> RenormState:
-    """renorm_state where a channel is open; DomainError for 0 < kd < pi, before building it."""
-    if _closed(k):
+def _open_state(k, cfg: WireConfig, tol: float) -> RenormState:
+    """renorm_state where every kd opens a channel; DomainError for 0 < kd < pi, before building it,
+    once the guard has refused any kd ahead of the first closed one, as their lone calls would."""
+    closed = _closed(np.asarray(k, dtype=float))
+    if closed.any():
+        guard_mode_openings(np.ravel(k)[:np.argmax(closed)])
         raise DomainError("no open channels below kd = pi; sweeps report sigma = 0 there")
     return renorm_state(k, cfg, tol)
 
 
-def effective_strength(k: float, y0: float, a: float, tol: float = 1e-12) -> complex:
-    """Confined scattering strength Rs = s/(1 - s G_r); 0 for a = 0."""
+def _zero_below_pi(k, build, shape=None):
+    """build(kd) over the kd not below kd = pi, scattered into zeros of shape (k's by default): the one
+    home of sigma = G = 0 for 0 < kd < pi, where nothing is built, so a bound state there raises nothing."""
+    k = np.asarray(k, dtype=float)
+    out, is_open = np.zeros(k.shape if shape is None else shape), ~_closed(k)
+    if is_open.any():
+        out[is_open] = build(k[is_open])
+    return out[()]
+
+
+def _cross_section_at(k: float, y0, s, tol: float):
+    """sigma at one kd over broadcast y0 and strengths s (sweep-geom's grid), one G_r grid over y0."""
+    return _zero_below_pi(k, lambda kd: attach_strength(renorm_grid(kd, y0, tol), s).cross_section,
+                          np.broadcast_shapes(np.shape(y0), np.shape(s)))
+
+
+def effective_strength(k, y0: float, a: float, tol: float = 1e-12) -> complex:
+    """Confined scattering strength Rs = s/(1 - s G_r), elementwise over kd; 0 for a = 0."""
     return renorm_state(k, WireConfig(y0=y0, a=a), tol).rs
 
 

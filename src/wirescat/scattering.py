@@ -22,10 +22,10 @@ Observables (d = 1, conductance in quanta of 2e^2/h):
     G       = N - sigma = Tr T^dag T
 
 with e^{2 i delta_0} = 1 - 2 i s phi_s~(r0) the eigenvalue of S in the one
-scattering channel (phi_s~(r0) = Sigma/(1 - s G_r)).  Each function guards
-kd once (in renorm_state) and reads N and G from the state; those needing an
-open channel refuse 0 < kd < pi in renorm._open_state, the one refusal, before
-building it, even at a bound state.  sigma and G are 0 there (waveguide._closed).
+scattering channel (phi_s~(r0) = Sigma/(1 - s G_r)).  cross_section, conductance,
+free_cross_section and phase_shift are elementwise over kd (a lone kd is the 0-d case, and an array
+raises its first bad kd's error); sigma and G are 0 below kd = pi, where renorm._zero_below_pi builds
+no state, even at a bound state, and those needing an open channel refuse it in renorm._open_state.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import DomainError
 from .greens import semiclassical_renorm_sum
-from .renorm import RenormState, _open_state, _threshold_chi2, attach_strength, renorm_state, t_matrix
+from .renorm import (PhaseShift, RenormState, _open_state, _threshold_chi2, _zero_below_pi, attach_strength,
+                     renorm_state, t_matrix, t_matrix_grid)
 from .specfun import _integer_in
 from .waveguide import WireConfig, _chi, _closed, _kx
 
@@ -94,27 +95,6 @@ class SMatrixResult:
         return (sv[..., 1] / first)[()]
 
 
-@dataclass(frozen=True)
-class PhaseShift:
-    """s-wave phase shift analog of the confined scatterer."""
-
-    delta0: float
-    e2id: complex
-
-    @classmethod
-    def from_state(cls, st: RenormState) -> "PhaseShift":
-        """e^{2 i delta_0} = 1 - 2 i Rs Sigma from a state with the strength attached.
-
-        Elementwise for a grid state.
-        """
-        e2id = 1.0 - 2j * st.rs * st.sigma_open
-        return cls(delta0=np.angle(e2id) / 2.0 % np.pi, e2id=e2id)
-
-    @property
-    def unit_modulus_residual(self) -> float:
-        return abs(abs(self.e2id) - 1.0)
-
-
 def s_matrix(k: float, cfg: WireConfig, tol: float = 1e-12) -> SMatrixResult:
     """Assemble R, T and the derived observables for the open channels."""
     return _state_s_matrix(_open_state(k, cfg, tol))
@@ -149,23 +129,19 @@ def cross_section_mode(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) ->
     return float(_state_s_matrix(_open_mode_state(n, k, cfg, tol)).sigma_n[n - 1])
 
 
-def cross_section(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
-    """Total cross section as a fraction of the wire width; 0 below kd = pi."""
-    if _closed(k):
-        return 0.0
-    return renorm_state(k, cfg, tol).cross_section
+def cross_section(k, cfg: WireConfig, tol: float = 1e-12) -> float:
+    """Total cross section as a fraction of the wire width, elementwise over kd; 0 below kd = pi."""
+    return _zero_below_pi(k, lambda kd: renorm_state(kd, cfg, tol).cross_section)
 
 
-def conductance(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
-    """Two-terminal conductance N - sigma in quanta; 0 below first threshold."""
-    if _closed(k):
-        return 0.0
-    return float(renorm_state(k, cfg, tol).conductance)
+def conductance(k, cfg: WireConfig, tol: float = 1e-12) -> float:
+    """Two-terminal conductance N - sigma in quanta, elementwise over kd; 0 below first threshold."""
+    return _zero_below_pi(k, lambda kd: renorm_state(kd, cfg, tol).conductance)
 
 
-def free_cross_section(k: float, a: float) -> float:
-    """Free-space cross section sigma_f = |s|^2 / k (a length); 0 for a = 0."""
-    return float(t_matrix(k, a).cross_section)
+def free_cross_section(k, a: float) -> float:
+    """Free-space cross section sigma_f = |s|^2 / k (a length), elementwise over k; 0 for a = 0."""
+    return t_matrix_grid(k, a).cross_section[()]
 
 
 def optical_residual(k: float, cfg: WireConfig, tol: float = 1e-12) -> float:
@@ -182,14 +158,15 @@ def forward_amplitude(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> 
     return complex(-1j * st.rs * _chi(n, cfg.y0) / _kx(k, n)[n - 1].real)
 
 
-def phase_shift(k: float, cfg: WireConfig, tol: float = 1e-12) -> PhaseShift:
+def phase_shift(k, cfg: WireConfig, tol: float = 1e-12) -> PhaseShift:
     """Phase shift of the scattering channel: e^{2 i delta_0} = 1 - 2 i s phi_s~(r0).
 
     This is the eigenvalue of S on the symmetric scattering combination; the
     optical constraint pins it to the unit circle, and
-    sigma = (1/4)|1 - e^{2 i delta_0}|^2 = sin^2(delta_0).
+    sigma = (1/4)|1 - e^{2 i delta_0}|^2 = sin^2(delta_0).  Elementwise over
+    kd, each of which must open a channel.
     """
-    return PhaseShift.from_state(_open_state(k, cfg, tol))
+    return _open_state(k, cfg, tol).phase_shift
 
 
 def sigma_edge_asymptote(n_mode: int, eps: float, y0: float) -> float:

@@ -249,8 +249,8 @@ def check_edge_asymptotes(fast: bool = False):
                                              "divergent-part comparison"))
     cfg = WireConfig(y0=y0, a=0.1)
     res_s = 0.0
-    for eps in ((1e-6,) if fast else (1e-6, 1e-7, 1e-8)):
-        full = scattering.cross_section(n_mode * np.pi - eps, cfg)
+    eps_s = (1e-6,) if fast else (1e-6, 1e-7, 1e-8)
+    for eps, full in zip(eps_s, scattering.cross_section(n_mode * np.pi - np.array(eps_s), cfg).tolist()):
         res_s = max(res_s, abs(scattering.sigma_edge_asymptote(n_mode, eps, y0) / full - 1.0))
     results.append(CheckResult.from_residual("scattering.sigma_edge_asymptote", res_s, 0.1))
     return results
@@ -300,7 +300,7 @@ def check_smatrix_grid(fast: bool = False):
                 abs(st.rs) ** 2 * st.sigma_open ** 2,
                 st.rs.imag ** 2 / abs(st.rs) ** 2,
                 abs(st.s * phi_t) ** 2,
-                0.25 * abs(1.0 - scattering.PhaseShift.from_state(st).e2id) ** 2,
+                0.25 * abs(1.0 - st.phase_shift.e2id) ** 2,
             ])
             res_four = max(res_four, np.max(np.ptp(forms, axis=0)))
             res_opt = max(res_opt, np.max(st.optical_residual))
@@ -333,16 +333,12 @@ def check_smatrix_grid(fast: bool = False):
 
 
 def check_resonances(fast: bool = False):
-    cfg = WireConfig(y0=0.05, a=0.1)
-    below = scattering.cross_section(2.0 * np.pi - 1e-4, cfg)
-    seq = [scattering.cross_section(2.0 * np.pi + eps, cfg)
-           for eps in (1e-4, 1e-6, 1e-8)]
+    below, *seq = scattering.cross_section(2.0 * np.pi + np.array([-1e-4, 1e-4, 1e-6, 1e-8]),
+                                           WireConfig(y0=0.05, a=0.1)).tolist()
     mono = seq[0] < seq[1] < seq[2]
-    center = WireConfig(y0=0.5, a=0.1)
-    cont = abs(scattering.cross_section(2.0 * np.pi + 1e-6, center)
-               - scattering.cross_section(2.0 * np.pi - 1e-6, center))
-    jump = (scattering.cross_section(3.0 * np.pi + 1e-6, center)
-            - scattering.cross_section(3.0 * np.pi - 1e-6, center))
+    center = scattering.cross_section(np.pi * np.array([2.0, 2.0, 3.0, 3.0]) + [1e-6, -1e-6, 1e-6, -1e-6],
+                                      WireConfig(y0=0.5, a=0.1)).tolist()
+    cont, jump = abs(center[0] - center[1]), center[2] - center[3]
     return [
         CheckResult.from_residual("scattering.sigma_below_opening", below, 1e-3,
                                   "sigma(2pi - 1e-4), y0=0.05, a=0.1"),

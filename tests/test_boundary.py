@@ -280,17 +280,9 @@ def test_transparent_impurity_rule_lives_in_strength_alone():
 # ---------------------------------------------------------------------------
 
 def _tests_closed_wire(node):
-    """0 < kd < pi, chained or as (0 < kd) & (kd < pi): the closed-wire test."""
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
-        parts = [node.left, node.right]
-    else:
-        parts = [node]
-    compares = [n for n in parts if isinstance(n, ast.Compare)]
-    above_zero = any(isinstance(c.left, ast.Constant) and c.left.value == 0 and isinstance(c.ops[0], ast.Lt)
-                     for c in compares)
-    below_pi = any(isinstance(op, ast.Lt) and _is_pi(right)
-                   for c in compares for op, right in zip(c.ops, c.comparators))
-    return above_zero and below_pi
+    """kd < pi, bare, chained (0 < kd < pi) or in (0 < kd) & (kd < pi): the closed-wire test."""
+    return isinstance(node, ast.Compare) and any(isinstance(op, ast.Lt) and _is_pi(right)
+                                                 for op, right in zip(node.ops, node.comparators))
 
 
 def _raises_degenerate_mode(node):
@@ -307,6 +299,14 @@ def _subtracts_cross_section(node):
 def test_closed_wire_test_lives_in_waveguide_alone():
     # 0 < kd < pi is waveguide._closed; renorm._open_state is the one refusal built on it
     assert _rule_sites(_tests_closed_wire, ("waveguide", "_closed")) == []
+
+
+def test_cli_leaves_the_closed_wire_rules_and_the_phase_shift_to_the_library():
+    # cli chooses and writes columns: sigma = 0, Im Rs = 0 and delta0 = NaN below kd = pi
+    # are renorm's, and so is the phase shift's assembly
+    tree = ast.parse((_SRC / "cli.py").read_text())
+    names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None) for n in ast.walk(tree)}
+    assert not names & {"_closed", "PhaseShift"}
 
 
 def test_threshold_node_rule_lives_in_one_helper():

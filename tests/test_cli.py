@@ -623,11 +623,12 @@ def test_sweep_geom_domain_errors_exit_2(tmp_path, capsys, extra, message):
 
 @pytest.mark.parametrize("a", ["0", "0.1"])
 def test_sweep_k_refuses_kd_at_or_below_zero_for_every_a(tmp_path, capsys, a):
-    # the transparent impurity takes s = 0 from the same k > 0 check as every other a
+    # the rows come from renorm_state, whose G_r guard names the first refused kd before s
+    # (0 at a = 0) is evaluated, so the transparent impurity is refused like every other a
     out = tmp_path / "err.csv"
     assert main(["sweep-k", "--y0", "0.3", "--a", a, "--kd-min", "-1", "--kd-max", "3",
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err.strip() == "error: k must be positive"
+    assert capsys.readouterr().err.strip() == "error: kd must be positive and finite, got -1.0"
     assert not out.exists()
 
 

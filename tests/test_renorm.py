@@ -236,27 +236,41 @@ def _kd_values():
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(kds=st.lists(_kd_values(), min_size=1, max_size=4), wall_gap=st.floats(1e-3, 0.02),
-       upper=st.booleans(), a=st.one_of(st.floats(-0.2, -0.01), st.floats(0.01, 0.2)))
+       upper=st.booleans(), a=st.one_of(st.floats(-0.2, -0.01), st.floats(0.01, 0.2), st.just(0.0)))
 def test_state_grid_properties(kds, wall_gap, upper, a):
     kd = np.array(kds)
     assume(not mode_opening_gaps(kd)[1].any())
     y0 = 1.0 - wall_gap if upper else wall_gap
-    grid = attach_strength(renorm_grid(kd, y0), _strength(kd, a))
+    cfg = WireConfig(y0=y0, a=a)
+    grid = renorm_state(kd, cfg)
     n_open = np.floor(kd / np.pi).astype(int)
     assert np.array_equal(grid.n_open, n_open)
     assert np.all(grid.im_identity_residual <= 1e-10)
     assert np.all(grid.optical_residual <= 1e-10)
     sigma = grid.cross_section
-    assert np.all((0.0 <= sigma[n_open >= 1]) & (sigma[n_open >= 1] <= 1.0))
+    assert np.all((0.0 <= sigma) & (sigma <= 1.0))
+    assert np.all(sigma[n_open == 0] == 0.0) and np.all(grid.rs_imag[n_open == 0] == 0.0)
+    assert np.all(np.isnan(grid.phase_shift.delta0) == (n_open == 0))
     for i, kd_i in enumerate(kd.tolist()):
-        one = renorm_state(kd_i, WireConfig(y0=y0, a=a))
-        # a grid element and the batch of one are the same arithmetic
-        for got, want in ((grid.g_r[i], one.g_r), (grid.sigma_open[i], one.sigma_open),
-                          (grid.rs[i], one.rs), (sigma[i], one.cross_section)):
+        one = renorm_state(kd_i, cfg)
+        # an array element and its lone call are the same arithmetic
+        for name, value in vars(one).items():
+            assert getattr(grid, name)[i] == value, name
+        for got, want in ((sigma[i], one.cross_section), (grid.conductance[i], one.conductance),
+                          (grid.free_cross_section[i], one.free_cross_section),
+                          (grid.phase_shift.e2id[i], one.phase_shift.e2id)):
             assert got == want
         assert one.n_open == n_open[i]
         if n_open[i] >= 1:
             assert _state_s_matrix(grid[i:i + 1]).unitarity_residual[0] <= 1e-10
+
+
+def test_sigma_is_bounded_by_one_at_a_dip():
+    # sweep-k printed sigma = 1.0000000000000009 and G = 0.9999999999999991 at this dip:
+    # |Rs|^2 Sigma^2 rounds two ulp past the theorem's bound there
+    st = renorm_state(7.9404186504564418, WireConfig(y0=0.10208888556527015, a=-0.08163965916479317))
+    assert np.square(np.abs(st.rs)) * np.square(st.sigma_open) > 1.0
+    assert st.n_open == 2 and st.cross_section == 1.0 and st.conductance == 1.0
 
 
 _WALL_Y0 = (1e-4, 1.0 - 1e-4)  # the plan takes its 65,536-mode cap at every kd here

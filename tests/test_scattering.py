@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wirescat.errors import DegenerateMode, DomainError, ModeOpeningSingularity
+from wirescat.errors import DegenerateMode, DomainError, ModeOpeningSingularity, PoleEncountered, WireError
 from wirescat.mirror import renormalized_mirror_at_impurity
 from wirescat.renorm import attach_strength, renorm_grid, renorm_state, t_matrix
 from wirescat.scattering import (conductance, cross_section, cross_section_mode,
@@ -15,6 +17,7 @@ from wirescat.waveguide import WireConfig
 KD = 2.5 * np.pi
 CFG = WireConfig(y0=0.3, a=0.1)
 J0_ROOT_1 = 2.404825557695773
+BOUND_KD, BOUND_CFG = 2.647549698739732, WireConfig(y0=0.3, a=-0.1)  # 1 - s G_r = 0 below kd = pi
 
 
 def test_smatrix_structure():
@@ -114,6 +117,52 @@ def test_phase_shift_properties():
     # transparent impurity: delta = 0, sigma = 0
     zero = phase_shift(KD, WireConfig(y0=0.3, a=0.0))
     assert zero.delta0 == 0.0 and zero.e2id == 1.0 + 0.0j
+
+
+def _outcome(call):
+    try:
+        return call()
+    except WireError as exc:
+        return exc
+
+
+# closed, open and near-opening kd, the bound state, and kd <= 0, NaN and guard-band kd
+_ARRAY_KD = st.one_of(st.floats(0.05, 3.1), st.floats(3.2, 40.0), st.just(BOUND_KD),
+                      st.builds(lambda n, eps: n * np.pi + eps, st.integers(1, 12),
+                                st.sampled_from([-1e-6, -1e-8, 1e-8, 1e-6])),
+                      st.sampled_from([0.0, -1.0, np.nan, 3 * np.pi + 1e-10, 2 * np.pi - 1e-10, np.pi - 1e-10]))
+_ARRAY_OBSERVABLES = {
+    "cross_section": (cross_section, lambda v, i: v[i]),
+    "conductance": (conductance, lambda v, i: v[i]),
+    "free_cross_section": (lambda k, cfg: free_cross_section(k, cfg.a), lambda v, i: v[i]),
+    "phase_shift": (phase_shift, lambda v, i: (v.delta0[i], v.e2id[i])),
+    "renorm_state": (renorm_state, lambda v, i: vars(v[i])),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kds=st.lists(_ARRAY_KD, min_size=1, max_size=5),
+       cfg=st.sampled_from([BOUND_CFG, WireConfig(y0=0.3, a=0.0), WireConfig(y0=0.61, a=0.07)]))
+@example(kds=[4.0, 7.5, 11.0], cfg=CFG)
+@example(kds=[4.0, BOUND_KD, 0.5], cfg=BOUND_CFG)
+def test_array_observables_are_their_lone_calls(kds, cfg):
+    # an array call equals its lone calls bit for bit, or raises the error of the first lone
+    # call that raises; renorm_state's guard refuses every bad kd before a pole (attach_strength)
+    for name, (fn, element) in _ARRAY_OBSERVABLES.items():
+        lone = [_outcome(lambda: fn(k, cfg)) for k in kds]
+        errors = [e for e in lone if isinstance(e, WireError)]
+        if errors:
+            first = next((e for e in errors if not isinstance(e, PoleEncountered)), errors[0])
+            with pytest.raises(type(first)) as exc:
+                fn(np.array(kds), cfg)
+            assert str(exc.value) == str(first), name
+            continue
+        out = fn(np.array(kds), cfg)
+        one = [element(fn(np.array(k), cfg), ()) for k in kds]
+        assert [element(out, i) for i in range(len(kds))] == one, name
+        assert one == [element(v, ()) for v in lone], name
+        if name in ("cross_section", "conductance") and cfg is BOUND_CFG and BOUND_KD in kds:
+            assert out[kds.index(BOUND_KD)] == 0.0  # a closed element: nothing built, nothing raised
 
 
 def test_phase_shift_below_threshold_is_a_domain_error_even_at_a_bound_state():
