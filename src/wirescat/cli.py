@@ -58,10 +58,11 @@ def run_sweep_k(args) -> int:
     st = renorm.renorm_state(kds[~gap], cfg, args.tol)
     col = {name: np.full(len(kds), NAN) for name in SWEEP_COLUMNS}
     col["kd"], col["gap"] = kds, gap.astype(int)
-    col["n_open"] = col["conductance_empty"] = n_near.astype(int)  # gap rows: the nearest opening
-    for name, value in (("n_open", st.n_open), ("sigma", st.cross_section), ("conductance", st.conductance),
-                        ("sigma_free", st.free_cross_section), ("g_r_re", st.g_r.real), ("g_r_im", st.g_r.imag),
-                        ("rs_re", st.rs.real), ("rs_im", st.rs_imag), ("delta0", st.phase_shift.delta0)):
+    col["n_open"], col["conductance_empty"] = n_near.astype(int), n_near.astype(int)  # gap rows: the nearest opening
+    for name, value in (("n_open", st.n_open), ("conductance_empty", st.n_open), ("sigma", st.cross_section),
+                        ("conductance", st.conductance), ("sigma_free", st.free_cross_section),
+                        ("g_r_re", st.g_r.real), ("g_r_im", st.g_r.imag), ("rs_re", st.rs.real),
+                        ("rs_im", st.rs_imag), ("delta0", st.phase_shift.delta0)):
         col[name][~gap] = value
     for i in np.flatnonzero(gap):
         for name, value in zip(SWEEP_COLUMNS[-4:], _edge_limits(kds[i], int(n_near[i]), cfg.y0)):

@@ -706,15 +706,13 @@ def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
 # diffraction (periodic-array) representation
 # ---------------------------------------------------------------------------
 
-def _grating_sum(ax: float, etas, k: float, period: float, tol: float) -> tuple[list[complex], int, float]:
-    """G_p = -(i/period) sum_n exp(i k_x^(n) ax) cos(2 n pi eta / period) / k_x^(n) at each eta, one order set."""
-    n_open = int(np.floor(k * period / (2.0 * np.pi)))
-    n_max = n_open + 8
+def _grating_sum(ax: float, etas, k: float, tol: float) -> tuple[list[complex], int, float]:
+    """G_p = -(i/2) sum_n exp(i k_x^(n) ax) cos(n pi eta) / k_x^(n) at each eta: the period-2d grating, one order set."""
+    n_max = _n_open(k) + 8
     while True:
-        kyq = 2.0 * np.pi * (n_max + 1) / period
+        kyq = np.pi * (n_max + 1)
         kappa = np.sqrt(max(kyq ** 2 - k ** 2, 0.0))
-        tail = (4.0 / period) * np.exp(-kappa * ax) / max(kappa, 1e-300) / max(
-            1.0 - np.exp(-2.0 * np.pi * ax / period), 1e-300)
+        tail = 2.0 * np.exp(-kappa * ax) / max(kappa, 1e-300) / max(1.0 - np.exp(-np.pi * ax), 1e-300)
         if tail < tol:
             break
         if n_max > _GEOMETRIC_MODE_CAP:
@@ -722,12 +720,12 @@ def _grating_sum(ax: float, etas, k: float, period: float, tol: float) -> tuple[
                                   f"{2 * n_max + 1} orders misses its share {tol:g} of tol")
         n_max *= 2
     n = np.arange(-n_max, n_max + 1)
-    ky = 2.0 * np.pi * n / period
+    ky = np.pi * n
     kx = _branch_kx(k, ky)
     if np.any(np.abs(kx) < 1e-9 * k):
         raise DomainError("grazing diffraction order: k coincides with a reciprocal vector")
     phase = np.exp(1j * kx * ax)
-    totals = [complex((-1j / period) * np.sum(phase * np.cos(ky * eta) / kx)) for eta in etas]
+    totals = [complex(-0.5j * np.sum(phase * np.cos(ky * eta) / kx)) for eta in etas]
     return totals, 2 * n_max + 1, float(tail)
 
 
@@ -746,7 +744,7 @@ def greens_diffraction(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     if ax == 0.0:
         raise DomainError("diffraction representation requires x != x0")
     # both arrays sum the same orders, each charged half of tol
-    (minus, plus), n, bound = _grating_sum(ax, (r[1] - r0[1], r[1] + r0[1]), k, 2.0, tol / 2)
+    (minus, plus), n, bound = _grating_sum(ax, (r[1] - r0[1], r[1] + r0[1]), k, tol / 2)
     return GreensValue(minus - plus, "diffraction", 2 * n, 2 * bound)
 
 

@@ -8,17 +8,17 @@ and non-finite ones as null, in the layout of ``json.dump(indent=1,
 sort_keys=True)``.
 
 Rows are written in blocks of at most ``_BLOCK`` values: whole runs where a run
-fits in a block, else pieces of one run.  In a table of two or more runs, each
-float or int column is classed once by bit pattern (so -0.0, NaN payloads, inf
-and subnormals stay exact):
+fits in a block, else pieces of one run.  Each column's rule is fixed once per
+table.  In a table of two or more runs, a float or int column is classed by bit
+pattern (so -0.0, NaN payloads, inf and subnormals stay exact):
 - a column equal in every run (a grid's y) is formatted once per table, into a
   run template that every block of whole runs reuses;
 - a column constant along every run (a grid's x) is formatted once per run and
   joined into the run template's slots.
-Every other column, and every column of a one-run table, is formatted per
-block: by the '%' template itself where the block holds more distinct values
-than half its rows ('%.17g' in CSV; '%s', which is ``float.__repr__``, in JSON
-where the column is finite), else each distinct double once.
+Every other column, and every column of a one-run table, goes through its '%'
+spec in the row template: '%.17g' for CSV floats, '%s' for everything else.
+Per-value texts are made only where '%s' would not give JSON: strings, and the
+floats of a block that holds a non-finite value.
 Metadata goes into '#' header lines or the "metadata" object.  Identical inputs
 give byte-identical files: no timestamps, hostnames or locale-dependent
 formatting.  The SVG renderer is minimal (line plots and heatmaps), so no
@@ -55,12 +55,20 @@ def table(columns: dict) -> np.ndarray:
                              names=list(columns))
 
 
-# per dtype kind, the text of one value; "direct" gives a float column's '%' spec
-# in the row template, or None where that spec would not render like "f"
-_CSV_RENDER = {"f": "%.17g".__mod__, "i": str, "U": str, "direct": lambda column: "%.17g"}
-_JSON_RENDER = {"f": lambda v: float.__repr__(v) if math.isfinite(v) else "null",
-                "i": str, "U": json.dumps,
-                "direct": lambda column: "%s" if np.isfinite(column).all() else None}
+def _json_values(column: np.ndarray) -> list:
+    """A column's values for '%s' in JSON: strings quoted, and where a float is
+    not finite, every float as its repr or null."""
+    if column.dtype.kind == "U":
+        return list(map(json.dumps, column.tolist()))
+    if column.dtype.kind == "f" and not np.isfinite(column).all():
+        return [float.__repr__(v) if math.isfinite(v) else "null" for v in column.tolist()]
+    return column.tolist()
+
+
+# per format: the '%' spec of a float column (every other column's is '%s'),
+# and the values of a column that the specs render
+_CSV_RENDER = ("%.17g", np.ndarray.tolist)
+_JSON_RENDER = ("%s", _json_values)
 
 
 def _kind(column: np.ndarray, reuse: bool) -> str | None:
@@ -76,11 +84,15 @@ def _kind(column: np.ndarray, reuse: bool) -> str | None:
     return "run" if bits.shape[1] > 1 and (bits == bits[:, :1]).all() else None
 
 
-def _texts(render: dict, column: np.ndarray) -> list[str]:
-    return list(map(render[column.dtype.kind], column.tolist()))
+def _spec(render: tuple, column: np.ndarray) -> str:
+    return render[0] if column.dtype.kind == "f" else "%s"
 
 
-def _blocks(rows: np.ndarray, render: dict, row_template: str, separator: str):
+def _texts(render: tuple, column: np.ndarray) -> list[str]:
+    return list(map(_spec(render, column).__mod__, render[1](column)))
+
+
+def _blocks(rows: np.ndarray, render: tuple, row_template: str, separator: str):
     """Yield the rows as text, one block at a time, every row after the first
     preceded by separator.  row_template holds one '%s' per column."""
     if not rows.size:
@@ -91,47 +103,32 @@ def _blocks(rows: np.ndarray, render: dict, row_template: str, separator: str):
     step = max(1, _BLOCK // len(names))
     whole = run_len <= step  # blocks of whole runs share one run template
     kinds = [_kind(runs[name], whole) for name in names]
-    other = [j for j, kind in enumerate(kinds) if kind is None]
+    other = [name for name, kind in zip(names, kinds) if kind is None]
     per_run = [runs[name][:, 0] for name, kind in zip(names, kinds) if kind == "run"]
-    # what each column puts in the run template: a "table" column its text, a
+    # what each column puts in the row template: a "table" column its texts, a
     # "run" column a slot "\0" for each run's text, any other its '%' spec
-    fill = [_texts(render, runs[name][0]) if kind == "table" else "\0" if kind == "run" else "%s"
-            for name, kind in zip(names, kinds)]
+    fill = [_texts(render, runs[name][0]) if kind == "table" else "\0" if kind == "run"
+            else _spec(render, runs[name]) for name, kind in zip(names, kinds)]
     k, m = max(1, step // run_len), min(step, run_len)  # runs per block, rows per piece of a run
+
+    def frame_of(rows):  # the rows' template split at its "\0" slots, a slot (None) between each two texts
+        return [t for text in separator.join(rows).split("\0") for t in (text, None)][:-1]
+
+    if "table" in kinds:  # whole runs, each row with its own "table" texts
+        frames = {run_len: frame_of(row_template % row for row in
+                                    zip(*(f if isinstance(f, list) else itertools.repeat(f) for f in fill)))}
+    else:  # alike rows: one frame per piece length
+        row = row_template % tuple(fill)
+        frames = {n: frame_of([row] * n) for n in {m, run_len % m} - {0}}
     pieces = ((i, min(i + k, n_runs), p, min(p + m, run_len))
               for i in range(0, n_runs, k) for p in range(0, run_len, m))
-    cached = None
     for b, (i0, i1, p0, p1) in enumerate(pieces):
-        n_rows = (i1 - i0) * (p1 - p0)
         block = runs[i0:i1, p0:p1].reshape(-1)  # a view: whole runs, or a piece of one
-        cells = [None] * (n_rows * len(other))  # row-major: other column o of each row at o::len(other)
-        for o, j in enumerate(other):
-            column, fill[j] = block[names[j]], "%s"
-            if column.dtype.kind != "f":
-                cells[o::len(other)] = _texts(render, column)
-                continue
-            bits = column.astype(np.float64).view(np.int64)
-            n_distinct = 1 + np.count_nonzero(np.diff(np.sort(bits)))
-            # mostly distinct values gain nothing from formatting each once
-            spec = render["direct"](column) if 2 * n_distinct > n_rows else None
-            if spec:
-                fill[j], cells[o::len(other)] = spec, column.tolist()
-                continue
-            distinct, inverse = np.unique(bits, return_inverse=True)
-            text = list(map(render["f"], distinct.view(np.float64).tolist()))
-            cells[o::len(other)] = map(text.__getitem__, inverse.tolist())
-        key = tuple(fill[j] for j in other)
-        if not (whole and cached and cached[0] == key):
-            if "table" in kinds:
-                run = separator.join(row_template % row for row in
-                                     zip(*(f if isinstance(f, list) else itertools.repeat(f) for f in fill)))
-            else:
-                run = separator.join([row_template % tuple(fill)] * (p1 - p0))
-            frame = [None] * (2 * run.count("\0") + 1)
-            frame[::2] = run.split("\0")
-            cached = key, frame
+        cells = [None] * (block.size * len(other))  # row-major: other column o of each row at o::len(other)
+        for o, name in enumerate(other):
+            cells[o::len(other)] = render[1](block[name])
         # each run: its "run" columns' texts in the frame's odd slots (none without such columns)
-        frame, parts = cached[1], []
+        frame, parts = frames[p1 - p0], []
         for texts in zip(*(_texts(render, c[i0:i1]) for c in per_run)) if per_run else [()] * (i1 - i0):
             frame[1::2] = texts * (p1 - p0)
             parts.append("".join(frame))

@@ -199,7 +199,8 @@ def _strength(k, a):
     """
     k = np.asarray(k, dtype=float)
     a = np.asarray(a, dtype=float)
-    if not np.all(k > 0.0):  # NaN is refused here too
+    bad = k[~(k > 0.0) | (k == np.inf)]  # NaN fails k > 0
+    if bad.size and bad[0] != np.inf:  # a first k of inf is refused by specfun, as its lone call is
         raise DomainError("k must be positive")
     ka = k * np.where(a == 0.0, 1.0, np.abs(a))  # Y_0(0) is singular; a = 0 gets s = 0 below
     j = cylinder_bessel_j(0, ka)

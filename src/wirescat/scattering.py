@@ -199,15 +199,15 @@ def sigma_from_greens(k: float, cfg: WireConfig,
     cross_section; ``semiclassical`` substitutes the asymptotic image sum
     (no accuracy contract, resonance-position diagnostic only).
     """
+    if variant not in ("kummer", "semiclassical"):
+        raise DomainError(f"unknown variant {variant!r}")
     if _closed(k):
         return 0.0
     if variant == "kummer":
         st = renorm_state(k, cfg, tol)
-    elif variant == "semiclassical":
+    else:
         g_r = semiclassical_renorm_sum(k, cfg.y0)
         base = RenormState(k=k, y0=cfg.y0, g_r=g_r, sigma_open=0.5 - g_r.imag,
                            tail_bound=float("inf"), terms_used=0)
         st = attach_strength(base, t_matrix(k, cfg.a).s)
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
     return float(np.square(np.abs(st.rs * (0.5 - st.g_r.imag))))

@@ -73,8 +73,10 @@ below 1e-15 from x = 20 on.  Away from the zeros of f this is a relative
 error <= 1e-12.  Both branches agree within 1e-11 around x = 15.  Beyond
 x = 1e11 the rounding of k P2 grows like 4e-27 x (4e-15 at x = 1e12).
 
-Orders are capped at J_3 / Y_1: the mirror partial waves stop at the f wave
-and the Hankel function is only needed at orders 0 and 1.
+Orders are capped at J_3 / Y_1, which the recurrence yields anyway.  The
+package evaluates order 0 (Green's functions, t-matrix) and, in ``validate``,
+J_1 and Y_1 (Wronskian check) and J_2 (recurrence check); J_3 and H_1 serve
+the public API alone.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, determinism, formats, gap handling."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from wirescat import cli
 from wirescat.cli import build_parser, main
+from wirescat.output import table
 
 
 def read_data_lines(path):
@@ -65,6 +67,18 @@ def test_sweep_k_gap_rows(tmp_path):
     assert float(mid[cols.index("gr_asym_above_im")]) < 0.0
     assert float(mid[cols.index("sigma_limit_above")]) == 1.0
     assert float(mid[cols.index("sigma_asym_below")]) >= 0.0
+
+
+def test_sweep_k_columns_are_arrays_of_their_own(tmp_path, monkeypatch):
+    # n_open and conductance_empty print the same counts (the nearest opening on
+    # the gap rows at pi, 2 pi and 3 pi), and no column is a view of another
+    tables = []
+    monkeypatch.setattr(cli, "table", lambda col: tables.append(col) or table(col))
+    assert main(["sweep-k", "--y0", "0.05", "--kd-min", str(np.pi), "--kd-max", str(3 * np.pi),
+                 "--points", "5", "--out", str(tmp_path / "gap.csv")]) == 0
+    (col,) = tables
+    assert col["n_open"].tolist() == col["conductance_empty"].tolist() == [1, 1, 2, 2, 3]
+    assert not any(np.shares_memory(col[a], col[b]) for a, b in itertools.combinations(col, 2))
 
 
 def test_sweep_k_gap_rows_are_the_refused_kd(tmp_path):

@@ -178,9 +178,9 @@ def _block_values(draw, size):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data(), rows=st.sampled_from([2, 4, 6, 8]), n_blocks=st.integers(1, 4))
 def test_template_and_distinct_paths_switch_per_block(tmp_path_factory, data, rows, n_blocks):
-    # each block formats a float column in the row template where more than half
-    # its values are distinct, else each distinct value once: both float columns
-    # switch between the two from block to block, next to int and str columns
+    # blocks of distinct, pairwise repeated or constant floats, some holding NaN
+    # or +-inf (JSON's per-value texts): both float columns switch between them
+    # from block to block, next to int and str columns
     sizes = [rows] * n_blocks + [data.draw(st.integers(0, rows - 1))]
     n = sum(sizes)
     columns = {
@@ -275,3 +275,34 @@ def test_grid_commands_write_grid_tables(tmp_path, argv, fmt):
     oracle = oracle_json if fmt == "json" else oracle_csv
     oracle(str(tmp_path / "want"), rows.dtype.names, rows.reshape(-1).tolist(), meta)
     assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+_SPIED_COMMANDS = [
+    (["sweep-k", "--y0", "0.3", "--a", "0.1", "--kd-min", "1.5", "--kd-max", "23.5", "--points", "2000",
+      "--format", fmt], 1) for fmt in ("csv", "json")
+] + [(["field-map", "--kind", "s", "--kd", "9.1", "--y0", "0.3", "--nx", "400", "--ny", "100"], 100)]
+
+
+@pytest.mark.parametrize("argv, fills", _SPIED_COMMANDS, ids=["sweep-k-csv", "sweep-k-json", "field-map-csv"])
+def test_each_column_rule_is_fixed_once_per_table(tmp_path, argv, fills):
+    # output counts and gathers no distinct values (neither np.unique nor np.sort),
+    # and fills the row template once per row of one run: once in all for a
+    # one-run sweep of several blocks, once per y for a field map of 400 runs
+    looked_up, filled = [], []
+
+    class Numpy:
+        def __getattr__(self, name):
+            looked_up.append(name)
+            return getattr(np, name)
+
+    class Template(str):
+        def __mod__(self, values):
+            filled.append(values)
+            return str.__mod__(self, values)
+
+    blocks = output._blocks
+    with mock.patch.object(output, "np", Numpy()), mock.patch.object(
+            output, "_blocks", lambda rows, render, template, sep: blocks(rows, render, Template(template), sep)):
+        assert cli.main([*argv, "--out", str(tmp_path / "t")]) == 0
+    assert looked_up and not {"unique", "sort"} & set(looked_up)
+    assert len(filled) == fills

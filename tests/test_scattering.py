@@ -126,11 +126,11 @@ def _outcome(call):
         return exc
 
 
-# closed, open and near-opening kd, the bound state, and kd <= 0, NaN and guard-band kd
+# closed, open and near-opening kd, the bound state, and kd <= 0, NaN, +-inf and guard-band kd
 _ARRAY_KD = st.one_of(st.floats(0.05, 3.1), st.floats(3.2, 40.0), st.just(BOUND_KD),
                       st.builds(lambda n, eps: n * np.pi + eps, st.integers(1, 12),
                                 st.sampled_from([-1e-6, -1e-8, 1e-8, 1e-6])),
-                      st.sampled_from([0.0, -1.0, np.nan, 3 * np.pi + 1e-10, 2 * np.pi - 1e-10, np.pi - 1e-10]))
+                      st.sampled_from([0.0, -1.0, np.nan, np.inf, -np.inf, 3 * np.pi + 1e-10, 2 * np.pi - 1e-10, np.pi - 1e-10]))
 _ARRAY_OBSERVABLES = {
     "cross_section": (cross_section, lambda v, i: v[i]),
     "conductance": (conductance, lambda v, i: v[i]),
@@ -145,6 +145,7 @@ _ARRAY_OBSERVABLES = {
        cfg=st.sampled_from([BOUND_CFG, WireConfig(y0=0.3, a=0.0), WireConfig(y0=0.61, a=0.07)]))
 @example(kds=[4.0, 7.5, 11.0], cfg=CFG)
 @example(kds=[4.0, BOUND_KD, 0.5], cfg=BOUND_CFG)
+@example(kds=[np.inf, -1.0], cfg=CFG)
 def test_array_observables_are_their_lone_calls(kds, cfg):
     # an array call equals its lone calls bit for bit, or raises the error of the first lone
     # call that raises; renorm_state's guard refuses every bad kd before a pole (attach_strength)
@@ -195,6 +196,13 @@ def test_sigma_from_greens_kummer_route():
         cross_section(KD, CFG), abs=1e-8)
     assert sigma_from_greens(KD, WireConfig(y0=0.3, a=0.0), "kummer") == 0.0
     assert sigma_from_greens(KD, WireConfig(y0=0.3, a=0.0), "semiclassical") == 0.0
+
+
+@pytest.mark.parametrize("kd", [2.0, 5.0])
+def test_sigma_from_greens_refuses_an_unknown_variant_at_every_kd(kd):
+    # the closed wire (kd = 2) answers 0 only for a known variant
+    with pytest.raises(DomainError, match="unknown variant 'bogus'"):
+        sigma_from_greens(kd, WireConfig(y0=0.3), "bogus")
 
 
 def test_sigma_from_greens_matches_its_grid_evaluation():
