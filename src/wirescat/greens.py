@@ -34,7 +34,14 @@ kummer        spectral sum with the static series subtracted term by term and
               and bound for all points of a call; _kummer_sum sums a grid of
               field points around one source once per distinct M
               (greens_kummer is its 1 x 1 case), _kummer_coincident the G_r
-              rows at r = r0, one per (kd, y0).  Both keep closed modes real:
+              rows at r = r0, one per (kd, y0).  The coincident kernel weights
+              only the 2N + 1 modes below m_s = 2N + 2 per row; every later mode
+              has kd/(m pi) < 1/2 and enters through the power series of its
+              closed term in kd^2, whose moments (_closed_moments) depend on
+              chi_m^2(y0) alone and are summed once for all rows that share it,
+              in blocks that keep only the orders their q needs (_SERIES_ORDERS).
+              (Kummer's subtraction for the wire: C. M. Linton, J. Eng. Math.
+              33, 377 (1998).)  Both kernels keep closed modes real:
               with r_m = |k_x^(m)|, 1/(i k_x) is -i/r_m for an open mode and
               -1/r_m for a closed one, whose wave term
               exp(i k_x|x-x0|)/(i k_x) = -exp(-r_m|x-x0|)/r_m is real, so
@@ -47,8 +54,8 @@ semiclassical image sum with each Hankel function replaced by its large-
               argument form; one -1 per wall reflection.
 
 convergence_benchmark reads every mode sum of an off-source pair from one
-mode table (_pair_modes), and every coincident row from one _kummer_coincident
-pass.
+mode table (_pair_modes), which ends where every later term is exactly 0
+(_live_modes), and every coincident row from one _kummer_coincident pass.
 
 All evaluators are pure; points are (x, y) tuples with y in [0, d].
 """
@@ -57,7 +64,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import comb, prod
+from math import comb, frexp, inf, prod
 from operator import mul
 
 import numpy as np
@@ -93,6 +100,19 @@ _KUMMER_MODE_CAP = 65536
 _BLOCK = 2 ** 12
 _EXP_UNDERFLOW = 745.2  # exp(-t) is exactly 0 past t = 745.13, where it falls below half of 2^-1074
 _SC_EXPLICIT = 400  # images per family that semiclassical_renorm_sum sums before its tail
+# orders J_t of the closed-mode series in G_r's block t, modes [2^t m_s, 2^(t+1) m_s) with
+# q < 2^-(t+1); the last entry serves every later block.  Each is the fewest orders whose
+# dropped remainder sum_{j > J_t} a_j q^(2j) stays below 2^-53 of the leading term q^2/2.
+_SERIES_ORDERS = (26, 13, 9, 7, 6, 5, 4, 4, 3, 3, 3, 3, 3, 2)
+# a_j = C(2j, j)/4^j, j = 1..26: 1/sqrt(1 - q^2) = sum_{j >= 0} a_j q^(2j)
+_SERIES_COEFS = np.array([comb(2 * j, j) / 4 ** j for j in range(1, _SERIES_ORDERS[0] + 1)])
+_TABLE = 2 ** 15  # elements in one (rows x orders x modes) table of the closed-mode moments
+# (j0, j1, reach): the orders j0 + 1..j1 reach the first reach m_s closed-series modes, m_s <= m <
+# (reach + 1) m_s, to the end of the last block t whose tier keeps them, 2^(t + 1) m_s; the last
+# tier's orders reach every mode
+_ORDER_REACH = ((0, _SERIES_ORDERS[-1], inf),) + tuple(
+    (_SERIES_ORDERS[t + 1], _SERIES_ORDERS[t], 2 ** (t + 1) - 1)
+    for t in reversed(range(len(_SERIES_ORDERS) - 1)) if _SERIES_ORDERS[t + 1] < _SERIES_ORDERS[t])
 REPRESENTATIONS = ("free", "spectral", "image", "static", "kummer", "diffraction", "semiclassical")
 
 
@@ -212,13 +232,15 @@ def _spectral_sums(r, r0, k: float, counts: list, table=None) -> list[complex]:
 
     The N open modes are summed in complex arithmetic and the closed ones in
     real: with r_m = |k_x^(m)|, a closed mode has k_x = i r_m, so its term
-    -(1/r_m) chi_m(y) chi_m(y0) exp(-r_m |x - x0|) is real.
+    -(1/r_m) chi_m(y) chi_m(y0) exp(-r_m |x - x0|) is real.  The vector stops
+    at _live_modes: every later term is exactly +-0.
     """
     n_open = _covered_open_count(k, counts, "terms")
     dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("spectral sum diverges at r = r0 (use renorm_sum)")
-    top, ax = max(counts), abs(dx)
+    ax = abs(dx)
+    top = _live_modes(k, ax, max(counts))
     r_m, chi_y0, chi_y = _pair_modes(k, top, float(r[1]), float(r0[1])) if table is None else table
     r_m, chi_y0, chi_y = r_m[:top], chi_y0[:top], chi_y[:top, 0]
     op, cl = slice(None, n_open), slice(n_open, None)
@@ -226,6 +248,18 @@ def _spectral_sums(r, r0, k: float, counts: list, table=None) -> list[complex]:
     closed_term = (-1.0 / r_m[cl]) * chi_y[cl] * chi_y0[cl] * np.exp(-r_m[cl] * ax)
     open_sum = open_term.sum()
     return [complex(open_sum + closed_term[:t - n_open].sum()) for t in counts]
+
+
+def _live_modes(kd: float, ax: float, count: int) -> int:
+    """min(count, the last mode whose closed term can be nonzero at |x - x0| = ax).
+
+    Past the modes open at s = hypot(_EXP_UNDERFLOW/ax, kd) and one more,
+    every mode is closed and has ax r_m > _EXP_UNDERFLOW by the margin of a
+    whole mode spacing, far above rounding, so exp(-ax r_m) is exactly 0.  On
+    the axis nothing decays, and every mode counts.
+    """
+    s = np.hypot(_EXP_UNDERFLOW / ax, kd) if ax > 0.0 else np.inf
+    return count if s >= count * np.pi else min(count, _n_open(s) + 1)
 
 
 def _pair_modes(kd: float, m_max: int, y: float, y0: float):
@@ -533,9 +567,12 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     """
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (kd, ax, y, y0)))
     kd, ax, y, y0 = (v.ravel() for v in args)
-    m_trunc = _doubled(np.full(kd.shape, 64), ax > 0.0, _GEOMETRIC_MODE_CAP,
+    off_axis = ax > 0.0
+    m_trunc = _doubled(np.full(kd.shape, 64), off_axis, _GEOMETRIC_MODE_CAP,
                        lambda m, i: _geometric_mode_tail_bound(m, kd[i], ax[i]) <= tol)
-    bound = np.where(ax > 0.0, _geometric_mode_tail_bound(m_trunc, kd, ax), np.inf)
+    bound = np.full(kd.shape, np.inf)  # on the axis, as at r = r0 for every G_r, nothing decays
+    if off_axis.any():
+        bound = np.where(off_axis, _geometric_mode_tail_bound(m_trunc, kd, ax), bound)
     completion = np.zeros(kd.shape)
     near = np.flatnonzero(~(bound <= tol))
     if near.size:
@@ -575,19 +612,22 @@ def _mode_product(kd: float, counts: list, ax, ys, y0: float, table=None) -> lis
     Once min(ax) r_m exceeds _EXP_UNDERFLOW at the first mode of a closed
     block, every exponential of that block and of the later ones is exactly 0
     (r_m and m pi grow with m), so they would add exactly +-0 and are skipped:
-    one test per block, on a scalar, and never on the axis.
+    one test per block, on a scalar, and never on the axis.  A table may end
+    before the largest count, where every later term is +-0 (_live_modes):
+    the sum stops at its end.
     """
     n_open = _n_open(kd)
     step = max(1, _BLOCK // max(ax.size, ys.size))
-    ax_min = ax.min()
+    ax_min, end = ax.min(), counts[-1] if table is None else min(counts[-1], len(table[0]))
     total, totals, lo = np.zeros((ax.size, ys.size)), [], 0
     for count in counts:
         while lo < count:
-            hi = min(lo - lo % step + step, count)
+            hi = min(lo - lo % step + step, count, end)
             m = np.arange(lo + 1, hi + 1)
             r_m = _abs_kx(kd, m) if table is None else table[0][lo:hi]
             n_o = min(max(n_open - lo, 0), hi - lo)  # the block's open modes
-            if not n_o and ax_min * r_m[0] > _EXP_UNDERFLOW:  # this block and every later one add +-0
+            # past the table's end, or where this closed block underflows, every later block adds +-0
+            if hi == lo or not n_o and ax_min * r_m[0] > _EXP_UNDERFLOW:
                 lo = counts[-1]
                 break
             chi_y0, chi_ys = (_chi(m, y0), _chi(m, ys)) if table is None else (table[1][lo:hi], table[2][lo:hi])
@@ -637,27 +677,106 @@ def _kummer_coincident(kd, y0, w, n_open: int, completion, counts: list):
 
     Sigma = sum_{m <= N} chi_m^2 / r_m divides by r_m where Im multiplies by
     1/r_m: the two are rounded apart, so Im G_r = 1/2 - Sigma stays a check.
-    One pass weights the modes of the largest count, and each count's Re is
-    np.sum over a prefix of them, the pairwise sum of that count alone.  The
-    coincidence constant replaces the static form.  Returns the list of G_r,
-    one per count, and Sigma.
+    The modes m < m_s = 2N + 2 are weighted one by one, and each count's Re
+    takes np.sum over a prefix of them.  Every later mode is closed with
+    q = kd/(m pi) < (N + 1)/m_s = 1/2, and its term is -chi_m^2/(m pi) times
+    1/sqrt(1 - q^2) - 1 = sum_{j >= 1} a_j q^(2j), a_j = C(2j, j)/4^j (the
+    binomial series), so those modes add
+
+        -sum_j a_j kd^(2j) S_j,   S_j = sum_{m_s <= m <= M} chi_m^2 / (m pi)^(2j+1):
+
+    the moments of _closed_moments, which depend on w, m_s and M alone.  Block
+    t of modes [2^t m_s, 2^(t+1) m_s) has q < 2^-(t+1) and keeps only the
+    _SERIES_ORDERS[t] orders that this needs, as specfun's _ASYM_TIERS keep
+    the terms of the Hankel expansion.  Rows that share one row of w share
+    its moments, so a sweep over kd at one y0 pays O(N + J) per kd rather than
+    O(M).  Each term is taken as a_j (kd 2^-e)^(2j) times 2^(2je) S_j, an exact
+    rescaling by the power of two 2^e just above m_s pi: kd 2^-e < 1/2, and
+    2^e / (m pi) <= 2 for every m >= m_s, so neither factor overflows at any
+    kd.  The coincidence constant replaces the static form.  Returns the list
+    of G_r, one per count, and Sigma.
     """
-    kd, m = np.asarray(kd, dtype=float), np.arange(1, w.shape[-1] + 1)
-    inv_q = 1.0 / (m * np.pi)
+    kd, m_s = np.asarray(kd, dtype=float), 2 * n_open + 2
+    m = np.arange(1, min(m_s - 1, w.shape[-1]) + 1)
+    inv_q, w_explicit = 1.0 / (m * np.pi), w[..., :m.size]
     r = _abs_kx(kd[..., None], m)  # the one buffer then holds 1/r, then the Re weights
-    sigma = np.sum(w[..., :n_open] / r[..., :n_open], axis=-1)
+    sigma = np.add.reduce(w[..., :n_open] / r[..., :n_open], axis=-1)
     inv_r = np.divide(1.0, r, out=r)
-    im = -np.sum(w[..., :n_open] * inv_r[..., :n_open], axis=-1)
+    im = -np.add.reduce(w[..., :n_open] * inv_r[..., :n_open], axis=-1)
     coef = np.subtract(inv_q, inv_r, out=r)
     coef[..., :n_open] = inv_q[:n_open]
-    weighted, constant = np.multiply(w, coef, out=coef), _coincidence_constant(kd, y0)
+    weighted, constant = np.multiply(w_explicit, coef, out=coef), _coincidence_constant(kd, y0)
+    e = frexp(m_s * np.pi)[1]  # 2^(e-1) <= m_s pi < 2^e, so kd 2^-e < 1/2
+    x_powers = np.repeat(np.square(np.ldexp(kd, -e))[None], len(_SERIES_COEFS), axis=0)
+    x_powers = np.multiply.accumulate(x_powers, axis=0, out=x_powers).T  # x^j along the last axis
+    series = np.multiply(x_powers, _SERIES_COEFS, order="C")
+    moments = _closed_moments(w, m_s, e, counts).reshape((len(counts),) + w.shape[:-1] + (len(_SERIES_COEFS),))
     g_r = []
     for i, c in enumerate(counts):
-        re = np.sum(weighted[..., :c], axis=-1)
+        re = np.add.reduce(weighted[..., :c], axis=-1) - np.add.reduce(series * moments[i], axis=-1)
         mode_sum = np.empty(np.broadcast_shapes(np.shape(re), np.shape(completion[..., i])), dtype=complex)
         mode_sum.real, mode_sum.imag = re + completion[..., i], im
         g_r.append(mode_sum + constant)
     return g_r, sigma
+
+
+def _closed_moments(w, m_s: int, e: int, counts: list):
+    """2^(2je) S_j, S_j = sum_m chi_m^2 / (m pi)^(2j+1), j = 1.._SERIES_ORDERS[0], over the modes
+    m_s <= m <= M that order j reaches, at each M of the ascending counts (axis 0), one row per row
+    of w (axis 1), j along the last axis.
+
+    Block t, the modes [2^t m_s, 2^(t+1) m_s), keeps the orders its tier
+    _SERIES_ORDERS[t] names, so order j runs over the modes up to the end of
+    the last block that keeps it (_ORDER_REACH).  The orders go in chunks:
+    as many as fit one (rows x orders x modes) table of _TABLE elements as
+    wide as the chunk's first order reaches, and at least one, whose table
+    then goes in row chunks.  A chunk's weights 2^(2je) / (m pi)^(2j+1) are
+    formed in one buffer, each order the last times (2^e / (m pi))^2: the
+    scale is exact, and 2^e / (m pi) <= 2 past m_s, so no weight overflows at
+    any kd.  Each order's terms are summed over its own reach only, and every
+    count sums a prefix of them by np.add.reduce, pairwise over one
+    contiguous run and never a matmul: a count's moments are those of a call
+    with that count alone, and a row's those of the row alone.
+    """
+    w, orders = w.reshape(-1, w.shape[-1]), len(_SERIES_COEFS)
+    moments = np.zeros((len(counts), len(w), orders))
+    n = counts[-1] - m_s + 1  # closed-series modes of the largest count
+    if n <= 0:
+        return moments
+    ends = [(i, c - m_s + 1) for i, c in enumerate(counts) if c >= m_s]
+    short = [(j0, j1, reach * m_s) for j0, j1, reach in _ORDER_REACH if reach * m_s < n]
+    groups = [(0, short[0][0] if short else orders, n)] + short  # (j0, j1, the modes they reach)
+    size = max(n, min(orders * n, _TABLE // len(w)))  # the weights of the largest chunk
+    weights, scratch = np.empty(size), np.empty(min(max(_TABLE, size), len(w) * size))
+    weight = np.multiply(np.arange(m_s, counts[-1] + 1, dtype=float), np.pi, out=weights[:n])
+    weight = np.divide(1.0, weight, out=weight)  # 1/(m pi), then each order's weights in turn
+    square = np.multiply(weight, weight)
+    square *= 4.0 ** e  # (2^e / (m pi))^2, exactly
+    j = g = 0
+    while j < orders:
+        while groups[g][1] <= j:  # the group of order j + 1, whose reach is the chunk's width
+            g += 1
+        width = groups[g][2]
+        block = weights[:max(1, min(orders - j, _TABLE // (len(w) * width))) * width].reshape(-1, width)
+        factor = square[:width]
+        # the last order's weights share block[0]'s elements, or (a chunk of several) lie past them
+        weight = np.multiply(weight[:width], factor, out=block[0])
+        for r in range(1, len(block)):
+            weight = np.multiply(weight, factor, out=block[r])
+        rows = max(1, _TABLE // block.size)
+        for a in range(0, len(w), rows):
+            tail = w[a:a + rows, None, m_s - 1:m_s - 1 + width]
+            table = scratch[:len(tail) * block.size].reshape(len(tail), *block.shape)
+            np.multiply(tail, block, out=table)
+            for j0, j1, reach in groups[g:]:
+                lo, hi = max(j0, j), min(j1, j + len(block))
+                if lo >= hi:
+                    break
+                for i, end in ends:
+                    np.add.reduce(table[:, lo - j:hi - j, :min(reach, end)], axis=-1,
+                                  out=moments[i, a:a + rows, lo:hi])
+        j += len(block)
+    return moments
 
 
 def _kummer_grid(kd: float, ax, ys, y0: float, tol: float):
@@ -861,7 +980,8 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
     mode sum.  Off the source one mode table (_pair_modes) over the largest
     count and the reference's M serves the spectral rows, the reference
     (greens_kummer's plan and sum, so its value and its TruncationLimit) and
-    the kummer rows.
+    the kummer rows; off the axis it stops at the last mode whose term can be
+    nonzero (_live_modes).
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
     if len(term_grid) == 0 or not all(_integer_in(t, 0) for t in term_grid):
@@ -883,7 +1003,7 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
         counts, ax_1, y_1 = sorted(set(term_grid)), np.array([ax]), np.array([y])
         # greens_kummer(r, r0, k, tol=1e-12): its plan, then its sum from the pair's table
         m_ref, completion, _ = _kummer_plan(kd, ax_1[:, None], 1e-12, y_1, y0)
-        table = _pair_modes(kd, max(counts[-1], m_ref.item()), y, y0)
+        table = _pair_modes(kd, _live_modes(kd, ax, max(counts[-1], m_ref.item())), y, y0)
         ref = complex(_kummer_sum(kd, ax_1, y_1, y0, m_ref, completion, table)[0, 0])
     kummer = {}
     if kummer_forms:

@@ -35,6 +35,8 @@ closed-wire refusal, made before the state is built (1 - s G_r can vanish
 at a bound state there).  G_r is the Kummer Green's function's mode sum at
 r = r0 with the static form replaced by the constant above, summed and
 tail-completed by the same greens kernel and plan: ~300 modes give ~1e-14.
+Past m = 2N + 2 each closed term is a power series in kd^2, and the kernel sums
+those modes through moments of chi_m^2(y0) that a sweep over kd shares.
 """
 
 from __future__ import annotations
@@ -253,7 +255,11 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
     takes one block per group; each row sums contiguously, so the block size
     changes no bit.  _kummer_coincident gives each block's G_r and Sigma in
     real arithmetic, from chi_m(y0) evaluated once where the block shares one
-    y0 (every block of a sweep over kd).
+    y0 (every block of a sweep over kd).  Per kd it weights only the 2N + 1
+    modes below 2N + 2; the closed modes from there to M enter as the power
+    series -sum_j a_j kd^(2j) S_j of their terms, whose moments S_j are summed
+    once per block of one y0 (greens._closed_moments), so a sweep over kd
+    pays O(N + J) per kd, not O(M).
     """
     k, y0 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(y0, dtype=float))
     if not np.all((0.0 < y0) & (y0 < 1.0)):
@@ -267,8 +273,9 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
         step, modes = max(1, _ROW_BLOCK // m_trunc), np.arange(1, m_trunc + 1)
         for b in (rows[i:i + step] for i in range(0, len(rows), step)):
             yb = yy[b]
-            # rows of modes, contiguous so that each row sums like one kd's modes alone
-            w = np.ascontiguousarray(_chi(modes, yb[:1] if (yb == yb[0]).all() else yb).T) ** 2
+            # contiguous rows of modes, so that each row sums like one kd's modes alone:
+            # chi_m(y) = sqrt(2) sin(m pi y) is symmetric in m and y, and y first lays them out
+            w = np.square(_chi(yb[:1] if (yb == yb[0]).all() else yb, modes))
             (g_r[b],), sigma[b] = _kummer_coincident(kd[b], yb, w, n, completion[b][:, None], [m_trunc])
     return RenormState(k=k, y0=y0, g_r=g_r.reshape(k.shape), sigma_open=sigma.reshape(k.shape),
                        tail_bound=bound.reshape(k.shape), terms_used=terms.reshape(k.shape))

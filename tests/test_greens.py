@@ -2,8 +2,10 @@
 
 import ast
 import inspect
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -755,6 +757,13 @@ def test_benchmark_rows_are_the_one_count_values(kd, case, x, y, y0, grid, data)
     _assert_rows_are_one_count_values(r, (0.0, y0), kd, reps, grid)
 
 
+@pytest.mark.parametrize("x", [0.06, 0.2, 0.37, 0.8])
+def test_benchmark_rows_past_the_live_modes_are_the_one_count_values(x):
+    # at |x - x0| = 0.06 the last nonzero term (m ~ 3,950) sits in the first 4,096-mode block of
+    # the Kummer sum, which the pair's table cuts short
+    _assert_rows_are_one_count_values((x, 0.61), R0, KD, _CASE_REPS["off"], (10, 30, 100, 300, 1000, 3000, 10000))
+
+
 @pytest.mark.parametrize("r,r0,kd,reps,grid", [
     ((0.3, 1.5), R0, KD, ("spectral", "kummer"), (10, 100)),
     ((0.3, np.nan), R0, KD, ("spectral", "kummer"), (10, 100)),
@@ -799,16 +808,64 @@ def test_both_kummer_forms_share_one_mode_sum(monkeypatch):
 @pytest.mark.parametrize("r, reps", [(R, _CASE_REPS["off"]), ((0.0, 0.61), _CASE_REPS["on"])])
 def test_a_pair_takes_one_mode_table(monkeypatch, r, reps):
     # the spectral rows, the reference and the kummer rows read slices of one table:
-    # chi_m at each coordinate once, r_m once, over the largest count and the reference's M
+    # chi_m at each coordinate once, r_m once, over the largest count and the reference's M;
+    # at |x - x0| = 0.37 every term past m ~ 642 is exactly 0, and the table ends there
+    size = greens._live_modes(KD, abs(r[0] - R0[0]), 10000)
+    assert size < 10000 if r[0] != R0[0] else size == 10000
     chi_at, kx_sizes, chi, abs_kx = [], [], greens._chi, greens._abs_kx
     monkeypatch.setattr(greens, "_chi", lambda m, y: chi_at.append((np.size(m), np.ravel(y).tolist())) or chi(m, y))
     monkeypatch.setattr(greens, "_abs_kx", lambda kd, m: kx_sizes.append(np.size(m)) or abs_kx(kd, m))
     convergence_benchmark(r, R0, KD, reps, (10, 30, 100, 300, 1000, 3000, 10000))
-    assert sorted(chi_at) == sorted([(10000, [r[1]]), (10000, [R0[1]])]) and kx_sizes == [10000]
+    assert sorted(chi_at) == sorted([(size, [r[1]]), (size, [R0[1]])]) and kx_sizes == [size]
     m_ref = greens_kummer(r, R0, KD, tol=1e-12).terms_used
     chi_at[:], kx_sizes[:] = [], []
     convergence_benchmark(r, R0, KD, reps, (10, 30))  # the reference needs more modes than the rows
     assert m_ref > 30 and sorted(chi_at) == sorted([(m_ref, [r[1]]), (m_ref, [R0[1]])]) and kx_sizes == [m_ref]
+
+
+@pytest.mark.parametrize("r, kd", [(R, KD), ((-0.06, 0.2), 9.7 * np.pi), ((0.8, 0.93), 1.1 * np.pi),
+                                   ((0.05, 0.5), 3 * np.pi + 1e-8)])
+def test_spectral_rows_drop_only_terms_that_are_zero(monkeypatch, r, kd):
+    # the spectral sums stop where exp(-r_m |x - x0|) underflows; against every mode of each
+    # count, summed exactly (math.fsum of the same terms), they move by rounding alone
+    counts = [10, 30, 100, 300, 1000, 3000, 10000]
+    sizes, chi = [], greens._chi
+    monkeypatch.setattr(greens, "_chi", lambda m, y: sizes.append(np.size(m)) or chi(m, y))
+    rows = greens._spectral_sums(r, R0, kd, counts)
+    ax, m, n_open = abs(r[0] - R0[0]), np.arange(1, counts[-1] + 1), waveguide._n_open(kd)
+    assert sizes == [greens._live_modes(kd, ax, counts[-1])] * 2 and sizes[0] < counts[-1]  # not all 10,000
+    r_m, pair = greens._abs_kx(kd, m), waveguide._chi(m, r[1]) * waveguide._chi(m, R0[1])
+    terms = np.concatenate([(-1j / r_m[:n_open]) * pair[:n_open] * np.exp(1j * r_m[:n_open] * ax),
+                            (-1.0 / r_m[n_open:]) * pair[n_open:] * np.exp(-r_m[n_open:] * ax)])
+    assert np.all(terms[sizes[0]:] == 0.0)
+    for t, row in zip(counts, rows):
+        want = complex(math.fsum(terms[:t].real), math.fsum(terms[:t].imag))
+        assert abs(row - want) <= 1e-15 * abs(want), (t, row, want)
+
+
+def test_each_series_tier_drops_only_terms_below_2_to_the_minus_53():
+    # block t of G_r's closed-mode series has q < 2^-(t+1) and sums J_t orders of
+    # 1/sqrt(1 - q^2) - 1 = sum_{j >= 1} a_j q^(2j), a_j = C(2j, j)/4^j; in exact arithmetic
+    # the dropped remainder is below 2^-53 of the leading term a_1 q^2, and one order fewer
+    # would drop a term that is not
+    def a(j):
+        return Fraction(math.comb(2 * j, j), 4 ** j)
+
+    assert greens._SERIES_COEFS.tolist() == [float(a(j)) for j in range(1, len(greens._SERIES_COEFS) + 1)]
+    orders = greens._SERIES_ORDERS
+    assert orders[0] == len(greens._SERIES_COEFS) and list(orders) == sorted(orders, reverse=True)
+    for t, count in enumerate(orders):
+        q2 = Fraction(1, 4 ** (t + 1))  # the block's largest q, squared
+        floor = a(1) * q2 / 2 ** 53
+        # a_j falls with j, so the remainder is below a_(J+1) q^(2J+2) / (1 - q^2)
+        assert a(count + 1) * q2 ** (count + 1) / (1 - q2) < floor, (t, count)
+        assert a(count) * q2 ** count >= floor, (t, count)
+    # each order reaches the end of the last block whose tier keeps it, and the last tier's every mode
+    reach = {j: r for j0, j1, r in greens._ORDER_REACH for j in range(j0, j1)}
+    assert sorted(reach) == list(range(orders[0]))
+    for j, r in reach.items():
+        kept = [t for t, count in enumerate(orders) if count > j]
+        assert r == (np.inf if orders[-1] > j else 2 ** (kept[-1] + 1) - 1), j
 
 
 def _every_block(kd, counts, ax, y, y0):

@@ -1,10 +1,14 @@
 """Impurity strength, renormalization sum, edge asymptotes, Foldy solver."""
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wirescat import greens
 from wirescat.errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
                              TruncationLimit)
 from wirescat.greens import (EULER_GAMMA, _kummer_plan, _kummer_truncated, _mode_angles, greens_free,
@@ -326,13 +330,83 @@ def test_gr_rows_match_the_complex_mode_sum():
     assert np.all(sweep.im_identity_residual <= 1e-10) and np.any(sweep.im_identity_residual > 0.0)
 
 
+def _exact_mode_sums(kd, y0, counts):
+    """sum_{m <= M} chi_m^2 [1/(m pi) - [m > N]/r_m] at each M of counts, in mpmath (40 digits) from the
+    float kd and chi_m^2(y0).  A closed mode within 1e-6 of its opening has r_m ~ 1e-4, which the
+    float kd^2 - (m pi)^2 knows to ~1e-8 only: its float r_m is taken as given, and its term returned."""
+    m = np.arange(1, counts[-1] + 1)
+    w, n_open, kd2, near = _chi(m, y0) ** 2, int(kd // np.pi), mp.mpf(kd) ** 2, 0.0
+    total, sums = mp.mpf(0), []
+    for mode, w_m in zip(m.tolist(), map(mp.mpf, w.tolist())):
+        total += w_m / (mode * mp.pi)
+        if mode > n_open:
+            if mode * np.pi - kd < 1e-6:
+                r_m = mp.mpf(float(greens._abs_kx(kd, np.array([mode]))[0]))
+                near = float(w_m / r_m)
+            else:
+                r_m = mp.sqrt((mode * mp.pi) ** 2 - kd2)
+            total -= w_m / r_m
+        if mode in counts:
+            sums.append(total)
+    return sums, near
+
+
+def test_coincident_mode_sum_is_the_exact_mode_sum():
+    # Re G_r - completion - Re(constant) is the finite sum over the plan's M modes: the explicit modes
+    # below 2N + 2 and the closed-mode series past them, against 40 digits, for N = 0..9 on either
+    # side of each opening; the only slack is four ulps of a mode 1e-8 below its opening
+    n = np.arange(1, 11)
+    kd = np.concatenate([n * np.pi - 1e-8, n[:-1] * np.pi + 1e-8])
+    y0 = np.resize([0.05, 0.3, 0.5, 0.93], kd.shape)
+    grid = renorm_grid(kd, y0)
+    terms, completion, _ = _kummer_plan(kd, 0.0, 1e-12, y0, y0)
+    constant = greens._coincidence_constant(kd, y0).real
+    with mp.workdps(40):
+        for i, (kd_i, y0_i) in enumerate(zip(kd.tolist(), y0.tolist())):
+            (exact,), near = _exact_mode_sums(kd_i, y0_i, [int(terms[i])])
+            got = mp.mpf(float(grid.g_r[i].real)) - mp.mpf(float(completion[i])) - mp.mpf(float(constant[i]))
+            assert abs(float(got - exact)) <= 1e-15 + 4 * np.spacing(near), (kd_i, y0_i)
+        # one kernel call over several counts, on both sides of 2N + 2 = 12: each its own exact sum
+        kd_i, y0_i, counts = 5.3 * np.pi, 0.37, [5, 11, 12, 30, 100, 1000, 4096]
+        w = _chi(np.arange(1, counts[-1] + 1), y0_i) ** 2
+        rows, _ = greens._kummer_coincident(kd_i, y0_i, w, 5, np.zeros(len(counts)), counts)
+        c = mp.mpf(float(greens._coincidence_constant(kd_i, y0_i).real))
+        for row, exact in zip(rows, _exact_mode_sums(kd_i, y0_i, counts)[0]):
+            assert abs(float(mp.mpf(float(row.real)) - c - exact)) <= 1e-15
+
+
+def test_closed_mode_series_stays_in_range_at_large_kd():
+    # the series takes a_j (kd 2^-e)^(2j) times 2^(2je) S_j, 2^e just above m_s pi: at kd = 3e5 + 1
+    # (e = 20) a coefficient a_26 2^(52e) would overflow, while these factors stay in range, so a
+    # loose tol still gets the direct sum of the plan's 381,972 modes
+    kd, y0 = 3e5 + 1, 0.3
+    g_r = renorm_sum(kd, y0, tol=1e-3).g_r
+    terms, completion, _ = _kummer_plan(kd, 0.0, 1e-3, y0, y0)
+    m = np.arange(1, int(terms) + 1)
+    w, r_m = _chi(m, y0) ** 2, greens._abs_kx(kd, m)
+    direct = math.fsum(w / (m * np.pi) - np.where(m > kd // np.pi, w / r_m, 0.0))
+    got = g_r.real - float(completion) - greens._coincidence_constant(kd, y0).real
+    assert abs(got - direct) <= 1e-14 * abs(direct), (got, direct)
+
+
+def test_a_sweep_forms_r_m_for_its_explicit_modes_alone(monkeypatch):
+    # the closed modes from 2N + 2 on enter G_r through moments shared by every kd of a block:
+    # a sweep evaluates sqrt|kd^2 - (m pi)^2| for fewer than 2N + 2 modes per kd
+    sizes, abs_kx = [], greens._abs_kx
+    monkeypatch.setattr(greens, "_abs_kx", lambda kd, m: sizes.append(np.broadcast(kd, m).size) or abs_kx(kd, m))
+    kd = np.linspace(0.5 * np.pi, 7.5 * np.pi, 2000)
+    kd = kd[~mode_opening_gaps(kd)[1]]
+    renorm_grid(kd, 0.32)
+    assert sum(sizes) <= np.sum(2 * np.floor(kd / np.pi) + 2), sum(sizes)
+
+
 def test_a_one_y0_grid_evaluates_chi_on_that_y0_alone(monkeypatch):
     from wirescat import renorm as rn
     sizes = []
 
-    def spy(m, y):
+    def spy(y, modes):  # chi_m(y) is symmetric in m and y: renorm_grid passes the y0 first, for rows
         sizes.append(np.size(y))
-        return _chi(m, y)
+        return _chi(y, modes)
 
     monkeypatch.setattr(rn, "_chi", spy)
     kd = np.linspace(0.5 * np.pi, 7.5 * np.pi, 2000)
@@ -362,14 +436,16 @@ def test_row_budget_changes_no_bit(monkeypatch, budget):
 
 
 def test_renorm_grid_memory_is_bounded(traced_peak):
-    # a 2,000-kd sweep traces 1.40 MiB (its largest block, 286 rows x 512 modes,
-    # is 1.12 MiB per array); the 51-y0 sweep-geom column at kd = 35, which
-    # evaluates chi per row, traces 0.96 MiB.  Headroom: 15 %.
+    # a 2,000-kd sweep traces 0.64 MiB: per kd only its 2N + 1 explicit modes, and per
+    # block the closed-mode moments of one chi row, whose weights and terms take at most
+    # 26 orders x the block's modes each; the 51-y0 sweep-geom column at kd = 35, which
+    # evaluates chi per row (51 x 1,024 modes, 0.40 MiB an array), traces 0.85 MiB.
+    # Headroom: 15 %.
     kd = np.linspace(0.5 * np.pi, 7.5 * np.pi, 2000)
     sweep = traced_peak(lambda: renorm_grid(kd[~mode_opening_gaps(kd)[1]], 0.05))
     column = traced_peak(lambda: renorm_grid(35.0, np.linspace(0.05, 0.5, 51)))
-    assert sweep < 1.15 * 1.40 * 2 ** 20, sweep
-    assert column <= sweep, (column, sweep)
+    assert sweep < 1.15 * 0.64 * 2 ** 20, sweep
+    assert column < 1.15 * 0.85 * 2 ** 20, column
 
 
 # ---------------------------------------------------------------------------
