@@ -39,8 +39,9 @@ class TruncationLimit(WireError):
 
     Raised instead of returning a value whose own tail bound misses tol, as
     the Kummer plan does for G_w very close to the source on or next to the
-    axis x = x0, and for G_r with y0 very close to a wall, where it would
-    need more modes than its cap.
+    axis x = x0, and for G_r with y0 very close to a wall or at large kd, where
+    it would need more modes than its cap: a cap ends the doubling of the mode
+    count, at below 131,072 Kummer modes or at the starting 4N past kd = 51,472.
     """
 
 

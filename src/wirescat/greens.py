@@ -31,23 +31,26 @@ kummer        spectral sum with the static series subtracted term by term and
               while a sweep at one y0 pays for its few keys, not its rows.
               The kd factors (kummer_tail_coefficients) are computed once per
               plan.  One elementwise plan (_kummer_plan) picks M, completion
-              and bound for all points of a call; _kummer_sum sums a grid of
-              field points around one source once per distinct M
-              (greens_kummer is its 1 x 1 case), _kummer_coincident the G_r
-              rows at r = r0, one per (kd, y0).  The coincident kernel weights
-              only the 2N + 1 modes below m_s = 2N + 2 per row; every later mode
-              has kd/(m pi) < 1/2 and enters through the power series of its
-              closed term in kd^2, whose moments (_closed_moments) depend on
-              chi_m^2(y0) alone and are summed once for all rows that share it,
-              in blocks that keep only the orders their q needs (_SERIES_ORDERS).
+              and bound for all points of a call.  One driver per shape sums
+              it: _kummer_sum a grid of field points around one source, once
+              per distinct M, and _kummer_truncated one point pair
+              (greens_kummer and convergence_benchmark); both call
+              _mode_product, so a lone value is its 1 x 1 grid's bit for bit.
+              _kummer_coincident sums the G_r rows at r = r0, one per
+              (kd, y0).  The coincident kernel weights only the 2N + 1 modes
+              below m_s = 2N + 2 per row; every later mode has kd/(m pi) < 1/2 and
+              enters through the power series of its closed term in kd^2,
+              whose moments (_closed_moments) depend on chi_m^2(y0) alone and
+              are summed once for all rows that share it, in blocks that keep
+              only the orders their q needs (_SERIES_ORDERS).
               (Kummer's subtraction for the wire: C. M. Linton, J. Eng. Math.
               33, 377 (1998).)  Both kernels keep closed modes real:
               with r_m = |k_x^(m)|, 1/(i k_x) is -i/r_m for an open mode and
               -1/r_m for a closed one, whose wave term
               exp(i k_x|x-x0|)/(i k_x) = -exp(-r_m|x-x0|)/r_m is real, so
-              _mode_product sums a block of closed modes in real arithmetic,
-              and skips the blocks past the mode where min |x-x0| r_m
-              exceeds _EXP_UNDERFLOW: every exponential there is exactly 0.
+              _mode_product sums a block of closed modes in real arithmetic.
+              It sums every mode it is given; only a pair's mode table, cut
+              by _live_modes where every later term is exactly 0, is shorter.
 diffraction   difference of two period-2d grating Green's functions, the
               Poisson-resummed form of the image array.
 semiclassical image sum with each Hankel function replaced by its large-
@@ -94,6 +97,8 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606
 _COSH_OVERFLOW = 700.0  # pi |x-x0| / d beyond which the static form is exactly 0
+# the plan's caps end the doubling of M, not M (_doubled): a geometric M, from 64, is at most 2^18; a Kummer M,
+# from max(256, 4N), is below 2^17 (101,824 at kd = 5000.1), or 4N itself where that is past its cap (kd > 51,472)
 _GEOMETRIC_MODE_CAP = 200000
 _KUMMER_MODE_CAP = 65536
 # elements in a (rows x modes) or (modes x points) block of a Kummer sum
@@ -541,7 +546,8 @@ def _geometric_mode_tail_bound(m_trunc, k, ax):
 
 
 def _doubled(m_trunc, live, cap, done):
-    """Double each live M of m_trunc in place until done(M, i) holds at its index i or M reaches cap."""
+    """Double each live M of m_trunc in place until done(M, i) holds at its index i or M reaches cap:
+    an M below cap may end below 2 cap, and one that starts at or past cap is left as it is."""
     i = np.flatnonzero(live & (m_trunc < cap))
     while i.size:
         i = i[~done(m_trunc[i], i)]
@@ -559,11 +565,12 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     _closed_form_bound.  Off the axis the completion ignores the x decay, so the
     tail is smaller by at most the completion: that is charged to the bound, and
     M doubles until it fits.  Raises TruncationLimit for the first element, in
-    row-major order, whose bound misses tol under the caps.  The tails
-    (_closed_form_bound, mode_product_tail) evaluate their (M, alpha, beta)
-    factors once per distinct key, 2 for a 2,000-kd sweep at one y0, and each
-    element's kd combination elementwise, from kd coefficients computed once
-    per plan, so every element is its lone plan.
+    row-major order, whose bound misses tol where the caps end the doubling
+    (their comment gives the counts).  The tails (_closed_form_bound,
+    mode_product_tail) evaluate their (M, alpha, beta) factors once per
+    distinct key, 2 for a 2,000-kd sweep at one y0, and each element's kd
+    combination elementwise, from kd coefficients computed once per plan, so
+    every element is its lone plan.
     """
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (kd, ax, y, y0)))
     kd, ax, y, y0 = (v.ravel() for v in args)
@@ -605,32 +612,23 @@ def _mode_product(kd: float, counts: list, ax, ys, y0: float, table=None) -> lis
     It is blocked over modes, and a block ends at every count: the (ax x modes)
     and (modes x ys) temporaries of a block stay within _BLOCK elements while
     len(ax) and len(ys) do.  A block reads r_m, chi_m(y0) and chi_m(ys) from
-    table, one pair's _pair_modes over at least the largest count, or else
-    evaluates them.  A closed mode has k_x = i r_m, r_m = |k_x^(m)|, and the
-    real wave term -exp(-r_m ax)/r_m, so a block of closed modes is summed in
-    real arithmetic; a block holding any of the N open modes is complex.
-    Once min(ax) r_m exceeds _EXP_UNDERFLOW at the first mode of a closed
-    block, every exponential of that block and of the later ones is exactly 0
-    (r_m and m pi grow with m), so they would add exactly +-0 and are skipped:
-    one test per block, on a scalar, and never on the axis.  A table may end
-    before the largest count, where every later term is +-0 (_live_modes):
-    the sum stops at its end.
+    table, one pair's _pair_modes, or else evaluates them.  A closed mode has
+    k_x = i r_m, r_m = |k_x^(m)|, and the real wave term -exp(-r_m ax)/r_m, so
+    a block of closed modes is summed in real arithmetic; a block holding any
+    of the N open modes is complex.  The sum stops where the modes it is given
+    end: at the largest count, or at the end of a shorter table, past which
+    every term is +-0 (_live_modes, the one home of that rule).
     """
     n_open = _n_open(kd)
     step = max(1, _BLOCK // max(ax.size, ys.size))
-    ax_min, end = ax.min(), counts[-1] if table is None else min(counts[-1], len(table[0]))
+    end = min(counts[-1], len(table[0])) if table else counts[-1]
     total, totals, lo = np.zeros((ax.size, ys.size)), [], 0
     for count in counts:
-        while lo < count:
+        while lo < min(count, end):
             hi = min(lo - lo % step + step, count, end)
             m = np.arange(lo + 1, hi + 1)
-            r_m = _abs_kx(kd, m) if table is None else table[0][lo:hi]
+            r_m, chi_y0, chi_ys = (t[lo:hi] for t in table) if table else (_abs_kx(kd, m), _chi(m, y0), _chi(m, ys))
             n_o = min(max(n_open - lo, 0), hi - lo)  # the block's open modes
-            # past the table's end, or where this closed block underflows, every later block adds +-0
-            if hi == lo or not n_o and ax_min * r_m[0] > _EXP_UNDERFLOW:
-                lo = counts[-1]
-                break
-            chi_y0, chi_ys = (_chi(m, y0), _chi(m, ys)) if table is None else (table[1][lo:hi], table[2][lo:hi])
             wave = _exp_outer(ax, -r_m[n_o:]) * (-1.0 / r_m[n_o:])
             if n_o:
                 wave = np.concatenate([_exp_outer(ax, 1j * r_m[:n_o]) / (1j * r_m[:n_o]), wave], axis=-1)
@@ -646,20 +644,39 @@ def _exp_outer(ax, v):
     return np.exp(np.multiply.outer(ax, v)) if ax.any() else np.ones((ax.size, 1))
 
 
-def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion, table=None):
+def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
     """G_w at the points (ax_i, y_j), ax = |x - x0|: completion + static form + one _mode_product
-    per distinct M = m_trunc[i, j] over the rows and columns holding it (M = 0: r = r0, NaN).
-    A lone point may pass its pair's mode table (_pair_modes) to its one _mode_product."""
-    counts = set(m_trunc.ravel().tolist())
-    if len(counts) == 1 and 0 not in counts:  # one M everywhere, as at every lone point
-        return _mode_product(kd, [counts.pop()], ax, ys, y0, table)[0] + completion + _static_form(ax[:, None], ys, y0)
+    per distinct M = m_trunc[i, j] over the rows and columns holding it (M = 0: r = r0, NaN)."""
     out = np.full(m_trunc.shape, np.nan, dtype=complex)
-    for m_max in sorted(counts - {0}):
+    for m_max in sorted(set(m_trunc.ravel().tolist()) - {0}):
         at = m_trunc == m_max
         rows, cols = np.flatnonzero(at.any(axis=1)), np.flatnonzero(at.any(axis=0))
         out[at] = _mode_product(kd, [m_max], ax[rows], ys[cols], y0)[0][at[np.ix_(rows, cols)]]
     with np.errstate(divide="ignore"):  # log 0 at r = r0, where out is NaN already
         return out + completion + _static_form(ax[:, None], ys, y0)
+
+
+def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc, tail, table=None):
+    """Kummer form of one point pair summed to exactly m_trunc modes plus the tail completion
+    ``tail`` (0 for none): greens_kummer at its plan's M, and convergence_benchmark's reference
+    and kummer rows.
+
+    At r = r0 this is the renormalization sum G_w - G_0.  m_trunc may also be an
+    ascending list of mode counts, with tail broadcast along its last axis: every
+    count then comes from one mode sum, which reads the pair's mode table when
+    given one, or from one _kummer_coincident pass over one chi_m^2(y0) vector
+    at r = r0, and the result is an array.
+    """
+    counts = np.atleast_1d(m_trunc).tolist()
+    tail = np.broadcast_to(tail, np.broadcast_shapes(np.shape(tail), (len(counts),)))
+    if ax == 0.0 and y == y0:
+        w = _chi(np.arange(1, counts[-1] + 1), y0) ** 2
+        values = np.stack(_kummer_coincident(kd, y0, w, _n_open(kd), tail, counts)[0], axis=-1)
+    else:
+        ax, ys = np.array([ax]), np.array([y])
+        sums = np.array(_mode_product(kd, counts, ax, ys, y0, table))[:, 0, 0]
+        values = sums + tail + _static_form(ax[:, None], ys, y0)[0, 0]
+    return values if np.ndim(m_trunc) else complex(values[0])
 
 
 def _kummer_coincident(kd, y0, w, n_open: int, completion, counts: list):
@@ -779,35 +796,25 @@ def _closed_moments(w, m_s: int, e: int, counts: list):
     return moments
 
 
-def _kummer_grid(kd: float, ax, ys, y0: float, tol: float):
-    """(G_w, mode counts, bounds) at the points (ax_i, y_j) from one plan and one _kummer_sum.
-
-    r = r0 (ax = 0, y = y0) is left out: NaN, with mode count and bound 0."""
-    at_r0 = (ax == 0.0)[:, None] & (ys == y0)
-    # r0 is planned as a point one width away (a cheap geometric plan), then dropped
-    m_trunc, completion, bound = _kummer_plan(kd, np.where(at_r0, 1.0, ax[:, None]), tol, ys, y0)
-    m_trunc[at_r0] = bound[at_r0] = 0
-    return _kummer_sum(kd, ax, ys, y0, m_trunc, completion), m_trunc, bound
-
-
 def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     """Convergence-accelerated wire Green's function.
 
     G_w = sum_m chi_m(y) chi_m(y0) [exp(i k_x|x-x0|)/(i k_x) + (d/m pi) exp(-m pi |x-x0|/d)]
           + greens_static(r, r0),
 
-    the 1 x 1 case of greens_kummer_grid.  The returned tail_bound is an honest
-    bound on everything dropped and below tol; very close to the source, where
-    the plan cannot meet tol, it raises TruncationLimit.
+    one pair's plan (_kummer_plan) summed by _kummer_truncated; each point of
+    greens_kummer_grid holds the same bits.  The returned tail_bound is an
+    honest bound on everything dropped and below tol; very close to the
+    source, where the plan cannot meet tol, it raises TruncationLimit.
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
     guard_mode_openings(k)
     dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("coincident points are routed to renorm_sum")
-    value, m_trunc, bound = _kummer_grid(k, np.array([abs(dx)]), np.array([float(r[1])]),
-                                         float(r0[1]), tol)
-    return GreensValue(complex(value[0, 0]), "kummer", int(m_trunc[0, 0]), float(bound[0, 0]))
+    ax, y, y0 = abs(dx), float(r[1]), float(r0[1])
+    m_trunc, completion, bound = _kummer_plan(k, ax, tol, y, y0)
+    return GreensValue(_kummer_truncated(k, ax, y, y0, m_trunc, completion), "kummer", int(m_trunc), float(bound))
 
 
 def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
@@ -818,7 +825,12 @@ def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
     """
     x, y = _check_strip(np.append(xs, r0[0]), np.append(ys, r0[1]))
     guard_mode_openings(k)
-    return _kummer_grid(k, np.abs(x[:-1] - x[-1]), y[:-1], y[-1], tol)[0]
+    ax, ys, y0 = np.abs(x[:-1] - x[-1]), y[:-1], y[-1]
+    at_r0 = (ax == 0.0)[:, None] & (ys == y0)
+    # r0 is planned as a point one width away (a cheap geometric plan), then dropped
+    m_trunc, completion, _ = _kummer_plan(k, np.where(at_r0, 1.0, ax[:, None]), tol, ys, y0)
+    m_trunc[at_r0] = 0
+    return _kummer_sum(k, ax, ys, y0, m_trunc, completion)
 
 
 # ---------------------------------------------------------------------------
@@ -874,8 +886,8 @@ def bragg_spectrum(k: float, period: float, n_max: int | None = None) -> BraggSp
     evanescent and get complex angles (positive imaginary part by convention)
     while kx keeps the +i decaying branch.
     """
-    if k <= 0.0 or period <= 0.0:
-        raise DomainError("k and period must be positive")
+    if not (0.0 < k < inf and 0.0 < period < inf):
+        raise DomainError("k and period must be positive and finite")
     n_max = int(np.floor(k * period / (2.0 * np.pi))) + 8 if n_max is None else n_max
     if not _integer_in(n_max, 0):
         raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
@@ -945,27 +957,6 @@ def semiclassical_renorm_sum(k: float, y0: float) -> complex:
 # convergence benchmark
 # ---------------------------------------------------------------------------
 
-def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc, tail, table=None):
-    """Kummer form summed to exactly m_trunc modes plus the tail completion ``tail`` (0 for none).
-
-    At r = r0 this is the renormalization sum G_w - G_0.  m_trunc may also be an
-    ascending list of mode counts, with tail broadcast along its last axis: every
-    count then comes from one mode sum, which reads the pair's mode table when
-    given one, or from one _kummer_coincident pass over one chi_m^2(y0) vector
-    at r = r0, and the result is an array.
-    """
-    counts = np.atleast_1d(m_trunc).tolist()
-    tail = np.broadcast_to(tail, np.broadcast_shapes(np.shape(tail), (len(counts),)))
-    if ax == 0.0 and y == y0:
-        w = _chi(np.arange(1, counts[-1] + 1), y0) ** 2
-        values = np.stack(_kummer_coincident(kd, y0, w, _n_open(kd), tail, counts)[0], axis=-1)
-    else:
-        ax, ys = np.array([ax]), np.array([y])
-        sums = np.array(_mode_product(kd, counts, ax, ys, y0, table))[:, 0, 0]
-        values = sums + tail + _static_form(ax[:, None], ys, y0)[0, 0]
-    return values if np.ndim(m_trunc) else complex(values[0])
-
-
 def convergence_benchmark(r, r0, k: float, representations=("spectral", "image", "kummer"),
                           term_grid=(10, 30, 100, 300, 1000, 3000, 10000)) -> list[BenchmarkRow]:
     """Terms-versus-error table for each representation at one point pair.
@@ -1000,11 +991,11 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
             raise CoincidentPoints(f"only the kummer forms exist at coincidence, not {sorted(bad)}")
         counts = sorted(set(term_grid) | {65536})
     else:
-        counts, ax_1, y_1 = sorted(set(term_grid)), np.array([ax]), np.array([y])
+        counts = sorted(set(term_grid))
         # greens_kummer(r, r0, k, tol=1e-12): its plan, then its sum from the pair's table
-        m_ref, completion, _ = _kummer_plan(kd, ax_1[:, None], 1e-12, y_1, y0)
-        table = _pair_modes(kd, _live_modes(kd, ax, max(counts[-1], m_ref.item())), y, y0)
-        ref = complex(_kummer_sum(kd, ax_1, y_1, y0, m_ref, completion, table)[0, 0])
+        m_ref, completion, _ = _kummer_plan(kd, ax, 1e-12, y, y0)
+        table = _pair_modes(kd, _live_modes(kd, ax, max(counts[-1], int(m_ref))), y, y0)
+        ref = _kummer_truncated(kd, ax, y, y0, m_ref, completion, table)
     kummer = {}
     if kummer_forms:
         tails = mode_product_tail(kummer_tail_coefficients(kd), np.array(counts), *_mode_angles(y, y0))[0]

@@ -50,7 +50,7 @@ from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
                      SingularSystem)
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
 from .greens import _cabs, _cdiv, _cmul, _kummer_coincident, _kummer_plan
-from .specfun import cylinder_bessel_j, cylinder_bessel_y, hankel1
+from .specfun import _integer_in, cylinder_bessel_j, cylinder_bessel_y, hankel1
 from .waveguide import WireConfig, _chi, _closed, _n_open, guard_mode_openings, open_channel_count, transverse_mode
 
 __all__ = [
@@ -335,8 +335,14 @@ def effective_strength(k, y0: float, a: float, tol: float = 1e-12) -> complex:
     return renorm_state(k, WireConfig(y0=y0, a=a), tol).rs
 
 
-def _threshold_chi2(n_mode: int, y0: float) -> float:
-    """chi_N^2(y0) of the threshold mode N = n_mode; DegenerateMode where y0 sits on its node."""
+def _threshold_chi2(n_mode: int, eps: float, y0: float) -> float:
+    """chi_N^2(y0) of the threshold mode N = n_mode, the one domain check of both edge laws:
+    DomainError unless N is an integer >= 1 and eps lies in (0, 1e-3], where the leading order
+    applies; DegenerateMode where y0 sits on the mode's node."""
+    if not _integer_in(n_mode, 1):
+        raise DomainError(f"mode index must be an integer >= 1, got {n_mode!r}")
+    if not 0.0 < eps <= 1e-3:
+        raise DomainError("eps must lie in (0, 1e-3] for the leading order to apply")
     chi2 = transverse_mode(n_mode, y0) ** 2
     if chi2 < 1e-24:
         raise DegenerateMode(f"mode {n_mode} has a node at y0={y0!r}")
@@ -345,7 +351,7 @@ def _threshold_chi2(n_mode: int, y0: float) -> float:
 
 def gr_edge_asymptote(n_mode: int, eps: float, y0: float,
                       side: Literal["below", "above"] = "below") -> complex:
-    """Leading divergence of G_r at kd = n_mode*pi -+ eps (eps in kd units).
+    """Leading divergence of G_r at kd = n_mode*pi -+ eps (eps in kd units, in (0, 1e-3]).
 
     The threshold mode contributes 1/(i k_x^(N)) chi_N^2(y0) with
     k_x^(N) d = sqrt(2 N pi eps) to leading order, hence
@@ -353,11 +359,7 @@ def gr_edge_asymptote(n_mode: int, eps: float, y0: float,
         G_r ~ -chi_N^2(y0) d / sqrt(2 pi N eps)     (below: real)
         G_r ~ -i chi_N^2(y0) d / sqrt(2 pi N eps)   (above: imaginary)
     """
-    if n_mode < 1:
-        raise DomainError("mode index must be >= 1")
-    if not 0.0 < eps <= 1e-3:
-        raise DomainError("eps must lie in (0, 1e-3] for the leading order to apply")
-    amp = _threshold_chi2(n_mode, y0) / np.sqrt(2.0 * np.pi * n_mode * eps)
+    amp = _threshold_chi2(n_mode, eps, y0) / np.sqrt(2.0 * np.pi * n_mode * eps)
     if side == "below":
         return complex(-amp)
     if side == "above":
@@ -375,8 +377,8 @@ def foldy_solve(problem: FoldyProblem, k: float,
     ``born`` iterates the multiple-scattering series instead and refuses if
     its spectral radius is >= 1.
     """
-    if not k > 0.0:
-        raise DomainError(f"k must be positive, got {k!r}")
+    if not 0.0 < k < np.inf:
+        raise DomainError(f"k must be positive and finite, got {k!r}")
     pos = np.asarray(problem.positions, dtype=float)
     n = len(pos)
     phi = np.asarray(problem.incident, dtype=complex)

@@ -170,7 +170,7 @@ def phase_shift(k, cfg: WireConfig, tol: float = 1e-12) -> PhaseShift:
 
 
 def sigma_edge_asymptote(n_mode: int, eps: float, y0: float) -> float:
-    """Leading-order sigma at kd = n_mode*pi - eps (eps in kd units).
+    """Leading-order sigma at kd = n_mode*pi - eps (eps in kd units, in (0, 1e-3]).
 
     Just below the opening Rs -> -1/G_r with G_r ~ -chi_N^2 d/sqrt(2 pi N eps)
     while phi_s(r0) stays finite, giving the linear-in-eps law
@@ -179,9 +179,7 @@ def sigma_edge_asymptote(n_mode: int, eps: float, y0: float) -> float:
     """
     if n_mode < 2:
         raise DomainError("edge law needs at least one mode open below the threshold")
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    chi_n2 = _threshold_chi2(n_mode, y0)
+    chi_n2 = _threshold_chi2(n_mode, eps, y0)
     n = np.arange(1, n_mode)
     total = np.sum((_chi(n, y0) ** 2 / chi_n2) / np.sqrt(n_mode**2 - n**2))
     return float(2.0 * n_mode * (eps / np.pi) * total**2)

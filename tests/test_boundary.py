@@ -22,11 +22,11 @@ R0 = (0.0, 0.3)
 CFG = WireConfig(y0=0.3, a=0.1)
 BAD_Y = {"y=1.5": 1.5, "y=-0.2": -0.2, "y=nan": np.nan}
 BAD_KD = {"kd=3pi+1e-10": 3 * np.pi + 1e-10, "kd=3pi-1e-10": 3 * np.pi - 1e-10,
-          "kd=0": 0.0, "kd=-1": -1.0}
+          "kd=0": 0.0, "kd=-1": -1.0, "kd=nan": np.nan, "kd=inf": np.inf}
 
 # (id, function, call(y, kd), what it takes): "y" and "kd" get every bad value
 # of theirs; free-space forms ("y0", "kd0": no walls, no openings) get only
-# a NaN y and kd <= 0
+# a NaN y and every kd that is not a positive finite number
 ENTRIES = [
     ("greens_free", greens.greens_free, lambda y, kd: greens.greens_free((0.3, y), R0, kd), "y0 kd0"),
     ("greens_spectral", greens.greens_spectral,
@@ -127,7 +127,7 @@ def _bad_inputs(takes):
     if "kd" in kinds:
         cases |= {c: (Y, kd) for c, kd in BAD_KD.items()}
     if "kd0" in kinds:
-        cases |= {c: (Y, kd) for c, kd in BAD_KD.items() if kd <= 0.0}
+        cases |= {c: (Y, kd) for c, kd in BAD_KD.items() if not 0.0 < kd < np.inf}
     return cases
 
 
@@ -253,13 +253,13 @@ def _tests_a_against_zero(node):
     return any(is_a) and any(is_zero)
 
 
-def _rule_sites(predicate, home):
-    """(module, line) of every node matching predicate in src/, outside home = (module, function)."""
+def _rule_sites(predicate, *homes):
+    """(module, line) of every node matching predicate in src/, outside every home = (module, function)."""
     sites = []
     for path in sorted(_SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         inside = {id(n) for fn in ast.walk(tree)
-                  if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) == home for n in ast.walk(fn)}
+                  if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) in homes for n in ast.walk(fn)}
         sites += [(path.stem, n.lineno) for n in ast.walk(tree) if predicate(n) and id(n) not in inside]
     return sites
 
@@ -403,12 +403,31 @@ def test_coincident_mode_sum_lives_in_one_kernel():
     assert callers == {("renorm", "renorm_grid"), ("greens", "_kummer_truncated")}
 
 
+def _reads(name):
+    """A predicate: the node reads name, bare or as an attribute (a call, a reference or a constant)."""
+    return lambda node: (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)) \
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+
+
+# the off-source Kummer sum: one stop rule, one mode kernel, and one driver per shape of it
+# (a grid of field points, one point pair) with the callers that each shape has
+_KUMMER_READERS = {"_EXP_UNDERFLOW": ("_live_modes",), "_mode_product": ("_kummer_sum", "_kummer_truncated"),
+                   "_kummer_sum": ("greens_kummer_grid",),
+                   "_kummer_truncated": ("greens_kummer", "convergence_benchmark")}
+
+
+@pytest.mark.parametrize("name", sorted(_KUMMER_READERS))
+def test_the_kummer_sum_has_one_driver_per_shape_and_one_stop_rule(name):
+    assert _rule_sites(_reads(name), *(("greens", fn) for fn in _KUMMER_READERS[name])) == []
+
+
 def test_the_guards_see_the_rules_they_guard():
     # each predicate matches its rule's home, so an empty site list means something
     home = {"_closed": _tests_closed_wire, "_threshold_chi2": _raises_degenerate_mode,
             "conductance": _subtracts_cross_section, "_open_mode_state": _bounds_a_mode_index,
             "_integer_in": _tests_for_an_integer, "t_matrix": _names_strength,
-            "_kummer_coincident": _calls_coincidence_constant}
+            "_kummer_coincident": _calls_coincidence_constant,
+            **{fn: _reads(name) for name, fns in _KUMMER_READERS.items() for fn in fns}}
     found = set()
     for path in (_SRC / "waveguide.py", _SRC / "renorm.py", _SRC / "scattering.py", _SRC / "specfun.py",
                  _SRC / "greens.py"):
@@ -464,11 +483,24 @@ def test_a_mode_index_that_is_not_an_open_mode_is_a_domain_error(fn, n):
     lambda: waveguide.image_positions(CFG, -2.5, 2),
     lambda: greens.bragg_spectrum(2.0, 2.0 * np.pi, n_max=1.5),
     lambda: greens.bragg_spectrum(2.0, 2.0 * np.pi, n_max=-1),
+    lambda: scattering.sigma_edge_asymptote(2.5, 1e-6, 0.3),
+    lambda: renorm.gr_edge_asymptote(2.5, 1e-6, 0.3),
 ], ids=["nx", "ny", "image", "semiclassical", "image-positive", "spectral", "spectral-whole-float", "channels",
-        "mode-index", "benchmark-terms", "benchmark-no-terms", "image-range", "bragg-orders", "bragg-negative"])
+        "mode-index", "benchmark-terms", "benchmark-no-terms", "image-range", "bragg-orders", "bragg-negative",
+        "sigma-edge-mode", "gr-edge-mode"])
 def test_a_count_that_is_not_an_integer_is_a_domain_error(call):
     # no numpy TypeError, no RuntimeWarning from (-1.0) ** n, no value with a fractional count
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="integer"):
             call()
+
+
+@pytest.mark.parametrize("law", [scattering.sigma_edge_asymptote, renorm.gr_edge_asymptote])
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1e-6, 2e-3])
+def test_an_edge_law_refuses_an_eps_outside_its_window(law, eps):
+    # both laws take their domain from renorm._threshold_chi2: eps in (0, 1e-3], never a NaN or inf value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="eps must lie in"):
+            law(2, eps, 0.3)

@@ -355,6 +355,19 @@ def test_grid_value_is_the_value_of_its_lone_point(kd, y0, near_x0, far, ys, nea
                 assert abs(grid[i, j] - lone) <= 1e-14 * max(1.0, abs(lone)), (x, y)
 
 
+@pytest.mark.parametrize("r, k, tol", [
+    ((0.37, 0.61), KD, 1e-12), ((-1.9, 0.2), KD, 1e-10), ((2.0, 1.0), 9.7 * np.pi, 1e-8),
+    ((0.0, 0.61), KD, 1e-12), ((0.0, 0.3 + 1e-4), KD, 1e-12), ((3e-5, 0.5), KD, 1e-12),
+    ((-0.0025, 0.5), KD, 1e-12), ((1e-3, 0.0), 40.0, 1e-10),
+], ids=["off", "far", "far-wall", "axis", "axis-near-source", "near-axis", "near-axis-left", "near-wall"])
+def test_lone_value_is_the_one_point_grid_bit_for_bit(r, k, tol):
+    # greens_kummer sums one pair (_kummer_truncated) and the grid each mode count of a grid
+    # (_kummer_sum): both drivers form the same blocks, so a lone point is a 1 x 1 grid
+    lone = greens_kummer(r, R0, k, tol).value
+    grid = greens_kummer_grid([r[0]], [r[1]], R0, k, tol)[0, 0]
+    assert np.complex128(lone).tobytes() == np.complex128(grid).tobytes()
+
+
 # mode counts of the scalar plan that the elementwise one replaced: it must keep every one
 @pytest.mark.parametrize("k, y0, terms", [
     # mode_product_tail's own bound passes at 256 modes here (4.1e-13 <
@@ -362,9 +375,18 @@ def test_grid_value_is_the_value_of_its_lone_point(kd, y0, near_x0, far, ys, nea
     (np.pi / 2, 0.0345, 512),
     (40.0, 0.5, 1024),
     (7.3, 1e-4, 65536),
+    # the cap ends the doubling, not the count: 4N = 6,364 doubles past 65,536 to 101,824
+    # modes, where the bound (4.8e-13) meets 1e-12
+    (5000.1, 0.013, 101824),
 ])
 def test_renorm_mode_counts_are_frozen(k, y0, terms):
     assert renorm_sum(k, y0).terms_used == terms
+
+
+def test_the_kummer_cap_ends_the_doubling_not_the_count():
+    # 4N = 25,464 doubles past the 65,536 cap to 101,856 modes, where the bound still misses tol
+    with pytest.raises(TruncationLimit, match="with 101856 modes misses"):
+        renorm_sum(20000.37, 0.3)
 
 
 @pytest.mark.parametrize("r, k, tol, terms", [
@@ -869,11 +891,11 @@ def test_each_series_tier_drops_only_terms_below_2_to_the_minus_53():
 
 
 def _every_block(kd, counts, ax, y, y0):
-    """The pair's Kummer mode sum at each count as the kernel forms it, with no block skipped:
-    blocks of _BLOCK modes that break at each count, added in order.  Returns the running totals
-    and the terms of each block that the kernel skips."""
+    """The pair's Kummer mode sum at each count as the kernel forms it, over every mode: blocks of
+    _BLOCK modes that break at each count, added in order.  Returns the running totals and the
+    coefficient of every mode."""
     ax, ys, n_open = np.array([ax]), np.array([y]), waveguide._n_open(kd)
-    total, totals, skipped, lo = 0.0, [], [], 0
+    total, totals, coefs, lo = 0.0, [], [], 0
     for count in counts:
         while lo < count:
             hi = min(lo - lo % greens._BLOCK + greens._BLOCK, count)
@@ -883,24 +905,53 @@ def _every_block(kd, counts, ax, y, y0):
             if n_o:
                 wave = np.concatenate([np.exp(np.multiply.outer(ax, 1j * r_m[:n_o])) / (1j * r_m[:n_o]), wave], axis=-1)
             coef = waveguide._chi(m, y0) * (wave + (1.0 / (m * np.pi)) * np.exp(np.multiply.outer(ax, -m * np.pi)))
-            if not n_o and ax[0] * r_m[0] > greens._EXP_UNDERFLOW:
-                skipped.append(coef)
+            coefs.append(coef)
             total = total + coef @ waveguide._chi(m, ys)
             lo = hi
         totals.append(total)
-    return totals, skipped
+    return totals, np.concatenate(coefs, axis=-1)
 
 
 @pytest.mark.parametrize("ax", [0.06, 0.4, 0.8])
 @pytest.mark.parametrize("kd, y, y0", [(KD, 0.61, 0.3), (9.7 * np.pi, 0.05, 0.93), (1.1 * np.pi, 0.5, 0.5)])
 def test_underflowed_blocks_are_skipped_without_changing_a_bit(ax, kd, y, y0):
+    # _live_modes is the one rule that drops modes: a table it cuts short leaves out only exact
+    # +-0 terms, and the sum stops at the table's end with the bits of the sum over every mode
     counts = [10, 30, 100, 300, 1000, 3000, 5000, 10000]
-    expected, skipped = _every_block(kd, counts, ax, y, y0)
-    assert skipped and all(np.all(coef == 0.0) for coef in skipped)  # every skipped term is exactly +-0
-    table = greens._pair_modes(kd, counts[-1], y, y0)
-    for given_table in (None, table):
-        got = greens._mode_product(kd, counts, np.array([ax]), np.array([y]), y0, given_table)
+    expected, coefs = _every_block(kd, counts, ax, y, y0)
+    live = greens._live_modes(kd, ax, counts[-1])
+    assert live < counts[-1] and np.all(coefs[..., live:] == 0.0)
+    for table in (None, greens._pair_modes(kd, counts[-1], y, y0), greens._pair_modes(kd, live, y, y0)):
+        got = greens._mode_product(kd, counts, np.array([ax]), np.array([y]), y0, table)
         assert [t.tobytes() for t in got] == [t.tobytes() for t in expected]
+
+
+@pytest.mark.parametrize("n_open, counts, rows", [
+    (0, [1, 2, 3, 7, 100, 3000], 3),           # m_s = 2: a count below it, and counts inside reaches
+    (7, [3, 15], 2),                           # m_s = 16: every count below it, all moments 0
+    (7, [3, 15, 16, 21, 47, 300, 5000], 40),   # 40 rows of 4,985 modes: several _TABLE row chunks
+])
+def test_closed_moments_are_their_exact_sums(n_open, counts, rows):
+    # 2^(2je) S_j of each (count, row, order) against math.fsum of the same float products over
+    # exactly that order's reach: only a direct test sees a reach cut short, which moves the
+    # assembled Re G_r by less than 2^-53
+    m_s = 2 * n_open + 2
+    e = math.frexp(m_s * np.pi)[1]
+    w = waveguide._chi(np.linspace(0.05, 0.95, rows), np.arange(1, counts[-1] + 1)) ** 2
+    got = greens._closed_moments(w, m_s, e, counts)
+    reach = {j: r for j0, j1, r in greens._ORDER_REACH for j in range(j0, j1)}
+    assert got.shape == (len(counts), rows, len(reach))
+    inv = 1.0 / (np.arange(m_s, max(counts[-1], m_s) + 1, dtype=float) * np.pi)
+    square = inv * inv * 4.0 ** e  # (2^e / (m pi))^2, exactly
+    weight = inv
+    for j in range(len(reach)):
+        weight = weight * square  # 2^(2(j + 1)e) / (m pi)^(2j + 3)
+        for i, c in enumerate(counts):
+            modes = int(min(reach[j] * m_s, max(c - m_s + 1, 0)))
+            for row in range(rows):
+                want = math.fsum((w[row, m_s - 1:m_s - 1 + modes] * weight[:modes]).tolist())
+                assert abs(got[i, row, j] - want) <= 1e-14 * want, (c, row, j)
+                assert (got[i, row, j] == 0.0) == (modes == 0), (c, row, j)
 
 
 @pytest.mark.parametrize("kd, y0", [(KD, 0.3), (9.7 * np.pi, 0.05), (1.1 * np.pi, 0.93)])
