@@ -32,8 +32,9 @@ kummer        spectral sum with the static series subtracted term by term and
               The kd factors (kummer_tail_coefficients) are computed once per
               plan.  One elementwise plan (_kummer_plan) picks M, completion
               and bound for all points of a call.  One driver per shape sums
-              it: _kummer_sum a grid of field points around one source, once
-              per distinct M, and _kummer_truncated one point pair
+              it: _kummer_sum a grid of field points around one source, in
+              one pass over the modes that stops each point at its own M, and
+              _kummer_truncated one point pair
               (greens_kummer and convergence_benchmark); both call
               _mode_product, so a lone value is its 1 x 1 grid's bit for bit.
               _kummer_coincident sums the G_r rows at r = r0, one per
@@ -560,31 +561,39 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     """Mode count M, analytic tail completion and error bound of the Kummer sum, elementwise.
 
     The one code that picks a Kummer M, over broadcast kd, ax = |x - x0|, y and
-    y0.  Geometric truncation wins wherever it fits; essentially on-axis elements
-    (ax < ~4e-5 d, and r = r0 for G_r) take the m^-3 completion from the M of
-    _closed_form_bound.  Off the axis the completion ignores the x decay, so the
-    tail is smaller by at most the completion: that is charged to the bound, and
-    M doubles until it fits.  Raises TruncationLimit for the first element, in
-    row-major order, whose bound misses tol where the caps end the doubling
-    (their comment gives the counts).  The tails (_closed_form_bound,
-    mode_product_tail) evaluate their (M, alpha, beta) factors once per
-    distinct key, 2 for a 2,000-kd sweep at one y0, and each element's kd
-    combination elementwise, from kd coefficients computed once per plan, so
-    every element is its lone plan.
+    y0, and the one check of tol (a DomainError unless it is positive and
+    finite).  Geometric truncation wins wherever it fits.  It reads kd and ax
+    alone, so it runs on their broadcast (a grid's column of ax, not its
+    points) and is broadcast to every element.  Essentially on-axis elements
+    (ax < ~4e-5 d, and r = r0 for G_r), and only they, take the m^-3
+    completion from the M of _closed_form_bound.  Off the axis the completion
+    ignores the x decay, so the tail is smaller by at most the completion: that
+    is charged to the bound, and M doubles until it fits.  Raises
+    TruncationLimit for the first element, in row-major order, whose bound
+    misses tol where the caps end the doubling (their comment gives the
+    counts).  The tails (_closed_form_bound, mode_product_tail) evaluate their
+    (M, alpha, beta) factors once per distinct key, 2 for a 2,000-kd sweep at
+    one y0, and each element's kd combination elementwise, from kd coefficients
+    computed once per plan, so every element is its lone plan.
     """
-    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (kd, ax, y, y0)))
-    kd, ax, y, y0 = (v.ravel() for v in args)
-    off_axis = ax > 0.0
-    m_trunc = _doubled(np.full(kd.shape, 64), off_axis, _GEOMETRIC_MODE_CAP,
-                       lambda m, i: _geometric_mode_tail_bound(m, kd[i], ax[i]) <= tol)
-    bound = np.full(kd.shape, np.inf)  # on the axis, as at r = r0 for every G_r, nothing decays
+    if not 0.0 < tol < inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    kd, ax, y, y0 = (np.asarray(v, dtype=float) for v in (kd, ax, y, y0))
+    kd_g, ax_g = np.broadcast_arrays(kd, ax)
+    geometric_shape, shape = kd_g.shape, np.broadcast_shapes(kd_g.shape, y.shape, y0.shape)
+    kd_g, ax_g = kd_g.ravel(), ax_g.ravel()
+    off_axis = ax_g > 0.0
+    m_trunc = _doubled(np.full(kd_g.shape, 64), off_axis, _GEOMETRIC_MODE_CAP,
+                       lambda m, i: _geometric_mode_tail_bound(m, kd_g[i], ax_g[i]) <= tol)
+    bound = np.full(kd_g.shape, np.inf)  # on the axis, as at r = r0 for every G_r, nothing decays
     if off_axis.any():
-        bound = np.where(off_axis, _geometric_mode_tail_bound(m_trunc, kd, ax), bound)
-    completion = np.zeros(kd.shape)
+        bound = np.where(off_axis, _geometric_mode_tail_bound(m_trunc, kd_g, ax_g), bound)
+    m_trunc, bound = (np.broadcast_to(v.reshape(geometric_shape), shape).flatten() for v in (m_trunc, bound))
+    completion = np.zeros(bound.shape)
     near = np.flatnonzero(~(bound <= tol))
     if near.size:
-        kd_n, ax_n = kd[near], ax[near]
-        alpha, beta = _mode_angles(y[near], y0[near])
+        kd_n, ax_n, y_n, y0_n = (np.broadcast_to(v, shape).flat[near] for v in (kd, ax, y, y0))
+        alpha, beta = _mode_angles(y_n, y0_n)
         coefs = np.stack(kummer_tail_coefficients(kd_n))  # once per plan; each step takes its columns
 
         def charged_bound(m, i):
@@ -596,23 +605,28 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
         m_n = _doubled(m_n, ax_n > 0.0, _KUMMER_MODE_CAP, lambda m, i: charged_bound(m, i)[1] < tol)
         completion_n, bound[near] = charged_bound(m_n, slice(None))
         m_trunc[near], completion[near] = m_n, completion_n
-        bad = near[~(bound[near] < tol)]
+        bad = np.flatnonzero(~(bound[near] < tol))
         if bad.size:
             j = bad[0]
-            raise TruncationLimit(f"Kummer series at |x - x0|={ax[j].item()!r}, y={y[j].item()!r}, "
-                                  f"y0={y0[j].item()!r}, kd={kd[j].item()!r}: bound "
-                                  f"{bound[j]:.3g} with {m_trunc[j]} modes misses tol={tol:g}")
-    return tuple(v.reshape(args[0].shape) for v in (m_trunc, completion, bound))
+            raise TruncationLimit(f"Kummer series at |x - x0|={ax_n[j].item()!r}, y={y_n[j].item()!r}, "
+                                  f"y0={y0_n[j].item()!r}, kd={kd_n[j].item()!r}: bound "
+                                  f"{bound[near[j]]:.3g} with {m_n[j]} modes misses tol={tol:g}")
+    return tuple(v.reshape(shape) for v in (m_trunc, completion, bound))
 
 
-def _mode_product(kd: float, counts: list, ax, ys, y0: float, table=None) -> list:
+def _mode_product(kd: float, counts: list, ax, ys, y0: float, table=None, ends=None) -> list:
     """sum_{m <= M} chi_m(y_j) chi_m(y0) [exp(i k_x ax_i)/(i k_x) + (d/m pi) exp(-m pi ax_i/d)]
-    at each M of the ascending mode counts, as running totals.
+    at each M of the ascending mode counts, as running totals of the rows still summed there.
 
-    It is blocked over modes, and a block ends at every count: the (ax x modes)
-    and (modes x ys) temporaries of a block stay within _BLOCK elements while
-    len(ax) and len(ys) do.  A block reads r_m, chi_m(y0) and chi_m(ys) from
-    table, one pair's _pair_modes, or else evaluates them.  A closed mode has
+    Row i is summed to its own mode count ends[i] (every row to the last count
+    when ends is None) and then dropped.  ends must not increase along the
+    rows, so the rows that reach a count lead, and its total holds them alone.
+    The sum is blocked over modes, each block shared by every row still summed,
+    so each mode is evaluated once per call.  A block ends at every count, and
+    its (rows x modes) and (modes x ys) temporaries stay within _BLOCK elements
+    while the rows still summed and len(ys) do: a one-row call keeps one block
+    size throughout.  A block reads r_m, chi_m(y0) and chi_m(ys) from table,
+    one pair's _pair_modes, or else evaluates them.  A closed mode has
     k_x = i r_m, r_m = |k_x^(m)|, and the real wave term -exp(-r_m ax)/r_m, so
     a block of closed modes is summed in real arithmetic; a block holding any
     of the N open modes is complex.  The sum stops where the modes it is given
@@ -620,19 +634,22 @@ def _mode_product(kd: float, counts: list, ax, ys, y0: float, table=None) -> lis
     every term is +-0 (_live_modes, the one home of that rule).
     """
     n_open = _n_open(kd)
-    step = max(1, _BLOCK // max(ax.size, ys.size))
     end = min(counts[-1], len(table[0])) if table else counts[-1]
     total, totals, lo = np.zeros((ax.size, ys.size)), [], 0
     for count in counts:
+        if ends is not None:
+            total = total[:np.count_nonzero(ends >= count)]
+        rows = ax[:len(total)]
+        step = max(1, _BLOCK // max(rows.size, ys.size))
         while lo < min(count, end):
             hi = min(lo - lo % step + step, count, end)
             m = np.arange(lo + 1, hi + 1)
             r_m, chi_y0, chi_ys = (t[lo:hi] for t in table) if table else (_abs_kx(kd, m), _chi(m, y0), _chi(m, ys))
             n_o = min(max(n_open - lo, 0), hi - lo)  # the block's open modes
-            wave = _exp_outer(ax, -r_m[n_o:]) * (-1.0 / r_m[n_o:])
+            wave = _exp_outer(rows, -r_m[n_o:]) * (-1.0 / r_m[n_o:])
             if n_o:
-                wave = np.concatenate([_exp_outer(ax, 1j * r_m[:n_o]) / (1j * r_m[:n_o]), wave], axis=-1)
-            coef = chi_y0 * (wave + (1.0 / (m * np.pi)) * _exp_outer(ax, -m * np.pi))
+                wave = np.concatenate([_exp_outer(rows, 1j * r_m[:n_o]) / (1j * r_m[:n_o]), wave], axis=-1)
+            coef = chi_y0 * (wave + (1.0 / (m * np.pi)) * _exp_outer(rows, -m * np.pi))
             total = total + coef @ chi_ys
             lo = hi
         totals.append(total)
@@ -645,15 +662,26 @@ def _exp_outer(ax, v):
 
 
 def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
-    """G_w at the points (ax_i, y_j), ax = |x - x0|: completion + static form + one _mode_product
-    per distinct M = m_trunc[i, j] over the rows and columns holding it (M = 0: r = r0, NaN)."""
+    """G_w at the points (ax_i, y_j), ax = |x - x0|: completion + static form + the mode sum to each
+    point's M = m_trunc[i, j] (M = 0: r = r0, NaN).
+
+    One _mode_product call sums every row, in order of its largest M, and takes
+    its running totals at each distinct M: each mode is evaluated once per grid,
+    and a row is dropped once its largest M is summed.
+    """
+    ends = m_trunc.max(axis=1)
+    order = np.argsort(-ends, kind="stable")
+    m_sorted = m_trunc[order]
+    counts = np.unique(m_sorted[m_sorted > 0]).tolist()
+    totals = _mode_product(kd, counts, ax[order], ys, y0, ends=ends[order]) if counts else []
     out = np.full(m_trunc.shape, np.nan, dtype=complex)
-    for m_max in sorted(set(m_trunc.ravel().tolist()) - {0}):
-        at = m_trunc == m_max
-        rows, cols = np.flatnonzero(at.any(axis=1)), np.flatnonzero(at.any(axis=0))
-        out[at] = _mode_product(kd, [m_max], ax[rows], ys[cols], y0)[0][at[np.ix_(rows, cols)]]
+    for count, total in zip(counts, totals):
+        i, j = np.nonzero(m_sorted[:len(total)] == count)
+        out[order[i], j] = total[i, j]
+    out += completion
     with np.errstate(divide="ignore"):  # log 0 at r = r0, where out is NaN already
-        return out + completion + _static_form(ax[:, None], ys, y0)
+        out += _static_form(ax[:, None], ys, y0)
+    return out
 
 
 def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc, tail, table=None):
@@ -820,15 +848,18 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
 def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
     """Vectorized greens_kummer over a rectangular grid (complex, shape (nx, ny)).
 
-    One truncation plan covers every grid point and each distinct mode count one
-    blocked product (_kummer_sum).  Exact coincidence with r0 yields NaN.
+    One truncation plan covers every grid point: its geometric part runs once
+    per column of |x - x0|, its Kummer completion on the points next to the
+    axis alone.  One pass over the modes (_kummer_sum) then sums every point to
+    its own mode count.  Exact coincidence with r0 yields NaN.
     """
     x, y = _check_strip(np.append(xs, r0[0]), np.append(ys, r0[1]))
     guard_mode_openings(k)
     ax, ys, y0 = np.abs(x[:-1] - x[-1]), y[:-1], y[-1]
     at_r0 = (ax == 0.0)[:, None] & (ys == y0)
     # r0 is planned as a point one width away (a cheap geometric plan), then dropped
-    m_trunc, completion, _ = _kummer_plan(k, np.where(at_r0, 1.0, ax[:, None]), tol, ys, y0)
+    ax_plan = np.where(at_r0, 1.0, ax[:, None]) if at_r0.any() else ax[:, None]
+    m_trunc, completion, _ = _kummer_plan(k, ax_plan, tol, ys, y0)
     m_trunc[at_r0] = 0
     return _kummer_sum(k, ax, ys, y0, m_trunc, completion)
 

@@ -9,14 +9,16 @@ sort_keys=True)``.
 
 Rows are written in blocks of at most ``_BLOCK`` values: whole runs where a run
 fits in a block, else pieces of one run.  Each column's rule is fixed once per
-table.  In a table of two or more runs, a float or int column is classed by bit
-pattern (so -0.0, NaN payloads, inf and subnormals stay exact):
-- a column equal in every run (a grid's y) is formatted once per table, into a
-  run template that every block of whole runs reuses;
+table.  A float or int column is classed by bit pattern (so -0.0, NaN payloads,
+inf and subnormals stay exact):
+- in a table of two or more runs, a column equal in every run (a grid's y) is
+  formatted once per table, into a run template that every block of whole runs
+  reuses;
 - a column constant along every run (a grid's x) is formatted once per run and
-  joined into the run template's slots.
-Every other column, and every column of a one-run table, goes through its '%'
-spec in the row template: '%.17g' for CSV floats, '%s' for everything else.
+  joined into the run template's slots; in a one-run table (a gap-free sweep's
+  NaN asymptotes and gap flag) its one text is repeated through '%s'.
+Every other column goes through its '%' spec in the row template: '%.17g' for
+CSV floats, '%s' for everything else.
 Per-value texts are made only where '%s' would not give JSON: strings, and the
 floats of a block that holds a non-finite value.
 Metadata goes into '#' header lines or the "metadata" object.  Identical inputs
@@ -72,14 +74,14 @@ _JSON_RENDER = ("%s", _json_values)
 
 
 def _kind(column: np.ndarray, reuse: bool) -> str | None:
-    """For a float or int column of two or more runs: "table" where it is equal
-    in every run and the run template is reused, "run" where it is constant
-    along every run of two or more rows; else None.  Values compare by bit
-    pattern."""
-    if column.dtype.kind not in "fi" or len(column) < 2:
+    """For a float or int column: "table" where a table of two or more runs has
+    it equal in every run and the run template is reused, "run" where it is
+    constant along every run of two or more rows (in a table of any number of
+    runs); else None.  Values compare by bit pattern."""
+    if column.dtype.kind not in "fi":
         return None
     bits = column.astype(np.float64, copy=False).view(np.int64) if column.dtype.kind == "f" else column
-    if reuse and (bits == bits[:1]).all():
+    if reuse and len(column) > 1 and (bits == bits[:1]).all():
         return "table"
     return "run" if bits.shape[1] > 1 and (bits == bits[:, :1]).all() else None
 
@@ -103,12 +105,17 @@ def _blocks(rows: np.ndarray, render: tuple, row_template: str, separator: str):
     step = max(1, _BLOCK // len(names))
     whole = run_len <= step  # blocks of whole runs share one run template
     kinds = [_kind(runs[name], whole) for name in names]
+    # a one-run table's "run" column holds one value: it is formatted once and its text repeated
+    # in the cells, not slotted (a frame join per block grew the heap across sweep tables)
+    repeated = {name: _texts(render, runs[name][0, :1])[0]
+                for name, kind in zip(names, kinds) if kind == "run" and n_runs == 1}
+    kinds = [None if name in repeated else kind for name, kind in zip(names, kinds)]
     other = [name for name, kind in zip(names, kinds) if kind is None]
     per_run = [runs[name][:, 0] for name, kind in zip(names, kinds) if kind == "run"]
-    # what each column puts in the row template: a "table" column its texts, a
-    # "run" column a slot "\0" for each run's text, any other its '%' spec
+    # what each column puts in the row template: a "table" column its texts, a "run"
+    # column a slot "\0" for each run's text, a repeated one '%s', any other its '%' spec
     fill = [_texts(render, runs[name][0]) if kind == "table" else "\0" if kind == "run"
-            else _spec(render, runs[name]) for name, kind in zip(names, kinds)]
+            else "%s" if name in repeated else _spec(render, runs[name]) for name, kind in zip(names, kinds)]
     k, m = max(1, step // run_len), min(step, run_len)  # runs per block, rows per piece of a run
 
     def frame_of(rows):  # the rows' template split at its "\0" slots, a slot (None) between each two texts
@@ -126,7 +133,7 @@ def _blocks(rows: np.ndarray, render: tuple, row_template: str, separator: str):
         block = runs[i0:i1, p0:p1].reshape(-1)  # a view: whole runs, or a piece of one
         cells = [None] * (block.size * len(other))  # row-major: other column o of each row at o::len(other)
         for o, name in enumerate(other):
-            cells[o::len(other)] = render[1](block[name])
+            cells[o::len(other)] = [repeated[name]] * block.size if name in repeated else render[1](block[name])
         # each run: its "run" columns' texts in the frame's odd slots (none without such columns)
         frame, parts = frames[p1 - p0], []
         for texts in zip(*(_texts(render, c[i0:i1]) for c in per_run)) if per_run else [()] * (i1 - i0):

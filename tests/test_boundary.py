@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wirescat import greens, mirror, renorm, scattering, waveguide
+from wirescat import cli, greens, mirror, renorm, scattering, waveguide
 from wirescat.errors import DomainError, WireError
 from wirescat.mirror import GridSpec
 from wirescat.renorm import FoldyProblem
@@ -416,9 +416,36 @@ _KUMMER_READERS = {"_EXP_UNDERFLOW": ("_live_modes",), "_mode_product": ("_kumme
                    "_kummer_truncated": ("greens_kummer", "convergence_benchmark")}
 
 
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _calls_outside_loops(fn, name):
+    """(calls of name in fn, those of them outside every loop or comprehension of fn)."""
+    calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call) and _reads(name)(n.func)]
+    looped = {id(n) for loop in ast.walk(fn) if isinstance(loop, _LOOPS) for n in ast.walk(loop)}
+    return calls, [n for n in calls if id(n) not in looped]
+
+
+def _function(module, name):
+    tree = ast.parse((_SRC / f"{module}.py").read_text())
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
 @pytest.mark.parametrize("name", sorted(_KUMMER_READERS))
 def test_the_kummer_sum_has_one_driver_per_shape_and_one_stop_rule(name):
     assert _rule_sites(_reads(name), *(("greens", fn) for fn in _KUMMER_READERS[name])) == []
+    if name == "_mode_product":
+        # the grid driver makes one pass over the modes: one kernel call, in no loop
+        calls, unlooped = _calls_outside_loops(_function("greens", "_kummer_sum"), name)
+        assert len(calls) == len(unlooped) == 1
+
+
+def test_the_one_call_guard_sees_a_call_in_a_loop():
+    loop = ast.parse("def f(kd):\n    for m in ms:\n        _mode_product(kd, [m])\n    _mode_product(kd, ms)\n")
+    calls, unlooped = _calls_outside_loops(loop.body[0], "_mode_product")
+    assert len(calls) == 2 and len(unlooped) == 1
+    comprehension = ast.parse("def f(kd):\n    return [_mode_product(kd, [m]) for m in ms]\n")
+    assert _calls_outside_loops(comprehension.body[0], "_mode_product")[1] == []
 
 
 def test_the_guards_see_the_rules_they_guard():
@@ -504,3 +531,35 @@ def test_an_edge_law_refuses_an_eps_outside_its_window(law, eps):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="eps must lie in"):
             law(2, eps, 0.3)
+
+
+# a truncation tolerance is a positive finite number; the plan (greens._kummer_plan) is its one check
+_BAD_TOL = {"tol=nan": np.nan, "tol=-1": -1.0, "tol=0": 0.0, "tol=inf": np.inf}
+
+
+@pytest.mark.parametrize("tol", _BAD_TOL.values(), ids=list(_BAD_TOL))
+@pytest.mark.parametrize("call", [
+    lambda tol: greens.greens_kummer((0.3, 0.5), R0, KD, tol=tol),
+    lambda tol: greens.greens_kummer((0.0, 0.5), R0, KD, tol=tol),
+    lambda tol: greens.greens_kummer_grid([0.3], [0.5], R0, KD, tol=tol),
+    lambda tol: greens.greens_kummer_grid([0.0, 0.3], [0.3, 0.5], R0, KD, tol=tol),
+    lambda tol: renorm.renorm_sum(KD, 0.3, tol=tol),
+    lambda tol: renorm.renorm_grid(np.array([KD, 3.5 * np.pi]), 0.3, tol=tol),
+    lambda tol: mirror.field_map("greens", KD, CFG, GridSpec(-1.0, 1.0, 0.0, 1.0, 3, 3), tol=tol),
+], ids=["kummer", "kummer-axis", "kummer-grid", "kummer-grid-r0", "renorm-sum", "renorm-grid", "field-map"])
+def test_a_tol_that_is_not_positive_and_finite_is_a_domain_error(call, tol):
+    # never a TruncationLimit after doubling to the cap, and never a value with tail_bound 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"tol must be positive and finite, got (nan|-1\.0|0\.0|inf)$"):
+            call(tol)
+
+
+@pytest.mark.parametrize("argv", [
+    ["field-map", "--kind", "greens", "--kd", "7.3", "--y0", "0.3", "--nx", "3", "--ny", "3"],
+    ["sweep-k", "--y0", "0.3", "--kd-min", "4.0", "--kd-max", "6.0", "--points", "5"],
+], ids=["field-map", "sweep-k"])
+def test_a_nan_tol_on_the_command_line_exits_2(tmp_path, capsys, argv):
+    assert cli.main([*argv, "--tol", "nan", "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == "error: tol must be positive and finite, got nan\n"
+    assert not (tmp_path / "out.csv").exists()

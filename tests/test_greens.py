@@ -355,6 +355,60 @@ def test_grid_value_is_the_value_of_its_lone_point(kd, y0, near_x0, far, ys, nea
                 assert abs(grid[i, j] - lone) <= 1e-14 * max(1.0, abs(lone)), (x, y)
 
 
+# rows of 64 to 32,768 modes; the x = x0 row mixes 256 to 32,768 modes next to r0, which is on the grid
+_MIXED_XS = [0.0, -0.0025, 1e-3, 0.05, 0.37, -1.2]
+_MIXED_YS = [0.0, 0.2, 0.29, 0.299, 0.3, 0.31, 0.61, 1.0]
+
+
+def test_a_grid_of_mixed_mode_counts_is_its_lone_points():
+    # one pass over the modes sums each point to its own count: no point sees another's modes
+    grid = greens_kummer_grid(_MIXED_XS, _MIXED_YS, R0, KD, tol=1e-12)
+    counts = {}
+    for i, x in enumerate(_MIXED_XS):
+        for j, y in enumerate(_MIXED_YS):
+            if (x, y) == R0:
+                continue
+            lone = greens_kummer((x, y), R0, KD, tol=1e-12)
+            counts.setdefault(x, set()).add(lone.terms_used)
+            assert abs(grid[i, j] - lone.value) <= 1e-14 * max(1.0, abs(lone.value)), (x, y)
+    assert np.argwhere(np.isnan(grid.real) | np.isnan(grid.imag)).tolist() == [[0, 4]]
+    assert counts[0.0] == {256, 512, 4096, 32768}
+    assert min(map(min, counts.values())) == 64 and max(map(max, counts.values())) >= 4096
+
+
+def _spied(monkeypatch, name):
+    """Replace greens.<name> by a wrapper; returns the list of its calls' arguments."""
+    calls, fn = [], getattr(greens, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(greens, name, spy)
+    return calls
+
+
+def test_a_grid_evaluates_each_mode_once(monkeypatch):
+    # chi_m(ys) and chi_m(y0) of every mode up to the grid's largest count, once each, in order
+    calls = _spied(monkeypatch, "_chi")
+    greens_kummer_grid(_MIXED_XS, _MIXED_YS, R0, KD, tol=1e-12)
+    for at_ys in (True, False):
+        modes = np.concatenate([m for m, y in calls if (np.ndim(y) > 0) == at_ys])
+        assert modes.tolist() == list(range(1, 32768 + 1))
+
+
+@pytest.mark.parametrize("on_grid, elements", [(False, 400), (True, 400 * 100)], ids=["r0-off-grid", "r0-on-grid"])
+def test_the_geometric_plan_runs_on_the_grid_column(monkeypatch, on_grid, elements):
+    # the geometric bound reads kd and |x - x0| alone: one element per x, unless r0 is a grid point
+    calls = _spied(monkeypatch, "_geometric_mode_tail_bound")
+    xs, ys = np.linspace(-1.0, 1.0, 400), np.linspace(0.0, 1.0, 100)
+    if on_grid:
+        xs[0] = 0.0
+    grid = greens_kummer_grid(xs, ys, (0.0, ys[30]), KD, tol=1e-10)
+    assert np.isnan(grid).sum() == on_grid
+    assert max(np.broadcast(*args).size for args in calls) == elements
+
+
 @pytest.mark.parametrize("r, k, tol", [
     ((0.37, 0.61), KD, 1e-12), ((-1.9, 0.2), KD, 1e-10), ((2.0, 1.0), 9.7 * np.pi, 1e-8),
     ((0.0, 0.61), KD, 1e-12), ((0.0, 0.3 + 1e-4), KD, 1e-12), ((3e-5, 0.5), KD, 1e-12),

@@ -306,3 +306,28 @@ def test_each_column_rule_is_fixed_once_per_table(tmp_path, argv, fills):
         assert cli.main([*argv, "--out", str(tmp_path / "t")]) == 0
     assert looked_up and not {"unique", "sort"} & set(looked_up)
     assert len(filled) == fills
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kd_min, kd_max, constant", [
+    ("1.5", "6.0", {"gap", "sigma_asym_below", "sigma_limit_above", "gr_asym_below_re", "gr_asym_above_im"}),
+    # the middle row is kd = 2 pi to rounding: a gap row, so no column is constant
+    (repr(2 * math.pi - 1.0), repr(2 * math.pi + 1.0), set()),
+], ids=["no-gap", "gap"])
+def test_a_one_run_table_formats_each_constant_column_once(tmp_path, kd_min, kd_max, constant, fmt):
+    # a one-run sweep of several blocks: a column constant along the run is formatted
+    # once for the table, every other one row by row, and the file is the oracle's
+    argv = ["sweep-k", "--y0", "0.3", "--a", "0.1", "--kd-min", kd_min, "--kd-max", kd_max,
+            "--points", "2001", "--format", fmt, "--out", str(tmp_path / "got")]
+    with mock.patch.object(cli, "_write", wraps=cli._write) as write, \
+            mock.patch.object(output, "_texts", wraps=output._texts) as texts:
+        assert cli.main(argv) == 0
+    (args, rows, meta), = [call.args for call in write.call_args_list]
+    assert rows.shape == (2001,) and ("gap" in constant) != bool(rows["gap"].any())
+    bits = {name: rows[name].astype(float).view(np.int64) for name in rows.dtype.names if rows[name].dtype.kind in "fi"}
+    assert {name for name, b in bits.items() if (b == b[0]).all()} == constant
+    assert [len(call.args[1]) for call in texts.call_args_list] == [1] * len(constant)
+    meta = {"generator": f"wirescat {__version__}", "command": args.command, **meta}
+    oracle = oracle_json if fmt == "json" else oracle_csv
+    oracle(str(tmp_path / "want"), rows.dtype.names, rows.tolist(), meta)
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
