@@ -55,7 +55,3 @@ class DegenerateMode(WireError):
 
 class SingularSystem(WireError):
     """Multiple-scattering linear system is numerically singular."""
-
-
-class BornDiverged(WireError):
-    """Born iteration requested where the series does not converge."""

@@ -54,8 +54,10 @@ kummer        spectral sum with the static series subtracted term by term and
               by _live_modes where every later term is exactly 0, is shorter.
 diffraction   difference of two period-2d grating Green's functions, the
               Poisson-resummed form of the image array.
-semiclassical image sum with each Hankel function replaced by its large-
-              argument form; one -1 per wall reflection.
+semiclassical G_r at the source, not G_w (semiclassical_renorm_sum): the
+              three image families, each Hankel function replaced by its
+              large-argument form and each family's tail resummed by
+              geometric_tail; a resonance-position diagnostic.
 
 convergence_benchmark reads every mode sum of an off-source pair from one
 mode table (_pair_modes), which ends where every later term is exactly 0
@@ -66,8 +68,7 @@ All evaluators are pure; points are (x, y) tuples with y in [0, d].
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, frexp, inf, prod
 from operator import mul
 
@@ -79,7 +80,6 @@ from .waveguide import _branch_kx, _check_strip, _chi, _covered_open_count, _ima
 
 __all__ = [
     "GreensValue",
-    "BraggSpectrum",
     "BenchmarkRow",
     "greens_free",
     "greens_spectral",
@@ -88,9 +88,7 @@ __all__ = [
     "greens_kummer",
     "greens_kummer_grid",
     "greens_diffraction",
-    "greens_semiclassical",
     "semiclassical_renorm_sum",
-    "bragg_spectrum",
     "convergence_benchmark",
     "image_sum_alternating",
     "image_sum_positive",
@@ -119,7 +117,8 @@ _TABLE = 2 ** 15  # elements in one (rows x orders x modes) table of the closed-
 _ORDER_REACH = ((0, _SERIES_ORDERS[-1], inf),) + tuple(
     (_SERIES_ORDERS[t + 1], _SERIES_ORDERS[t], 2 ** (t + 1) - 1)
     for t in reversed(range(len(_SERIES_ORDERS) - 1)) if _SERIES_ORDERS[t + 1] < _SERIES_ORDERS[t])
-REPRESENTATIONS = ("free", "spectral", "image", "static", "kummer", "diffraction", "semiclassical")
+REPRESENTATIONS = ("free", "spectral", "image", "static", "kummer", "diffraction")
+_BENCHMARK_FORMS = ("spectral", "image", "kummer", "kummer_raw", "diffraction")  # convergence_benchmark's rows
 
 
 @dataclass(frozen=True)
@@ -136,23 +135,6 @@ class GreensValue:
             raise DomainError(f"unknown representation {self.representation!r}")
         if self.terms_used < 1 or self.tail_bound < 0.0:
             raise DomainError("terms_used must be >= 1 and tail_bound >= 0")
-
-
-@dataclass(frozen=True)
-class BraggSpectrum:
-    """Diffracted orders of a periodic source array.
-
-    Angles of evanescent orders are reported with positive imaginary part;
-    the physically binding quantity is the longitudinal wavenumber ``kx``,
-    which always carries the decaying (+i) branch, and the per-order weight
-    1/kx.
-    """
-
-    orders: np.ndarray
-    angles: np.ndarray = field(repr=False)
-    ky: np.ndarray = field(repr=False)
-    kx: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -557,13 +539,18 @@ def _doubled(m_trunc, live, cap, done):
     return m_trunc
 
 
+def _check_tol(tol: float) -> None:
+    """The one check of a truncation tolerance: a DomainError unless it is positive and finite."""
+    if not 0.0 < tol < inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _kummer_plan(kd, ax, tol: float, y, y0):
     """Mode count M, analytic tail completion and error bound of the Kummer sum, elementwise.
 
     The one code that picks a Kummer M, over broadcast kd, ax = |x - x0|, y and
-    y0, and the one check of tol (a DomainError unless it is positive and
-    finite).  Geometric truncation wins wherever it fits.  It reads kd and ax
-    alone, so it runs on their broadcast (a grid's column of ax, not its
+    y0, after _check_tol.  Geometric truncation wins wherever it fits.  It reads
+    kd and ax alone, so it runs on their broadcast (a grid's column of ax, not its
     points) and is broadcast to every element.  Essentially on-axis elements
     (ax < ~4e-5 d, and r = r0 for G_r), and only they, take the m^-3
     completion from the M of _closed_form_bound.  Off the axis the completion
@@ -576,8 +563,7 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     one y0, and each element's kd combination elementwise, from kd coefficients
     computed once per plan, so every element is its lone plan.
     """
-    if not 0.0 < tol < inf:
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     kd, ax, y, y0 = (np.asarray(v, dtype=float) for v in (kd, ax, y, y0))
     kd_g, ax_g = np.broadcast_arrays(kd, ax)
     geometric_shape, shape = kd_g.shape, np.broadcast_shapes(kd_g.shape, y.shape, y0.shape)
@@ -901,6 +887,7 @@ def greens_diffraction(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     """
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
     guard_mode_openings(k)
+    _check_tol(tol)
     dx, _, _ = _deltas(r, r0)
     ax = abs(dx)
     if ax == 0.0:
@@ -910,54 +897,9 @@ def greens_diffraction(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     return GreensValue(minus - plus, "diffraction", 2 * n, 2 * bound)
 
 
-def bragg_spectrum(k: float, period: float, n_max: int | None = None) -> BraggSpectrum:
-    """Diffracted orders of a period-`period` array: angles, wavenumbers, weights.
-
-    theta_n = arcsin(2 n pi / (k period)); orders with |2 n pi| > k period are
-    evanescent and get complex angles (positive imaginary part by convention)
-    while kx keeps the +i decaying branch.
-    """
-    if not (0.0 < k < inf and 0.0 < period < inf):
-        raise DomainError("k and period must be positive and finite")
-    n_max = int(np.floor(k * period / (2.0 * np.pi))) + 8 if n_max is None else n_max
-    if not _integer_in(n_max, 0):
-        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
-    n = np.arange(-n_max, n_max + 1)
-    z = 2.0 * np.pi * n / (k * period)
-    if np.any(np.abs(np.abs(z) - 1.0) < 1e-12):
-        raise DomainError("grazing order: 2 n pi equals k * period")
-    ky = k * z
-    kx = _branch_kx(k, ky)
-    angles = np.empty(n.shape, dtype=complex)
-    prop = np.abs(z) < 1.0
-    angles[prop] = np.arcsin(z[prop])
-    ev = ~prop
-    angles[ev] = np.sign(z[ev]) * np.pi / 2 + 1j * np.arccosh(np.abs(z[ev]))
-    return BraggSpectrum(orders=n, angles=angles, ky=ky, kx=kx, weights=1.0 / kx)
-
-
 # ---------------------------------------------------------------------------
-# semiclassical representation
+# semiclassical G_r
 # ---------------------------------------------------------------------------
-
-def greens_semiclassical(r, r0, k: float, n_images: int) -> complex:
-    """Asymptotic image sum (1/sqrt(2 pi)) e^{5 i pi/4} sum_n e^{i(k rho_n - n pi)} / sqrt(k rho_n).
-
-    Each reflection contributes a -1 (Maslov phase); validity needs
-    k rho_n >~ 1 for every retained image, warned about otherwise.
-    """
-    _check_strip((r[0], r0[0]), (r[1], r0[1]))
-    guard_mode_openings(k)
-    n, _, rho = _image_distances(r, r0, n_images)
-    if np.any(rho == 0.0):
-        raise CoincidentPoints("field point coincides with an image point")
-    x = k * rho
-    if np.any(x < 1.0):
-        warnings.warn("semiclassical form used at k|r - r_n| < 1; asymptotics invalid",
-                      RuntimeWarning, stacklevel=2)
-    pref = np.exp(5j * np.pi / 4) / np.sqrt(2.0 * np.pi)
-    return complex(pref * np.sum(np.exp(1j * (x - n * np.pi)) / np.sqrt(x)))
-
 
 def semiclassical_renorm_sum(k: float, y0: float) -> complex:
     """Self-field sum over images with asymptotic Hankel forms, tail-completed.
@@ -1003,8 +945,11 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
     count and the reference's M serves the spectral rows, the reference
     (greens_kummer's plan and sum, so its value and its TruncationLimit) and
     the kummer rows; off the axis it stops at the last mode whose term can be
-    nonzero (_live_modes).
+    nonzero (_live_modes).  A name outside _BENCHMARK_FORMS is refused first.
     """
+    for rep in representations:
+        if rep not in _BENCHMARK_FORMS:
+            raise DomainError(f"benchmark does not support representation {rep!r}")
     _check_strip((r[0], r0[0]), (r[1], r0[1]))
     if len(term_grid) == 0 or not all(_integer_in(t, 0) for t in term_grid):
         raise DomainError(f"term_grid must be a non-empty sequence of integers >= 0, got {term_grid!r}")
@@ -1042,9 +987,7 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
             values = _spectral_sums(r, r0, k, list(term_grid), table)
         elif rep == "image":
             values = _alternating_sums(r, r0, k, list(term_grid))
-        elif rep == "diffraction":  # independent of the term count
+        else:  # diffraction, independent of the term count
             values = [greens_diffraction(r, r0, k, tol=1e-14).value] * len(term_grid)
-        else:
-            raise DomainError(f"benchmark does not support representation {rep!r}")
         rows += [BenchmarkRow(rep, t, float(abs(complex(v) - ref))) for t, v in zip(term_grid, values)]
     return rows

@@ -46,8 +46,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import (BornDiverged, DegenerateMode, DomainError, PoleEncountered,
-                     SingularSystem)
+from .errors import DegenerateMode, DomainError, PoleEncountered, SingularSystem
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
 from .greens import _cabs, _cdiv, _cmul, _kummer_coincident, _kummer_plan
 from .specfun import _integer_in, cylinder_bessel_j, cylinder_bessel_y, hankel1
@@ -367,15 +366,11 @@ def gr_edge_asymptote(n_mode: int, eps: float, y0: float,
     raise DomainError(f"side must be 'below' or 'above', got {side!r}")
 
 
-def foldy_solve(problem: FoldyProblem, k: float,
-                method: Literal["direct", "born"] = "direct",
-                max_order: int = 8) -> np.ndarray:
+def foldy_solve(problem: FoldyProblem, k: float) -> np.ndarray:
     """Effective wavefunction values psi_i(r_i) at every scatterer.
 
     Solves psi = (1 - s G)^-1 phi where G_ij = G_0(r_i, r_j) off the
     diagonal and zero on it (the singular self-interaction is excluded).
-    ``born`` iterates the multiple-scattering series instead and refuses if
-    its spectral radius is >= 1.
     """
     if not 0.0 < k < np.inf:
         raise DomainError(f"k must be positive and finite, got {k!r}")
@@ -396,27 +391,14 @@ def foldy_solve(problem: FoldyProblem, k: float,
     g[fresh] = -0.5j * hankel1(0, kr[fresh])
     for i in range(2, n):
         np.copyto(g[i, 2:], g[i - 2, :-2], where=~fresh[i, 2:])
-    if method == "direct":
-        # I - sG in g's memory: G_ii = 0, so the diagonal is exactly 1
-        a = np.multiply(-problem.strength, g, out=g)
-        np.fill_diagonal(a, 1.0)
-        try:
-            psi = np.linalg.solve(a, phi)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
-        resid = np.linalg.norm(a @ psi - phi)
-        if not np.isfinite(resid) or resid > 1e-6 * max(np.linalg.norm(phi), 1.0):
-            raise SingularSystem("multiple-scattering system is numerically singular")
-        return psi
-    if method == "born":
-        sg = problem.strength * g
-        radius = float(np.max(np.abs(np.linalg.eigvals(sg))))
-        if radius >= 1.0:
-            raise BornDiverged(f"spectral radius of sG is {radius:.3f} >= 1")
-        psi = phi.copy()
-        term = phi.copy()
-        for _ in range(max_order):
-            term = sg @ term
-            psi = psi + term
-        return psi
-    raise DomainError(f"unknown method {method!r}")
+    # I - sG in g's memory: G_ii = 0, so the diagonal is exactly 1
+    a = np.multiply(-problem.strength, g, out=g)
+    np.fill_diagonal(a, 1.0)
+    try:
+        psi = np.linalg.solve(a, phi)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    resid = np.linalg.norm(a @ psi - phi)
+    if not np.isfinite(resid) or resid > 1e-6 * max(np.linalg.norm(phi), 1.0):
+        raise SingularSystem("multiple-scattering system is numerically singular")
+    return psi

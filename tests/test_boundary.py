@@ -40,11 +40,8 @@ ENTRIES = [
      lambda y, kd: greens.greens_kummer_grid([0.3], [0.5], (0.0, y), kd), "y kd"),
     ("greens_diffraction", greens.greens_diffraction,
      lambda y, kd: greens.greens_diffraction((0.3, y), R0, kd), "y kd"),
-    ("greens_semiclassical", greens.greens_semiclassical,
-     lambda y, kd: greens.greens_semiclassical((0.3, y), R0, kd, 10), "y kd"),
     ("semiclassical_renorm_sum", greens.semiclassical_renorm_sum,
      lambda y, kd: greens.semiclassical_renorm_sum(kd, y), "y kd"),
-    ("bragg_spectrum", greens.bragg_spectrum, lambda y, kd: greens.bragg_spectrum(kd, 2.0), "kd0"),
     ("convergence_benchmark", greens.convergence_benchmark,
      lambda y, kd: greens.convergence_benchmark((0.3, y), R0, kd, ("spectral", "kummer"), (10, 100)), "y kd"),
     ("convergence_benchmark[coincident]", greens.convergence_benchmark,
@@ -499,7 +496,6 @@ def test_a_mode_index_that_is_not_an_open_mode_is_a_domain_error(fn, n):
     lambda: GridSpec(-1, 1, 0, 1, 2.5, 3),
     lambda: GridSpec(-1, 1, 0, 1, 3, 3.0),
     lambda: greens.greens_image((0.37, 0.61), R0, KD, 10.5),
-    lambda: greens.greens_semiclassical((0.37, 0.61), R0, KD, 10.5),
     lambda: greens.image_sum_positive((0.37, 0.61), R0, KD, 10.5),
     lambda: greens.greens_spectral((0.37, 0.61), R0, KD, 100.5),
     lambda: greens.greens_spectral((0.37, 0.61), R0, KD, 100.0),
@@ -508,13 +504,10 @@ def test_a_mode_index_that_is_not_an_open_mode_is_a_domain_error(fn, n):
     lambda: greens.convergence_benchmark((0.37, 0.61), R0, KD, ("kummer",), (10, 30.5)),
     lambda: greens.convergence_benchmark((0.37, 0.61), R0, KD, ("kummer",), ()),
     lambda: waveguide.image_positions(CFG, -2.5, 2),
-    lambda: greens.bragg_spectrum(2.0, 2.0 * np.pi, n_max=1.5),
-    lambda: greens.bragg_spectrum(2.0, 2.0 * np.pi, n_max=-1),
     lambda: scattering.sigma_edge_asymptote(2.5, 1e-6, 0.3),
     lambda: renorm.gr_edge_asymptote(2.5, 1e-6, 0.3),
-], ids=["nx", "ny", "image", "semiclassical", "image-positive", "spectral", "spectral-whole-float", "channels",
-        "mode-index", "benchmark-terms", "benchmark-no-terms", "image-range", "bragg-orders", "bragg-negative",
-        "sigma-edge-mode", "gr-edge-mode"])
+], ids=["nx", "ny", "image", "image-positive", "spectral", "spectral-whole-float", "channels", "mode-index",
+        "benchmark-terms", "benchmark-no-terms", "image-range", "sigma-edge-mode", "gr-edge-mode"])
 def test_a_count_that_is_not_an_integer_is_a_domain_error(call):
     # no numpy TypeError, no RuntimeWarning from (-1.0) ** n, no value with a fractional count
     with warnings.catch_warnings():
@@ -533,7 +526,7 @@ def test_an_edge_law_refuses_an_eps_outside_its_window(law, eps):
             law(2, eps, 0.3)
 
 
-# a truncation tolerance is a positive finite number; the plan (greens._kummer_plan) is its one check
+# a truncation tolerance is a positive finite number; greens._check_tol is its one check
 _BAD_TOL = {"tol=nan": np.nan, "tol=-1": -1.0, "tol=0": 0.0, "tol=inf": np.inf}
 
 
@@ -546,7 +539,9 @@ _BAD_TOL = {"tol=nan": np.nan, "tol=-1": -1.0, "tol=0": 0.0, "tol=inf": np.inf}
     lambda tol: renorm.renorm_sum(KD, 0.3, tol=tol),
     lambda tol: renorm.renorm_grid(np.array([KD, 3.5 * np.pi]), 0.3, tol=tol),
     lambda tol: mirror.field_map("greens", KD, CFG, GridSpec(-1.0, 1.0, 0.0, 1.0, 3, 3), tol=tol),
-], ids=["kummer", "kummer-axis", "kummer-grid", "kummer-grid-r0", "renorm-sum", "renorm-grid", "field-map"])
+    lambda tol: greens.greens_diffraction((0.3, 0.5), R0, KD, tol=tol),
+], ids=["kummer", "kummer-axis", "kummer-grid", "kummer-grid-r0", "renorm-sum", "renorm-grid", "field-map",
+        "diffraction"])
 def test_a_tol_that_is_not_positive_and_finite_is_a_domain_error(call, tol):
     # never a TruncationLimit after doubling to the cap, and never a value with tail_bound 0
     with warnings.catch_warnings():

@@ -288,6 +288,15 @@ def test_greens_bench_coincident_image_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_greens_bench_refuses_an_unknown_representation_first(tmp_path, capsys):
+    # a name the benchmark has no rows for is refused by name, before the pair's coincidence is looked at
+    out = tmp_path / "b.csv"
+    assert main(["greens-bench", "--x", "0", "--y", "0.3", "--x0", "0", "--y0", "0.3",
+                 "--representations", "semiclassical", "--terms", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: benchmark does not support representation 'semiclassical'\n"
+    assert not out.exists()
+
+
 def test_greens_bench_diffraction_refuses_a_missed_tolerance(tmp_path, capsys):
     # at |x - x0| = 1e-5 the grating sums reach their order cap with a tail
     # bound of ~2e-6: exit 2 rather than write an error column that misses it

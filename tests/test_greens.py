@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 from wirescat import greens, mirror, waveguide
 from wirescat.errors import CoincidentPoints, DomainError, TruncationLimit
-from wirescat.greens import (bragg_spectrum, convergence_benchmark, geometric_tail,
-                             greens_diffraction, greens_free, greens_image,
-                             greens_kummer, greens_kummer_grid, greens_semiclassical,
+from wirescat.greens import (convergence_benchmark, geometric_tail, greens_diffraction,
+                             greens_free, greens_image, greens_kummer, greens_kummer_grid,
                              greens_spectral, greens_static, semiclassical_renorm_sum,
                              zeta_tail)
 from wirescat.renorm import renorm_sum
@@ -662,69 +661,8 @@ def test_helmholtz_stencil_second_order():
 
 
 # ---------------------------------------------------------------------------
-# bragg spectrum
+# semiclassical G_r
 # ---------------------------------------------------------------------------
-
-def test_bragg_spectrum_orders():
-    # k*period = 4 pi puts order 2 exactly at grazing; restrict to |n| <= 1
-    spec = bragg_spectrum(2.0, 2.0 * np.pi, n_max=1)
-    i0 = list(spec.orders).index(0)
-    assert spec.angles[i0] == 0.0
-    i1 = list(spec.orders).index(1)
-    assert spec.angles[i1].real == pytest.approx(np.pi / 6, rel=1e-12)  # arcsin(1/2)
-    # detuned configuration with evanescent orders present
-    k = 2.1
-    spec = bragg_spectrum(k, 2.0 * np.pi)
-    ev = np.abs(2.0 * np.pi * spec.orders) > k * 2.0 * np.pi
-    assert ev.any()
-    assert np.all(spec.angles[ev].imag > 0.0)
-    assert np.all(spec.kx[ev].imag > 0.0)
-    # sin(theta_n) reproduces the grating equation on every order
-    assert np.allclose(k * np.sin(spec.angles), spec.ky, atol=1e-12)
-    assert np.allclose(spec.weights, 1.0 / spec.kx, atol=0)
-
-
-def test_bragg_grazing_guard():
-    with pytest.raises(DomainError):
-        bragg_spectrum(2.0, 2.0 * np.pi)             # order 2 exactly grazing
-    with pytest.raises(DomainError):
-        bragg_spectrum(1.0, 2.0 * np.pi)             # order 1 exactly grazing
-
-
-# ---------------------------------------------------------------------------
-# semiclassical representation
-# ---------------------------------------------------------------------------
-
-def test_semiclassical_single_term_vs_free():
-    k = 1e3
-    val = greens_semiclassical((1.0, 0.3), (0.0, 0.3), k, 0)
-    ref = greens_free((1.0, 0.3), (0.0, 0.3), k)
-    assert abs(val - ref) / abs(ref) <= 1e-3
-
-
-def test_semiclassical_image_phases_centered():
-    # centered impurity: image distances are j*d, relative phase e^{i(kd - pi) j}
-    cfg_y0 = 0.5
-    n = np.arange(-6, 7)
-    ys = 2.0 * np.ceil(n / 2) + (-1.0) ** n * cfg_y0
-    rho = np.abs(ys - cfg_y0)
-    j = np.rint(rho).astype(int)
-    kd = 3.0 * np.pi
-    phases = np.exp(1j * (kd * rho - n * np.pi))
-    mask = j > 0
-    # kd = 3pi: (kd - pi) j = 2 pi j -> all contributions in phase
-    assert np.max(np.abs(phases[mask] - np.exp(1j * kd * 0) * (-1.0) ** (0))) <= 1e-12 \
-        or np.max(np.abs(phases[mask] - phases[mask][0])) <= 1e-12
-    kd = 2.5 * np.pi
-    phases = np.exp(1j * ((kd - np.pi) * j))
-    dphi = np.angle(phases[j == 2][0] / phases[j == 1][0])
-    assert abs(abs(dphi) - 1.5 * np.pi) <= 1e-12 or abs(abs(dphi) - 0.5 * np.pi) <= 1e-12
-
-
-def test_semiclassical_warns_at_small_argument():
-    with pytest.warns(RuntimeWarning):
-        greens_semiclassical((0.05, 0.31), (0.0, 0.3), 2.0, 3)
-
 
 def test_semiclassical_renorm_sum_tracks_exact():
     from wirescat.renorm import renorm_sum
@@ -766,6 +704,9 @@ def _row_by_row(r, r0, kd, reps, grid):
 
     Returns [(representation, terms, value)] and the reference value.
     """
+    for rep in reps:
+        if rep not in ("kummer", "kummer_raw", "spectral", "image", "diffraction"):
+            raise DomainError(f"benchmark does not support representation {rep!r}")
     greens._check_strip((r[0], r0[0]), (r[1], r0[1]))
     if len(grid) == 0 or not all(greens._integer_in(t, 0) for t in grid):
         raise DomainError(f"term_grid must be a non-empty sequence of integers >= 0, got {grid!r}")
@@ -791,8 +732,6 @@ def _row_by_row(r, r0, kd, reps, grid):
     }
     rows = []
     for rep in reps:
-        if rep not in one_count:
-            raise DomainError(f"benchmark does not support representation {rep!r}")
         rows += [(rep, t, one_count[rep](t)) for t in grid]
     return rows, ref
 
