@@ -490,19 +490,28 @@ def test_foldy_single_scatterer():
 
 
 def test_foldy_two_scatterers_closed_form():
-    # independent 2x2 oracle: psi_0 = (phi_0 + s G phi_1) / (1 - s^2 G^2), at the impurity's s
-    # and at 1e-4 of it, where psi -> phi + O(s)
+    # independent 2x2 oracle: psi_0 = (phi_0 + s G phi_1) / (1 - s^2 G^2)
     pos = np.array([[0.0, 0.3], [0.4, 0.6]])
+    s = t_matrix(KD, 0.1).s
     g01 = greens_free(tuple(pos[0]), tuple(pos[1]), KD)
     phi = np.array([1.0 + 0.0j, 0.3 - 0.2j])
-    for scale in (1.0, 1e-4):
-        s = scale * t_matrix(KD, 0.1).s
-        expect0 = (phi[0] + s * g01 * phi[1]) / (1.0 - s**2 * g01**2)
-        expect1 = (phi[1] + s * g01 * phi[0]) / (1.0 - s**2 * g01**2)
-        psi = foldy_solve(FoldyProblem(pos, s, phi), KD)
-        assert psi[0] == pytest.approx(expect0, rel=1e-13)
-        assert psi[1] == pytest.approx(expect1, rel=1e-13)
-    assert np.max(np.abs(psi - phi)) <= 1e-3
+    expect0 = (phi[0] + s * g01 * phi[1]) / (1.0 - s**2 * g01**2)
+    expect1 = (phi[1] + s * g01 * phi[0]) / (1.0 - s**2 * g01**2)
+    psi = foldy_solve(FoldyProblem(pos, s, phi), KD)
+    assert psi[0] == pytest.approx(expect0, rel=1e-13)
+    assert psi[1] == pytest.approx(expect1, rel=1e-13)
+
+
+def test_foldy_born_small_strength():
+    # at 1e-4 of the impurity's s the direct solve matches the 2x2 closed form and psi -> phi + O(s)
+    pos = np.array([[0.0, 0.3], [0.4, 0.6]])
+    s = 1e-4 * t_matrix(KD, 0.1).s
+    g01 = greens_free(tuple(pos[0]), tuple(pos[1]), KD)
+    phi = np.array([1.0 + 0.0j, 0.5 + 0.0j])
+    closed = np.array([phi[0] + s * g01 * phi[1], phi[1] + s * g01 * phi[0]]) / (1.0 - s**2 * g01**2)
+    direct = foldy_solve(FoldyProblem(pos, s, phi), KD)
+    assert np.max(np.abs(direct - closed)) <= 1e-12
+    assert np.max(np.abs(direct - phi)) <= 1e-3  # psi -> phi + O(s)
 
 
 def test_foldy_system_is_one_minus_s_g(monkeypatch):
