@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 import numpy as np
@@ -200,8 +201,18 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the subparsers it makes, that read a negative number in
+    exponent notation given as its own token (``--a -5e-3``) as a value, as they read
+    -0.005 (argparse's pattern ``^-\\d+$|^-\\d*\\.\\d+$`` has no exponent)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wirescat",
         description="Scattering and transport observables for a point impurity "
                     "in a hard-walled 2D waveguide (nondimensional units, d = 1).")

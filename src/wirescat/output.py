@@ -9,14 +9,16 @@ sort_keys=True)``.
 
 Rows are written in blocks of at most ``_BLOCK`` values: whole runs where a run
 fits in a block, else pieces of one run.  Each column's rule is fixed once per
-table.  A float or int column is classed by bit pattern (so -0.0, NaN payloads,
-inf and subnormals stay exact):
+table: text that does not vary along the rows a template covers is formatted
+once, as template text (never holding '%', as only float and int columns are
+constant).  A float or int column is classed by bit pattern (so -0.0, NaN
+payloads, inf and subnormals stay exact):
 - in a table of two or more runs, a column equal in every run (a grid's y) is
-  formatted once per table, into a run template that every block of whole runs
-  reuses;
-- a column constant along every run (a grid's x) is formatted once per run and
-  joined into the run template's slots; in a one-run table (a gap-free sweep's
-  NaN asymptotes and gap flag) its one text is repeated through '%s'.
+  text of the run template that every block of whole runs reuses, and one
+  constant along every run (a grid's x) is formatted once per run, into the run
+  template's slots;
+- in a one-run table, a column constant along the run (a gap-free sweep's NaN
+  asymptotes and gap flag) is text of the row template.
 Every other column goes through its '%' spec in the row template: '%.17g' for
 CSV floats, '%s' for everything else.
 Per-value texts are made only where '%s' would not give JSON: strings, and the
@@ -105,17 +107,14 @@ def _blocks(rows: np.ndarray, render: tuple, row_template: str, separator: str):
     step = max(1, _BLOCK // len(names))
     whole = run_len <= step  # blocks of whole runs share one run template
     kinds = [_kind(runs[name], whole) for name in names]
-    # a one-run table's "run" column holds one value: it is formatted once and its text repeated
-    # in the cells, not slotted (a frame join per block grew the heap across sweep tables)
-    repeated = {name: _texts(render, runs[name][0, :1])[0]
-                for name, kind in zip(names, kinds) if kind == "run" and n_runs == 1}
-    kinds = [None if name in repeated else kind for name, kind in zip(names, kinds)]
     other = [name for name, kind in zip(names, kinds) if kind is None]
-    per_run = [runs[name][:, 0] for name, kind in zip(names, kinds) if kind == "run"]
-    # what each column puts in the row template: a "table" column its texts, a "run"
-    # column a slot "\0" for each run's text, a repeated one '%s', any other its '%' spec
-    fill = [_texts(render, runs[name][0]) if kind == "table" else "\0" if kind == "run"
-            else "%s" if name in repeated else _spec(render, runs[name]) for name, kind in zip(names, kinds)]
+    per_run = [runs[name][:, 0] for name, kind in zip(names, kinds) if kind == "run" and n_runs > 1]
+    # what each column puts in the row template: text that does not vary along the rows it
+    # covers (a "table" column's texts, a one-run table's "run" column's one text), a slot
+    # "\0" for each run's text of any other "run" column, any other column its '%' spec
+    fill = [_texts(render, runs[name][0]) if kind == "table" else "\0" if kind == "run" and n_runs > 1
+            else _texts(render, runs[name][0, :1])[0] if kind == "run" else _spec(render, runs[name])
+            for name, kind in zip(names, kinds)]
     k, m = max(1, step // run_len), min(step, run_len)  # runs per block, rows per piece of a run
 
     def frame_of(rows):  # the rows' template split at its "\0" slots, a slot (None) between each two texts
@@ -133,7 +132,7 @@ def _blocks(rows: np.ndarray, render: tuple, row_template: str, separator: str):
         block = runs[i0:i1, p0:p1].reshape(-1)  # a view: whole runs, or a piece of one
         cells = [None] * (block.size * len(other))  # row-major: other column o of each row at o::len(other)
         for o, name in enumerate(other):
-            cells[o::len(other)] = [repeated[name]] * block.size if name in repeated else render[1](block[name])
+            cells[o::len(other)] = render[1](block[name])
         # each run: its "run" columns' texts in the frame's odd slots (none without such columns)
         frame, parts = frames[p1 - p0], []
         for texts in zip(*(_texts(render, c[i0:i1]) for c in per_run)) if per_run else [()] * (i1 - i0):

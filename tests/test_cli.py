@@ -494,6 +494,20 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["sweep-k", "--y0", "1.4", "--out", str(tmp_path / "x.csv")]) == 2  # bad y0
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-k", "--y0", "0.3", "--points", "5", "--a", "-5e-3"],
+    ["sweep-geom", "--a-points", "3", "--y0-points", "3", "--a-min", "-1e-2"],
+    ["field-map", "--y0", "0.3", "--nx", "3", "--ny", "3", "--x-min", "-1e-6"],
+], ids=lambda argv: argv[0])
+def test_a_negative_value_in_exponent_notation_may_be_its_own_token(tmp_path, argv):
+    # argparse's own negative-number pattern has no exponent: "-5e-3" read as an
+    # option exits 2 with "expected one argument"; both spellings give the same file
+    *head, flag, value = argv
+    assert main([*head, flag, value, "--out", str(tmp_path / "spaced.csv")]) == 0
+    assert main([*head, f"{flag}={value}", "--out", str(tmp_path / "joined.csv")]) == 0
+    assert (tmp_path / "spaced.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+
+
 def _count_grid_and_bessel_calls(monkeypatch):
     """Spy on renorm_grid (rows per call) and on the J0/Y0 calls of the strength (ndim per call)."""
     from wirescat import renorm

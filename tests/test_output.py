@@ -331,3 +331,25 @@ def test_a_one_run_table_formats_each_constant_column_once(tmp_path, kd_min, kd_
     oracle = oracle_json if fmt == "json" else oracle_csv
     oracle(str(tmp_path / "want"), rows.dtype.names, rows.tolist(), meta)
     assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+
+@pytest.mark.parametrize("writer, oracle", [(write_table_csv, oracle_csv), (write_table_json, oracle_json)],
+                         ids=["csv", "json"])
+def test_a_one_run_tables_blocks_take_only_its_varying_columns(tmp_path, writer, oracle):
+    # a gap-free sweep's shape: NaN, -0.0 and int constants next to varying columns.
+    # The first tuple fills the row template; each later one is a block's '%'
+    # arguments, rows x varying columns, with no constant column among them
+    n = 23
+    columns = {"kd": np.linspace(1.5, 6.0, n), "asym": np.full(n, np.nan), "n": np.arange(n) % 3,
+               "zero": np.full(n, -0.0), "sigma": np.cos(np.arange(n)), "gap": np.zeros(n, int)}
+    rows = table(columns)
+    with mock.patch.object(output, "_BLOCK", 5 * len(columns)), \
+            mock.patch.object(output, "tuple", wraps=tuple, create=True) as spy:
+        writer(str(tmp_path / "got"), rows, META)
+    fill, *blocks = [call.args[0] for call in spy.call_args_list]
+    assert len(fill) == len(columns)
+    assert [len(cells) for cells in blocks] == [5 * 3] * 4 + [3 * 3]
+    varying = zip(*(columns[name].tolist() for name in ("kd", "n", "sigma")))
+    assert [v for cells in blocks for v in cells] == [v for row in varying for v in row]
+    oracle(str(tmp_path / "want"), list(columns), rows.tolist(), META)
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
