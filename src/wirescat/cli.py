@@ -28,7 +28,7 @@ from . import __version__, greens, mirror, renorm, scattering
 from .errors import DegenerateMode, WireError
 from .output import fmt, svg_heatmap, svg_line_plot, table, write_table_csv, write_table_json
 from .validate import CHECK_GROUPS, run_checks
-from .waveguide import DEFAULT_MODE_GUARD, WireConfig, mode_opening_gaps
+from .waveguide import DEFAULT_MODE_GUARD, WireConfig, _check_span, mode_opening_gaps
 
 SWEEP_COLUMNS = [
     "kd", "n_open", "sigma", "conductance", "conductance_empty", "sigma_free",
@@ -53,6 +53,7 @@ def _edge_limits(kd: float, n: int, y0: float) -> list[float]:
 
 def run_sweep_k(args) -> int:
     cfg = WireConfig(y0=args.y0, a=args.a, x0=args.x0)
+    _check_span("kd", args.kd_min, args.kd_max)
     kds = np.linspace(args.kd_min, args.kd_max, args.points)
     # gap rows carry the one-sided limits; every other row is an element of one renorm_state
     n_near, gap = mode_opening_gaps(kds)
@@ -85,6 +86,8 @@ def run_sweep_k(args) -> int:
 
 def run_sweep_geom(args) -> int:
     kd = args.kd
+    _check_span("a", args.a_min, args.a_max)
+    _check_span("y0", args.y0_min, args.y0_max)
     a_grid = np.linspace(args.a_min, args.a_max, args.a_points)
     y0_grid = np.linspace(args.y0_min, args.y0_max, args.y0_points)
     a_list, y0_list = a_grid.tolist(), y0_grid.tolist()

@@ -76,7 +76,8 @@ import numpy as np
 
 from .errors import CoincidentPoints, DomainError, TruncationLimit
 from .specfun import _integer_in, cylinder_bessel_j, hankel1, hankel1_parts
-from .waveguide import _branch_kx, _check_strip, _chi, _covered_open_count, _images, _n_open, guard_mode_openings
+from .waveguide import (_branch_kx, _check_strip, _chi, _covered_open_count, _images, _interior, _n_open,
+                        guard_mode_openings)
 
 __all__ = [
     "GreensValue",
@@ -144,10 +145,10 @@ class BenchmarkRow:
     error: float
 
 
-def _deltas(r, r0) -> tuple[float, float, float]:
-    dx = float(r[0]) - float(r0[0])
-    dy = float(r[1]) - float(r0[1])
-    return dx, dy, float(np.hypot(dx, dy))
+def _pair(r, r0) -> tuple[float, float, float, float]:
+    """|x - x0|, y, y0 and |r - r0| of a point pair, after the one strip check of both points."""
+    (x, x0), (y, y0) = (v.tolist() for v in _check_strip((r[0], r0[0]), (r[1], r0[1])))
+    return abs(x - x0), y, y0, float(np.hypot(x - x0, y - y0))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +156,8 @@ def _deltas(r, r0) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 def greens_free(r, r0, k: float) -> complex:
-    """Free-space Green's function -(i/2) H_0^(1)(k |r - r0|)."""
-    _, _, rho = _deltas(r, r0)
+    """Free-space Green's function -(i/2) H_0^(1)(k |r - r0|), the source term of the image sums."""
+    rho = _image_distances(r, r0, 0)[2][0]
     if rho == 0.0:
         raise CoincidentPoints("free-space Green's function diverges at r = r0")
     return -0.5j * hankel1(0, k * rho)
@@ -170,11 +171,10 @@ def greens_static(r, r0) -> float:
     cos - cosh quotient but stays fully accurate at separations ~1e-8 d,
     where the naive form loses five digits to cancellation.
     """
-    _check_strip((r[0], r0[0]), (r[1], r0[1]))
-    dx, _, rho = _deltas(r, r0)
+    ax, y, y0, rho = _pair(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("static Green's function diverges at r = r0")
-    return float(_static_form(abs(dx), float(r[1]), float(r0[1])))
+    return float(_static_form(ax, y, y0))
 
 
 def _static_form(ax, y, y0: float):
@@ -200,23 +200,22 @@ def greens_spectral(r, r0, k: float, terms: int) -> GreensValue:
     Off-axis the tail decays like exp(-m pi |x-x0|/d); at x = x0 the decay
     is only ~1/m (conditional), which the returned tail_bound reflects.
     """
-    _check_strip((r[0], r0[0]), (r[1], r0[1]))
-    value = _spectral_sums(r, r0, k, [terms])[0]
-    ax = abs(_deltas(r, r0)[0])
+    ax, y, y0, _ = pair = _pair(r, r0)
+    value = _spectral_sums(pair, k, [terms])[0]
     if ax > 0.0:
         tail = _geometric_mode_tail_bound(terms, k, ax)
     else:
         # conditional convergence: Dirichlet bound on sum cos(m theta)/m
         tail = (1.0 / np.pi) * sum(
             2.0 / (abs(1.0 - np.exp(1j * t)) * (terms + 1)) if abs(np.exp(1j * t) - 1.0) > 1e-12 else np.inf
-            for t in _mode_angles(r[1], r0[1]))
+            for t in _mode_angles(y, y0))
     return GreensValue(value, "spectral", terms, float(tail))
 
 
-def _spectral_sums(r, r0, k: float, counts: list, table=None) -> list[complex]:
-    """The spectral sum over each mode count of counts (checked in order): prefix sums of one
-    term vector over the modes of the largest, read from the pair's mode table (_pair_modes,
-    built here unless given).
+def _spectral_sums(pair, k: float, counts: list, table=None) -> list[complex]:
+    """The spectral sum of one _pair over each mode count of counts (checked in order): prefix
+    sums of one term vector over the modes of the largest, read from the pair's mode table
+    (_pair_modes, built here unless given).
 
     The N open modes are summed in complex arithmetic and the closed ones in
     real: with r_m = |k_x^(m)|, a closed mode has k_x = i r_m, so its term
@@ -224,12 +223,11 @@ def _spectral_sums(r, r0, k: float, counts: list, table=None) -> list[complex]:
     at _live_modes: every later term is exactly +-0.
     """
     n_open = _covered_open_count(k, counts, "terms")
-    dx, _, rho = _deltas(r, r0)
+    ax, y, y0, rho = pair
     if rho == 0.0:
         raise CoincidentPoints("spectral sum diverges at r = r0 (use renorm_sum)")
-    ax = abs(dx)
     top = _live_modes(k, ax, max(counts))
-    r_m, chi_y0, chi_y = _pair_modes(k, top, float(r[1]), float(r0[1])) if table is None else table
+    r_m, chi_y0, chi_y = _pair_modes(k, top, y, y0) if table is None else table
     r_m, chi_y0, chi_y = r_m[:top], chi_y0[:top], chi_y[:top, 0]
     op, cl = slice(None, n_open), slice(n_open, None)
     open_term = (-1j / r_m[op]) * chi_y[op] * chi_y0[op] * np.exp(1j * r_m[op] * ax)
@@ -333,10 +331,10 @@ def greens_image(r, r0, k: float, n_images: int) -> GreensValue:
     is honest for a conditionally convergent alternating series; expect
     ~1e-3 accuracy even at 1e5 images.
     """
-    _check_strip((r[0], r0[0]), (r[1], r0[1]))
+    rho = _pair(r, r0)[3]
     guard_mode_openings(k)
     value = image_sum_alternating(r, r0, k, n_images)
-    rho_last = max(2.0 * n_images - 2.0, _deltas(r, r0)[2])
+    rho_last = max(2.0 * n_images - 2.0, rho)
     tail = float(np.sqrt(2.0 / (np.pi * k * max(rho_last, 1e-300))))
     return GreensValue(complex(value), "image", 2 * n_images + 1, tail)
 
@@ -821,12 +819,10 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     honest bound on everything dropped and below tol; very close to the
     source, where the plan cannot meet tol, it raises TruncationLimit.
     """
-    _check_strip((r[0], r0[0]), (r[1], r0[1]))
+    ax, y, y0, rho = _pair(r, r0)
     guard_mode_openings(k)
-    dx, _, rho = _deltas(r, r0)
     if rho == 0.0:
         raise CoincidentPoints("coincident points are routed to renorm_sum")
-    ax, y, y0 = abs(dx), float(r[1]), float(r0[1])
     m_trunc, completion, bound = _kummer_plan(k, ax, tol, y, y0)
     return GreensValue(_kummer_truncated(k, ax, y, y0, m_trunc, completion), "kummer", int(m_trunc), float(bound))
 
@@ -885,15 +881,13 @@ def greens_diffraction(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     spectral form.  Requires x != x0 for per-order decay; TruncationLimit where
     the order cap misses tol (|x - x0| below ~3e-5 d).
     """
-    _check_strip((r[0], r0[0]), (r[1], r0[1]))
+    ax, y, y0, _ = _pair(r, r0)
     guard_mode_openings(k)
     _check_tol(tol)
-    dx, _, _ = _deltas(r, r0)
-    ax = abs(dx)
     if ax == 0.0:
         raise DomainError("diffraction representation requires x != x0")
     # both arrays sum the same orders, each charged half of tol
-    (minus, plus), n, bound = _grating_sum(ax, (r[1] - r0[1], r[1] + r0[1]), k, tol / 2)
+    (minus, plus), n, bound = _grating_sum(ax, (y - y0, y + y0), k, tol / 2)
     return GreensValue(minus - plus, "diffraction", 2 * n, 2 * bound)
 
 
@@ -910,7 +904,7 @@ def semiclassical_renorm_sum(k: float, y0: float) -> complex:
     by geometric_tail, so the result is a smooth function of kd away from mode
     openings and diverges at them, which makes it useful as a resonance-position diagnostic.
     """
-    if not 0.0 < y0 < 1.0:
+    if not _interior(y0):
         raise DomainError(f"source must sit strictly inside the wire, got y0={y0!r}")
     guard_mode_openings(k)
     step = 2.0
@@ -937,8 +931,8 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
     Errors are measured against greens_kummer at tol = 1e-12.  ``kummer``
     rows use the shipped evaluator (completion included); ``kummer_raw``
     rows document the bare m^-3 truncation decay.  For a coincident pair the
-    benchmark measures the regularized self-field G_w - G_0 instead (only
-    the kummer representations are defined there), against the kummer form
+    benchmark measures the regularized self-field G_w - G_0 instead (only the
+    kummer forms, at a source strictly inside the wire), against the kummer form
     at 65,536 modes.  Each representation is evaluated once, at the largest
     count, and every row is a prefix sum of it; both kummer forms share one
     mode sum.  Off the source one mode table (_pair_modes) over the largest
@@ -950,7 +944,7 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
     for rep in representations:
         if rep not in _BENCHMARK_FORMS:
             raise DomainError(f"benchmark does not support representation {rep!r}")
-    _check_strip((r[0], r0[0]), (r[1], r0[1]))
+    ax, y, y0, rho = pair = _pair(r, r0)
     if len(term_grid) == 0 or not all(_integer_in(t, 0) for t in term_grid):
         raise DomainError(f"term_grid must be a non-empty sequence of integers >= 0, got {term_grid!r}")
     kummer_forms = {"kummer", "kummer_raw"} & set(representations)
@@ -958,13 +952,13 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
         _covered_open_count(k, min(term_grid), "terms")
     else:
         guard_mode_openings(k)
-    dx, _, rho = _deltas(r, r0)
-    kd, ax, y, y0 = k, abs(dx), float(r[1]), float(r0[1])
-    table = None
+    kd, table = k, None
     if rho == 0.0:
         bad = set(representations) - kummer_forms
         if bad:
             raise CoincidentPoints(f"only the kummer forms exist at coincidence, not {sorted(bad)}")
+        if not _interior(y0):
+            raise DomainError(f"G_w - G_0 at r = r0 needs the source strictly inside the wire, got y0={y0!r}")
         counts = sorted(set(term_grid) | {65536})
     else:
         counts = sorted(set(term_grid))
@@ -984,7 +978,7 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
         if rep in kummer:
             values = [kummer[rep][t] for t in term_grid]
         elif rep == "spectral":
-            values = _spectral_sums(r, r0, k, list(term_grid), table)
+            values = _spectral_sums(pair, k, list(term_grid), table)
         elif rep == "image":
             values = _alternating_sums(r, r0, k, list(term_grid))
         else:  # diffraction, independent of the term count

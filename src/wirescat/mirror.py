@@ -36,7 +36,7 @@ from .errors import DomainError
 from .greens import greens_kummer_grid
 from .renorm import _open_state
 from .specfun import _integer_in
-from .waveguide import WireConfig, _check_strip, _chi, _kx, open_channel_count
+from .waveguide import WireConfig, _check_span, _check_strip, _chi, _kx, open_channel_count
 
 __all__ = [
     "MirrorKind",
@@ -75,8 +75,9 @@ class GridSpec:
         if not (0.0 <= self.y_min < self.y_max <= 1.0):
             raise DomainError(f"y range must be increasing and inside [0, d], got y_min={self.y_min!r}, "
                               f"y_max={self.y_max!r}")
-        if not (np.isfinite([self.x_min, self.x_max]).all() and self.x_min < self.x_max):
-            raise DomainError("x range must be finite and increasing")
+        _check_span("x", self.x_min, self.x_max)
+        if not self.x_min < self.x_max:
+            raise DomainError(f"x range must be increasing, got x_min={self.x_min!r}, x_max={self.x_max!r}")
 
     @property
     def xs(self) -> np.ndarray:

@@ -50,7 +50,8 @@ from .errors import DegenerateMode, DomainError, PoleEncountered, SingularSystem
 from .greens import EULER_GAMMA  # noqa: F401  (callers import it from here too)
 from .greens import _cabs, _cdiv, _cmul, _kummer_coincident, _kummer_plan
 from .specfun import _integer_in, cylinder_bessel_j, cylinder_bessel_y, hankel1
-from .waveguide import WireConfig, _chi, _closed, _n_open, guard_mode_openings, open_channel_count, transverse_mode
+from .waveguide import (WireConfig, _chi, _closed, _interior, _n_open, guard_mode_openings, open_channel_count,
+                        transverse_mode)
 
 __all__ = [
     "TMatrix",
@@ -132,12 +133,16 @@ class RenormState:
         """|Im G_r - (1/2 - Sigma)|; analytic identity, rounding-level."""
         return abs(self.g_r.imag - (0.5 - self.sigma_open))
 
+    def _attached(self):
+        """(s, Rs): the one check that a strength is attached, DomainError on a bare state."""
+        if self.rs is None:
+            raise DomainError("this observable needs a strength attached (attach_strength or renorm_state)")
+        return self.s, self.rs
+
     @property
     def cross_section(self) -> float:
         """sigma = |Rs|^2 Sigma^2 as a fraction of the wire width, capped at 1 against rounding at a dip."""
-        if self.rs is None:
-            raise DomainError("cross_section needs the effective strength attached")
-        return np.minimum(np.square(np.abs(self.rs)) * np.square(self.sigma_open), 1.0)
+        return np.minimum(np.square(np.abs(self._attached()[1])) * np.square(self.sigma_open), 1.0)
 
     @property
     def conductance(self) -> float:
@@ -147,25 +152,24 @@ class RenormState:
     @property
     def free_cross_section(self) -> float:
         """The attached strength's free-space cross section |s|^2 / k (TMatrix.cross_section)."""
-        return TMatrix(k=self.k, a=None, s=self.s).cross_section
+        return TMatrix(k=self.k, a=None, s=self._attached()[0]).cross_section
 
     @property
     def phase_shift(self) -> PhaseShift:
         """e^{2 i delta_0} = 1 - 2 i Rs Sigma and delta_0 in [0, pi), NaN below kd = pi (no channel scatters)."""
-        e2id = 1.0 - 2j * self.rs * self.sigma_open
+        e2id = 1.0 - 2j * self._attached()[1] * self.sigma_open
         return PhaseShift(delta0=np.where(_closed(self.k), np.nan, np.angle(e2id) / 2.0 % np.pi)[()], e2id=e2id)
 
     @property
     def rs_imag(self) -> float:
         """Im Rs, but 0 below kd = pi, where Im Rs = -|Rs|^2 Sigma = 0 and s/(1 - s G_r) leaves rounding."""
-        return np.where(_closed(self.k), 0.0, self.rs.imag)[()]
+        return np.where(_closed(self.k), 0.0, self._attached()[1].imag)[()]
 
     @property
     def optical_residual(self) -> float:
         """Waveguide optical constraint residual | |Rs|^2 Sigma + Im Rs |."""
-        if self.rs is None:
-            raise DomainError("optical_residual needs the effective strength attached")
-        return abs(np.square(np.abs(self.rs)) * self.sigma_open + self.rs.imag)
+        rs = self._attached()[1]
+        return abs(np.square(np.abs(rs)) * self.sigma_open + rs.imag)
 
     def __getitem__(self, index) -> "RenormState":
         """The states at index of a grid state."""
@@ -261,7 +265,7 @@ def renorm_grid(k, y0, tol: float = 1e-12) -> RenormState:
     pays O(N + J) per kd, not O(M).
     """
     k, y0 = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(y0, dtype=float))
-    if not np.all((0.0 < y0) & (y0 < 1.0)):
+    if not np.all(_interior(y0)):
         raise DomainError("y0 must lie strictly inside the wire")
     kd, yy = k.ravel(), y0.ravel()
     n_open = open_channel_count(kd)

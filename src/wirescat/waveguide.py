@@ -15,9 +15,10 @@ The +i branch for closed channels makes exp(i k_x |x-x0|) die off away from
 the source; it is applied consistently everywhere.
 
 Public functions validate their inputs once, at the boundary: _check_strip
-(finite x, 0 <= y <= d), guard_mode_openings (kd > 0, finite, off every
-opening) and _covered_open_count (the guard, and a mode count covering the
-open channels) serve every module.  The _-prefixed kernels (_chi, _kx, _n_open and
+(finite x, 0 <= y <= d), _interior (a source at 0 < y0 < d), _check_span (a
+grid axis), guard_mode_openings (kd > 0, finite, off every opening) and
+_covered_open_count (the guard, and a mode count covering the open channels)
+serve every module.  The _-prefixed kernels (_chi, _kx, _n_open and
 the mode sums built on them) take validated arrays and never check again.
 """
 
@@ -66,7 +67,7 @@ class WireConfig:
     x0: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.y0 < 1.0:
+        if not _interior(self.y0):
             raise DomainError(f"impurity must sit strictly inside the wire, got y0={self.y0!r}")
         if not abs(self.a) < 0.5:
             raise DomainError(f"|a| must be < d/2, got a={self.a!r}")
@@ -148,6 +149,11 @@ def _closed(kd):
     return (0.0 < kd) & (kd < np.pi)
 
 
+def _interior(y0):
+    """Whether a source sits strictly inside the wire, 0 < y0 < d, elementwise; the one copy of that test."""
+    return (0.0 < y0) & (y0 < 1.0)
+
+
 def _covered_open_count(kd, m_max, name: str = "m_max"):
     """open_channel_count(kd), after refusing a mode count m_max that is not an integer >= max(N, 1);
     a list of counts is checked in order, and the error names the first one refused."""
@@ -164,6 +170,12 @@ def _check_strip(x, y):
     if not (np.isfinite(x).all() and ((0.0 <= y) & (y <= 1.0)).all()):
         raise DomainError("a point lies outside the strip: x must be finite and 0 <= y <= d")
     return x, y
+
+
+def _check_span(name: str, lo, hi) -> None:
+    """DomainError unless a grid axis from lo to hi has finite bounds and span, as np.linspace needs."""
+    if not np.isfinite(float(hi) - float(lo)):
+        raise DomainError(f"{name} range must be finite, its span too, got {name}_min={lo!r}, {name}_max={hi!r}")
 
 
 def _branch_kx(k, q):

@@ -21,12 +21,14 @@ KD, Y = 2.5 * np.pi, 0.45
 R0 = (0.0, 0.3)
 CFG = WireConfig(y0=0.3, a=0.1)
 BAD_Y = {"y=1.5": 1.5, "y=-0.2": -0.2, "y=nan": np.nan}
+WALL_Y = {"y=0": 0.0, "y=1": 1.0}
 BAD_KD = {"kd=3pi+1e-10": 3 * np.pi + 1e-10, "kd=3pi-1e-10": 3 * np.pi - 1e-10,
           "kd=0": 0.0, "kd=-1": -1.0, "kd=nan": np.nan, "kd=inf": np.inf}
 
 # (id, function, call(y, kd), what it takes): "y" and "kd" get every bad value
-# of theirs; free-space forms ("y0", "kd0": no walls, no openings) get only
-# a NaN y and every kd that is not a positive finite number
+# of theirs, "y0i" (a source height, strictly inside) the walls too; free-space
+# forms ("y0", "kd0": no walls, no openings) get only a NaN y and every kd that
+# is not a positive finite number
 ENTRIES = [
     ("greens_free", greens.greens_free, lambda y, kd: greens.greens_free((0.3, y), R0, kd), "y0 kd0"),
     ("greens_spectral", greens.greens_spectral,
@@ -41,12 +43,12 @@ ENTRIES = [
     ("greens_diffraction", greens.greens_diffraction,
      lambda y, kd: greens.greens_diffraction((0.3, y), R0, kd), "y kd"),
     ("semiclassical_renorm_sum", greens.semiclassical_renorm_sum,
-     lambda y, kd: greens.semiclassical_renorm_sum(kd, y), "y kd"),
+     lambda y, kd: greens.semiclassical_renorm_sum(kd, y), "y y0i kd"),
     ("convergence_benchmark", greens.convergence_benchmark,
      lambda y, kd: greens.convergence_benchmark((0.3, y), R0, kd, ("spectral", "kummer"), (10, 100)), "y kd"),
     ("convergence_benchmark[coincident]", greens.convergence_benchmark,
      lambda y, kd: greens.convergence_benchmark((0.0, y), (0.0, y), kd, ("kummer", "kummer_raw"), (10, 100)),
-     "y kd"),
+     "y y0i kd"),
     ("image_sum_alternating", greens.image_sum_alternating,
      lambda y, kd: greens.image_sum_alternating((0.3, y), R0, kd, 10), "y0 kd0"),
     ("image_sum_positive", greens.image_sum_positive,
@@ -55,8 +57,8 @@ ENTRIES = [
     ("t_matrix_grid", renorm.t_matrix_grid, lambda y, kd: renorm.t_matrix_grid(np.array([KD, kd]), 0.1), "kd0"),
     ("hard_disk_boundary_check", renorm.hard_disk_boundary_check,
      lambda y, kd: renorm.hard_disk_boundary_check(kd, 0.1), "kd0"),
-    ("renorm_sum", renorm.renorm_sum, lambda y, kd: renorm.renorm_sum(kd, y), "y kd"),
-    ("renorm_grid", renorm.renorm_grid, lambda y, kd: renorm.renorm_grid(np.array([KD, kd]), y), "y kd"),
+    ("renorm_sum", renorm.renorm_sum, lambda y, kd: renorm.renorm_sum(kd, y), "y y0i kd"),
+    ("renorm_grid", renorm.renorm_grid, lambda y, kd: renorm.renorm_grid(np.array([KD, kd]), y), "y y0i kd"),
     ("renorm_state", renorm.renorm_state, lambda y, kd: renorm.renorm_state(kd, WireConfig(y0=y)), "y kd"),
     ("effective_strength", renorm.effective_strength,
      lambda y, kd: renorm.effective_strength(kd, y, 0.1), "y kd"),
@@ -96,7 +98,7 @@ ENTRIES = [
      lambda y, kd: mirror.field_map("greens", kd, WireConfig(y0=y), GridSpec(-1.0, 1.0, 0.0, 1.0, 3, 3)),
      "y kd"),
     ("GridSpec", GridSpec, lambda y, kd: GridSpec(-1.0, 1.0, y, 1.0, 3, 3), "y"),
-    ("WireConfig", WireConfig, lambda y, kd: WireConfig(y0=y), "y"),
+    ("WireConfig", WireConfig, lambda y, kd: WireConfig(y0=y), "y y0i"),
     ("open_channel_count", waveguide.open_channel_count, lambda y, kd: waveguide.open_channel_count(kd), "kd"),
     ("longitudinal_wavenumber", waveguide.longitudinal_wavenumber,
      lambda y, kd: waveguide.longitudinal_wavenumber(3, kd), "kd"),
@@ -119,6 +121,8 @@ def _bad_inputs(takes):
     cases = {}
     if "y" in kinds:
         cases |= {c: (y, KD) for c, y in BAD_Y.items()}
+    if "y0i" in kinds:
+        cases |= {c: (y, KD) for c, y in WALL_Y.items()}
     if "y0" in kinds:
         cases["y=nan"] = (np.nan, KD)
     if "kd" in kinds:
@@ -450,7 +454,8 @@ def test_the_guards_see_the_rules_they_guard():
     home = {"_closed": _tests_closed_wire, "_threshold_chi2": _raises_degenerate_mode,
             "conductance": _subtracts_cross_section, "_open_mode_state": _bounds_a_mode_index,
             "_integer_in": _tests_for_an_integer, "t_matrix": _names_strength,
-            "_kummer_coincident": _calls_coincidence_constant,
+            "_kummer_coincident": _calls_coincidence_constant, "_pair": _pairs_coordinates,
+            "_interior": _tests_source_height, "_attached": _tests_attached_strength,
             **{fn: _reads(name) for name, fns in _KUMMER_READERS.items() for fn in fns}}
     found = set()
     for path in (_SRC / "waveguide.py", _SRC / "renorm.py", _SRC / "scattering.py", _SRC / "specfun.py",
@@ -459,6 +464,73 @@ def test_the_guards_see_the_rules_they_guard():
             if isinstance(fn, ast.FunctionDef) and fn.name in home and any(map(home[fn.name], ast.walk(fn))):
                 found.add(fn.name)
     assert found == set(home)
+
+
+def _coordinate(node):
+    """(point, index) of r[i] or r0[i], bare or as float(r[i]), else None."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float" and len(node.args) == 1:
+        node = node.args[0]
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id in ("r", "r0") \
+            and isinstance(node.slice, ast.Constant):
+        return node.value.id, node.slice.value
+    return None
+
+
+def _pairs_coordinates(node):
+    """(r[i], r0[i]), r[i] - r0[i], float(r[i]) - float(r0[i]), ...: one coordinate of a point pair unpacked."""
+    sides = node.elts if isinstance(node, ast.Tuple) else [node.left, node.right] if isinstance(node, ast.BinOp) else []
+    points = [_coordinate(n) for n in sides]
+    return any(a and b and a[0] != b[0] and a[1] == b[1] for a in points for b in points)
+
+
+def _tests_source_height(node):
+    """0 < y0 < 1, cfg.y0 > 0.0, ...: an interior comparison on a source height."""
+    if not (isinstance(node, ast.Compare) and all(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                                                  for op in node.ops)):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(getattr(n, "id", getattr(n, "attr", None)) == "y0" for n in operands) and \
+        any(isinstance(n, ast.Constant) and n.value in (0, 1) for n in operands)
+
+
+def _tests_attached_strength(node):
+    """rs is None, self.rs is not None: whether a state has its strength attached."""
+    return isinstance(node, ast.Compare) and getattr(node.left, "id", getattr(node.left, "attr", None)) == "rs" \
+        and isinstance(node.ops[0], (ast.Is, ast.IsNot)) and getattr(node.comparators[0], "value", 0) is None
+
+
+def _reads_own_strength(node):
+    """self.s or self.rs: a state's own strength, read bare."""
+    return isinstance(node, ast.Attribute) and node.attr in ("s", "rs") and getattr(node.value, "id", None) == "self"
+
+
+def test_a_point_pair_is_unpacked_in_one_place():
+    # greens._pair strip-checks a pair and unpacks it for every wire form; the free-space forms
+    # (greens_free, the image sums) take no strip check and read their distances from _image_distances
+    assert _rule_sites(_pairs_coordinates, ("greens", "_pair"), ("greens", "_image_distances")) == []
+
+
+def test_the_interior_source_rule_lives_in_waveguide_alone():
+    # 0 < y0 < d is waveguide._interior: WireConfig, renorm_grid, semiclassical_renorm_sum and the
+    # coincident benchmark test it there, each with its own message
+    assert _rule_sites(_tests_source_height, ("waveguide", "_interior")) == []
+
+
+def test_the_attached_strength_check_lives_in_the_state_alone():
+    # every RenormState property that reads s or Rs takes them from RenormState._attached
+    assert _rule_sites(_tests_attached_strength, ("renorm", "_attached")) == []
+    state = next(n for n in ast.walk(ast.parse((_SRC / "renorm.py").read_text()))
+                 if isinstance(n, ast.ClassDef) and n.name == "RenormState")
+    assert [fn.name for fn in state.body if isinstance(fn, ast.FunctionDef) and fn.name != "_attached"
+            and any(map(_reads_own_strength, ast.walk(fn)))] == []
+
+
+def test_the_boundary_guards_see_what_they_guard():
+    for text, predicate in (("(r[0], r0[0])", _pairs_coordinates), ("float(r[1]) - float(r0[1])", _pairs_coordinates),
+                            ("0.0 < cfg.y0 < 1.0", _tests_source_height), ("st.rs is None", _tests_attached_strength),
+                            ("self.s.imag", _reads_own_strength)):
+        assert any(map(predicate, ast.walk(ast.parse(text)))), text
+    assert not any(map(_pairs_coordinates, ast.walk(ast.parse("(r[0], r[1]), r0[0] - x0"))))
 
 
 def test_no_module_uses_the_private_argparse_api():

@@ -270,6 +270,21 @@ def test_non_finite_grid_exit_2(tmp_path, capsys, kind, bound):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, given", [
+    (["sweep-k", "--y0", "0.3", "--kd-max", "inf", "--points", "5"], "kd_max=inf"),
+    (["sweep-geom", "--kd", "7.3", "--a-max", "inf", "--a-points", "3", "--y0-points", "3"], "a_max=inf"),
+    (["field-map", "--y0", "0.3", "--nx", "3", "--ny", "3", "--x-min", "-1e308", "--x-max", "1e308"],
+     "x_min=-1e+308, x_max=1e+308"),
+], ids=["sweep-k", "sweep-geom", "field-map"])
+def test_a_grid_bound_without_a_finite_span_exits_2(tmp_path, capsys, argv, given):
+    # the bounds are checked before np.linspace runs: no RuntimeWarning, and the error names them
+    out = tmp_path / "g.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "range must be finite" in err and given in err
+    assert not out.exists()
+
+
 def test_greens_bench(tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(["greens-bench", "--kd", str(2.5 * np.pi), "--x", "0.37",
@@ -286,6 +301,17 @@ def test_greens_bench_coincident_image_exit_2(tmp_path):
                "--representations", "image", "--terms", "10",
                "--out", str(tmp_path / "b.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("wall", ["0", "1"])
+def test_greens_bench_coincident_wall_source_exit_2(tmp_path, capsys, wall):
+    # G_w - G_0 at r = r0 needs 0 < y0 < d, as renorm_sum does: no NaN or 0.0 error column
+    out = tmp_path / "b.csv"
+    assert main(["greens-bench", "--x", "0", "--y", wall, "--x0", "0", "--y0", wall,
+                 "--representations", "kummer", "--terms", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: G_w - G_0 at r = r0 needs the source strictly inside the wire, "
+                                       f"got y0={float(wall)!r}\n")
+    assert not out.exists()
 
 
 def test_greens_bench_refuses_an_unknown_representation_first(tmp_path, capsys):

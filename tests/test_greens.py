@@ -846,7 +846,7 @@ def test_spectral_rows_drop_only_terms_that_are_zero(monkeypatch, r, kd):
     counts = [10, 30, 100, 300, 1000, 3000, 10000]
     sizes, chi = [], greens._chi
     monkeypatch.setattr(greens, "_chi", lambda m, y: sizes.append(np.size(m)) or chi(m, y))
-    rows = greens._spectral_sums(r, R0, kd, counts)
+    rows = greens._spectral_sums(greens._pair(r, R0), kd, counts)
     ax, m, n_open = abs(r[0] - R0[0]), np.arange(1, counts[-1] + 1), waveguide._n_open(kd)
     assert sizes == [greens._live_modes(kd, ax, counts[-1])] * 2 and sizes[0] < counts[-1]  # not all 10,000
     r_m, pair = greens._abs_kx(kd, m), waveguide._chi(m, r[1]) * waveguide._chi(m, R0[1])

@@ -230,6 +230,16 @@ def test_renorm_grid_shapes_and_domain():
         renorm_grid([4.0, -1.0, 2.0 * np.pi], Y0)
 
 
+@pytest.mark.parametrize("name", ["cross_section", "conductance", "optical_residual", "phase_shift", "rs_imag",
+                                  "free_cross_section"])
+@pytest.mark.parametrize("bare", [lambda: renorm_sum(7.3, Y0), lambda: renorm_grid([4.0, 7.3], Y0)],
+                         ids=["lone", "grid"])
+def test_a_bare_state_refuses_every_observable_of_the_impurity(bare, name):
+    # renorm_sum attaches no strength: one named DomainError, never a TypeError or AttributeError from None
+    with pytest.raises(DomainError, match="needs a strength attached"):
+        getattr(bare(), name)
+
+
 def _kd_values():
     # generic kd and kd within 1e-6 to 1e-8 of a mode opening (outside the 1e-9 guard)
     near = st.builds(lambda n, eps: n * np.pi + eps, st.integers(1, 12),
