@@ -76,8 +76,8 @@ import numpy as np
 
 from .errors import CoincidentPoints, DomainError, TruncationLimit
 from .specfun import _integer_in, cylinder_bessel_j, hankel1, hankel1_parts
-from .waveguide import (_branch_kx, _check_strip, _chi, _covered_open_count, _images, _interior, _n_open,
-                        guard_mode_openings)
+from .waveguide import (_abs_kx, _check_separation, _check_strip, _chi, _covered_open_count, _images, _interior,
+                        _kx, _n_open, guard_mode_openings)
 
 __all__ = [
     "GreensValue",
@@ -148,6 +148,7 @@ class BenchmarkRow:
 def _pair(r, r0) -> tuple[float, float, float, float]:
     """|x - x0|, y, y0 and |r - r0| of a point pair, after the one strip check of both points."""
     (x, x0), (y, y0) = (v.tolist() for v in _check_strip((r[0], r0[0]), (r[1], r0[1])))
+    _check_separation(x, x0)
     return abs(x - x0), y, y0, float(np.hypot(x - x0, y - y0))
 
 
@@ -254,13 +255,6 @@ def _pair_modes(kd: float, m_max: int, y: float, y0: float):
     of its modes evaluated alone, and every mode sum of the pair reads slices of one table."""
     m = np.arange(1, m_max + 1)
     return _abs_kx(kd, m), _chi(m, y0), _chi(m, np.array([y]))
-
-
-def _abs_kx(kd, m):
-    """r_m = |k_x^(m)| = sqrt|kd^2 - (m pi)^2| for validated kd, rounded as waveguide._kx rounds it:
-    the one copy of the formula behind the spectral, Kummer and G_r mode sums."""
-    r = kd * kd - (m * np.pi) ** 2
-    return np.sqrt(np.abs(r, out=r), out=r)
 
 
 def _image_distances(r, r0, n_images: int):
@@ -836,6 +830,7 @@ def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
     its own mode count.  Exact coincidence with r0 yields NaN.
     """
     x, y = _check_strip(np.append(xs, r0[0]), np.append(ys, r0[1]))
+    _check_separation(x[:-1], x[-1])
     guard_mode_openings(k)
     ax, ys, y0 = np.abs(x[:-1] - x[-1]), y[:-1], y[-1]
     at_r0 = (ax == 0.0)[:, None] & (ys == y0)
@@ -852,25 +847,25 @@ def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
 
 def _grating_sum(ax: float, etas, k: float, tol: float) -> tuple[list[complex], int, float]:
     """G_p = -(i/2) sum_n exp(i k_x^(n) ax) cos(n pi eta) / k_x^(n) at each eta: the period-2d grating, one order set."""
-    n_max = _n_open(k) + 8
-    while True:
-        kyq = np.pi * (n_max + 1)
-        kappa = np.sqrt(max(kyq ** 2 - k ** 2, 0.0))
-        tail = 2.0 * np.exp(-kappa * ax) / max(kappa, 1e-300) / max(1.0 - np.exp(-np.pi * ax), 1e-300)
-        if tail < tol:
-            break
-        if n_max > _GEOMETRIC_MODE_CAP:
-            raise TruncationLimit(f"grating sum at |x - x0|={ax!r}: bound {tail:.3g} with "
-                                  f"{2 * n_max + 1} orders misses its share {tol:g} of tol")
-        n_max *= 2
+    # orders |n| <= n_max, n_max doubling from N + 8 until the closed orders dropped, bounded at kappa =
+    # r_(n_max + 1), meet tol; the first n_max past _GEOMETRIC_MODE_CAP that misses it raises
+    def bound(n_max):
+        kappa = np.abs(_kx(k, n_max + 1))
+        return 2.0 * np.exp(-kappa * ax) / np.maximum(kappa, 1e-300) / max(1.0 - np.exp(-np.pi * ax), 1e-300)
+
+    n_max = _doubled(np.array([_n_open(k) + 8]), True, _GEOMETRIC_MODE_CAP + 1, lambda m, i: bound(m) < tol)
+    n_max, tail = int(n_max[0]), float(bound(n_max)[0])
+    if not tail < tol:
+        raise TruncationLimit(f"grating sum at |x - x0|={ax!r}: bound {tail:.3g} with "
+                              f"{2 * n_max + 1} orders misses its share {tol:g} of tol")
     n = np.arange(-n_max, n_max + 1)
     ky = np.pi * n
-    kx = _branch_kx(k, ky)
+    kx = _kx(k, n)
     if np.any(np.abs(kx) < 1e-9 * k):
         raise DomainError("grazing diffraction order: k coincides with a reciprocal vector")
     phase = np.exp(1j * kx * ax)
     totals = [complex(-0.5j * np.sum(phase * np.cos(ky * eta) / kx)) for eta in etas]
-    return totals, 2 * n_max + 1, float(tail)
+    return totals, 2 * n_max + 1, tail
 
 
 def greens_diffraction(r, r0, k: float, tol: float = 1e-10) -> GreensValue:

@@ -36,7 +36,7 @@ from .errors import DomainError
 from .greens import greens_kummer_grid
 from .renorm import _open_state
 from .specfun import _integer_in
-from .waveguide import WireConfig, _check_span, _check_strip, _chi, _kx, open_channel_count
+from .waveguide import WireConfig, _abs_kx, _check_separation, _check_span, _check_strip, _chi, open_channel_count
 
 __all__ = [
     "MirrorKind",
@@ -104,16 +104,16 @@ def _mirror_grid(kind: MirrorKind, k: float, cfg: WireConfig, xs, ys) -> np.ndar
 
     Every kind is a separable open-mode sum sum_m c_m T_m(y) L_m(x - x0)
     with L_m = cos or sin(k_x^(m) (x - x0)) and T_m = chi_m(y), except
-    s_plus, whose T_m = cos(m pi y/d) includes the n = 0 order (k_x = k,
-    half weight); the grid is one (nx x M)(M x ny) product.
+    s_plus, whose T_m = cos(m pi y/d) includes the n = 0 order at half weight,
+    mode 0 of the same r_m table (r_0 = k exactly); the grid is one
+    (nx x M)(M x ny) product.
     """
     xs, ys = _check_strip(xs, ys)
+    _check_separation(xs, cfg.x0)
     n = open_channel_count(k)  # guards kd; none open below kd = pi
-    kx, m = _kx(k, n).real, np.arange(1, n + 1)
-    q = m * np.pi
+    m = np.arange(0 if kind == MirrorKind.S_PLUS else 1, n + 1)
+    kx, q = _abs_kx(k, m), m * np.pi
     if kind == MirrorKind.S_PLUS:
-        kx = np.concatenate(([k], kx))
-        q = np.concatenate(([0.0], q))
         c = 2.0 * np.cos(q * cfg.y0) / kx
         c[0] *= 0.5
         trans = np.cos(np.multiply.outer(q, ys))

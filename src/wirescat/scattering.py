@@ -40,7 +40,7 @@ from .greens import semiclassical_renorm_sum
 from .renorm import (PhaseShift, RenormState, _open_state, _threshold_chi2, _zero_below_pi, attach_strength,
                      renorm_state, t_matrix, t_matrix_grid)
 from .specfun import _integer_in
-from .waveguide import WireConfig, _chi, _closed, _kx
+from .waveguide import WireConfig, _abs_kx, _chi, _closed
 
 __all__ = [
     "SMatrixResult",
@@ -107,7 +107,7 @@ def _state_s_matrix(st: RenormState) -> SMatrixResult:
     stack of their S matrices.
     """
     (n,) = np.unique(st.n_open).tolist()  # a stack with mixed counts fails here
-    kx = _kx(st.k, n).real
+    kx = _abs_kx(np.asarray(st.k, dtype=float)[..., None], np.arange(1, n + 1))
     v = _chi(np.arange(1, n + 1), st.y0).T / np.sqrt(kx)
     rs = np.asarray(st.rs)[..., None]
     refl = 1j * rs[..., None] * (v[..., :, None] * v[..., None, :])
@@ -155,7 +155,7 @@ def forward_amplitude(n: int, k: float, cfg: WireConfig, tol: float = 1e-12) -> 
     It obeys the per-channel optical theorem sigma_n = -Re[chi_n(y0) f_n].
     """
     st = _open_mode_state(n, k, cfg, tol)
-    return complex(-1j * st.rs * _chi(n, cfg.y0) / _kx(k, n)[n - 1].real)
+    return complex(-1j * st.rs * _chi(n, cfg.y0) / _abs_kx(k, np.array([n]))[0])
 
 
 def phase_shift(k, cfg: WireConfig, tol: float = 1e-12) -> PhaseShift:

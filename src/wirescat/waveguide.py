@@ -15,11 +15,12 @@ The +i branch for closed channels makes exp(i k_x |x-x0|) die off away from
 the source; it is applied consistently everywhere.
 
 Public functions validate their inputs once, at the boundary: _check_strip
-(finite x, 0 <= y <= d), _interior (a source at 0 < y0 < d), _check_span (a
-grid axis), guard_mode_openings (kd > 0, finite, off every opening) and
-_covered_open_count (the guard, and a mode count covering the open channels)
-serve every module.  The _-prefixed kernels (_chi, _kx, _n_open and
-the mode sums built on them) take validated arrays and never check again.
+(finite x, 0 <= y <= d), _check_separation (a finite x - x0), _interior (a
+source at 0 < y0 < d), _check_span (a grid axis), guard_mode_openings (kd > 0,
+finite, off every opening) and _covered_open_count (the guard, and a mode count
+covering the open channels) serve every module.  The _-prefixed kernels
+(_chi, _abs_kx, _kx, _n_open and the mode sums built on them) take validated
+arrays and never check again.
 """
 
 from __future__ import annotations
@@ -172,16 +173,18 @@ def _check_strip(x, y):
     return x, y
 
 
+def _check_separation(x, x0) -> None:
+    """DomainError unless every separation x - x0 of strip-checked coordinates is finite: finite
+    points whose separation overflows are refused before any sum turns it into NaN."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.subtract(x, x0)).all():
+            raise DomainError("x - x0 must be finite, but the points lie too far apart along the wire")
+
+
 def _check_span(name: str, lo, hi) -> None:
     """DomainError unless a grid axis from lo to hi has finite bounds and span, as np.linspace needs."""
     if not np.isfinite(float(hi) - float(lo)):
         raise DomainError(f"{name} range must be finite, its span too, got {name}_min={lo!r}, {name}_max={hi!r}")
-
-
-def _branch_kx(k, q):
-    """sqrt(k^2 - q^2) for transverse wavenumber q, on the decaying +i branch when q > k."""
-    val = k * k - q ** 2
-    return np.where(val >= 0, np.sqrt(np.abs(val)) + 0j, 1j * np.sqrt(np.abs(val)))
 
 
 def longitudinal_wavenumber(m: int, kd: float) -> complex:
@@ -194,19 +197,30 @@ def longitudinal_wavenumber(m: int, kd: float) -> complex:
         raise DomainError(f"mode index must be an integer >= 1, got {m!r}")
     if kd <= 0.0 or not np.isfinite(kd):
         raise DomainError(f"kd must be positive and finite, got {kd!r}")
-    if abs(kd - m * np.pi) <= DEFAULT_MODE_GUARD:
+    n, gap = mode_opening_gaps(kd)
+    if gap and n == m:
         raise ModeOpeningSingularity(kd, m, DEFAULT_MODE_GUARD)
-    return complex(_branch_kx(kd, m * np.pi))
+    return complex(_kx(kd, np.array([m]))[0])
 
 
 def channels(kd, m_max: int) -> ChannelSet:
     """ChannelSet with kx for modes 1..m_max; an array of kd adds a leading axis."""
-    return ChannelSet(k=kd, n_open=_covered_open_count(kd, m_max), kx=_kx(kd, m_max))
+    return ChannelSet(k=kd, n_open=_covered_open_count(kd, m_max), kx=_kx(kd, np.arange(1, m_max + 1)))
 
 
-def _kx(kd, m_max: int):
-    """k_x^(m) for m = 1..m_max along a new last axis of kd (validated kd, unchecked)."""
-    return _branch_kx(np.asarray(kd, dtype=float)[..., None], np.arange(1, m_max + 1, dtype=float) * np.pi)
+def _abs_kx(kd, m):
+    """r_m = |k_x^(m)| = sqrt|kd^2 - (m pi)^2| for validated kd and an integer array of modes m:
+    the one copy of the formula behind every mode sum, k_x^(m) itself included (_kx)."""
+    r = kd * kd - (m * np.pi) ** 2
+    return np.sqrt(np.abs(r, out=r), out=r)
+
+
+def _kx(kd, m):
+    """k_x^(m) for an integer array of modes m along a new last axis of kd (validated kd, unchecked):
+    r_m for |m| <= N = _n_open(kd), open, and i r_m, decaying, for any other."""
+    kd = np.asarray(kd, dtype=float)[..., None]
+    r = _abs_kx(kd, m)
+    return np.where(np.abs(m) <= _n_open(kd), r + 0j, 1j * r)
 
 
 def transverse_mode(m, y):

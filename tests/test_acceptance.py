@@ -14,7 +14,7 @@ import pytest
 from wirescat import greens, mirror, renorm, scattering
 from wirescat.cli import main as cli_main
 from wirescat.renorm import EULER_GAMMA
-from wirescat.validate import STANDARD_A, STANDARD_Y0, check_smatrix_grid
+from wirescat.validate import CHECK_GROUPS, STANDARD_A, STANDARD_Y0, check_smatrix_grid, run_checks
 from wirescat.waveguide import WireConfig
 
 GRID = f"standard kd grid x {len(STANDARD_Y0)} y0 x {len(STANDARD_A)} a"
@@ -214,3 +214,36 @@ def test_criterion_15_sweep_performance_and_determinism(tmp_path):
     ok = elapsed <= 10.0 and identical
     report(15, "full k-sweep performance and determinism", ok,
            f"3 x 2000 points in {elapsed:.2f}s, byte-identical={identical}")
+
+
+# every named check of validate, group by group in CHECK_GROUPS order
+VALIDATE_CHECKS = {
+    "specfun": ["specfun.wronskian", "specfun.recurrence", "specfun.switchover_continuity"],
+    "waveguide": ["waveguide.mode_orthonormality", "waveguide.image_geometry"],
+    "greens_equivalence": ["greens.kummer_vs_spectral", "greens.kummer_vs_diffraction"],
+    "greens_boundary": ["greens.wall_values", "greens.image_wall_ceiling"],
+    "greens_properties": ["greens.reciprocity", "greens.reality_below_threshold", "greens.helmholtz_stencil_order",
+                          "greens.coincidence_constant"],
+    "greens_benchmark": ["benchmark.kummer_terms_to_1e-10", "benchmark.image_error_at_1e4",
+                         "benchmark.spectral_slope", "benchmark.spectral_100_terms"],
+    "free_optical": ["renorm.free_optical_theorem"],
+    "hard_disk": ["renorm.hard_disk_boundary"],
+    "edge_asymptotes": ["renorm.gr_edge_asymptote", "scattering.sigma_edge_asymptote"],
+    "foldy": ["renorm.foldy_consistency", "renorm.foldy_antisymmetry"],
+    "smatrix_grid": ["scattering.unitarity", "scattering.rank_one", "scattering.four_way_sigma",
+                     "scattering.conductance_identities", "scattering.flux_bound", "scattering.sigma_in_unit_interval",
+                     "renorm.im_gr_identity", "renorm.confined_optical_constraint"],
+    "resonances": ["scattering.sigma_below_opening", "scattering.sigma_above_opening",
+                   "scattering.missing_resonance_continuity", "scattering.odd_resonance_jump"],
+    "mirror": ["mirror.identity_vs_im_greens", "mirror.partials_vanish_at_impurity", "mirror.sigma_reconstruction",
+               "mirror.scattering_channel_orthogonality"],
+    "sigma_from_greens": ["scattering.sigma_from_greens_kummer"],
+}
+
+
+def test_validate_fast_runs_every_group_and_passes_every_check():
+    # the other tests run a few groups; this one runs all 14 at --fast sizes, and each of the 40 checks by name
+    assert list(VALIDATE_CHECKS) == list(CHECK_GROUPS)
+    results = run_checks(fast=True)
+    assert [r.name for r in results] == [name for names in VALIDATE_CHECKS.values() for name in names]
+    assert len(results) == 40 and [r.name for r in results if not r.passed] == []

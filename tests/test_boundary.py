@@ -384,11 +384,10 @@ def _calls_coincidence_constant(node):
 
 
 def _names_complex_kx(node):
-    """_kx or _branch_kx by name, attribute or import: the complex longitudinal wavenumbers."""
-    names = ("_kx", "_branch_kx")
-    return (isinstance(node, ast.Name) and node.id in names) or \
-        (isinstance(node, ast.Attribute) and node.attr in names) or \
-        (isinstance(node, ast.alias) and node.name in names)
+    """_kx by name, attribute or import: the complex longitudinal wavenumbers."""
+    return (isinstance(node, ast.Name) and node.id == "_kx") or \
+        (isinstance(node, ast.Attribute) and node.attr == "_kx") or \
+        (isinstance(node, ast.alias) and node.name == "_kx")
 
 
 def test_coincident_mode_sum_lives_in_one_kernel():
@@ -533,6 +532,47 @@ def test_the_boundary_guards_see_what_they_guard():
     assert not any(map(_pairs_coordinates, ast.walk(ast.parse("(r[0], r[1]), r0[0] - x0"))))
 
 
+def _is_square(node):
+    """x ** 2, x * x or np.square(x)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return isinstance(node.right, ast.Constant) and node.right.value == 2
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return ast.dump(node.left) == ast.dump(node.right)
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "square"
+
+
+def _subtracts_squares(node):
+    """kd * kd - (m * np.pi) ** 2, q ** 2 - k ** 2, ...: the difference of squares under r_m = |k_x^(m)|."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) \
+        and _is_square(node.left) and _is_square(node.right)
+
+
+def _compares_with_the_guard(node):
+    """abs(kd - m * np.pi) <= DEFAULT_MODE_GUARD, ...: a test against the guard band of an opening."""
+    return isinstance(node, ast.Compare) and any(map(_reads("DEFAULT_MODE_GUARD"), ast.walk(node)))
+
+
+# the copies of r_m and of the guard band that waveguide._abs_kx, _kx and mode_opening_gaps replaced:
+# waveguide._branch_kx, greens._abs_kx, greens._grating_sum's kappa and longitudinal_wavenumber's band
+_FORMER_COPIES = ("val = k * k - q ** 2", "r = kd * kd - (m * np.pi) ** 2",
+                  "kappa = np.sqrt(max(kyq ** 2 - k ** 2, 0.0))")
+
+
+def test_r_m_and_the_guard_band_live_in_waveguide_alone():
+    # r_m = sqrt|kd^2 - (m pi)^2| is waveguide._abs_kx; _kx picks its branch by N = _n_open(kd), and every
+    # mode sum, the S matrix, the mirror waves and the grating orders read one of the two.  The edge law's
+    # sqrt(N^2 - n^2) in sigma_edge_asymptote is its asymptote at kd = N pi, not a copy of r_m
+    for text in _FORMER_COPIES:
+        assert any(map(_subtracts_squares, ast.walk(ast.parse(text)))), text
+    assert any(map(_subtracts_squares, ast.walk(_function("waveguide", "_abs_kx"))))
+    assert _rule_sites(_subtracts_squares, ("waveguide", "_abs_kx"), ("scattering", "sigma_edge_asymptote")) == []
+    assert any(map(_compares_with_the_guard, ast.walk(ast.parse("abs(kd - m * np.pi) <= DEFAULT_MODE_GUARD"))))
+    assert any(map(_compares_with_the_guard, ast.walk(_function("waveguide", "mode_opening_gaps"))))
+    assert _rule_sites(_compares_with_the_guard, ("waveguide", "mode_opening_gaps")) == []
+    assert any(map(_reads("_n_open"), ast.walk(_function("waveguide", "_kx"))))
+    assert not hasattr(waveguide, "_branch_kx") and greens._abs_kx is waveguide._abs_kx
+
+
 def test_no_module_uses_the_private_argparse_api():
     # --config values go through parse_args like any flag
     for path in sorted(_SRC.glob("*.py")):
@@ -630,3 +670,44 @@ def test_a_nan_tol_on_the_command_line_exits_2(tmp_path, capsys, argv):
     assert cli.main([*argv, "--tol", "nan", "--out", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err == "error: tol must be positive and finite, got nan\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# finite points whose separation x - x0 overflows
+# ---------------------------------------------------------------------------
+
+_FAR, _FAR0 = (1e308, 0.5), (-1e308, 0.3)
+_FAR_CFG = WireConfig(y0=0.3, x0=-1e308)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: greens.greens_static(_FAR, _FAR0),
+    lambda: greens.greens_spectral(_FAR, _FAR0, 7.3, 100),
+    lambda: greens.greens_image(_FAR, _FAR0, 7.3, 10),
+    lambda: greens.greens_kummer(_FAR, _FAR0, 7.3),
+    lambda: greens.greens_kummer_grid([0.0, 1e308], [0.5], _FAR0, 7.3),
+    lambda: greens.greens_diffraction(_FAR, _FAR0, 7.3),
+    lambda: greens.convergence_benchmark(_FAR, _FAR0, 7.3, ("spectral", "kummer"), (10, 100)),
+    lambda: mirror.mirror_s(_FAR, 7.3, _FAR_CFG),
+    lambda: mirror.mirror_s_plus(_FAR, 7.3, _FAR_CFG),
+    lambda: mirror.mirror_partial("px", _FAR, 7.3, _FAR_CFG),
+    lambda: mirror.field_map("s", 7.3, _FAR_CFG, GridSpec(1e308, 1.5e308, 0.0, 1.0, 2, 2)),
+    lambda: mirror.field_map("greens", 7.3, _FAR_CFG, GridSpec(1e308, 1.5e308, 0.0, 1.0, 2, 2)),
+], ids=["static", "spectral", "image", "kummer", "kummer-grid", "diffraction", "benchmark", "mirror-s",
+        "mirror-s-plus", "mirror-partial", "field-map-s", "field-map-greens"])
+def test_a_separation_that_overflows_is_a_domain_error(call):
+    # x and x0 are finite, x - x0 is not: one DomainError from waveguide._check_separation, never a NaN
+    # value (greens_kummer summed 64 terms to nan+nanj) nor greens_static's far limit 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="x - x0 must be finite"):
+            call()
+
+
+def test_the_free_space_forms_refuse_an_overflowing_separation_through_their_bessel_kernels():
+    # greens_free and the image sums take no strip check; their distance is inf, which hankel1 and J_0 refuse
+    for call in (lambda: greens.greens_free(_FAR, _FAR0, 7.3),
+                 lambda: greens.image_sum_alternating(_FAR, _FAR0, 7.3, 10),
+                 lambda: greens.image_sum_positive(_FAR, _FAR0, 7.3, 10)):
+        with pytest.raises(DomainError, match="must be finite"):
+            call()

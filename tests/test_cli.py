@@ -718,3 +718,63 @@ def test_sweeps_refuse_a_missed_tolerance(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out)]) == 2
     assert "misses tol=1e-12" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["field-map", "--kind", "s", "--kd", "7.3", "--y0", "0.3", "--x0", "-1e308", "--x-min", "1e308",
+     "--x-max", "1.5e308", "--nx", "2", "--ny", "2"],
+    ["field-map", "--kind", "greens", "--kd", "7.3", "--y0", "0.3", "--x0", "-1e308", "--x-min", "1e308",
+     "--x-max", "1.5e308", "--nx", "2", "--ny", "2"],
+    ["greens-bench", "--x", "1e308", "--x0", "-1e308"],
+], ids=["field-map-s", "field-map-greens", "greens-bench"])
+def test_a_separation_that_overflows_exits_2(tmp_path, capsys, argv):
+    # finite x and x0 whose x - x0 overflows: one error line, not a NaN map or NaN errors
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: x - x0 must be finite, but the points lie too far apart along the wire\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-k", "--y0", "0.3", "--a", "-0.05", "--kd-min", "2.0", "--kd-max", "9.0", "--points", "40"],
+    ["sweep-geom", "--kd", "7.3", "--a-points", "5", "--y0-points", "4"],
+], ids=["sweep-k", "sweep-geom"])
+def test_sweep_svg_is_byte_identical_on_repeat(tmp_path, argv):
+    # sweep-k draws svg_line_plot's polylines, sweep-geom svg_heatmap's cells
+    runs = []
+    for name in ("a", "b"):
+        svg = tmp_path / f"{name}.svg"
+        assert main([*argv, "--out", str(tmp_path / f"{name}.csv"), "--svg", str(svg)]) == 0
+        runs.append(svg.read_bytes())
+    assert runs[0] == runs[1] and runs[0].startswith(b"<svg") and runs[0].rstrip().endswith(b"</svg>")
+    assert (b"<polyline" in runs[0]) == (argv[0] == "sweep-k")
+
+
+def test_a_gap_row_at_a_node_of_its_opening_writes_nan_limits(tmp_path):
+    # chi_2(0.5) = 0, so at kd = 2 pi the edge laws raise DegenerateMode and the gap row's four
+    # limits are NaN; sigma_limit_above, 1 at any other gap row, is NaN too
+    out = tmp_path / "node.csv"
+    assert main(["sweep-k", "--y0", "0.5", "--kd-min", "6.283185307179586", "--kd-max", "7",
+                 "--points", "2", "--out", str(out)]) == 0
+    _, cols, rows = read_data_lines(out)
+    limits = ["sigma_asym_below", "sigma_limit_above", "gr_asym_below_re", "gr_asym_above_im"]
+    assert rows[0][cols.index("gap")] == "1" and [rows[0][cols.index(c)] for c in limits] == ["nan"] * 4
+    assert rows[1][cols.index("gap")] == "0" and float(rows[1][cols.index("sigma")]) > 0.0
+
+
+def test_config_file_skips_comments_and_blank_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a sweep\n\ny0 = 0.3   # impurity height\n   \nkd-min = 4.0\nkd-max = 9.0\n# points = 9\npoints = 7\n")
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("y0 = 0.3\nkd-min = 4.0\nkd-max = 9.0\npoints = 7\n")
+    for name, path in (("c", cfg), ("p", plain)):
+        assert main(["sweep-k", "--config", str(path), "--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+    assert len(read_data_lines(tmp_path / "c.csv")[2]) == 7
+
+
+def test_module_entry_prints_its_version():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "wirescat", "--version"], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"wirescat {cli.__version__}\n", "")

@@ -1019,3 +1019,14 @@ def test_mode_kernels_never_check_their_inputs(kernel):
         todo += [c for c in called if inspect.isfunction(getattr(greens, c, None))
                  and getattr(greens, c).__module__ == greens.__name__]
     assert reached == set(), (kernel, sorted(seen))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: greens_spectral(R0, R0, KD, 100),
+    lambda: greens_image(R0, R0, KD, 10),
+    lambda: greens.image_sum_positive(R0, R0, KD, 10),
+], ids=["spectral", "image", "image-positive"])
+def test_a_coincident_pair_is_refused_by_the_forms_that_diverge_there(call):
+    # G_w - G_0 at r = r0 is renorm_sum's; these forms have no finite value there
+    with pytest.raises(CoincidentPoints):
+        call()

@@ -239,3 +239,9 @@ def test_mirror_property_identities(kd, y0, x, y):
     assert abs(mirror_s((x, y), kd, cfg) + gw.imag) <= 1e-10
     for kind in (MirrorKind.PX, MirrorKind.DXY, MirrorKind.F):
         assert mirror_partial(kind, cfg.r0, kd, cfg) == 0.0
+
+
+@pytest.mark.parametrize("x_max", [-0.5, 0.25], ids=["decreasing", "empty"])
+def test_grid_spec_refuses_an_x_range_that_does_not_increase(x_max):
+    with pytest.raises(DomainError, match=rf"x range must be increasing, got x_min=0.25, x_max={x_max!r}$"):
+        GridSpec(0.25, x_max, 0.0, 1.0, 3, 3)

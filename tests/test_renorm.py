@@ -550,3 +550,13 @@ def test_foldy_image_array_reproduces_renormalization(foldy_image_array):
     assert abs(psi[half] - target) / abs(target) <= 1e-2
     for j in (-2, -1, 1, 2, 5):
         assert abs(psi[half + j] - (-1.0) ** j * psi[half]) <= 2e-2 * abs(psi[half])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gr_edge_asymptote(2, 1e-6, Y0, side="left"), "side must be 'below' or 'above', got 'left'"),
+    (lambda: hard_disk_boundary_check(KD, 0.0), "boundary check is defined for a > 0"),
+    (lambda: FoldyProblem([[0.0, Y0], [1.0, Y0]], 0.5j, [1.0]), "positions and incident values must align"),
+], ids=["edge-side", "disk-a0", "foldy-incident"])
+def test_an_input_outside_its_law_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()

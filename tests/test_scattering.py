@@ -245,3 +245,14 @@ def test_missing_resonance_at_center():
                - cross_section(2.0 * np.pi - 1e-6, cfg)) <= 1e-3
     jump = cross_section(3.0 * np.pi + 1e-6, cfg) - cross_section(3.0 * np.pi - 1e-6, cfg)
     assert jump > 0.9
+
+
+@pytest.mark.parametrize("variant", ["kummer", "semiclassical"])
+def test_sigma_from_greens_is_zero_below_the_first_opening(variant):
+    # no channel is open at kd < pi, so there is no cross section to reconstruct
+    assert sigma_from_greens(2.0, CFG, variant) == 0.0
+
+
+def test_the_sigma_edge_law_needs_an_open_mode_below_its_threshold():
+    with pytest.raises(DomainError, match="edge law needs at least one mode open below the threshold"):
+        sigma_edge_asymptote(1, 1e-6, 0.3)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wirescat.errors import DomainError, ModeOpeningSingularity
-from wirescat.waveguide import (WireConfig, channels, image_positions,
-                                longitudinal_wavenumber, open_channel_count,
+from wirescat.waveguide import (DEFAULT_MODE_GUARD, WireConfig, _abs_kx, _kx, _n_open, channels, image_positions,
+                                longitudinal_wavenumber, mode_opening_gaps, open_channel_count,
                                 transverse_mode)
 
 
@@ -115,3 +117,33 @@ def test_wire_config_validation():
         WireConfig(y0=0.5, a=0.6)
     cfg = WireConfig(y0=0.5, a=-0.1)
     assert cfg.r0 == (0.0, 0.5)
+
+
+def _kd_values():
+    """kd in (0, 40 pi): anywhere, or within 1e-8 of an opening n pi but outside its guard band."""
+    near = st.tuples(st.integers(1, 40), st.floats(1.01 * DEFAULT_MODE_GUARD, 1e-8), st.sampled_from((-1.0, 1.0)))
+    return st.one_of(st.floats(1e-3, 40 * np.pi), near.map(lambda t: t[0] * np.pi + t[2] * t[1]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kds=st.lists(_kd_values(), min_size=1, max_size=4), extra=st.integers(0, 30))
+def test_every_kx_is_the_one_kx(kds, extra):
+    # channels, longitudinal_wavenumber and _kx read one r_m (_abs_kx) on the branch N picks
+    kd = np.array(kds)
+    assume(not mode_opening_gaps(kd)[1].any())  # 40 pi itself, say
+    m = np.arange(1, max(np.max(_n_open(kd)), 1) + extra + 1)
+    kx, r = _kx(kd, m), _abs_kx(kd[:, None], m)
+    assert np.abs(kx).tobytes() == r.tobytes()
+    is_open = m <= _n_open(kd)[:, None]
+    assert np.all(kx.real[is_open] > 0.0) and np.all(kx.imag[is_open] == 0.0)
+    assert np.all(kx.real[~is_open] == 0.0) and np.all(kx.imag[~is_open] > 0.0)
+    # k_x^2 + (m pi)^2 = kd^2, to the rounding of kd^2 - (m pi)^2
+    scale = np.maximum(kd[:, None] ** 2, (m * np.pi) ** 2)
+    assert np.all(np.abs((kx * kx).real + (m * np.pi) ** 2 - kd[:, None] ** 2) <= 8e-16 * scale)
+    batch = channels(kd, m.size)
+    assert batch.kx.tobytes() == kx.tobytes()
+    for i, kd_i in enumerate(kds):
+        # a batch of kd holds the bits of its lone calls
+        assert _kx(kd_i, m).tobytes() == kx[i].tobytes() == channels(kd_i, m.size).kx.tobytes()
+        lone = np.array([longitudinal_wavenumber(int(j), kd_i) for j in m])
+        assert lone.tobytes() == kx[i].tobytes()
