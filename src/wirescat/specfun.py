@@ -26,12 +26,16 @@ elementwise, so a value does not depend on the batch it is computed in.
   The recurrence is carried on F_m = J_m (2/x)^m, and |F_m| <= 1/m!, so
   from F_N = 1 no value exceeds N! ~ 3e54 for any x >= 0: nothing needs
   rescaling and x = 0 needs no special case.  The recurrence is about 180
-  (J) or 330 (J and Y) numpy operations whatever the batch size, 70 or
-  150 us on a one-element array, so a batch with at most _MILLER_SCALAR (8)
-  arguments below the switchover runs it on each as an np.float64, 14 or
-  22 us apiece.  Real float64 arithmetic rounds alike in numpy's scalar and
-  array loops, so both paths give the same bits.  Lone calls and the few
-  near images of an image sum take the scalar path.
+  (J) or 330 (J and Y) numpy operations whatever the batch size, 90 or
+  210 us on a one-element array, so a batch with at most _MILLER_SCALAR (8)
+  arguments below the switchover runs it on each as a Python float, 6 or
+  9 us apiece (11 or 19 us as an np.float64), and the expansion below runs
+  over the whole batch: its values at those few elements are overwritten,
+  so no argument, J or Y is gathered or scattered.  Python's float and
+  numpy's array loops round + - * / alike (IEEE double, nothing fused), and
+  the one transcendental, the log of the Y sums, is numpy's on both paths,
+  so both give the same bits.  Lone calls and the few near images of an
+  image sum take the scalar path.
 * ``x >= 15``: Hankel asymptotic expansion, one P/Q evaluation and one phase
   for both functions,
 
@@ -210,8 +214,9 @@ def _asym(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integer_in(n, lo: int, hi=np.inf) -> bool:
-    """Whether n is an int or numpy integer in lo..hi: the one integer test of orders, indices and counts."""
-    return isinstance(n, (int, np.integer)) and lo <= n <= hi
+    """Whether n is an int or numpy integer in lo..hi: the one integer test of orders, indices and counts.
+    A bool is refused, though Python counts it as an int: True is no order, index or count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and lo <= n <= hi
 
 
 def _checked(n, top: int, x, positive: bool) -> tuple[np.ndarray, bool]:
@@ -235,17 +240,34 @@ def _bessel_jy(n: int, x: np.ndarray, want_y: bool):
     """J_n(x) and, if ``want_y``, Y_n(x): the recurrence below SWITCHOVER, the expansion above.
 
     Up to _MILLER_SCALAR arguments below SWITCHOVER take the recurrence one
-    np.float64 at a time (module docstring)."""
-    j, y = np.empty_like(x), np.empty_like(x)
+    Python float at a time (module docstring), and nothing is gathered: the
+    expansion runs on the whole batch, in its own buffers, and the recurrence
+    overwrites those few elements, whose expansion values (inf or NaN at
+    x = 0) are discarded.  More of them take it as one gathered batch, and
+    the rest the expansion."""
+    if x.ndim > 1:  # the expansion's tiers index a flat batch
+        j, y = _bessel_jy(n, x.ravel(), want_y)
+        return j.reshape(x.shape), (y.reshape(x.shape) if want_y else None)
     lo = x < SWITCHOVER
-    few = np.count_nonzero(lo) <= _MILLER_SCALAR
-    for i in zip(*np.nonzero(lo)) if few else [lo]:  # one np.float64 at a time, or one batch
-        j[i], y_i = _miller(n, x[i], want_y)
+    count = np.count_nonzero(lo)
+    if count > _MILLER_SCALAR:
+        j, y = np.empty_like(x), np.empty_like(x)
+        j[lo], y_lo = _miller(n, x[lo], want_y)
+        if want_y:
+            y[lo] = y_lo
+        hi = ~lo
+        if hi.any():
+            j[hi], y[hi] = _asym(n, x[hi])
+        return j, (y if want_y else None)
+    if count == x.size:
+        j, y = np.empty_like(x), np.empty_like(x)
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            j, y = _asym(n, x)
+    for i in np.flatnonzero(lo):
+        j[i], y_i = _miller(n, x[i].item(), want_y)
         if want_y:
             y[i] = y_i
-    hi = ~lo
-    if hi.any():
-        j[hi], y[hi] = _asym(n, x[hi])
     return j, (y if want_y else None)
 
 

@@ -159,8 +159,9 @@ def _covered_open_count(kd, m_max, name: str = "m_max"):
     """open_channel_count(kd), after refusing a mode count m_max that is not an integer >= max(N, 1);
     a list of counts is checked in order, and the error names the first one refused."""
     n_open = open_channel_count(kd)
+    least = max(np.max(n_open), 1)
     for m in m_max if isinstance(m_max, list) else [m_max]:
-        if not _integer_in(m, max(np.max(n_open), 1)):
+        if not _integer_in(m, least):
             raise DomainError(f"{name}={m!r} must be an integer >= 1 and cover the {np.max(n_open)} open channels")
     return n_open
 
@@ -224,7 +225,9 @@ def _kx(kd, m):
 
 
 def transverse_mode(m, y):
-    """chi_m(y) = sqrt(2/d) sin(m pi y / d) on 0 <= y <= d."""
+    """chi_m(y) = sqrt(2/d) sin(m pi y / d) on 0 <= y <= d, for a mode index or an array of them."""
+    if not all(_integer_in(v, 1) for v in np.ravel(m).tolist()):
+        raise DomainError(f"mode index must be an integer >= 1, got {m!r}")
     out = _chi(m, _check_strip(0.0, y)[1])
     return out if out.ndim else float(out)
 

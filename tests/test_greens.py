@@ -86,11 +86,13 @@ def test_cdiv_is_python_complex_division_bit_for_bit():
 
 
 def _tails(kd, m, alpha, beta, z, s, shift):
-    """Every tail function at (kd, M, alpha, beta, z), as float parts."""
+    """Every tail function at (kd, M, alpha, beta, z), as float parts; the tail factors with the
+    element axis first."""
     value, bound = geometric_tail(z, s, m, shift)
     coefs = greens.kummer_tail_coefficients(kd)
+    factors = greens._kummer_tail_factors(*np.atleast_1d(m, alpha, beta))
     return [*greens.mode_product_tail(coefs, m, alpha, beta), greens._closed_form_bound(coefs, m, alpha, beta),
-            *greens._cos_tail(beta, s, m), greens._abel_gap6(alpha), zeta_tail(s, m, shift),
+            *(np.moveaxis(f, -1, 0) for f in factors), zeta_tail(s, m, shift),
             np.real(value), np.imag(value), bound]
 
 
@@ -490,37 +492,66 @@ _SWEEP_KD = np.linspace(0.5 * np.pi, 7.5 * np.pi, 2000)
     (_SWEEP_KD[::10, None], np.array([0.3, 0.05, 0.3, 0.71, 0.05])),   # a (kd, y0) grid, y0 repeated
 ])
 def test_plan_of_a_sweep_is_its_lone_plans_with_tails_once_per_key(monkeypatch, kd, y0):
-    keys = []   # distinct (M, alpha, beta) of each tail call the plan makes
-    rows = []   # (elements along the key axis, keys of the enclosing tail call) per inner call
+    sizes = {name: [] for name in ("_angle_factors", "_mode_factors", "_tail_factors")}
 
-    def outer(fn):
-        def spy(kd, m_trunc, alpha, beta):
-            bits = np.stack([np.asarray(v, dtype=float) for v in np.broadcast_arrays(m_trunc, alpha, beta)])
-            keys.append(np.unique(bits.reshape(3, -1).view(np.uint64), axis=1).shape[1])
-            return fn(kd, m_trunc, alpha, beta)
-        return spy
+    def spy(name, fn):
+        def counted(*args):
+            sizes[name].append(np.size(args[0]))  # its distinct (alpha, beta), Ms or (M, alpha, beta)
+            return fn(*args)
+        return counted
 
-    def inner(fn):
-        def spy(*args, **kwargs):
-            shape = np.broadcast_shapes(*(np.shape(a) for a in (*args, *kwargs.values())))
-            rows.append((shape[-1] if shape else 1, keys[-1]))
-            return fn(*args, **kwargs)
-        return spy
-
-    for name in ("mode_product_tail", "_closed_form_bound"):
-        monkeypatch.setattr(greens, name, outer(getattr(greens, name)))
-    for name in ("zeta_tail", "geometric_tail"):
-        monkeypatch.setattr(greens, name, inner(getattr(greens, name)))
+    for name in sizes:
+        monkeypatch.setattr(greens, name, spy(name, getattr(greens, name)))
     m_trunc, completion, bound = greens._kummer_plan(kd, 0.0, 1e-12, y0, y0)
     monkeypatch.undo()
-    assert rows and all(n <= n_keys for n, n_keys in rows)
-    doublings = int(np.log2(m_trunc.max() / 256)) + 1   # every M starts at 256 for kd <= 7.5 pi
-    assert max(keys) <= np.unique(y0).size * doublings < m_trunc.size / 10
+    # one call each: what (alpha, beta) sets, once per distinct y0; what M sets, once per M that
+    # the doubling can reach from 256 (every M starts there for kd <= 7.5 pi); the cos-tails, once
+    # per distinct (M, y0) of the plan's Ms, never more than a tenth of the elements
+    final = np.unique(np.stack(np.broadcast_arrays(m_trunc, y0)).reshape(2, -1), axis=1).shape[1]
+    assert sizes == {"_angle_factors": [np.unique(y0).size], "_mode_factors": [9], "_tail_factors": [final]}
+    assert final < m_trunc.size / 10
     y0 = np.broadcast_to(y0, m_trunc.shape)
     for i in list(range(0, m_trunc.size, 37)) + [m_trunc.size - 1]:
         at = np.unravel_index(i, m_trunc.shape)
         lone = greens._kummer_plan(np.broadcast_to(kd, m_trunc.shape)[at], 0.0, 1e-12, y0[at], y0[at])
         assert [v.item() for v in lone] == [m_trunc[at].item(), completion[at].item(), bound[at].item()], at
+
+
+# a greens-bench pair: off the axis, on it (an m^-3 completion, M = 1024 at kd = 9.7) and at the source
+_BENCH_PAIRS = {"off-axis": ((0.37, 0.61), (0.0, 0.3), ("spectral", "image", "kummer", "kummer_raw", "diffraction")),
+                "on-axis": ((0.0, 0.35), (0.0, 0.3), ("spectral", "image", "kummer", "kummer_raw")),
+                "coincident": ((0.0, 0.3), (0.0, 0.3), ("kummer", "kummer_raw"))}
+
+
+@pytest.mark.parametrize("pair, calls", [("off-axis", 1), ("on-axis", 2), ("coincident", 1)])
+def test_a_benchmark_pair_evaluates_its_tail_factors_in_few_calls(monkeypatch, pair, calls):
+    # the call budget of greens-bench's tails, where a pair pays per numpy call, not per element: the
+    # rows' counts take one call of each factor, and the on-axis reference's plan one more; zeta_tail
+    # runs once per call of _mode_factors, every order at every M together
+    r, r0, reps = _BENCH_PAIRS[pair]
+    seen = {name: 0 for name in ("_angle_factors", "_mode_factors", "_tail_factors", "zeta_tail")}
+    zeta_keys = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            seen[name] += 1
+            if name == "zeta_tail":
+                zeta_keys.extend(zip(*(np.ravel(v).tolist() for v in np.broadcast_arrays(*args[:2]))))
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in seen:
+        monkeypatch.setattr(greens, name, spy(name, getattr(greens, name)))
+    convergence_benchmark(r, r0, 9.7, reps, (10, 30, 100, 300, 1000, 3000, 10000))
+    assert seen == dict.fromkeys(seen, calls)
+    if pair == "on-axis":
+        # the reference's plan alone evaluates each zeta_tail order once at its final M
+        for name in seen:
+            seen[name] = 0
+        zeta_keys.clear()
+        m_final = int(greens._kummer_plan(9.7, 0.0, 1e-12, r[1], r0[1])[0])
+        assert m_final == 1024 and seen == dict.fromkeys(seen, 1)
+        assert sorted(k for k in zeta_keys if k[1] == m_final) == [(s, m_final) for s in (3.0, 5.0, 7.0, 8.0, 10.0)]
 
 
 def test_lone_plans_and_tails_sort_no_keys(monkeypatch):
@@ -540,6 +571,27 @@ def test_lone_plans_and_tails_sort_no_keys(monkeypatch):
 def test_image_zero_images_is_free():
     g = greens_image(R, R0, KD, 0)
     assert g.value == greens_free(R, R0, KD)
+
+
+def test_on_axis_image_distances_are_the_hypot_bit_for_bit():
+    # on the axis x = x0 (either sign of a zero x difference) the distances skip hypot for |y - y_n|
+    for r, r0 in (((0.0, 0.61), R0), ((-0.0, 0.61), R0), ((0.25, 1e-300), (0.25, 0.7))):
+        rho = greens._image_distances(r, r0, 10 ** 4)[2]
+        ys = waveguide._images(-10 ** 4, 10 ** 4, r0[1])[2]
+        assert rho.tobytes() == np.hypot(r[0] - r0[0], r[1] - ys).tobytes()
+
+
+@pytest.mark.parametrize("r, n_images", [(R, 0), (R, 1), (R, 10), ((0.0, 0.61), 7), ((-0.6, 0.05), 10 ** 4)])
+def test_image_tail_bound_is_the_size_of_the_last_retained_term(r, n_images):
+    # |G_0| = |H_0|/2 at the nearer of the images n = +-N, r_n = (x0, 2 ceil(n/2) + (-1)^n y0), from
+    # distances taken afresh: the image sum reads them off its own term array
+    g = greens_image(r, R0, KD, n_images)
+    heights = [2.0 * np.ceil(n / 2) + (-1.0) ** n * R0[1] for n in (-n_images, n_images)]
+    rho = min(np.hypot(r[0] - R0[0], r[1] - h) for h in heights)
+    assert g.tail_bound == pytest.approx(0.5 * abs(hankel1(0, KD * rho)), rel=1e-13)
+    # the old bound took the last image at 2N - 2, about twice its distance N
+    if n_images == 10 ** 4:
+        assert rho == pytest.approx(n_images, abs=1.0)
 
 
 def test_image_converges_slowly_but_surely():

@@ -247,13 +247,14 @@ def test_tiered_expansion_is_the_22_term_expansion_bit_for_bit(xs):
 def test_image_sum_arguments_hold_few_full_size_arrays(traced_peak):
     from wirescat.specfun import _bessel_jy
     # the 20,001 arguments k |r - r_n| of a greens-bench image sum at kd = 2.5 pi, the source
-    # term and three near images below the switchover: the tiered, in-place kernel holds 9.3
-    # arrays of that size at its peak (17.3 before it wrote into buffers)
+    # term and three near images below the switchover: the gather-free pass holds 6.1 arrays of
+    # that size at its peak, bounded here at 6.5 (a 6 % margin); 9.3 while it gathered the
+    # arguments above the switchover and scattered J and Y back, 17.3 before it wrote into buffers
     n = np.arange(-10000, 10001)
     y_n = 2.0 * np.ceil(n / 2) + np.where(n % 2 == 0, 1.0, -1.0) * 0.3
     x = 2.5 * np.pi * np.hypot(0.37, 0.61 - y_n)
     assert np.count_nonzero(x < SWITCHOVER) == 4
-    assert traced_peak(lambda: _bessel_jy(0, x, True)) <= 10 * x.nbytes
+    assert traced_peak(lambda: _bessel_jy(0, x, True)) <= 6.5 * x.nbytes
 
 
 def test_src_never_uses_longdouble():
@@ -322,6 +323,11 @@ def test_domain_errors():
         cylinder_bessel_y(2, 1.0)
     with pytest.raises(DomainError):
         hankel1(0, -2.0)
+    # a bool is no order, though Python counts it as an int: True once returned J_1
+    for fn in (cylinder_bessel_j, cylinder_bessel_y, hankel1, hankel1_parts):
+        for order in (True, False):
+            with pytest.raises(DomainError, match="order must be an integer"):
+                fn(order, 1.0)
 
 
 @pytest.mark.parametrize("n", [0, 1])
