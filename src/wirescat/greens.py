@@ -181,13 +181,15 @@ def greens_static(r, r0) -> float:
     return float(_static_form(ax, y, y0))
 
 
-def _static_form(ax, y, y0: float):
-    """greens_static at |x - x0| = ax, elementwise over broadcast ax and y."""
+def _static_form(ax, y, y0: float, out=None):
+    """greens_static at |x - x0| = ax, elementwise over broadcast ax and y; added to out in place
+    when given.  Its quotient, logarithm and scale share one buffer."""
     # capped where sinh^2 swamps both sines, so that the quotient there is exactly 1
     sh2 = np.sinh(np.minimum(np.pi * ax / 2.0, _COSH_OVERFLOW / 2.0)) ** 2
-    num = np.sin(np.pi * (y - y0) / 2.0) ** 2 + sh2
-    den = np.sin(np.pi * (y + y0) / 2.0) ** 2 + sh2
-    return np.log(num / den) / (2.0 * np.pi)
+    q = np.asarray(np.sin(np.pi * (y - y0) / 2.0) ** 2 + sh2)
+    np.divide(q, np.sin(np.pi * (y + y0) / 2.0) ** 2 + sh2, out=q)
+    q = np.divide(np.log(q, out=q), 2.0 * np.pi, out=q)
+    return q if out is None else np.add(out, q, out=out)
 
 
 def _coincidence_constant(kd, y0):
@@ -632,6 +634,21 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
 
+def _geometric_plan(kd, ax, tol: float):
+    """The geometric part of _kummer_plan over broadcast kd and ax = |x - x0|, elementwise: each
+    element's M, doubled from 64 until _geometric_mode_tail_bound meets tol, its bound, and whether
+    that misses tol (on the axis, where nothing decays, always): the elements the plan completes."""
+    kd, ax = np.broadcast_arrays(np.asarray(kd, dtype=float), np.asarray(ax, dtype=float))
+    kd_g, ax_g = kd.ravel(), ax.ravel()
+    off_axis = ax_g > 0.0
+    m_trunc = _doubled(np.full(kd_g.shape, 64), off_axis, _GEOMETRIC_MODE_CAP,
+                       lambda m, i: _geometric_mode_tail_bound(m, kd_g[i], ax_g[i]) <= tol)
+    bound = np.full(kd_g.shape, np.inf)  # on the axis, as at r = r0 for every G_r, nothing decays
+    if off_axis.any():
+        bound = np.where(off_axis, _geometric_mode_tail_bound(m_trunc, kd_g, ax_g), bound)
+    return m_trunc.reshape(kd.shape), bound.reshape(kd.shape), ~(bound <= tol).reshape(kd.shape)
+
+
 def _kummer_plan(kd, ax, tol: float, y, y0):
     """Mode count M, analytic tail completion and error bound of the Kummer sum, elementwise.
 
@@ -657,18 +674,11 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     """
     _check_tol(tol)
     kd, ax, y, y0 = (np.asarray(v, dtype=float) for v in (kd, ax, y, y0))
-    kd_g, ax_g = np.broadcast_arrays(kd, ax)
-    geometric_shape, shape = kd_g.shape, np.broadcast_shapes(kd_g.shape, y.shape, y0.shape)
-    kd_g, ax_g = kd_g.ravel(), ax_g.ravel()
-    off_axis = ax_g > 0.0
-    m_trunc = _doubled(np.full(kd_g.shape, 64), off_axis, _GEOMETRIC_MODE_CAP,
-                       lambda m, i: _geometric_mode_tail_bound(m, kd_g[i], ax_g[i]) <= tol)
-    bound = np.full(kd_g.shape, np.inf)  # on the axis, as at r = r0 for every G_r, nothing decays
-    if off_axis.any():
-        bound = np.where(off_axis, _geometric_mode_tail_bound(m_trunc, kd_g, ax_g), bound)
-    m_trunc, bound = (np.broadcast_to(v.reshape(geometric_shape), shape).flatten() for v in (m_trunc, bound))
+    m_trunc, bound, undecided = _geometric_plan(kd, ax, tol)
+    shape = np.broadcast_shapes(m_trunc.shape, y.shape, y0.shape)
+    m_trunc, bound = (np.broadcast_to(v, shape).flatten() for v in (m_trunc, bound))
     completion = np.zeros(bound.shape)
-    near = np.flatnonzero(~(bound <= tol))
+    near = np.flatnonzero(np.broadcast_to(undecided, shape))
     if near.size:
         kd_n, ax_n, y_n, y0_n = (np.broadcast_to(v, shape).flat[near] for v in (kd, ax, y, y0))
         alpha, beta = _mode_angles(y_n, y0_n)
@@ -709,28 +719,36 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     return tuple(v.reshape(shape) for v in (m_trunc, completion, bound))
 
 
-def _mode_product(kd: float, counts: list, ax, ys, y0: float, table=None, ends=None) -> list:
+def _mode_product(kd: float, counts: list, ax, ys, y0: float, table=None, ends=None, out=None):
     """sum_{m <= M} chi_m(y_j) chi_m(y0) [exp(i k_x ax_i)/(i k_x) + (d/m pi) exp(-m pi ax_i/d)]
-    at each M of the ascending mode counts, as running totals of the rows still summed there.
+    at each M of the ascending mode counts, yielded as the running total of the rows still summed.
 
-    Row i is summed to its own mode count ends[i] (every row to the last count
-    when ends is None) and then dropped.  ends must not increase along the
-    rows, so the rows that reach a count lead, and its total holds them alone.
-    The sum is blocked over modes, each block shared by every row still summed,
-    so each mode is evaluated once per call.  A block ends at every count, and
-    its (rows x modes) and (modes x ys) temporaries stay within _BLOCK elements
-    while the rows still summed and len(ys) do: a one-row call keeps one block
-    size throughout.  A block reads r_m, chi_m(y0) and chi_m(ys) from table,
-    one pair's _pair_modes, or else evaluates them.  A closed mode has
-    k_x = i r_m, r_m = |k_x^(m)|, and the real wave term -exp(-r_m ax)/r_m, so
-    a block of closed modes is summed in real arithmetic; a block holding any
-    of the N open modes is complex.  The sum stops where the modes it is given
-    end: at the largest count, or at the end of a shorter table, past which
-    every term is +-0 (_live_modes, the one home of that rule).
+    The total is one buffer, out (rows in the order of ax, zero on entry)
+    when given, that the sum adds each block to in place: a yielded total is
+    a view of it, to be read before the next count, and a row dropped from the
+    sum keeps its last total there.  Row i is summed to its own mode count
+    ends[i] (every row to the last count when ends is None) and then dropped.
+    ends must not increase along the rows, so the rows that reach a count
+    lead, and its total holds them alone.  The sum is blocked over modes, each
+    block shared by every row still summed, so each mode is evaluated once
+    per call.  A block ends at every count, and its (rows x modes) and
+    (modes x ys) temporaries stay within _BLOCK elements while the rows still
+    summed and len(ys) do: a one-row call keeps one block size throughout.
+    Beside the total, the product of a block is the one temporary as large as
+    the rows still summed: one product over fewer rows would not round as
+    the whole one does (BLAS picks its kernel by shape).  A block reads r_m,
+    chi_m(y0) and chi_m(ys) from table, one pair's _pair_modes, or else
+    evaluates them.  A closed mode has k_x = i r_m, r_m = |k_x^(m)|, and the
+    real wave term -exp(-r_m ax)/r_m, so a block of closed modes is summed in
+    real arithmetic; a block holding any of the N open modes is complex.  The
+    sum stops where the modes it is given end: at the largest count, or at
+    the end of a shorter table, past which every term is +-0 (_live_modes,
+    the one home of that rule).
     """
     n_open = _n_open(kd)
     end = min(counts[-1], len(table[0])) if table else counts[-1]
-    total, totals, lo = np.zeros((ax.size, ys.size)), [], 0
+    total = np.zeros((ax.size, ys.size), dtype=complex if n_open else float) if out is None else out
+    lo = 0
     for count in counts:
         if ends is not None:
             total = total[:np.count_nonzero(ends >= count)]
@@ -745,10 +763,9 @@ def _mode_product(kd: float, counts: list, ax, ys, y0: float, table=None, ends=N
             if n_o:
                 wave = np.concatenate([_exp_outer(rows, 1j * r_m[:n_o]) / (1j * r_m[:n_o]), wave], axis=-1)
             coef = chi_y0 * (wave + (1.0 / (m * np.pi)) * _exp_outer(rows, -m * np.pi))
-            total = total + coef @ chi_ys
+            total += coef @ chi_ys
             lo = hi
-        totals.append(total)
-    return totals
+        yield total
 
 
 def _exp_outer(ax, v):
@@ -756,27 +773,35 @@ def _exp_outer(ax, v):
     return np.exp(np.multiply.outer(ax, v)) if ax.any() else np.ones((ax.size, 1))
 
 
-def _kummer_sum(kd: float, ax, ys, y0: float, m_trunc, completion):
-    """G_w at the points (ax_i, y_j), ax = |x - x0|: completion + static form + the mode sum to each
-    point's M = m_trunc[i, j] (M = 0: r = r0, NaN).
+def _kummer_sum(kd: float, ax, ys, y0: float, m_rows, near, m_near, completion_near):
+    """G_w at the points (ax_i, y_j), ax = |x - x0|: the mode sum to each point's M, its completion
+    and the static form.  A row i outside near takes M = m_rows[i] and no completion; the rows near
+    take m_near and completion_near, one row each (M = 0: r = r0, NaN).
 
-    One _mode_product call sums every row, in order of its largest M, and takes
-    its running totals at each distinct M: each mode is evaluated once per grid,
-    and a row is dropped once its largest M is summed.
+    One _mode_product call sums every row, in order of its largest M, into the
+    output itself, so a row dropped once its largest M is summed holds its
+    value there; only the near rows' points are read at their own counts.
+    The output is then put back in grid order and the static form added to
+    it in place: beside the output the grid holds one block product, or one
+    copy of the output while it is reordered, or the static form's two
+    float buffers.
     """
-    ends = m_trunc.max(axis=1)
+    ends = m_rows.copy()
+    ends[near] = m_near.max(axis=1, initial=0)
     order = np.argsort(-ends, kind="stable")
-    m_sorted = m_trunc[order]
-    counts = np.unique(m_sorted[m_sorted > 0]).tolist()
-    totals = _mode_product(kd, counts, ax[order], ys, y0, ends=ends[order]) if counts else []
-    out = np.full(m_trunc.shape, np.nan, dtype=complex)
+    counts = np.unique(np.concatenate([np.delete(m_rows, near), m_near[m_near > 0]])).tolist()
+    out = np.zeros((ax.size, ys.size), dtype=complex)  # the running totals, rows in the sum's order
+    at = np.argsort(order)[near]  # where the near rows sit in the sum
+    values = np.full(m_near.shape, np.nan, dtype=complex)
+    totals = _mode_product(kd, counts, ax[order], ys, y0, ends=ends[order], out=out)
     for count, total in zip(counts, totals):
-        i, j = np.nonzero(m_sorted[:len(total)] == count)
-        out[order[i], j] = total[i, j]
-    out += completion
+        rows = np.flatnonzero(at < len(total))
+        i, j = np.nonzero(m_near[rows] == count)
+        values[rows[i], j] = total[at[rows[i]], j]
+    out[order] = out  # back in grid order: numpy copies a source that overlaps its target
+    out[near] = values + completion_near
     with np.errstate(divide="ignore"):  # log 0 at r = r0, where out is NaN already
-        out += _static_form(ax[:, None], ys, y0)
-    return out
+        return _static_form(ax[:, None], ys, y0, out=out)
 
 
 def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc, tail, table=None):
@@ -797,7 +822,7 @@ def _kummer_truncated(kd: float, ax: float, y: float, y0: float, m_trunc, tail, 
         values = np.stack(_kummer_coincident(kd, y0, w, _n_open(kd), tail, counts)[0], axis=-1)
     else:
         ax, ys = np.array([ax]), np.array([y])
-        sums = np.array(_mode_product(kd, counts, ax, ys, y0, table))[:, 0, 0]
+        sums = np.array([total[0, 0] for total in _mode_product(kd, counts, ax, ys, y0, table)])
         values = sums + tail + _static_form(ax[:, None], ys, y0)[0, 0]
     return values if np.ndim(m_trunc) else complex(values[0])
 
@@ -925,10 +950,12 @@ def greens_kummer(r, r0, k: float, tol: float = 1e-10) -> GreensValue:
     G_w = sum_m chi_m(y) chi_m(y0) [exp(i k_x|x-x0|)/(i k_x) + (d/m pi) exp(-m pi |x-x0|/d)]
           + greens_static(r, r0),
 
-    one pair's plan (_kummer_plan) summed by _kummer_truncated; each point of
-    greens_kummer_grid holds the same bits.  The returned tail_bound is an
-    honest bound on everything dropped and below tol; very close to the
-    source, where the plan cannot meet tol, it raises TruncationLimit.
+    one pair's plan (_kummer_plan) summed by _kummer_truncated; its 1 x 1
+    greens_kummer_grid holds the same bits (a larger grid's block products
+    may round differently, BLAS picking its kernel by shape).  The returned
+    tail_bound is an honest bound on everything dropped and below tol; very
+    close to the source, where the plan cannot meet tol, it raises
+    TruncationLimit.
     """
     ax, y, y0, rho = _pair(r, r0)
     guard_mode_openings(k)
@@ -942,20 +969,26 @@ def greens_kummer_grid(xs, ys, r0, k: float, tol: float = 1e-10) -> np.ndarray:
     """Vectorized greens_kummer over a rectangular grid (complex, shape (nx, ny)).
 
     One truncation plan covers every grid point: its geometric part runs once
-    per column of |x - x0|, its Kummer completion on the points next to the
-    axis alone.  One pass over the modes (_kummer_sum) then sums every point to
-    its own mode count.  Exact coincidence with r0 yields NaN.
+    per column of |x - x0| and decides it whole, and only the columns it
+    cannot decide, next to the axis, take the Kummer plan point by point
+    (_kummer_plan); r0, when it is a grid point, is not planned and yields
+    NaN.  One pass over the modes (_kummer_sum) then sums every point to its
+    own mode count.  Memory is O(output): beside the output and one block
+    product, the plan keeps one entry per column, and per point only on the
+    columns next to the axis.
     """
     x, y = _check_strip(np.append(xs, r0[0]), np.append(ys, r0[1]))
     _check_separation(x[:-1], x[-1])
     guard_mode_openings(k)
+    _check_tol(tol)
     ax, ys, y0 = np.abs(x[:-1] - x[-1]), y[:-1], y[-1]
-    at_r0 = (ax == 0.0)[:, None] & (ys == y0)
+    m_rows, _, undecided = _geometric_plan(k, ax, tol)
+    near = np.flatnonzero(undecided)
+    at_r0 = (ax[near, None] == 0.0) & (ys == y0)
     # r0 is planned as a point one width away (a cheap geometric plan), then dropped
-    ax_plan = np.where(at_r0, 1.0, ax[:, None]) if at_r0.any() else ax[:, None]
-    m_trunc, completion, _ = _kummer_plan(k, ax_plan, tol, ys, y0)
-    m_trunc[at_r0] = 0
-    return _kummer_sum(k, ax, ys, y0, m_trunc, completion)
+    m_near, completion_near, _ = _kummer_plan(k, np.where(at_r0, 1.0, ax[near, None]), tol, ys, y0)
+    m_near[at_r0] = 0
+    return _kummer_sum(k, ax, ys, y0, m_rows, near, m_near, completion_near)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,13 +1074,14 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
     """Terms-versus-error table for each representation at one point pair.
 
     Errors are measured against greens_kummer at tol = 1e-12.  ``kummer``
-    rows use the shipped evaluator (completion included); ``kummer_raw``
-    rows document the bare m^-3 truncation decay.  For a coincident pair the
-    benchmark measures the regularized self-field G_w - G_0 instead (only the
-    kummer forms, at a source strictly inside the wire), against the kummer form
-    at 65,536 modes.  Each representation is evaluated once, at the largest
-    count, and every row is a prefix sum of it; both kummer forms share one
-    mode sum.  Off the source one mode table (_pair_modes) over the largest
+    rows take the shipped evaluator's completion where its plan takes one (on
+    and essentially on the axis, and at r = r0), so off the axis, where the
+    plan is geometric, they are the ``kummer_raw`` rows, the bare truncated
+    sums.  For a coincident pair the benchmark measures the regularized
+    self-field G_w - G_0 instead (only the kummer forms, at a source strictly
+    inside the wire), against the kummer form at 65,536 modes.  Each
+    representation is evaluated once, at the largest count, and every row is
+    a prefix sum of it; both kummer forms share one mode sum.  Off the source one mode table (_pair_modes) over the largest
     count and the reference's M serves the spectral rows, the reference
     (greens_kummer's plan and sum, so its value and its TruncationLimit) and
     the kummer rows; off the axis it stops at the last mode whose term can be
@@ -1064,7 +1098,7 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
         _covered_open_count(k, min(term_grid), "terms")
     else:
         guard_mode_openings(k)
-    kd, table = k, None
+    kd, table, completes = k, None, True
     if rho == 0.0:
         bad = set(representations) - kummer_forms
         if bad:
@@ -1076,13 +1110,16 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
         counts = sorted(set(term_grid))
         # greens_kummer(r, r0, k, tol=1e-12): its plan, then its sum from the pair's table
         m_ref, completion, _ = _kummer_plan(kd, ax, 1e-12, y, y0)
+        completes = bool(_geometric_plan(kd, ax, 1e-12)[2])  # the rows complete where the plan does
         table = _pair_modes(kd, _live_modes(kd, ax, max(counts[-1], int(m_ref))), y, y0)
         ref = _kummer_truncated(kd, ax, y, y0, m_ref, completion, table)
     kummer = {}
     if kummer_forms:
-        tails = mode_product_tail(kummer_tail_coefficients(kd), np.array(counts), *_mode_angles(y, y0))[0]
-        raw, completed = _kummer_truncated(kd, ax, y, y0, counts, np.stack([np.zeros(len(counts)), tails]), table)
-        kummer = {"kummer_raw": dict(zip(counts, raw)), "kummer": dict(zip(counts, completed))}
+        tails = [np.zeros(len(counts))]
+        if completes:
+            tails.append(mode_product_tail(kummer_tail_coefficients(kd), np.array(counts), *_mode_angles(y, y0))[0])
+        values = _kummer_truncated(kd, ax, y, y0, counts, np.stack(tails), table)
+        kummer = {"kummer_raw": dict(zip(counts, values[0])), "kummer": dict(zip(counts, values[-1]))}
         if rho == 0.0:
             ref = complex(kummer["kummer"][65536])
     rows: list[BenchmarkRow] = []

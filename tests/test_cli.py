@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, determinism, formats, gap handling."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -778,3 +779,16 @@ def test_module_entry_prints_its_version():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-m", "wirescat", "--version"], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, f"wirescat {cli.__version__}\n", "")
+
+
+# SHA-256 of two `field-map --kind greens` CSVs: an even-nx grid, where the geometric plan decides
+# every column, and an odd-nx grid through x0 with r0 on a node (the NaN point), whose x = x0 column
+# takes per-point mode counts and the m^-3 completion
+@pytest.mark.parametrize("extra, digest", [
+    (("--y0", "0.3", "--nx", "8", "--ny", "6"), "adddc2f65ada2f320ca7c736e0f142fddf0bcf9952bedfa788deeaf3d2dd93ba"),
+    (("--y0", "0.25", "--nx", "7", "--ny", "9"), "60b1ed70e06912c7bbc1bfa343df68378118196f49440c057c39750460e1fe6d"),
+], ids=["even-nx", "odd-nx-r0-on-node"])
+def test_field_map_greens_bytes_are_pinned(tmp_path, extra, digest):
+    out = tmp_path / "greens.csv"
+    assert main(["field-map", "--kind", "greens", "--kd", "9.7", *extra, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
