@@ -28,7 +28,7 @@ from . import __version__, greens, mirror, renorm, scattering
 from .errors import DegenerateMode, WireError
 from .output import fmt, svg_heatmap, svg_line_plot, table, write_table_csv, write_table_json
 from .validate import CHECK_GROUPS, run_checks
-from .waveguide import DEFAULT_MODE_GUARD, WireConfig, _check_span, mode_opening_gaps
+from .waveguide import DEFAULT_MODE_GUARD, WireConfig, _check_span, _interior, mode_opening_gaps
 
 SWEEP_COLUMNS = [
     "kd", "n_open", "sigma", "conductance", "conductance_empty", "sigma_free",
@@ -91,12 +91,12 @@ def run_sweep_geom(args) -> int:
     a_grid = np.linspace(args.a_min, args.a_max, args.a_points)
     y0_grid = np.linspace(args.y0_min, args.y0_max, args.y0_points)
     a_list, y0_list = a_grid.tolist(), y0_grid.tolist()
-    # range checks on the first a with every y0, then on every a with the
-    # first y0: together they raise the error of the first bad (a, y0) row
-    for y0 in y0_list:
-        WireConfig(y0=y0, a=a_list[0])
-    for a in a_list:
-        WireConfig(y0=y0_list[0], a=a)
+    # WireConfig's range checks on the first a with every y0, then on every a with the first
+    # y0, raise the error of the first bad (a, y0) row: that of the first pair, else of the
+    # first bad y0, else of the first bad a (argmin: the first False, or 0 where none is)
+    i, j = np.argmin(_interior(y0_grid)), np.argmin(abs(a_grid) < 0.5)
+    for y0, a in ((y0_list[0], a_list[0]), (y0_list[i], a_list[0]), (y0_list[0], a_list[j])):
+        WireConfig(y0=y0, a=a)
     # one array s over the a grid, whose check refuses kd <= 0 and NaN first, serves both columns
     tm = renorm.t_matrix_grid(kd, a_grid)
     sigma = renorm._cross_section_at(kd, y0_grid, tm.s[:, None], args.tol)

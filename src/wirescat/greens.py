@@ -649,7 +649,7 @@ def _geometric_plan(kd, ax, tol: float):
     return m_trunc.reshape(kd.shape), bound.reshape(kd.shape), ~(bound <= tol).reshape(kd.shape)
 
 
-def _kummer_plan(kd, ax, tol: float, y, y0):
+def _kummer_plan(kd, ax, tol: float, y, y0, geometric=None):
     """Mode count M, analytic tail completion and error bound of the Kummer sum, elementwise.
 
     The one code that picks a Kummer M, over broadcast kd, ax = |x - x0|, y and
@@ -670,11 +670,12 @@ def _kummer_plan(kd, ax, tol: float, y, y0):
     (M, alpha, beta) at which the doubling stops, or, off the axis, steps:
     one call for a lone point on the axis, 2 keys for a 2,000-kd sweep at one
     y0.  Each element's kd combination is elementwise, from kd coefficients
-    computed once per plan, so every element is its lone plan.
+    computed once per plan, so every element is its lone plan.  A caller that
+    has _geometric_plan(kd, ax, tol) already passes it as geometric.
     """
     _check_tol(tol)
     kd, ax, y, y0 = (np.asarray(v, dtype=float) for v in (kd, ax, y, y0))
-    m_trunc, bound, undecided = _geometric_plan(kd, ax, tol)
+    m_trunc, bound, undecided = _geometric_plan(kd, ax, tol) if geometric is None else geometric
     shape = np.broadcast_shapes(m_trunc.shape, y.shape, y0.shape)
     m_trunc, bound = (np.broadcast_to(v, shape).flatten() for v in (m_trunc, bound))
     completion = np.zeros(bound.shape)
@@ -1108,9 +1109,11 @@ def convergence_benchmark(r, r0, k: float, representations=("spectral", "image",
         counts = sorted(set(term_grid) | {65536})
     else:
         counts = sorted(set(term_grid))
-        # greens_kummer(r, r0, k, tol=1e-12): its plan, then its sum from the pair's table
-        m_ref, completion, _ = _kummer_plan(kd, ax, 1e-12, y, y0)
-        completes = bool(_geometric_plan(kd, ax, 1e-12)[2])  # the rows complete where the plan does
+        # greens_kummer(r, r0, k, tol=1e-12): its plan, then its sum from the pair's table;
+        # the rows complete where its geometric plan leaves the pair undecided
+        geometric = _geometric_plan(kd, ax, 1e-12)
+        m_ref, completion, _ = _kummer_plan(kd, ax, 1e-12, y, y0, geometric)
+        completes = bool(geometric[2])
         table = _pair_modes(kd, _live_modes(kd, ax, max(counts[-1], int(m_ref))), y, y0)
         ref = _kummer_truncated(kd, ax, y, y0, m_ref, completion, table)
     kummer = {}

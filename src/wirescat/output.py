@@ -7,8 +7,13 @@ run.  CSV renders floats as '%.17g'; JSON renders them as ``float.__repr__``
 and non-finite ones as null, in the layout of ``json.dump(indent=1,
 sort_keys=True)``.
 
-Rows are written in blocks of at most ``_BLOCK`` values: whole runs where a run
-fits in a block, else pieces of one run.  Each column's rule is fixed once per
+Cells are gathered in blocks of at most ``_BLOCK`` values: whole runs where a
+run fits in a block, else pieces of one run.  Text is made and written one run
+at a time (a piece of one where a run is longer than a block), so no text holds
+more than a run or a block; a block's text of several runs (45-90 kB for a
+field map) fragmented the heap over a long run of grid tables.  The file of a
+table of several runs gathers the run texts into writes of ``_BUFFER`` bytes in
+its one fixed buffer.  Each column's rule is fixed once per
 table: text that does not vary along the rows a template covers is formatted
 once, as template text (never holding '%', as only float and int columns are
 constant).  A float or int column is classed by bit pattern (so -0.0, NaN
@@ -43,6 +48,8 @@ __all__ = ["fmt", "table", "write_table_csv", "write_table_json", "svg_line_plot
 
 # values per block of rows
 _BLOCK = 2 ** 12
+# bytes of run texts that the file of a table of several runs gathers into one write
+_BUFFER = 2 ** 16
 
 
 def fmt(value: float) -> str:
@@ -97,8 +104,9 @@ def _texts(render: tuple, column: np.ndarray) -> list[str]:
 
 
 def _blocks(rows: np.ndarray, render: tuple, row_template: str, separator: str):
-    """Yield the rows as text, one block at a time, every row after the first
-    preceded by separator.  row_template holds one '%s' per column."""
+    """Yield the rows as text, one run at a time (a piece of one where it is longer
+    than a block), every row after the first preceded by separator; the cells come a
+    block at a time.  row_template holds one '%s' per column."""
     if not rows.size:
         return
     names = rows.dtype.names
@@ -117,8 +125,8 @@ def _blocks(rows: np.ndarray, render: tuple, row_template: str, separator: str):
             for name, kind in zip(names, kinds)]
     k, m = max(1, step // run_len), min(step, run_len)  # runs per block, rows per piece of a run
 
-    def frame_of(rows):  # the rows' template split at its "\0" slots, a slot (None) between each two texts
-        return [t for text in separator.join(rows).split("\0") for t in (text, None)][:-1]
+    def frame_of(rows):  # [separator, text, slot, text, ..., text]: the rows' template split at its "\0" slots
+        return [separator, *[t for text in separator.join(rows).split("\0") for t in (text, None)][:-1]]
 
     if "table" in kinds:  # whole runs, each row with its own "table" texts
         frames = {run_len: frame_of(row_template % row for row in
@@ -126,26 +134,35 @@ def _blocks(rows: np.ndarray, render: tuple, row_template: str, separator: str):
     else:  # alike rows: one frame per piece length
         row = row_template % tuple(fill)
         frames = {n: frame_of([row] * n) for n in {m, run_len % m} - {0}}
+    frames[m][0] = ""  # the first piece has no separator ahead of it
     pieces = ((i, min(i + k, n_runs), p, min(p + m, run_len))
               for i in range(0, n_runs, k) for p in range(0, run_len, m))
-    for b, (i0, i1, p0, p1) in enumerate(pieces):
+    for i0, i1, p0, p1 in pieces:
         block = runs[i0:i1, p0:p1].reshape(-1)  # a view: whole runs, or a piece of one
         cells = [None] * (block.size * len(other))  # row-major: other column o of each row at o::len(other)
         for o, name in enumerate(other):
             cells[o::len(other)] = render[1](block[name])
-        # each run: its "run" columns' texts in the frame's odd slots (none without such columns)
-        frame, parts = frames[p1 - p0], []
-        for texts in zip(*(_texts(render, c[i0:i1]) for c in per_run)) if per_run else [()] * (i1 - i0):
-            frame[1::2] = texts * (p1 - p0)
-            parts.append("".join(frame))
-        yield ((separator if b else "") + separator.join(parts)) % tuple(cells)
+        # one text per run (or piece): its "run" columns' texts in the frame's slots, its own cells
+        frame, cells, per = frames[p1 - p0], tuple(cells), (p1 - p0) * len(other)
+        texts = zip(*(_texts(render, c[i0:i1]) for c in per_run)) if per_run else [()] * (i1 - i0)
+        for r, run_texts in enumerate(texts):
+            frame[2::2] = run_texts * (p1 - p0)
+            yield "".join(frame) % cells[r * per:(r + 1) * per]
+            frame[0] = separator
+
+
+def _open(path: str, rows: np.ndarray):
+    """A table's file, open for writing.  A table of several runs arrives a run at a time, so its
+    file gathers the texts into writes of _BUFFER bytes; a one-run table's texts are blocks, which
+    pass a buffer by, so its file keeps the default one."""
+    return open(path, "w", newline="\n", buffering=_BUFFER if rows.ndim > 1 else -1)
 
 
 def write_table_csv(path: str, rows: np.ndarray, metadata: dict) -> None:
     """A ``table`` as CSV: metadata and column lines, then one line per row."""
     names = rows.dtype.names
     head = [f"# {key} = {value}" for key, value in metadata.items()]
-    with open(path, "w", newline="\n") as fh:
+    with _open(path, rows) as fh:
         fh.write("\n".join(head + ["# columns: " + ",".join(names), ",".join(names)]) + "\n")
         fh.writelines(_blocks(rows, _CSV_RENDER, ",".join(["%s"] * len(names)) + "\n", ""))
 
@@ -159,7 +176,7 @@ def write_table_json(path: str, rows: np.ndarray, metadata: dict) -> None:
            "columns": list(names)}
     # "rows" sorts last: it goes in before the closing brace
     row_template = "  [\n" + ",\n".join(["   %s"] * len(names)) + "\n  ]"
-    with open(path, "w", newline="\n") as fh:
+    with _open(path, rows) as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True)[:-2] + ',\n "rows": ['
                  + ("\n" if rows.size else ""))
         fh.writelines(_blocks(rows, _JSON_RENDER, row_template, ",\n"))

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, determinism, formats, gap handling."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -8,9 +10,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wirescat import cli
 from wirescat.cli import build_parser, main
@@ -683,6 +688,35 @@ def test_sweep_geom_domain_errors_exit_2(tmp_path, capsys, extra, message):
     assert main(["sweep-geom", *extra, "--out", str(out)]) == 2
     assert capsys.readouterr().err.strip() == message
     assert not out.exists()
+
+
+_GRID_BOUND = st.one_of(st.sampled_from([0.0, 1.0, 0.5, -0.5, 0.05, 0.95]), st.floats(-0.8, 1.3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=st.tuples(_GRID_BOUND, _GRID_BOUND, st.integers(2, 6)),
+       y0=st.tuples(_GRID_BOUND, _GRID_BOUND, st.integers(2, 6)))
+def test_sweep_geom_range_checks_raise_the_first_bad_rows_error(tmp_path_factory, a, y0):
+    # the grids' range checks, in a few WireConfig calls, raise the error that WireConfig on the
+    # first a with every y0, then on every a with the first y0, raised first
+    from wirescat.errors import DomainError
+    from wirescat.waveguide import WireConfig
+    want = "error: past the checks"
+    try:
+        a_list, y0_list = (np.linspace(*bounds).tolist() for bounds in (a, y0))
+        for args in [(y, a_list[0]) for y in y0_list] + [(y0_list[0], x) for x in a_list]:
+            WireConfig(*args)
+    except DomainError as exc:
+        want = f"error: {exc}"
+    built, err = [], io.StringIO()
+    with mock.patch.object(cli, "WireConfig", lambda **kw: built.append(kw) or WireConfig(**kw)), \
+            mock.patch.object(cli.renorm, "t_matrix_grid", mock.Mock(side_effect=DomainError("past the checks"))), \
+            contextlib.redirect_stderr(err):
+        argv = ["sweep-geom", "--kd", "7.3", "--a-min", repr(a[0]), "--a-max", repr(a[1]), "--a-points", str(a[2]),
+                "--y0-min", repr(y0[0]), "--y0-max", repr(y0[1]), "--y0-points", str(y0[2])]
+        assert main([*argv, "--out", str(tmp_path_factory.mktemp("geom") / "err.csv")]) == 2
+    assert err.getvalue().strip() == want
+    assert len(built) <= 3
 
 
 @pytest.mark.parametrize("a", ["0", "0.1"])

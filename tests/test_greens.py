@@ -567,6 +567,22 @@ def test_a_benchmark_pair_evaluates_its_tail_factors_in_few_calls(monkeypatch, p
         assert sorted(k for k in zeta_keys if k[1] == m_final) == [(s, m_final) for s in (3.0, 5.0, 7.0, 8.0, 10.0)]
 
 
+@pytest.mark.parametrize("pair, plans", [("off-axis", 1), ("on-axis", 1), ("coincident", 0)])
+def test_an_off_source_benchmark_pair_takes_one_geometric_plan(monkeypatch, pair, plans):
+    # the reference's Kummer plan and the rows' completion read one geometric plan, and the
+    # rows are, bit for bit, those of a Kummer plan that runs its own
+    r, r0, reps = _BENCH_PAIRS[pair]
+    terms = (10, 30, 100, 300, 1000, 3000, 10000)
+    geometric_plan, kummer_plan, calls = greens._geometric_plan, greens._kummer_plan, []
+    monkeypatch.setattr(greens, "_geometric_plan", lambda *args: calls.append(args) or geometric_plan(*args))
+    rows = [(b.representation, b.terms, b.error.hex()) for b in convergence_benchmark(r, r0, 9.7, reps, terms)]
+    assert len(calls) == plans
+    monkeypatch.setattr(greens, "_kummer_plan", lambda *args: kummer_plan(*args[:5]))
+    calls.clear()
+    assert [(b.representation, b.terms, b.error.hex()) for b in convergence_benchmark(r, r0, 9.7, reps, terms)] == rows
+    assert len(calls) == 2 * plans
+
+
 @pytest.mark.parametrize("r, r0, kd", [((0.3, 0.4), (0.0, 0.6), 30.56), ((0.37, 0.61), (0.0, 0.3), 9.7),
                                        ((-0.0025, 0.5), (0.0, 0.3), KD)])
 def test_off_axis_kummer_rows_are_the_raw_rows(r, r0, kd):

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -129,15 +133,96 @@ def test_writer_memory_is_bounded(tmp_path, traced_peak, writer, mib):
     assert peak < 1.15 * mib * 2 ** 20, peak
 
 
-@pytest.mark.parametrize("writer, mib", [(write_table_csv, 0.29), (write_table_json, 0.35)])
+@pytest.mark.parametrize("writer, mib", [(write_table_csv, 0.178), (write_table_json, 0.171)])
 def test_grid_writer_memory_is_bounded(tmp_path, traced_peak, writer, mib):
-    # the same 40,000 values as a (400, 100) grid table: the cached run template
-    # and the per-run texts stay within the bounds of the one-run table
+    # the same 40,000 values as a (400, 100) grid table: one block of cells, one run's
+    # text and the file's _BUFFER at a time trace 0.178 MiB for CSV and 0.171 MiB for
+    # JSON (0.295 and 0.357 MiB with a block's text at a time); headroom 15 %
     rng = np.random.default_rng(3)
     rows = table({"x": np.linspace(-1.0, 1.0, 400)[:, None], "y": np.linspace(0.0, 1.0, 100),
                   "re": rng.standard_normal((400, 100)), "im": rng.standard_normal((400, 100))})
     peak = traced_peak(lambda: writer(str(tmp_path / "t"), rows, META))
     assert peak < 1.15 * mib * 2 ** 20, peak
+
+
+def test_grid_text_arrives_one_run_at_a_time():
+    # no text of a (400, 100) table holds more than its run of 100 rows, and the texts,
+    # each after the first led by the separator, are the rows; a run longer than a block
+    # arrives in pieces of at most one block
+    rng = np.random.default_rng(5)
+    rows = table({"x": np.linspace(-1.0, 1.0, 400)[:, None], "y": np.linspace(0.0, 1.0, 100),
+                  "re": rng.standard_normal((400, 100)), "im": rng.standard_normal((400, 100))})
+    csv = list(output._blocks(rows, output._CSV_RENDER, "%s,%s,%s,%s\n", ""))
+    assert [text.count("\n") for text in csv] == [100] * 400
+    json_texts = list(output._blocks(rows, output._JSON_RENDER, "[%s,%s,%s,%s]", ",\n"))
+    assert [text.count("[") for text in json_texts] == [100] * 400
+    assert not json_texts[0].startswith(",") and all(text.startswith(",\n[") for text in json_texts[1:])
+    assert json.loads("[" + "".join(json_texts) + "]") == [list(row) for row in rows.reshape(-1).tolist()]
+    long = table({"a": np.arange(3.0)[:, None], "b": np.arange(5000.0), "c": np.arange(15000).reshape(3, 5000)})
+    sizes = [text.count("\n") for text in output._blocks(long, output._CSV_RENDER, "%s,%s,%s\n", "")]
+    piece = output._BLOCK // 3
+    assert sizes == ([piece] * (5000 // piece) + [5000 % piece]) * 3
+
+
+@pytest.mark.parametrize("n_runs, run_len, block_rows", [
+    (9, 1, 4), (9, 2, 4), (9, 3, 4), (5, 3, 2), (2, 3, 1),         # several runs per block, and the last short
+    (300, 1, None), (150, 2, None), (100, 3, None),               # hundreds of one- to three-row runs in a block
+    (3, 7, 2), (2, 9, 4), (2, 1500, None), (1, 2000, None),       # runs longer than a block: pieces, one shorter
+])
+def test_short_and_long_runs_match_the_oracles(tmp_path, n_runs, run_len, block_rows):
+    # runs of one to three rows, many to a block, and runs longer than a block, with a
+    # column of each kind (one text per run, one template text per row, '%' cells,
+    # JSON's per-value floats and strings): the writers' bytes are the oracles'
+    rng = np.random.default_rng(n_runs * 1000 + run_len)
+    shape = (n_runs, run_len)
+    columns = {"x": np.linspace(-1.0, 1.0, n_runs)[:, None], "y": np.linspace(0.0, 1.0, run_len),
+               "v": np.where(rng.random(shape) < 0.3, rng.choice(EDGE, shape), rng.standard_normal(shape)),
+               "n": rng.integers(-5, 5, shape),
+               "name": np.array(["kummer", 'a "b", c', "café σ"] * run_len)[:run_len]}
+    block = output._BLOCK if block_rows is None else block_rows * len(columns)
+    with mock.patch.object(output, "_BLOCK", block):
+        assert_same_bytes(tmp_path, columns)
+
+
+_LONG_RUN = """
+import sys
+import numpy as np
+from wirescat.output import table, write_table_csv, write_table_json
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+rng, marks = np.random.default_rng(int(sys.argv[2])), []
+tables = [table({"x": np.linspace(-1.0, 1.0, 400)[:, None], "y": np.linspace(0.0, 1.0, 100),
+                 "re": rng.standard_normal((400, 100)), "im": rng.standard_normal((400, 100))}) for _ in range(15)]
+for i, rows in enumerate(tables):
+    (write_table_json if i % 2 else write_table_csv)(sys.argv[1], rows, {"table": i})
+    marks.append(hwm())
+print(marks[-1] - marks[2])
+"""
+
+
+def _has_vmhwm() -> bool:
+    try:
+        with open("/proc/self/status") as fh:
+            return any(line.startswith("VmHWM:") for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status (Linux)")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_long_runs_of_grid_tables_hold_the_high_water_mark(tmp_path, seed):
+    # a fresh interpreter makes 15 distinct 400 x 100 grid tables, then writes them, CSV and
+    # JSON in turn: from the 3rd write on, its resident high-water mark grows by under 0.5 MB
+    # (12 kB on seeds 1-4).  Block texts of 45-90 kB fragmented the heap, and the mark grew
+    # by 3.1-4.3 MB
+    src = str(Path(output.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _LONG_RUN, str(tmp_path / "t"), str(seed)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 512, done.stdout  # kB
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
